@@ -30,7 +30,15 @@ from .polynomials import ParseError, parse_poly
 from .suites import MAX_K, MAX_N, SUITE_NAMES, run_suites
 from .zeta_identities import zeta_identity_monomial, zeta_identity_poly
 
-__all__ = ["main"]
+__all__ = ["MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
+
+#: Admission limits of ``identity``.  The derivative tables behind every kind
+#: reach depth deg(F) + n - 1 (sum(m) + n - 1 for a monomial weight); the
+#: mzv/mzsv assembly walks every block shape of n.  Larger inputs exit 2
+#: before any table is built or any polynomial is expanded, and ``parse_poly``
+#: caps the degree of ``--poly`` itself (see ``max_parse_degree``).
+MAX_TABLE_DEPTH = 48
+MAX_MZV_DEPTH = 10
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,25 +106,37 @@ def _parse_mvec(raw: str, n: int) -> tuple[int, ...]:
     return mvec
 
 
+def _admit_table_depth(degree: int | float, n: int) -> None:
+    degree = max(degree, 0)  # the zero weight has degree -inf
+    if degree + n - 1 > MAX_TABLE_DEPTH:
+        raise ValueError(
+            f"weight degree {degree} at --n {n} needs table depth {degree + n - 1}, "
+            f"above the limit {MAX_TABLE_DEPTH}"
+        )
+
+
 def _cmd_identity(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
     if (args.m is None) == (args.poly is None):
         raise ValueError("provide exactly one of --m and --poly")
-    if args.kind == "bernoulli":
-        if args.m is None:
-            raise ValueError("kind bernoulli takes --m")
-        identity = bernoulli_identity(_parse_mvec(args.m, args.n))
-    elif args.kind == "zeta":
-        if args.m is not None:
-            identity = zeta_identity_monomial(_parse_mvec(args.m, args.n))
-        else:
-            identity = zeta_identity_poly(parse_poly(args.poly, args.n), args.n)
-    else:
+    if args.kind == "bernoulli" and args.m is None:
+        raise ValueError("kind bernoulli takes --m")
+    if args.kind in ("mzv", "mzsv"):
         if args.poly is None:
             raise ValueError(f"kind {args.kind} takes --poly")
+        if args.n > MAX_MZV_DEPTH:
+            raise ValueError(f"--n {args.n} exceeds the limit {MAX_MZV_DEPTH} for {args.kind}")
+    _admit_table_depth(0, args.n)
+    if args.m is not None:
+        mvec = _parse_mvec(args.m, args.n)
+        _admit_table_depth(sum(mvec), args.n)
+        build_monomial = bernoulli_identity if args.kind == "bernoulli" else zeta_identity_monomial
+        identity = build_monomial(mvec)
+    else:
         weight = parse_poly(args.poly, args.n)
-        build = mzv_identity if args.kind == "mzv" else mzsv_identity
+        _admit_table_depth(weight.degree(), args.n)
+        build = {"zeta": zeta_identity_poly, "mzv": mzv_identity, "mzsv": mzsv_identity}[args.kind]
         identity = build(weight, args.n)
     doc = document_from_identity(identity)
     renderer = {"text": to_text, "json": to_json, "latex": to_latex}[args.format]

@@ -60,8 +60,12 @@ __all__ = [
 #: Largest depth for which the full set-partition list may be materialised.
 _MAX_PARTITION_DEPTH = 12
 
-#: Digits carried when rendering exact partial sums as decimals.
+#: Significant digits of the decimals returned by ``mzv_numeric``.
 _DECIMAL_DIGITS = 40
+
+#: Extra decimal places ``mzv_numeric`` first carries beyond 40; doubled
+#: until the rounding is certified.
+_GUARD_DIGITS = 12
 
 
 def partitions(n: int) -> list[SetPartition]:
@@ -276,13 +280,39 @@ def _to_decimal(value: Fraction) -> Decimal:
         return Decimal(value.numerator) / Decimal(value.denominator)
 
 
+def _nested_sum_bracket(kvec: tuple[int, ...], bound: int, scale: int) -> tuple[int, int]:
+    """Integers lo <= S * scale <= hi for the truncated nested sum S.
+
+    Level by level from the innermost argument, the prefix sums
+    sum_{j <= m} prev[j - 1] / j^k are carried twice: once with every
+    quotient floored and once with every quotient ceiled.  All terms are
+    nonnegative, so the floor chain stays below the exact scaled sums and the
+    ceiling chain above them; the gap grows by at most one unit per term.
+    """
+    lo = hi = [scale] * bound  # the empty inner sum is 1
+    for exponent in reversed(kvec):
+        lo_next, hi_next = [0], [0]
+        lo_run = hi_run = 0
+        for m in range(1, bound + 1):
+            power = m**exponent
+            lo_run += lo[m - 1] // power
+            hi_run -= -hi[m - 1] // power
+            lo_next.append(lo_run)
+            hi_next.append(hi_run)
+        lo, hi = lo_next, hi_next
+    return lo[bound], hi[bound]
+
+
 def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:
-    """Exact partial sum of zeta(k_1, ..., k_n) = sum over m_1 > ... > m_n >= 1
-    of 1/(m_1^{k_1} ... m_n^{k_n}), truncated at m_1 <= bound, as a Decimal,
+    """Partial sum of zeta(k_1, ..., k_n) = sum over m_1 > ... > m_n >= 1 of
+    1/(m_1^{k_1} ... m_n^{k_n}), truncated at m_1 <= bound, as a Decimal,
     together with a tail estimate.
 
-    The partial sum is computed exactly: over the common denominator
-    L^(k_1+...+k_n) with L = lcm(1..bound), every prefix sum is an integer.
+    The partial sum is correctly rounded (round-half-even) to 40 significant
+    digits.  It is bracketed in fixed point with 40 + guard decimal places by
+    ``_nested_sum_bracket``; rounding is monotone, so when both ends of the
+    bracket round to the same digits the exact sum does too.  Otherwise the
+    guard digits are doubled and the sum redone.
     The tail estimate is (1645/1000)^(n-1) * bound^(1-k_1), a genuine bound
     when every argument is >= 2 (1.645 > zeta(2) dominates each inner sum).
     The word must be admissible: k_1 >= 2.
@@ -294,25 +324,14 @@ def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:
         raise ValueError(f"inadmissible word: first argument must be >= 2, got {kvec[0]}")
     if bound < 10:
         raise ValueError(f"truncation bound must be at least 10, got {bound}")
-    lcm_all = math.lcm(*range(1, bound + 1))
-    quotients = [0] + [lcm_all // m for m in range(1, bound + 1)]
-    prefix: list[int] | None = None
-    for exponent in reversed(kvec[1:]):
-        level = [0] * (bound + 1)
-        running = 0
-        for m in range(1, bound + 1):
-            piece = quotients[m] ** exponent
-            if prefix is not None:
-                piece *= prefix[m - 1]
-            running += piece
-            level[m] = running
-        prefix = level
-    outer = 0
-    for m in range(1, bound + 1):
-        piece = quotients[m] ** kvec[0]
-        if prefix is not None:
-            piece *= prefix[m - 1]
-        outer += piece
-    partial = Fraction(outer, lcm_all ** sum(kvec))
+    guard = _GUARD_DIGITS
+    while True:
+        scale = 10 ** (_DECIMAL_DIGITS + guard)
+        lo, hi = _nested_sum_bracket(kvec, bound, scale)
+        partial = _to_decimal(Fraction(lo, scale))
+        # Compare digit tuples, not values: 0.5 and 0.5000 are equal values.
+        if partial.as_tuple() == _to_decimal(Fraction(hi, scale)).as_tuple():
+            break
+        guard = max(2 * guard, 1)
     tail = Fraction(1645, 1000) ** (len(kvec) - 1) * Fraction(1, bound ** (kvec[0] - 1))
-    return _to_decimal(partial), _to_decimal(tail)
+    return partial, _to_decimal(tail)

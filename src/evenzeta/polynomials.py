@@ -11,12 +11,13 @@ only ints and ``Fraction`` values enter.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
 from .rationals import binomial
 
-__all__ = ["NEG_INFINITY", "MultiPoly", "ParseError", "UniPoly", "parse_poly"]
+__all__ = ["NEG_INFINITY", "MultiPoly", "ParseError", "UniPoly", "max_parse_degree", "parse_poly"]
 
 #: Degree reported for the zero polynomial.
 NEG_INFINITY = float("-inf")
@@ -26,6 +27,11 @@ Scalar = Union[int, Fraction]
 #: Largest exponent the parser accepts; keeps pathological inputs from
 #: expanding into astronomically many terms.
 _MAX_EXPONENT = 64
+
+#: Most monomials a parsed polynomial may be able to hold.  A polynomial of
+#: total degree D in n variables has at most C(D + n, n) of them, so the
+#: parser caps the total degree (see ``max_parse_degree``).
+_MAX_PARSE_TERMS = 1_000
 
 
 def _as_rational(value: Scalar) -> Fraction:
@@ -164,8 +170,9 @@ class UniPoly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     def derivative(self) -> "UniPoly":
@@ -402,8 +409,9 @@ class MultiPoly:
         while exponent:
             if exponent & 1:
                 result = result * base
-            base = base * base
             exponent >>= 1
+            if exponent:
+                base = base * base
         return result
 
     # -- rendering ---------------------------------------------------------
@@ -512,6 +520,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.arity = arity
+        self.max_degree = max_parse_degree(arity)
 
     def _peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -541,11 +550,21 @@ class _Parser:
             poly = poly + rhs if op == "+" else poly - rhs
         return poly
 
+    def _admit(self, degree: int | float, position: int) -> None:
+        if degree > self.max_degree:
+            raise ParseError(
+                f"total degree {degree} exceeds the limit {self.max_degree} "
+                f"with arity {self.arity}",
+                position,
+            )
+
     def _term(self) -> MultiPoly:
         poly = self._factor()
         while self._peek()[0] == "*":
-            self._next()
-            poly = poly * self._factor()
+            position = self._next()[2]
+            rhs = self._factor()
+            self._admit(poly.degree() + rhs.degree(), position)
+            poly = poly * rhs
         return poly
 
     def _factor(self) -> MultiPoly:
@@ -559,6 +578,8 @@ class _Parser:
         assert isinstance(value, int)
         if value > _MAX_EXPONENT:
             raise ParseError(f"exponent {value} exceeds the limit {_MAX_EXPONENT}", position)
+        if value:
+            self._admit(base.degree() * value, position)
         return base**value
 
     def _primary(self) -> MultiPoly:
@@ -590,12 +611,26 @@ class _Parser:
         raise ParseError("expected a number, a variable, or '('", position)
 
 
+def max_parse_degree(arity: int) -> int:
+    """Largest total degree ``parse_poly`` admits in ``arity`` variables.
+
+    It is the largest D <= 64 with C(D + arity, arity) <= 1,000, the most
+    monomials such a polynomial can have: 64 for one variable, 43 for two,
+    16 for three, 9 for four, 4 for eight.
+    """
+    degree = 0
+    while degree < _MAX_EXPONENT and math.comb(degree + 1 + arity, arity) <= _MAX_PARSE_TERMS:
+        degree += 1
+    return degree
+
+
 def parse_poly(text: str, arity: int) -> MultiPoly:
     """Parse polynomial text over the variables x1..x{arity}.
 
     Accepted syntax: integer and a/b rational literals, variables x1..xn,
     the operators + - * ^, and parentheses.  Multiplication is always
     explicit.  Malformed input raises ``ParseError`` with the offset of the
-    offending token.
+    offending token.  So does a product or power whose total degree would
+    exceed ``max_parse_degree(arity)``; it is refused before it is expanded.
     """
     return _Parser(text, arity).parse()

@@ -16,6 +16,7 @@ what ``verify_symmetric_sum`` checks.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +46,11 @@ _MAX_SYMMETRIC_DEPTH = 8
 
 #: Depth cap for the full symmetric-sum verification sweep.
 _MAX_VERIFY_DEPTH = 6
+
+#: Entries kept by the word-product cache.  ``verify --suite words --max-n 5``
+#: needs about 8,300 of them; the bound keeps a long-lived process from
+#: holding every product it ever formed.
+_WORD_PRODUCT_CACHE_SIZE = 1 << 14
 
 
 def _validated_word(letters: Sequence[int]) -> Word:
@@ -79,6 +85,15 @@ class NCPoly:
                 data.pop(word, None)
         object.__setattr__(self, "terms", data)
 
+    @classmethod
+    def _trusted(cls, data: dict[Word, Fraction]) -> "NCPoly":
+        """Wrap terms that are already canonical: words of positive letters
+        mapped to nonzero ``Fraction`` coefficients.  Takes ``data`` over
+        without copying or checking it."""
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "terms", data)
+        return poly
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NCPoly is immutable")
 
@@ -107,12 +122,12 @@ class NCPoly:
             return NotImplemented
         data = dict(self.terms)
         for word, coeff in other.terms.items():
-            value = data.get(word, Fraction(0)) + coeff
+            value = data.get(word, 0) + coeff
             if value:
                 data[word] = value
             else:
-                data.pop(word, None)
-        return NCPoly(data)
+                del data[word]
+        return NCPoly._trusted(data)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
@@ -120,14 +135,14 @@ class NCPoly:
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly({w: -c for w, c in self.terms.items()})
+        return NCPoly._trusted({w: -c for w, c in self.terms.items()})
 
     def __mul__(self, other: Scalar) -> "NCPoly":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         if not other:
             return NCPoly()
-        return NCPoly({w: c * other for w, c in self.terms.items()})
+        return NCPoly._trusted({w: c * other for w, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -160,7 +175,7 @@ class NCPoly:
         return f"NCPoly({str(self)!r})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_WORD_PRODUCT_CACHE_SIZE)
 def _word_product(left: Word, right: Word, merge_sign: int) -> tuple[tuple[Word, int], ...]:
     """Product of two single words as a sorted tuple of (word, int coeff)."""
     if not left:
@@ -184,18 +199,24 @@ def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
     return NCPoly.from_word(_validated_word(value))
 
 
+def _numerators(poly: NCPoly) -> tuple[list[tuple[Word, int]], int]:
+    """The terms of ``poly`` as integer numerators over one common denominator."""
+    denominator = math.lcm(*(c.denominator for c in poly.terms.values()))
+    return [(w, c.numerator * (denominator // c.denominator)) for w, c in poly.terms.items()], denominator
+
+
 def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
-    data: dict[Word, Fraction] = {}
-    for w1, c1 in u.terms.items():
-        for w2, c2 in v.terms.items():
-            scale = c1 * c2
+    # Word products have integer coefficients, so the whole sum is carried in
+    # integers over the common denominator and each word gets one Fraction.
+    (left, left_den), (right, right_den) = _numerators(u), _numerators(v)
+    acc: dict[Word, int] = {}
+    for w1, a1 in left:
+        for w2, a2 in right:
+            scale = a1 * a2
             for word, c in _word_product(w1, w2, merge_sign):
-                value = data.get(word, Fraction(0)) + scale * c
-                if value:
-                    data[word] = value
-                else:
-                    data.pop(word, None)
-    return NCPoly(data)
+                acc[word] = acc.get(word, 0) + scale * c
+    denominator = left_den * right_den
+    return NCPoly._trusted({word: Fraction(c, denominator) for word, c in acc.items() if c})
 
 
 def star(u: "NCPoly | Sequence[int]", v: "NCPoly | Sequence[int]") -> NCPoly:

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from evenzeta import f_table, from_json
-from evenzeta.cli import main
+from evenzeta import cli, f_table, from_json
+from evenzeta.cli import MAX_MZV_DEPTH, MAX_TABLE_DEPTH, main
 
 
 def run(capsys, *argv):
@@ -197,6 +197,71 @@ class TestTablesCommand:
         code, _, err = run(capsys, "tables", "--depth", "17")
         assert code == 2
         assert "0..16" in err
+
+
+class Admitted(Exception):
+    """Raised by a stubbed builder: the guard let the input through."""
+
+
+def refuse(*args, **kwargs):
+    raise Admitted
+
+
+class TestAdmission:
+    """Each limit at the boundary and one step over it.  The builders are
+    stubbed to raise, so an admitted input stops at once and a refused one
+    proves that no builder ran."""
+
+    def test_limits(self):
+        assert (MAX_TABLE_DEPTH, MAX_MZV_DEPTH) == (48, 10)
+
+    def test_table_depth_for_m(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bernoulli_identity", refuse)
+        monkeypatch.setattr(cli, "zeta_identity_monomial", refuse)
+        for kind in ("bernoulli", "zeta"):
+            with pytest.raises(Admitted):
+                main(["identity", "--kind", kind, "--n", "2", "--m", "47,0"])
+            code, _, err = run(capsys, "identity", "--kind", kind, "--n", "2", "--m", "48,0")
+            assert code == 2
+            assert "table depth 49, above the limit 48" in err
+
+    def test_table_depth_for_n(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "bernoulli_identity", refuse)
+        with pytest.raises(Admitted):
+            main(["identity", "--kind", "bernoulli", "--n", "49", "--m", ",".join("0" * 49)])
+        monkeypatch.setattr(cli, "parse_poly", refuse)
+        code, _, err = run(capsys, "identity", "--kind", "zeta", "--n", "50", "--poly", "1")
+        assert code == 2
+        assert "table depth 49" in err
+
+    def test_table_depth_for_poly(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "zeta_identity_poly", refuse)
+        with pytest.raises(Admitted):
+            main(["identity", "--kind", "zeta", "--n", "1", "--poly", "x1^48"])
+        code, _, err = run(capsys, "identity", "--kind", "zeta", "--n", "1", "--poly", "x1^49")
+        assert code == 2
+        assert "table depth 49, above the limit 48" in err
+
+    def test_mzv_depth(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mzv_identity", refuse)
+        monkeypatch.setattr(cli, "mzsv_identity", refuse)
+        for kind in ("mzv", "mzsv"):
+            with pytest.raises(Admitted):
+                main(["identity", "--kind", kind, "--n", "10", "--poly", "1"])
+        monkeypatch.setattr(cli, "parse_poly", refuse)
+        for kind in ("mzv", "mzsv"):
+            code, _, err = run(capsys, "identity", "--kind", kind, "--n", "11", "--poly", "1")
+            assert code == 2
+            assert f"--n 11 exceeds the limit 10 for {kind}" in err
+
+    def test_poly_degree(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "mzv_identity", refuse)
+        weight = "(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")"
+        with pytest.raises(Admitted):
+            main(["identity", "--kind", "mzv", "--n", "8", "--poly", f"{weight}^4"])
+        code, _, err = run(capsys, "identity", "--kind", "mzv", "--n", "8", "--poly", f"{weight}^5")
+        assert code == 2
+        assert "total degree 5 exceeds the limit 4" in err
 
 
 class TestDeterminism:

@@ -271,7 +271,58 @@ def to_dec40(value):
         return Decimal(value.numerator) / Decimal(value.denominator)
 
 
+def nested_sum(kvec, bound):
+    """Exact truncated nested sum by plain Fraction arithmetic: level[m] is
+    the sum over m >= m_i > ... > m_n >= 1 of the innermost arguments."""
+    level = [Fraction(1)] * (bound + 1)
+    for k in reversed(kvec):
+        running = Fraction(0)
+        next_level = [running]
+        for m in range(1, bound + 1):
+            running += level[m - 1] / m**k
+            next_level.append(running)
+        level = next_level
+    return level[bound]
+
+
 class TestNumeric:
+    @pytest.mark.parametrize(
+        "kvec, bound",
+        [
+            ((2,), 200),
+            ((7,), 10),
+            ((2, 1), 150),
+            ((3, 3), 200),
+            ((2, 1, 1), 100),
+            ((5, 3, 3), 200),
+            ((4, 3, 2, 1), 200),
+            ((2, 2, 2, 2), 120),
+            ((3, 1, 2, 1, 1), 80),
+            ((6, 5, 4, 3, 2), 200),
+        ],
+    )
+    def test_matches_fraction_nested_sum(self, kvec, bound):
+        approx, _ = mzv_numeric(kvec, bound)
+        assert str(approx) == str(to_dec40(nested_sum(kvec, bound)))
+
+    def test_widening_gives_the_same_digits(self, monkeypatch):
+        from evenzeta import mzv_identities
+
+        expected = mzv_numeric((5, 3, 3), 200)
+        scales = []
+        bracket = mzv_identities._nested_sum_bracket
+
+        def recording(kvec, bound, scale):
+            scales.append(scale)
+            return bracket(kvec, bound, scale)
+
+        monkeypatch.setattr(mzv_identities, "_GUARD_DIGITS", 0)
+        monkeypatch.setattr(mzv_identities, "_nested_sum_bracket", recording)
+        widened = mzv_numeric((5, 3, 3), 200)
+        assert tuple(map(str, widened)) == tuple(map(str, expected))
+        assert scales[0] == 10**40
+        assert len(scales) > 1
+
     def test_partial_sum_is_exact_depth_one(self):
         approx, tail = mzv_numeric((2,), 50)
         direct = sum(Fraction(1, m**2) for m in range(1, 51))

@@ -2,11 +2,13 @@
 
 from fractions import Fraction
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenzeta import MultiPoly, ParseError, UniPoly, parse_poly
+from evenzeta import MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly
 
 X = UniPoly.x()
 
@@ -187,6 +189,42 @@ class TestParser:
         parse_poly("x1^64", 1)
         with pytest.raises(ParseError):
             parse_poly("x1^65", 1)
+
+    def test_degree_limit_values(self):
+        assert [max_parse_degree(n) for n in (1, 2, 3, 4, 8)] == [64, 43, 16, 9, 4]
+        for n in range(3, 12):
+            d = max_parse_degree(n)
+            assert math.comb(d + n, n) <= 1000 < math.comb(d + 1 + n, n)
+
+    def test_power_degree_limit(self, monkeypatch):
+        base = "(x1 + x2 + x3 + x4)"
+        assert parse_poly(f"{base}^9", 4).degree() == 9
+
+        def refuse(self, exponent):
+            raise AssertionError("expanded an over-limit power")
+
+        monkeypatch.setattr(MultiPoly, "__pow__", refuse)
+        with pytest.raises(ParseError) as info:
+            parse_poly(f"{base}^10", 4)
+        assert "total degree 10 exceeds the limit 9" in str(info.value)
+
+    def test_product_degree_limit(self, monkeypatch):
+        base = "(x1 + x2 + x3 + x4)"
+        degrees = []
+        multiply = MultiPoly.__mul__
+
+        def recording(self, other):
+            degrees.append(self.degree() + other.degree())
+            return multiply(self, other)
+
+        monkeypatch.setattr(MultiPoly, "__mul__", recording)
+        assert parse_poly("*".join([base] * 9), 4).degree() == 9
+        degrees.clear()
+        text = "*".join([base] * 10)
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 4)
+        assert info.value.position == text.rindex("*")
+        assert max(degrees) == 9
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):

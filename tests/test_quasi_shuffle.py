@@ -125,6 +125,53 @@ admissible_words = st.one_of(
 )
 
 
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+ncpolys = st.dictionaries(short_words, coefficients, max_size=3).map(NCPoly)
+
+
+def is_canonical(p):
+    """Same terms as the public constructor makes of them, every coefficient
+    a nonzero Fraction."""
+    return p == NCPoly(dict(p.terms)) and all(
+        type(c) is Fraction and c != 0 for c in p.terms.values()
+    )
+
+
+class TestCanonicalResults:
+    @settings(deadline=None, max_examples=60)
+    @given(ncpolys, ncpolys, coefficients)
+    def test_results_are_canonical(self, u, v, scale):
+        for result in (star(u, v), sbar(u, v), u + v, u - v, -u, scale * u, u - u):
+            assert is_canonical(result)
+
+    def test_cancelled_words_are_dropped(self):
+        # The mixed products z2*z1 and z1*z2 cancel term by term.
+        u = NCPoly.from_word((2,)) - NCPoly.from_word((1,))
+        v = NCPoly.from_word((1,)) + NCPoly.from_word((2,))
+        for product in (star, sbar):
+            result = product(u, v)
+            assert is_canonical(result)
+            assert result.terms.keys() == (product((2,), (2,)) - product((1,), (1,))).terms.keys()
+
+    @settings(deadline=None, max_examples=60)
+    @given(ncpolys, ncpolys)
+    def test_rational_coefficients_expand_termwise(self, u, v):
+        for product in (star, sbar):
+            expected = NCPoly.zero()
+            for w1, c1 in u.items():
+                for w2, c2 in v.items():
+                    expected = expected + (c1 * c2) * product(w1, w2)
+            assert product(u, v) == expected
+
+    def test_word_product_cache_is_bounded(self):
+        from evenzeta.quasi_shuffle import _word_product
+
+        maxsize = _word_product.cache_info().maxsize
+        assert isinstance(maxsize, int)
+        # verify --suite words --max-n 5 forms about 8,300 distinct products.
+        assert 8_400 <= maxsize < 10**6
+
+
 class TestAlgebraLaws:
     @given(words, words)
     def test_commutative(self, u, v):
