@@ -24,7 +24,7 @@ from typing import Sequence
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
 from .enumeration import compositions
-from .polynomials import UniPoly
+from .polynomials import UniPoly, integer_numerators
 from .rationals import bernoulli, factorial
 
 __all__ = [
@@ -102,12 +102,22 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
             continue
         sign = Fraction(-1 if i % 2 else 1, 2)
         head = head + sign * (fs[i] * UniPoly.monomial(i))
+    # Each F_j is convolved on integer numerators: one common denominator
+    # for f_1..f_N and one for column j of the inverse triangle, so every
+    # coefficient of F_j costs a single Fraction.
+    f_den, f_nums = integer_numerators(fs[1:])
     out = [head]
     for j in range(1, total + 1):
-        acc = UniPoly.zero()
-        for i in range(j, total + 1):
-            acc = acc + fs[i] * inverse.entry(i - 1, j)
-        out.append(acc)
+        g_den, g_nums = integer_numerators([inverse.entry(i - 1, j) for i in range(j, total + 1)])
+        pairs = [(f, g) for f, g in zip(f_nums[j - 1 :], g_nums) if f and g]
+        acc = [0] * max((len(f) + len(g) - 1 for f, g in pairs), default=0)
+        for f, g in pairs:
+            for a, x in enumerate(f):
+                if x:
+                    for b, y in enumerate(g):
+                        acc[a + b] += x * y
+        den = f_den * g_den
+        out.append(UniPoly(Fraction(c, den) for c in acc))
     return tuple(out)
 
 

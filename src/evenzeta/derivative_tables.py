@@ -1,30 +1,53 @@
 """Triangular polynomial tables for rewriting derivatives of the even
 Bernoulli series in powers of t/(e^t - 1).
 
-Write D = t*d/dt and h(t) = t/(e^t - 1).  The even series
-f(t) = h(t) - 1 + t/2 = sum_{i>=1} B_{2i} t^{2i} / (2i)! satisfies
+Write D = t*d/dt and h(t) = t/(e^t - 1).  Everything below follows from the
+first-order equation
+
+    t*h' = (1 - t)*h - h^2.
+
+The even series f(t) = h(t) - 1 + t/2 = sum_{i>=1} B_{2i} t^{2i} / (2i)!
+satisfies
 
     D^m f(t) = sum_{i=0}^{m+1} f_{m,i}(t) * h(t)^i
 
-for a triangle of polynomials f_{m,i} obeying a first-order recursion in m
-(differentiating t*h' = (1 - t)*h - h^2 once per row).  Inverting the
-lower-triangular system formed by the columns i >= 1 yields a second triangle
-g_{m,i} that expresses h(t)^i back in terms of D^j g(t), where
-g(t) = h(t) + t/2 is the even completion with D^j g = f_{j,0} + t/2 + ... for
-j >= 1.  Downstream modules consume only these triangles and their extreme
-coefficients; the transcendental functions themselves are never evaluated.
+for a triangle of polynomials f_{m,i}: applying D once more and using the
+equation for D(h^i) = i*h^(i-1)*t*h' gives row m from row m - 1.  Conversely,
+multiplying that equation by i*h^(i-1) gives
+
+    h^(i+1) = (1 - t)*h^i - D(h^i)/i,
+
+so every power of h is a polynomial combination of D^j h, hence of D^j g with
+g(t) = h(t) + t/2 the even completion.  Collecting coefficients gives the
+second triangle g_{m,i}, again by a first-order recursion in m, and it
+inverts the first columnwise.  The two triangles are built independently, so
+the inverse relation between them is a genuine cross-check.
+
+Each triangle is grown on demand in one shared table: rows are appended under
+a lock and never change afterwards, so ``f_table(d)`` and ``g_table(d)`` hold
+prefixes of the same rows for every depth d.  Downstream modules consume only
+these triangles and their extreme coefficients; the transcendental functions
+themselves are never evaluated.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
-from .polynomials import UniPoly
+from .polynomials import UniPoly, integer_numerators
 from .rationals import factorial
 
 __all__ = ["FTable", "GTable", "c_coeffs", "d_coeffs", "f_table", "g_table"]
+
+#: Depths kept by the ``f_table``/``g_table`` wrappers.  Each entry holds only
+#: references to shared rows; the CLI admits depths up to 48.
+_TABLE_CACHE_SIZE = 64
+
+Row = tuple[UniPoly, ...]
 
 
 @dataclass(frozen=True)
@@ -32,9 +55,9 @@ class FTable:
     """Rows 0..depth of the triangle f_{m,i}; row m holds entries i = 0..m+1."""
 
     depth: int
-    rows: tuple[tuple[UniPoly, ...], ...]
+    rows: tuple[Row, ...]
 
-    def row(self, m: int) -> tuple[UniPoly, ...]:
+    def row(self, m: int) -> Row:
         if not 0 <= m <= self.depth:
             raise ValueError(f"row index must be in 0..{self.depth}, got {m}")
         return self.rows[m]
@@ -51,9 +74,9 @@ class GTable:
     """Rows 0..depth of the inverse triangle g_{m,i}; row m holds i = 1..m+1."""
 
     depth: int
-    rows: tuple[tuple[UniPoly, ...], ...]
+    rows: tuple[Row, ...]
 
-    def row(self, m: int) -> tuple[UniPoly, ...]:
+    def row(self, m: int) -> Row:
         if not 0 <= m <= self.depth:
             raise ValueError(f"row index must be in 0..{self.depth}, got {m}")
         return self.rows[m]
@@ -65,57 +88,101 @@ class GTable:
         return row[i - 1]
 
 
-@lru_cache(maxsize=None)
+class _Triangle:
+    """Growable triangle of polynomial rows, shared by every depth.
+
+    Row m is ``step(row m-1, m)``.  Extension is guarded by a lock and rows
+    are only ever appended, so a prefix handed out stays valid and
+    concurrent readers see the same row objects.
+    """
+
+    def __init__(self, first: Row, step: Callable[[Row, int], Row]) -> None:
+        self._rows: list[Row] = [first]
+        self._step = step
+        self._lock = threading.Lock()
+
+    def prefix(self, depth: int) -> tuple[Row, ...]:
+        if depth >= len(self._rows):
+            with self._lock:
+                rows = self._rows
+                while len(rows) <= depth:
+                    rows.append(self._step(rows[-1], len(rows)))
+        return tuple(self._rows[: depth + 1])
+
+
+def _mix(cur: list[int], left: list[int], a: int, b: int, c: int) -> list[int]:
+    """Integer coefficients of a*(1 - t)*cur + b*t*cur' + c*left."""
+    out = [0] * max(len(cur) + 1, len(left))
+    for k, x in enumerate(cur):
+        out[k] += (a + b * k) * x
+        out[k + 1] -= a * x
+    for k, x in enumerate(left):
+        out[k] += c * x
+    return out
+
+
+def _f_step(prev: Row, m: int) -> Row:
+    # Entries i >= 1 of row m - 1 over one common denominator; the padding
+    # entry i = m + 1 is zero.
+    den, nums = integer_numerators(prev[1:])
+    nums.append([])
+    row = [UniPoly.x() * prev[0].derivative()]
+    for i in range(1, m + 2):
+        left = nums[i - 2] if i >= 2 else []
+        mixed = _mix(nums[i - 1], left, i, 1, -(i - 1))
+        row.append(UniPoly(Fraction(x, den) for x in mixed))
+    return tuple(row)
+
+
+def _g_step(prev: Row, r: int) -> Row:
+    # Row r - 1 (entries j = 1..r) over one common denominator; the padding
+    # entries j = 0 and j = r + 1 are zero.
+    den, nums = integer_numerators(prev)
+    nums.append([])
+    row = []
+    for j in range(1, r + 2):
+        left = nums[j - 2] if j >= 2 else []
+        mixed = _mix(nums[j - 1], left, r, -1, -1)
+        row.append(UniPoly(Fraction(x, den * r) for x in mixed))
+    return tuple(row)
+
+
+_F_ROWS = _Triangle((UniPoly((Fraction(-1), Fraction(1, 2))), UniPoly.one()), _f_step)
+_G_ROWS = _Triangle((UniPoly.one(),), _g_step)
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def f_table(depth: int) -> FTable:
-    """Build rows 0..depth of the forward triangle.
+    """Rows 0..depth of the forward triangle.
 
     Row 0 is (t/2 - 1, 1); each later row follows from
 
         f_{m,0}   = t * f_{m-1,0}'
         f_{m,i}   = t * f_{m-1,i}' + i*(1 - t)*f_{m-1,i} - (i - 1)*f_{m-1,i-1}
-        f_{m,m+1} = -m * f_{m-1,m}
+
+    for 1 <= i <= m + 1, with f_{m-1,m+1} = 0 (so f_{m,m+1} = -m * f_{m-1,m}).
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    t = UniPoly.x()
-    one = UniPoly.one()
-    rows: list[tuple[UniPoly, ...]] = [(UniPoly((Fraction(-1), Fraction(1, 2))), one)]
-    for m in range(1, depth + 1):
-        prev = rows[m - 1]
-        row = [t * prev[0].derivative()]
-        for i in range(1, m + 1):
-            row.append(t * prev[i].derivative() + i * (one - t) * prev[i] - (i - 1) * prev[i - 1])
-        row.append(UniPoly.constant(-m) * prev[m])
-        rows.append(tuple(row))
-    return FTable(depth=depth, rows=tuple(rows))
+    return FTable(depth=depth, rows=_F_ROWS.prefix(depth))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def g_table(depth: int) -> GTable:
-    """Build rows 0..depth of the inverse triangle.
+    """Rows 0..depth of the inverse triangle.
 
-    Row 0 is (1,); for m >= 1 the diagonal entry is (-1)^m / m! and
+    Row 0 is (1,).  Writing h^(i+1) = (1 - t)*h^i - D(h^i)/i (from
+    t*h' = (1 - t)*h - h^2) and expanding each side in D^j g gives
 
-        g_{m,i} = (-1)^(m+1) / m! * sum_{j=i}^{m} f_{m,j} * g_{j-1,i}
+        g_{r,j} = (1 - t)*g_{r-1,j} - (t*g_{r-1,j}' + g_{r-1,j-1}) / r
 
-    which makes sum_{j=i}^{m+1} f_{m,j} * g_{j-1,i} vanish for i <= m and
-    equal 1 at i = m+1: the triangle inverts the f-system columnwise.
+    for 1 <= j <= r + 1, with g_{r-1,0} = g_{r-1,r+1} = 0; the diagonal is
+    (-1)^r / r!.  The triangle inverts the f-system columnwise,
+    sum_{j=i}^{m+1} f_{m,j} * g_{j-1,i} = [i = m+1], but is not built from it.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    fs = f_table(depth)
-    rows: list[tuple[UniPoly, ...]] = [(UniPoly.one(),)]
-    for m in range(1, depth + 1):
-        scale = Fraction((-1) ** (m + 1), factorial(m))
-        row = []
-        for i in range(1, m + 1):
-            acc = UniPoly.zero()
-            for j in range(i, m + 1):
-                acc = acc + fs.entry(m, j) * rows[j - 1][i - 1]
-            row.append(acc * scale)
-        row.append(UniPoly.constant(Fraction((-1) ** m, factorial(m))))
-        rows.append(tuple(row))
-    return GTable(depth=depth, rows=tuple(rows))
+    return GTable(depth=depth, rows=_G_ROWS.prefix(depth))
 
 
 def c_coeffs(depth: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -140,12 +207,18 @@ def c_coeffs(depth: int) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def d_coeffs(depth: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Top coefficients of the inverse triangle, by their own recursion.
+    """Top coefficients of the inverse triangle, by inverting ``c_coeffs``.
 
     Row m holds (d_{m,1}, ..., d_{m,m+1}) where d_{m,i} is the coefficient of
     t^(m+1-i) in g_{m,i} (the degree bound is not always attained, so d may
     be zero).  Satisfies d_{m,i} = (-1)^(m+1)/m! * sum_{j=i}^{m} c_{m,j}
     d_{j-1,i} with diagonal (-1)^m / m!.
+
+    This stays an inversion of the leading coefficients on purpose: ``g_table``
+    comes from its own recursion, so comparing d against the top
+    coefficients of g checks the inverse relation through a derivation that
+    shares nothing with the one that builds g.  The cost, O(depth^3) scalar
+    operations, is negligible at the suite depths.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")

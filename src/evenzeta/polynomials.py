@@ -235,6 +235,13 @@ class UniPoly:
         return " ".join(parts)
 
 
+def integer_numerators(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
+    """One common denominator for ``polys`` (the lcm of every coefficient's
+    denominator) and each polynomial's integer numerators over it."""
+    denominator = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
+    return denominator, [[c.numerator * (denominator // c.denominator) for c in p.coeffs] for p in polys]
+
+
 class MultiPoly:
     """Sparse multivariate polynomial in variables x1..x(arity).
 

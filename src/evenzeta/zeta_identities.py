@@ -36,6 +36,14 @@ __all__ = [
 
 Scalar = Union[int, Fraction]
 
+#: Entries kept by the ``zeta_even`` cache: zeta(2j) for every j a run asks
+#: for.  The benchmark workloads ask for at most 16.
+_ZETA_EVEN_CACHE_SIZE = 256
+
+#: Monomial identities kept by the cache behind every zeta, mzv and mzsv
+#: identity.  The largest benchmark workload builds 225 distinct ones.
+_MONOMIAL_CACHE_SIZE = 1 << 10
+
 
 @dataclass(frozen=True, eq=False)
 class PiValue:
@@ -117,7 +125,7 @@ class PiValue:
         return f"PiValue(weight={self.weight}, coeff={self.coeff})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ZETA_EVEN_CACHE_SIZE)
 def zeta_even(j: int) -> PiValue:
     """zeta(2j) as an exact multiple of pi^(2j); zeta(0) is the formal -1/2.
 
@@ -151,7 +159,7 @@ class WeightedSumIdentity:
     poly: MultiPoly | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
     coeffs = a_coeffs(mvec)
     n, s = len(mvec), sum(mvec)

@@ -32,6 +32,7 @@ from evenzeta import (
     zeta_even,
     zeta_identity_monomial,
 )
+from evenzeta.suites import _exponent_tuples as exponent_tuples, _weight_family
 
 K = UniPoly.x()
 
@@ -56,29 +57,9 @@ def criterion(number, summary, budget=None):
     print(f"acceptance {number} ({summary}): PASS [{note}]")
 
 
-def exponent_tuples(length, total_cap):
-    if length == 0:
-        yield ()
-        return
-    for first in range(total_cap + 1):
-        for rest in exponent_tuples(length - 1, total_cap - first):
-            yield (first, *rest)
-
-
 def weight_family(n):
     """The five weight polynomials of the cross-path criterion."""
-    variables = [f"x{i}" for i in range(1, n + 1)]
-    texts = [
-        "1",
-        " + ".join(variables),
-        " + ".join(f"{v}^2" for v in variables),
-        " + ".join(f"{v}^3" for v in variables),
-    ]
-    pairs = [
-        f"x{i}*x{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    ]
-    texts.append(" + ".join(pairs) if pairs else "0")
-    return [parse_poly(text, n) for text in texts]
+    return [weight for _, weight in _weight_family(n)]
 
 
 def test_criterion_01_bernoulli_gallery():

@@ -15,6 +15,7 @@ from evenzeta import (
     bernoulli_lhs,
     big_F,
     f_prod,
+    g_table,
     truncation_depth,
     verify_bernoulli,
 )
@@ -85,6 +86,23 @@ class TestBigF:
                 high = high * (T / 2 + delta)
             expected = HALF * low + HALF * (-1) ** n * high
             assert big_F(mvec)[0] == expected
+
+    @pytest.mark.parametrize(
+        "mvec",
+        [(0,), (5,), (0, 0), (3, 0), (2, 4), (0, 0, 0), (1, 0, 3), (2, 2, 2), (0, 0, 0, 0), (1, 0, 2, 0), (0, 3, 1, 2)],
+    )
+    def test_matches_plain_polynomial_sum(self, mvec):
+        # F_j = sum_{i=j}^{N} f_i * g_{i-1,j}, summed term by term in UniPoly.
+        fs = f_prod(mvec)
+        total = len(fs) - 1
+        g = g_table(total - 1)
+        F = big_F(mvec)
+        assert len(F) == total + 1
+        for j in range(1, total + 1):
+            expected = UniPoly.zero()
+            for i in range(j, total + 1):
+                expected = expected + fs[i] * g.entry(i - 1, j)
+            assert F[j] == expected
 
     def test_all_entries_even(self):
         for mvec in [(0,), (1,), (2,), (0, 0), (1, 0), (0, 0, 0, 0), (3, 0, 0, 0)]:

@@ -1,10 +1,12 @@
 """Derivative coefficient tables and their inverse triangle.
 
-The inverse table is checked against an independent oracle: generic
-back-substitution inversion of the unit lower-triangular system, written
-here without reference to the package's recursion.
+The inverse table is built by its own recursion and checked against an
+independent oracle: generic back-substitution inversion of the forward
+triangle, written here without reference to the package's recursion.
 """
 
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from evenzeta import (
     factorial,
     g_table,
 )
+from evenzeta import derivative_tables
 
 T = UniPoly.x()
 DEPTH = 12
@@ -124,12 +127,65 @@ class TestGTable:
                 expected = UniPoly.one() if i == m + 1 else UniPoly.zero()
                 assert acc == expected
 
-    def test_matches_back_substitution_oracle(self):
-        g = g_table(DEPTH)
-        oracle = invert_unit_triangle(DEPTH)
-        for m in range(DEPTH + 1):
+    def assert_matches_oracle(self, depth):
+        g = g_table(depth)
+        oracle = invert_unit_triangle(depth)
+        for m in range(depth + 1):
             for i in range(1, m + 2):
                 assert g.entry(m, i) == oracle[m][i]
+
+    def test_matches_back_substitution_oracle(self):
+        self.assert_matches_oracle(DEPTH)
+
+    def test_matches_back_substitution_oracle_at_depth_20(self):
+        self.assert_matches_oracle(20)
+
+
+class TestSharedTriangles:
+    """Both triangles grow in one shared table; every depth is a prefix."""
+
+    @pytest.mark.parametrize("build", [f_table, g_table])
+    def test_rows_are_shared_not_copied(self, build):
+        shallow, deep = build(5), build(9)
+        assert len(shallow.rows) == 6 and len(deep.rows) == 10
+        for m in range(6):
+            assert shallow.rows[m] is deep.rows[m]
+
+    @pytest.mark.parametrize(
+        "first, step, build",
+        [
+            ((UniPoly((-1, Fraction(1, 2))), UniPoly.one()), derivative_tables._f_step, f_table),
+            ((UniPoly.one(),), derivative_tables._g_step, g_table),
+        ],
+    )
+    def test_concurrent_extension(self, first, step, build):
+        # Fresh triangles grown by several threads at once, to different
+        # depths, must agree with the single-threaded build.
+        triangle = derivative_tables._Triangle(first, step)
+        depths = [18, 24, 12, 24, 21, 6]
+        start = threading.Barrier(len(depths))
+        results = {}
+
+        def worker(index, depth):
+            start.wait()
+            results[index] = triangle.prefix(depth)
+
+        threads = [threading.Thread(target=worker, args=item) for item in enumerate(depths)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so extensions overlap
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = build(max(depths)).rows
+        for index, depth in enumerate(depths):
+            rows = results[index]
+            assert rows == expected[: depth + 1]
+            for m, row in enumerate(rows):
+                assert row is results[1][m]
 
 
 class TestLeadingCoefficientTables:

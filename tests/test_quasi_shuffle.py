@@ -4,12 +4,15 @@ The symmetric-sum identities are checked against `symmetric_word_sum`, a
 plain permutation count that knows nothing about either product.
 """
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evenzeta
 from evenzeta import (
     NCPoly,
     is_admissible,
@@ -163,13 +166,41 @@ class TestCanonicalResults:
                     expected = expected + (c1 * c2) * product(w1, w2)
             assert product(u, v) == expected
 
-    def test_word_product_cache_is_bounded(self):
-        from evenzeta.quasi_shuffle import _word_product
 
-        maxsize = _word_product.cache_info().maxsize
-        assert isinstance(maxsize, int)
-        # verify --suite words --max-n 5 forms about 8,300 distinct products.
-        assert 8_400 <= maxsize < 10**6
+def _package_caches():
+    """Every ``lru_cache`` defined in an evenzeta module, by qualified name."""
+    found = {}
+    for info in pkgutil.iter_modules(evenzeta.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"evenzeta.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                found[f"{info.name}.{name}"] = value
+    return found
+
+
+# Fewest entries each cache must keep so that no benchmark workload evicts:
+# the most distinct keys one workload forms (verify --suite words --max-n 5
+# forms about 8,300 word products), or every table depth the CLI admits.
+CACHE_FLOORS = {
+    "derivative_tables.f_table": 49,
+    "derivative_tables.g_table": 49,
+    "quasi_shuffle._word_product": 8_400,
+    "zeta_identities._monomial_identity": 226,
+    "zeta_identities.zeta_even": 17,
+}
+
+
+def test_every_cache_has_a_floor():
+    assert set(_package_caches()) == set(CACHE_FLOORS)
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_FLOORS))
+def test_lru_cache_is_bounded(name):
+    maxsize = _package_caches()[name].cache_info().maxsize
+    assert isinstance(maxsize, int)
+    assert CACHE_FLOORS[name] <= maxsize < 10**6
 
 
 class TestAlgebraLaws:
