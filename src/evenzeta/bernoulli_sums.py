@@ -24,8 +24,8 @@ from typing import Sequence
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
 from .enumeration import compositions
-from .polynomials import UniPoly, integer_numerators
-from .rationals import bernoulli, factorial
+from .polynomials import UniPoly, convolve_integers
+from .rationals import bernoulli, factorial, integer_numerators
 
 __all__ = [
     "BernoulliIdentity",
@@ -66,18 +66,17 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     """
     mvec = _validated_mvec(mvec)
     table = f_table(max(mvec))
-    product = list(table.row(mvec[0]))
+    # Convolved on integer numerators over the product of row denominators.
+    den, product = integer_numerators([p.coeffs for p in table.row(mvec[0])])
     for m in mvec[1:]:
-        row = table.row(m)
-        merged = [UniPoly.zero()] * (len(product) + len(row) - 1)
+        row_den, row = integer_numerators([p.coeffs for p in table.row(m)])
+        pairs: list[list] = [[] for _ in range(len(product) + len(row) - 1)]
         for a, left in enumerate(product):
-            if left.is_zero():
-                continue
             for b, right in enumerate(row):
-                if not right.is_zero():
-                    merged[a + b] = merged[a + b] + left * right
-        product = merged
-    return tuple(product)
+                pairs[a + b].append((left, right))
+        product = [convolve_integers(terms) for terms in pairs]
+        den *= row_den
+    return tuple(UniPoly(Fraction(c, den) for c in poly) for poly in product)
 
 
 def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
@@ -105,18 +104,13 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     # Each F_j is convolved on integer numerators: one common denominator
     # for f_1..f_N and one for column j of the inverse triangle, so every
     # coefficient of F_j costs a single Fraction.
-    f_den, f_nums = integer_numerators(fs[1:])
+    f_den, f_nums = integer_numerators([p.coeffs for p in fs[1:]])
     out = [head]
     for j in range(1, total + 1):
-        g_den, g_nums = integer_numerators([inverse.entry(i - 1, j) for i in range(j, total + 1)])
-        pairs = [(f, g) for f, g in zip(f_nums[j - 1 :], g_nums) if f and g]
-        acc = [0] * max((len(f) + len(g) - 1 for f, g in pairs), default=0)
-        for f, g in pairs:
-            for a, x in enumerate(f):
-                if x:
-                    for b, y in enumerate(g):
-                        acc[a + b] += x * y
+        column = [inverse.entry(i - 1, j).coeffs for i in range(j, total + 1)]
+        g_den, g_nums = integer_numerators(column)
         den = f_den * g_den
+        acc = convolve_integers(zip(f_nums[j - 1 :], g_nums))
         out.append(UniPoly(Fraction(c, den) for c in acc))
     return tuple(out)
 
@@ -176,16 +170,13 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
     mvec = _validated_mvec(mvec)
     coeffs = a_coeffs(mvec)
     n, s = len(mvec), sum(mvec)
-    depth = truncation_depth(mvec)
-    rhs = []
-    for l in range(depth + 1):
-        poly = UniPoly.zero()
-        for j in range(1, s + n - 2 * l + 1):
-            a = coeffs.get((j, l), Fraction(0))
-            if a:
-                poly = poly + (a * Fraction(2) ** (j - 1 - s)) * UniPoly.monomial(j - 1).shift(l)
-        rhs.append(poly)
-    return BernoulliIdentity(mvec=mvec, T=depth, rhs=tuple(rhs))
+    rhs = tuple(
+        UniPoly(
+            coeffs[(j, l)] * Fraction(2) ** (j - 1 - s) for j in range(1, s + n - 2 * l + 1)
+        ).shift(l)
+        for l in range(truncation_depth(mvec) + 1)
+    )
+    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)
 
 
 def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:

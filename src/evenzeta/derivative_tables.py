@@ -23,23 +23,21 @@ second triangle g_{m,i}, again by a first-order recursion in m, and it
 inverts the first columnwise.  The two triangles are built independently, so
 the inverse relation between them is a genuine cross-check.
 
-Each triangle is grown on demand in one shared table: rows are appended under
-a lock and never change afterwards, so ``f_table(d)`` and ``g_table(d)`` hold
-prefixes of the same rows for every depth d.  Downstream modules consume only
-these triangles and their extreme coefficients; the transcendental functions
-themselves are never evaluated.
+Each triangle is grown on demand in one shared ``GrowableTable``: rows are
+appended under a lock and never change afterwards, so ``f_table(d)`` and
+``g_table(d)`` hold prefixes of the same rows for every depth d.
+Downstream modules consume only these triangles and their extreme
+coefficients; the transcendental functions themselves are never evaluated.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
-from .polynomials import UniPoly, integer_numerators
-from .rationals import factorial
+from .polynomials import UniPoly
+from .rationals import GrowableTable, factorial, integer_numerators
 
 __all__ = ["FTable", "GTable", "c_coeffs", "d_coeffs", "f_table", "g_table"]
 
@@ -51,63 +49,34 @@ Row = tuple[UniPoly, ...]
 
 
 @dataclass(frozen=True)
-class FTable:
+class _TriangleRows:
+    """Rows 0..depth of a triangle; row m holds entries i = _first..m+1."""
+
+    depth: int
+    rows: tuple[Row, ...]
+
+    _first = 0  # index of the first column; not a dataclass field
+
+    def row(self, m: int) -> Row:
+        if not 0 <= m <= self.depth:
+            raise ValueError(f"row index must be in 0..{self.depth}, got {m}")
+        return self.rows[m]
+
+    def entry(self, m: int, i: int) -> UniPoly:
+        row = self.row(m)
+        if not self._first <= i <= m + 1:
+            raise ValueError(f"column index must be in {self._first}..{m + 1}, got {i}")
+        return row[i - self._first]
+
+
+class FTable(_TriangleRows):
     """Rows 0..depth of the triangle f_{m,i}; row m holds entries i = 0..m+1."""
 
-    depth: int
-    rows: tuple[Row, ...]
 
-    def row(self, m: int) -> Row:
-        if not 0 <= m <= self.depth:
-            raise ValueError(f"row index must be in 0..{self.depth}, got {m}")
-        return self.rows[m]
-
-    def entry(self, m: int, i: int) -> UniPoly:
-        row = self.row(m)
-        if not 0 <= i <= m + 1:
-            raise ValueError(f"column index must be in 0..{m + 1}, got {i}")
-        return row[i]
-
-
-@dataclass(frozen=True)
-class GTable:
+class GTable(_TriangleRows):
     """Rows 0..depth of the inverse triangle g_{m,i}; row m holds i = 1..m+1."""
 
-    depth: int
-    rows: tuple[Row, ...]
-
-    def row(self, m: int) -> Row:
-        if not 0 <= m <= self.depth:
-            raise ValueError(f"row index must be in 0..{self.depth}, got {m}")
-        return self.rows[m]
-
-    def entry(self, m: int, i: int) -> UniPoly:
-        row = self.row(m)
-        if not 1 <= i <= m + 1:
-            raise ValueError(f"column index must be in 1..{m + 1}, got {i}")
-        return row[i - 1]
-
-
-class _Triangle:
-    """Growable triangle of polynomial rows, shared by every depth.
-
-    Row m is ``step(row m-1, m)``.  Extension is guarded by a lock and rows
-    are only ever appended, so a prefix handed out stays valid and
-    concurrent readers see the same row objects.
-    """
-
-    def __init__(self, first: Row, step: Callable[[Row, int], Row]) -> None:
-        self._rows: list[Row] = [first]
-        self._step = step
-        self._lock = threading.Lock()
-
-    def prefix(self, depth: int) -> tuple[Row, ...]:
-        if depth >= len(self._rows):
-            with self._lock:
-                rows = self._rows
-                while len(rows) <= depth:
-                    rows.append(self._step(rows[-1], len(rows)))
-        return tuple(self._rows[: depth + 1])
+    _first = 1
 
 
 def _mix(cur: list[int], left: list[int], a: int, b: int, c: int) -> list[int]:
@@ -121,10 +90,11 @@ def _mix(cur: list[int], left: list[int], a: int, b: int, c: int) -> list[int]:
     return out
 
 
-def _f_step(prev: Row, m: int) -> Row:
+def _f_step(rows: list[Row]) -> Row:
     # Entries i >= 1 of row m - 1 over one common denominator; the padding
     # entry i = m + 1 is zero.
-    den, nums = integer_numerators(prev[1:])
+    prev, m = rows[-1], len(rows)
+    den, nums = integer_numerators([p.coeffs for p in prev[1:]])
     nums.append([])
     row = [UniPoly.x() * prev[0].derivative()]
     for i in range(1, m + 2):
@@ -134,10 +104,11 @@ def _f_step(prev: Row, m: int) -> Row:
     return tuple(row)
 
 
-def _g_step(prev: Row, r: int) -> Row:
+def _g_step(rows: list[Row]) -> Row:
     # Row r - 1 (entries j = 1..r) over one common denominator; the padding
     # entries j = 0 and j = r + 1 are zero.
-    den, nums = integer_numerators(prev)
+    prev, r = rows[-1], len(rows)
+    den, nums = integer_numerators([p.coeffs for p in prev])
     nums.append([])
     row = []
     for j in range(1, r + 2):
@@ -147,8 +118,8 @@ def _g_step(prev: Row, r: int) -> Row:
     return tuple(row)
 
 
-_F_ROWS = _Triangle((UniPoly((Fraction(-1), Fraction(1, 2))), UniPoly.one()), _f_step)
-_G_ROWS = _Triangle((UniPoly.one(),), _g_step)
+_F_ROWS = GrowableTable((UniPoly((Fraction(-1), Fraction(1, 2))), UniPoly.one()), _f_step)
+_G_ROWS = GrowableTable((UniPoly.one(),), _g_step)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)

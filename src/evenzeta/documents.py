@@ -10,7 +10,6 @@ parseable polynomial text ``poly``.  ``from_json(to_json(doc)) == doc``.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,7 @@ from fractions import Fraction
 from . import __version__
 from .bernoulli_sums import BernoulliIdentity
 from .polynomials import UniPoly
+from .rationals import integer_numerators
 from .zeta_identities import WeightedSumIdentity
 
 __all__ = [
@@ -113,8 +113,8 @@ def from_json(text: str) -> IdentityDocument:
     if kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     raw_terms = payload.get("terms")
-    if not isinstance(raw_terms, list):
-        raise ValueError("terms must be a list")
+    if not isinstance(raw_terms, list) or not raw_terms:
+        raise ValueError("terms must be a non-empty list")
     terms: list[tuple[str, ...]] = []
     for index, entry in enumerate(raw_terms):
         if not isinstance(entry, dict) or entry.get("l") != index:
@@ -127,26 +127,25 @@ def from_json(text: str) -> IdentityDocument:
             if not _COEFF_PATTERN.fullmatch(c):
                 raise ValueError(f"coefficient {c!r} is not an integer or p/q string")
         terms.append(tuple(coeffs))
-    mvec = payload.get("mvec")
+    n, T, mvec = payload.get("n"), payload.get("T"), payload.get("mvec")
+    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if type(T) is not int or T != len(terms) - 1:
+        raise ValueError(f"T must be one less than the {len(terms)} terms, got {T!r}")
+    if mvec is not None and not (
+        type(mvec) is list and len(mvec) == n and all(type(m) is int for m in mvec)
+    ):
+        raise ValueError(f"mvec must be a list of {n} integers, got {mvec!r}")
     return IdentityDocument(
         kind=kind,
-        n=int(payload["n"]),
-        T=int(payload["T"]),
+        n=n,
+        T=T,
         terms=tuple(terms),
-        mvec=tuple(int(m) for m in mvec) if mvec is not None else None,
+        mvec=tuple(mvec) if mvec is not None else None,
         poly=payload.get("poly"),
         tool=str(payload.get("tool", "")),
     )
-
-
-def _int_poly_parts(poly: UniPoly) -> tuple[list[int], int]:
-    """Clear denominators: integer coefficients plus the common denominator."""
-    if poly.is_zero():
-        return [], 1
-    denominator = 1
-    for c in poly.coeffs:
-        denominator = denominator * c.denominator // math.gcd(denominator, c.denominator)
-    return [int(c * denominator) for c in poly.coeffs], denominator
 
 
 def _int_body(coeffs: list[int], var: str, power_format: str) -> str:
@@ -170,7 +169,7 @@ def _int_body(coeffs: list[int], var: str, power_format: str) -> str:
 
 def poly_text(poly: UniPoly, var: str = "k") -> str:
     """Plain-text polynomial with cleared denominators, e.g. '(2k + 1)/2'."""
-    coeffs, denominator = _int_poly_parts(poly)
+    denominator, (coeffs,) = integer_numerators([poly.coeffs])
     if not coeffs:
         return "0"
     body = _int_body(coeffs, var, "{var}^{power}")
@@ -181,7 +180,7 @@ def poly_text(poly: UniPoly, var: str = "k") -> str:
 
 def poly_latex(poly: UniPoly, var: str = "k") -> str:
     r"""LaTeX polynomial with cleared denominators, e.g. '\frac{2k + 1}{2}'."""
-    coeffs, denominator = _int_poly_parts(poly)
+    denominator, (coeffs,) = integer_numerators([poly.coeffs])
     if not coeffs:
         return "0"
     body = _int_body(coeffs, var, "{var}^{{{power}}}")

@@ -9,6 +9,8 @@ and the zeta-star analogue drops the sign.  For a *symmetric* weight
 polynomial F this turns every weighted composition sum of multiple zeta
 values into a combination of the single-zeta identities, one per block shape:
 the weight collapses block by block through exact power-sum polynomials.
+The monomials of every collapsed weight, each scaled by its shape's weight,
+go through the same combination step as a single-zeta identity.
 
 Both directions are implemented: the symbolic pipeline (``mzv_identity``,
 ``mzsv_identity``) and an independent exact evaluator (``mzv_lhs_exact``)
@@ -39,9 +41,9 @@ from .rationals import bernoulli, binomial, factorial
 from .zeta_identities import (
     PiValue,
     WeightedSumIdentity,
+    _combined_identity,
     eval_identity_rhs,
     zeta_even,
-    zeta_identity_poly,
 )
 
 __all__ = [
@@ -185,24 +187,15 @@ def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdent
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
     signed = kind == "mzv"
     n_factorial = factorial(n)
-    collected: dict[int, UniPoly] = {}
-    depth = 0
+    parts = []
     for shape in block_shapes(n):
-        blocks = len(shape)
-        reduced = block_reduce(F, shape)
         weight = Fraction(
             shape_count(shape) * math.prod(factorial(l - 1) for l in shape), n_factorial
         )
-        if signed and (n - blocks) % 2:
+        if signed and (n - len(shape)) % 2:
             weight = -weight
-        sub = zeta_identity_poly(reduced, blocks)
-        depth = max(depth, sub.T)
-        for l in range(sub.T + 1):
-            if sub.terms[l].is_zero():
-                continue
-            collected[l] = collected.get(l, UniPoly.zero()) + weight * sub.terms[l]
-    terms = tuple(collected.get(l, UniPoly.zero()) for l in range(depth + 1))
-    return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=terms, poly=F)
+        parts.extend((weight * coeff, expts) for coeff, expts in block_reduce(F, shape).monomials())
+    return _combined_identity(kind, n, parts, F)
 
 
 def mzv_identity(F: MultiPoly, n: int) -> WeightedSumIdentity:

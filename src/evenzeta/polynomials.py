@@ -10,7 +10,6 @@ only ints and ``Fraction`` values enter.
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -235,11 +234,19 @@ class UniPoly:
         return " ".join(parts)
 
 
-def integer_numerators(polys: Sequence[UniPoly]) -> tuple[int, list[list[int]]]:
-    """One common denominator for ``polys`` (the lcm of every coefficient's
-    denominator) and each polynomial's integer numerators over it."""
-    denominator = math.lcm(*(c.denominator for p in polys for c in p.coeffs))
-    return denominator, [[c.numerator * (denominator // c.denominator) for c in p.coeffs] for p in polys]
+def convolve_integers(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
+    """Sum of the products f * g of integer coefficient lists (lowest power
+    first) over ``pairs``; empty lists are zero."""
+    acc: list[int] = []
+    for f, g in pairs:
+        if not f or not g:
+            continue
+        acc.extend([0] * (len(f) + len(g) - 1 - len(acc)))
+        for a, x in enumerate(f):
+            if x:
+                for b, y in enumerate(g):
+                    acc[a + b] += x * y
+    return acc
 
 
 class MultiPoly:

@@ -16,7 +16,6 @@ what ``verify_symmetric_sum`` checks.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -24,6 +23,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .checks import CheckResult
 from .enumeration import partition_weight, set_partitions
+from .rationals import integer_numerators
 
 __all__ = [
     "NCPoly",
@@ -199,23 +199,18 @@ def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
     return NCPoly.from_word(_validated_word(value))
 
 
-def _numerators(poly: NCPoly) -> tuple[list[tuple[Word, int]], int]:
-    """The terms of ``poly`` as integer numerators over one common denominator."""
-    denominator = math.lcm(*(c.denominator for c in poly.terms.values()))
-    return [(w, c.numerator * (denominator // c.denominator)) for w, c in poly.terms.items()], denominator
-
-
 def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
     # Word products have integer coefficients, so the whole sum is carried in
-    # integers over the common denominator and each word gets one Fraction.
-    (left, left_den), (right, right_den) = _numerators(u), _numerators(v)
+    # integers over the square of the common denominator of both factors,
+    # and each word gets one Fraction.
+    den, (left, right) = integer_numerators([u.terms.values(), v.terms.values()])
     acc: dict[Word, int] = {}
-    for w1, a1 in left:
-        for w2, a2 in right:
+    for w1, a1 in zip(u.terms, left):
+        for w2, a2 in zip(v.terms, right):
             scale = a1 * a2
             for word, c in _word_product(w1, w2, merge_sign):
                 acc[word] = acc.get(word, 0) + scale * c
-    denominator = left_den * right_den
+    denominator = den * den
     return NCPoly._trusted({word: Fraction(c, denominator) for word, c in acc.items() if c})
 
 

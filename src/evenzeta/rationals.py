@@ -1,7 +1,8 @@
 """Exact rational scalars, factorials, binomial coefficients, and Bernoulli numbers.
 
 Every quantity in this package is an exact ``fractions.Fraction``; nothing is
-ever rounded.  This module also owns the shared, thread-safe Bernoulli cache.
+ever rounded.  This module also owns the append-only table class shared
+between threads and the common-denominator step of the integer kernels.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 __all__ = ["Rational", "BernoulliTable", "bernoulli", "binomial", "factorial"]
 
@@ -31,38 +33,63 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-class BernoulliTable:
+def integer_numerators(rows: Sequence[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
+    """The lcm of the denominators of every value in ``rows`` and each row's
+    integer numerators over it; rows are read twice, so no iterators."""
+    den = math.lcm(*(c.denominator for row in rows for c in row))
+    return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
+
+
+class GrowableTable:
+    """Append-only table grown on demand: entry i is ``step(entries[:i])``.
+
+    Extension is guarded by a lock and entries are only ever appended, so an
+    entry or prefix handed out stays valid and concurrent readers see the
+    same objects.
+    """
+
+    def __init__(self, first: object, step: Callable[[list], object]) -> None:
+        self._values: list = [first]
+        self._step = step
+        self._lock = threading.Lock()
+
+    def value(self, i: int):
+        if i < 0:
+            raise ValueError(f"table index must be >= 0, got {i}")
+        values = self._values
+        if i >= len(values):
+            with self._lock:
+                while len(values) <= i:
+                    values.append(self._step(values))
+        return values[i]
+
+    def prefix(self, depth: int) -> tuple:
+        """Entries 0..depth."""
+        self.value(depth)
+        return tuple(self._values[: depth + 1])
+
+
+def _next_bernoulli(values: list[Fraction]) -> Fraction:
+    # sum_{j=0}^{n} C(n+1, j) B_j = 0 solved for B_n
+    n = len(values)
+    acc = Fraction(0)
+    for j, b in enumerate(values):
+        if b:
+            acc += math.comb(n + 1, j) * b
+    return -acc / (n + 1)
+
+
+class BernoulliTable(GrowableTable):
     """Growable cache of Bernoulli numbers B_0, B_1, B_2, ...
 
     Uses the convention B_1 = -1/2, i.e. B_i is i! times the i-th Taylor
     coefficient of t/(e^t - 1).  Entries are produced by the classical
     recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1, seeded only with
-    B_0 = 1; extension is guarded by a lock so a single table can be shared
-    between threads.
+    B_0 = 1, in a ``GrowableTable`` that threads can share.
     """
 
     def __init__(self) -> None:
-        self._values: list[Fraction] = [Fraction(1)]
-        self._lock = threading.Lock()
-
-    def value(self, i: int) -> Fraction:
-        if i < 0:
-            raise ValueError(f"Bernoulli numbers need index >= 0, got {i}")
-        if i >= len(self._values):
-            self._extend(i)
-        return self._values[i]
-
-    def _extend(self, upto: int) -> None:
-        with self._lock:
-            values = self._values
-            while len(values) <= upto:
-                n = len(values)
-                acc = Fraction(0)
-                for j, b in enumerate(values):
-                    if b:
-                        acc += math.comb(n + 1, j) * b
-                # values never shrinks, so concurrent readers stay valid
-                values.append(-acc / (n + 1))
+        super().__init__(Fraction(1), _next_bernoulli)
 
 
 _SHARED_TABLE = BernoulliTable()

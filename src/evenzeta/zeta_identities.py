@@ -8,6 +8,10 @@ power-weighted composition sums of such products as short combinations over
 the basis zeta(2l) * zeta(2k-2l), with the l = 0 coefficient normalised to
 multiply plain zeta(2k).  The formal value zeta(0) = -1/2 extends the
 composition sums to index value 0 and is what that normalisation folds in.
+
+The identity for a monomial weight is the rescaled Bernoulli identity of
+``bernoulli_sums``; every other zeta, mzv or mzsv identity is a linear
+combination of monomial identities, formed by ``_combined_identity``.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .bernoulli_sums import a_coeffs, bernoulli_identity, truncation_depth, _validated_mvec
+from .bernoulli_sums import _validated_mvec, bernoulli_identity
 from .checks import CheckResult
 from .enumeration import compositions
 from .polynomials import MultiPoly, UniPoly
@@ -161,22 +165,39 @@ class WeightedSumIdentity:
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
-    coeffs = a_coeffs(mvec)
-    n, s = len(mvec), sum(mvec)
-    depth = truncation_depth(mvec)
-    sign = Fraction((-1) ** n)
+    # Substituting B_{2j}/(2j)! = (-1)^(j+1) * 2 * zeta(2j) / (2 pi)^(2j) into
+    # the Bernoulli identity rescales p_l by (-1)^n 2^(2-n) (2l)!/B_{2l}; the
+    # l = 0 entry also takes zeta(0) = -1/2 to multiply plain zeta(2k).
+    base = bernoulli_identity(mvec)
+    n = len(mvec)
+    sign = Fraction((-1) ** n) * Fraction(2) ** (2 - n)
+    terms = []
+    for l, poly in enumerate(base.rhs):
+        scale = sign * factorial(2 * l) / bernoulli(2 * l)
+        if l == 0:
+            scale = scale * Fraction(-1, 2)
+        terms.append(poly * scale)
+    return WeightedSumIdentity(kind="zeta", n=n, T=base.T, terms=tuple(terms), mvec=mvec)
+
+
+def _combined_identity(
+    kind: str, n: int, parts: Iterable[tuple[Scalar, tuple[int, ...]]], poly: MultiPoly
+) -> WeightedSumIdentity:
+    """The sum of coeff * (monomial identity of exponents) over ``parts``.
+
+    Its depth T is the largest among the parts, or ``(n - 1) // 2`` when
+    there are none; a term beyond a part's depth counts as zero.
+    """
+    subs = [(coeff, _monomial_identity(expts)) for coeff, expts in parts]
+    depth = max((sub.T for _, sub in subs), default=(n - 1) // 2)
     terms = []
     for l in range(depth + 1):
-        base = UniPoly.zero()
-        for j in range(1, s + n - 2 * l + 1):
-            a = coeffs.get((j, l), Fraction(0))
-            if a:
-                base = base + (a * Fraction(2) ** (j + 1 - s - n)) * UniPoly.monomial(j - 1).shift(l)
-        scale = sign * Fraction(factorial(2 * l)) / bernoulli(2 * l)
-        if l == 0:
-            scale = scale * Fraction(-1, 2)  # fold zeta(0) into the zeta(2k) term
-        terms.append(base * scale)
-    return WeightedSumIdentity(kind="zeta", n=n, T=depth, terms=tuple(terms), mvec=mvec)
+        acc = UniPoly.zero()
+        for coeff, sub in subs:
+            if l <= sub.T:
+                acc = acc + coeff * sub.terms[l]
+        terms.append(acc)
+    return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=tuple(terms), poly=poly)
 
 
 def zeta_identity_monomial(mvec: Sequence[int]) -> WeightedSumIdentity:
@@ -198,16 +219,7 @@ def zeta_identity_poly(F: MultiPoly, n: int) -> WeightedSumIdentity:
         raise TypeError(f"expected a MultiPoly weight, got {type(F).__name__}")
     if F.arity != n:
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
-    parts = [(coeff, _monomial_identity(expts)) for coeff, expts in F.monomials()]
-    depth = max((sub.T for _, sub in parts), default=(n - 1) // 2)
-    terms = []
-    for l in range(depth + 1):
-        acc = UniPoly.zero()
-        for coeff, sub in parts:
-            if l <= sub.T:
-                acc = acc + coeff * sub.terms[l]
-        terms.append(acc)
-    return WeightedSumIdentity(kind="zeta", n=n, T=depth, terms=tuple(terms), poly=F)
+    return _combined_identity("zeta", n, F.monomials(), F)
 
 
 def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:

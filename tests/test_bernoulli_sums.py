@@ -15,6 +15,7 @@ from evenzeta import (
     bernoulli_lhs,
     big_F,
     f_prod,
+    f_table,
     g_table,
     truncation_depth,
     verify_bernoulli,
@@ -62,6 +63,21 @@ class TestFProd:
     def test_length(self):
         # One entry per power of h from 0 to sum(m) + n.
         assert len(f_prod((2, 0, 0, 0))) == 7
+
+    @pytest.mark.parametrize("mvec", [(1, 2), (4, 1), (3, 0, 2), (2, 2, 1, 0)])
+    def test_matches_plain_convolution(self, mvec):
+        # The integer-numerator product equals the Fraction convolution of
+        # the table rows, entry by entry.
+        table = f_table(max(mvec))
+        product = list(table.row(mvec[0]))
+        for m in mvec[1:]:
+            row = table.row(m)
+            merged = [UniPoly.zero()] * (len(product) + len(row) - 1)
+            for a, left in enumerate(product):
+                for b, right in enumerate(row):
+                    merged[a + b] = merged[a + b] + left * right
+            product = merged
+        assert f_prod(mvec) == tuple(product)
 
 
 class TestBigF:

@@ -5,8 +5,6 @@ independent oracle: generic back-substitution inversion of the forward
 triangle, written here without reference to the package's recursion.
 """
 
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -19,7 +17,6 @@ from evenzeta import (
     factorial,
     g_table,
 )
-from evenzeta import derivative_tables
 
 T = UniPoly.x()
 DEPTH = 12
@@ -150,42 +147,6 @@ class TestSharedTriangles:
         assert len(shallow.rows) == 6 and len(deep.rows) == 10
         for m in range(6):
             assert shallow.rows[m] is deep.rows[m]
-
-    @pytest.mark.parametrize(
-        "first, step, build",
-        [
-            ((UniPoly((-1, Fraction(1, 2))), UniPoly.one()), derivative_tables._f_step, f_table),
-            ((UniPoly.one(),), derivative_tables._g_step, g_table),
-        ],
-    )
-    def test_concurrent_extension(self, first, step, build):
-        # Fresh triangles grown by several threads at once, to different
-        # depths, must agree with the single-threaded build.
-        triangle = derivative_tables._Triangle(first, step)
-        depths = [18, 24, 12, 24, 21, 6]
-        start = threading.Barrier(len(depths))
-        results = {}
-
-        def worker(index, depth):
-            start.wait()
-            results[index] = triangle.prefix(depth)
-
-        threads = [threading.Thread(target=worker, args=item) for item in enumerate(depths)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads often, so extensions overlap
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-        finally:
-            sys.setswitchinterval(interval)
-        expected = build(max(depths)).rows
-        for index, depth in enumerate(depths):
-            rows = results[index]
-            assert rows == expected[: depth + 1]
-            for m, row in enumerate(rows):
-                assert row is results[1][m]
 
 
 class TestLeadingCoefficientTables:

@@ -90,6 +90,44 @@ class TestFromJsonValidation:
         with pytest.raises(ValueError):
             from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"n": None},
+            {"n": 0},
+            {"n": "2"},
+            {"T": None},
+            {"T": 5},
+            {"mvec": [1]},
+            {"mvec": [1, 0, 0]},
+            {"mvec": "1,0"},
+            {"terms": [], "T": -1},
+        ],
+        ids=[
+            "n-null",
+            "n-zero",
+            "n-string",
+            "T-null",
+            "T-too-large",
+            "mvec-short",
+            "mvec-long",
+            "mvec-string",
+            "no-terms",
+        ],
+    )
+    def test_header_fields_validated(self, change):
+        payload = self.good_payload()
+        payload.update(change)
+        with pytest.raises(ValueError):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("field", ["n", "T"])
+    def test_missing_field_rejected(self, field):
+        payload = self.good_payload()
+        del payload[field]
+        with pytest.raises(ValueError):
+            from_json(json.dumps(payload))
+
     def test_term_order_enforced(self):
         payload = self.good_payload()
         payload["terms"] = list(reversed(payload["terms"]))

@@ -217,6 +217,16 @@ class TestIdentityPipeline:
         assert mzv_identity(F, 2).kind == "mzv"
         assert mzsv_identity(F, 2).kind == "mzsv"
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_zero_weight(self, n):
+        # No block shape contributes a monomial, so the depth falls back to
+        # (n - 1) // 2 and every term is zero.
+        for build in (mzv_identity, mzsv_identity):
+            identity = build(MultiPoly.zero(n), n)
+            assert identity.T == (n - 1) // 2
+            assert len(identity.terms) == identity.T + 1
+            assert all(term.is_zero() for term in identity.terms)
+
 
 class TestExactLhs:
     def test_depth_two_values(self):

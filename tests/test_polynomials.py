@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evenzeta import MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly
+from evenzeta.polynomials import convolve_integers
 
 X = UniPoly.x()
 
@@ -78,6 +79,16 @@ coeffs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
 )
 unipolys = st.lists(coeffs, max_size=5).map(UniPoly)
+
+
+class TestConvolveIntegers:
+    def test_sum_of_products(self):
+        # (1 + 2x)(3 - x) + x^2 * 1, and an empty list is zero.
+        pairs = [([1, 2], [3, -1]), ([0, 0, 1], [1]), ([], [5])]
+        assert convolve_integers(pairs) == [3, 5, -1]
+
+    def test_no_pairs(self):
+        assert convolve_integers([]) == []
 
 
 class TestUniPolyRingLaws:

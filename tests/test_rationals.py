@@ -1,9 +1,10 @@
-"""Bernoulli numbers and rational helpers.
+"""Bernoulli numbers, rational helpers and the shared growable table.
 
 The recurrence implementation is checked against an independent oracle:
 the coefficients of t/(e^t - 1) computed by long division of power series.
 """
 
+import sys
 import threading
 from fractions import Fraction
 
@@ -11,7 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenzeta import BernoulliTable, bernoulli, binomial, factorial
+from evenzeta import BernoulliTable, bernoulli, binomial, f_table, factorial, g_table
+from evenzeta import derivative_tables
+from evenzeta.rationals import GrowableTable, integer_numerators
 
 
 def series_quotient_coeffs(count):
@@ -77,24 +80,69 @@ class TestBernoulliTable:
         for i in range(25):
             assert table.value(i) == bernoulli(i)
 
-    def test_concurrent_extension(self):
-        # Shared table must stay consistent under parallel growth.
-        table = BernoulliTable()
-        results = []
-        lock = threading.Lock()
 
-        def worker():
-            value = table.value(80)
-            with lock:
-                results.append(value)
+class TestGrowableTable:
+    """One append-only table class backs the Bernoulli numbers and both
+    derivative triangles; every prefix handed out is shared, never copied."""
 
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(results)) == 1
-        assert results[0] == bernoulli(80)
+    @pytest.mark.parametrize(
+        "fresh, reference, depths",
+        [
+            (
+                BernoulliTable,
+                lambda d: [bernoulli(i) for i in range(d + 1)],
+                [80, 64, 40, 80, 72, 20],
+            ),
+            (
+                lambda: GrowableTable(f_table(0).rows[0], derivative_tables._f_step),
+                lambda d: f_table(d).rows,
+                [18, 24, 12, 24, 21, 6],
+            ),
+            (
+                lambda: GrowableTable(g_table(0).rows[0], derivative_tables._g_step),
+                lambda d: g_table(d).rows,
+                [18, 24, 12, 24, 21, 6],
+            ),
+        ],
+        ids=["bernoulli", "f_triangle", "g_triangle"],
+    )
+    def test_concurrent_extension(self, fresh, reference, depths):
+        # A fresh table grown by several threads at once, to different
+        # depths, must agree with the single-threaded build.
+        table = fresh()
+        start = threading.Barrier(len(depths))
+        results = {}
+
+        def worker(index, depth):
+            start.wait()
+            results[index] = table.prefix(depth)
+
+        threads = [threading.Thread(target=worker, args=item) for item in enumerate(depths)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so extensions overlap
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = tuple(reference(max(depths)))
+        deepest = depths.index(max(depths))
+        for index, depth in enumerate(depths):
+            entries = results[index]
+            assert entries == expected[: depth + 1]
+            for i, entry in enumerate(entries):
+                assert entry is results[deepest][i]
+
+
+class TestIntegerNumerators:
+    def test_common_denominator(self):
+        rows = [[Fraction(1, 2), Fraction(-1, 3)], [], [Fraction(5, 4)]]
+        assert integer_numerators(rows) == (12, [[6, -4], [], [15]])
+
+    def test_all_empty(self):
+        assert integer_numerators([()]) == (1, [[]])
 
 
 class TestCombinatorialHelpers:

@@ -1,14 +1,20 @@
 """Verification suite runner and report bookkeeping."""
 
+import sys
+from fractions import Fraction
+
 import pytest
 
 from evenzeta import (
     CheckResult,
     SUITE_NAMES,
     SuiteReport,
+    bernoulli_sums,
     run_suites,
     tables_suite,
     words_suite,
+    zeta_identities,
+    zeta_suite,
 )
 
 
@@ -67,6 +73,17 @@ class TestRunSuites:
             assert report.ok, report.summary_line()
             assert report.failed == 0
 
+    def test_default_bound_counts(self):
+        # (passed, failed, skipped) per suite at the CLI's default bounds.
+        counts = {r.suite: (r.passed, r.failed, r.skipped) for r in run_suites(SUITE_NAMES)}
+        assert counts == {
+            "tables": (741, 0, 0),
+            "bernoulli": (673, 0, 155),
+            "zeta": (673, 0, 155),
+            "mzv": (380, 0, 60),
+            "words": (244, 0, 0),
+        }
+
 
 class TestIndividualSuites:
     def test_tables_depth_zero(self):
@@ -84,3 +101,30 @@ class TestIndividualSuites:
         second = words_suite(max_n=3, max_letter=3)
         assert first.passed == second.passed
         assert first.ok and second.ok
+
+    def test_k_weighted_relation_catches_a_table_fault(self, monkeypatch):
+        # Perturb one coefficient of a_coeffs for every tuple of length >= 2
+        # and weight 2.  With max_k = 1 every brute-force check of those
+        # tuples is skipped (k < n), so only the k-weighted relation can see
+        # the fault: it compares identities of weights 1 and 2 with those of
+        # weights 2 and 3.
+        original = bernoulli_sums.a_coeffs
+
+        def perturbed(mvec):
+            table = dict(original(mvec))
+            if len(mvec) >= 2 and sum(mvec) == 2:
+                table[(2, 0)] += Fraction(1, 7)
+            return table
+
+        zeta_identities._monomial_identity.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                for name, module in list(sys.modules.items()):
+                    if name.startswith("evenzeta") and vars(module).get("a_coeffs") is original:
+                        patch.setattr(module, "a_coeffs", perturbed)
+                report = zeta_suite(max_n=3, max_k=1)
+        finally:
+            zeta_identities._monomial_identity.cache_clear()
+        # n = 2: 2 tuples of weight 1 and 3 of weight 2; n = 3: 3 and 6.
+        assert report.failed == 14
+        assert report.first_failure.label.startswith("k-weighted relation")
