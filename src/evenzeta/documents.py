@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .bernoulli_sums import BernoulliIdentity
-from .polynomials import UniPoly
+from .polynomials import ParseError, UniPoly, parse_poly
 from .rationals import integer_numerators
 from .zeta_identities import WeightedSumIdentity
 
@@ -133,17 +133,31 @@ def from_json(text: str) -> IdentityDocument:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if type(T) is not int or T != len(terms) - 1:
         raise ValueError(f"T must be one less than the {len(terms)} terms, got {T!r}")
+    poly = payload.get("poly")
+    if (mvec is None) == (poly is None):
+        raise ValueError("exactly one of mvec and poly must be set")
+    if kind == "bernoulli" and mvec is None:
+        raise ValueError("a bernoulli document needs mvec")
+    if kind in ("mzv", "mzsv") and poly is None:
+        raise ValueError(f"a {kind} document needs poly")
     if mvec is not None and not (
         type(mvec) is list and len(mvec) == n and all(type(m) is int for m in mvec)
     ):
         raise ValueError(f"mvec must be a list of {n} integers, got {mvec!r}")
+    if poly is not None:
+        if not isinstance(poly, str):
+            raise ValueError(f"poly must be polynomial text, got {poly!r}")
+        try:
+            parse_poly(poly, n)
+        except ParseError as exc:
+            raise ValueError(f"poly {poly!r} does not parse in x1..x{n}: {exc}") from exc
     return IdentityDocument(
         kind=kind,
         n=n,
         T=T,
         terms=tuple(terms),
         mvec=tuple(mvec) if mvec is not None else None,
-        poly=payload.get("poly"),
+        poly=poly,
         tool=str(payload.get("tool", "")),
     )
 

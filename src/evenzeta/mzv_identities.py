@@ -12,6 +12,12 @@ the weight collapses block by block through exact power-sum polynomials.
 The monomials of every collapsed weight, each scaled by its shape's weight,
 go through the same combination step as a single-zeta identity.
 
+Every piece of that work is symmetric in its exponents, so it is done once
+per permutation orbit, keyed on the sorted exponent tuple: the composition
+power sums are cached on it, ``block_reduce`` merges the monomials of F
+whose block exponents agree up to order, and the combination step builds
+one monomial identity per orbit.
+
 Both directions are implemented: the symbolic pipeline (``mzv_identity``,
 ``mzsv_identity``) and an independent exact evaluator (``mzv_lhs_exact``)
 used to cross-check it, plus a high-precision numeric evaluator for the
@@ -26,6 +32,7 @@ import math
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .checks import CheckResult
@@ -62,6 +69,14 @@ __all__ = [
 #: Largest depth for which the full set-partition list may be materialised.
 _MAX_PARTITION_DEPTH = 12
 
+#: Power-sum polynomials kept by the ``power_sum_2`` cache, one per
+#: exponent pair (p1, p2).
+_POWER_SUM_CACHE_SIZE = 1 << 10
+
+#: Composition power sums kept, one per sorted exponent tuple and every
+#: prefix of one.
+_COMPOSITION_CACHE_SIZE = 1 << 12
+
 #: Significant digits of the decimals returned by ``mzv_numeric``.
 _DECIMAL_DIGITS = 40
 
@@ -96,6 +111,7 @@ def shape_count(shape: Sequence[int]) -> int:
     return factorial(n) // denominator
 
 
+@lru_cache(maxsize=_POWER_SUM_CACHE_SIZE)
 def power_sum_2(p1: int, p2: int) -> UniPoly:
     """The polynomial in k equal to sum_{i=1}^{k-1} i^{p1} (k-i)^{p2} for
     every integer k >= 1.
@@ -127,21 +143,29 @@ def composition_power_sum(pvec: Sequence[int]) -> UniPoly:
 
         sum_{k_1+...+k_n = k, k_j >= 1} k_1^{p_1} ... k_n^{p_n}
 
-    (zero when k < n).  Built by folding ``power_sum_2`` over the exponents.
+    (zero when k < n).  Permuting the exponents permutes the compositions,
+    so the sum depends only on the orbit of ``pvec``: it is built once per
+    sorted exponent tuple, by folding ``power_sum_2`` over the exponents in
+    ascending order, and cached on that key.
     """
     pvec = tuple(int(p) for p in pvec)
     if not pvec:
         raise ValueError("need at least one exponent")
     if any(p < 0 for p in pvec):
         raise ValueError(f"exponents must be >= 0, got {pvec}")
-    result = UniPoly.monomial(pvec[0])
-    for p_next in pvec[1:]:
-        acc = UniPoly.zero()
-        for power, coeff in enumerate(result.coeffs):
-            if coeff:
-                acc = acc + coeff * power_sum_2(power, p_next)
-        result = acc
-    return result
+    return _sorted_power_sum(tuple(sorted(pvec)))
+
+
+@lru_cache(maxsize=_COMPOSITION_CACHE_SIZE)
+def _sorted_power_sum(pvec: tuple[int, ...]) -> UniPoly:
+    # A sorted tuple's prefixes are sorted, so the fold reuses their entries.
+    if len(pvec) == 1:
+        return UniPoly.monomial(pvec[0])
+    acc = UniPoly.zero()
+    for power, coeff in enumerate(_sorted_power_sum(pvec[:-1]).coeffs):
+        if coeff:
+            acc = acc + coeff * power_sum_2(power, pvec[-1])
+    return acc
 
 
 def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
@@ -153,29 +177,40 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
     t_j into l_j positive parts.  For symmetric F the outcome is independent
     of which positions form each block, so consecutive blocks lose no
     generality.  Degree can only grow: deg G <= deg F + n - i.
+
+    Each block of a monomial collapses to the composition power sum of its
+    exponents, which depends only on their orbit.  So the monomials of F are
+    first merged on the tuple of their sorted block exponents, and each
+    merged monomial is expanded once into one dict of coefficients.
     """
     shape = tuple(int(l) for l in shape)
     if not shape or any(l < 1 for l in shape):
         raise ValueError(f"shape must consist of positive integers, got {shape}")
     if sum(shape) != F.arity:
         raise ValueError(f"shape {shape} does not cover arity {F.arity}")
-    blocks = len(shape)
-    acc = MultiPoly.zero(blocks)
-    for coeff, expts in F.monomials():
-        factors = []
-        start = 0
-        for size in shape:
-            factors.append(composition_power_sum(expts[start : start + size]))
-            start += size
-        terms = []
-        for choice in itertools.product(*(list(enumerate(f.coeffs)) for f in factors)):
-            c = coeff
-            for _, factor_coeff in choice:
-                c *= factor_coeff
-            if c:
-                terms.append((tuple(power for power, _ in choice), c))
-        acc = acc + MultiPoly(blocks, terms)
-    return acc
+    ends = list(itertools.accumulate(shape))
+    spans = list(zip([0, *ends], ends))
+    merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
+    for expts, coeff in F.terms.items():
+        key = tuple(tuple(sorted(expts[a:b])) for a, b in spans)
+        merged[key] = merged.get(key, 0) + coeff
+    acc: dict[tuple[int, ...], Fraction] = {}
+    for key, coeff in merged.items():
+        if not coeff:
+            continue
+        # Expanded block by block, so each partial product is formed once.
+        expansion = {(): coeff}
+        for block in key:
+            factor = composition_power_sum(block).coeffs
+            expansion = {
+                powers + (power,): c * factor_coeff
+                for powers, c in expansion.items()
+                for power, factor_coeff in enumerate(factor)
+                if factor_coeff
+            }
+        for powers, c in expansion.items():
+            acc[powers] = acc.get(powers, 0) + c
+    return MultiPoly(len(shape), acc)
 
 
 def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdentity:

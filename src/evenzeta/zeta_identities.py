@@ -16,12 +16,12 @@ combination of monomial identities, formed by ``_combined_identity``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-from .bernoulli_sums import _validated_mvec, bernoulli_identity
+from .bernoulli_sums import _validated_mvec, bernoulli_identity, truncation_depth
 from .checks import CheckResult
 from .enumeration import compositions
 from .polynomials import MultiPoly, UniPoly
@@ -45,7 +45,7 @@ Scalar = Union[int, Fraction]
 _ZETA_EVEN_CACHE_SIZE = 256
 
 #: Monomial identities kept by the cache behind every zeta, mzv and mzsv
-#: identity.  The largest benchmark workload builds 225 distinct ones.
+#: identity, one per sorted exponent tuple.
 _MONOMIAL_CACHE_SIZE = 1 << 10
 
 
@@ -165,6 +165,8 @@ class WeightedSumIdentity:
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
+    # Called with sorted exponents only: permuting them permutes the
+    # compositions, so every ordering has the identity of its sorted form.
     # Substituting B_{2j}/(2j)! = (-1)^(j+1) * 2 * zeta(2j) / (2 pi)^(2j) into
     # the Bernoulli identity rescales p_l by (-1)^n 2^(2-n) (2l)!/B_{2l}; the
     # l = 0 entry also takes zeta(0) = -1/2 to multiply plain zeta(2k).
@@ -185,18 +187,23 @@ def _combined_identity(
 ) -> WeightedSumIdentity:
     """The sum of coeff * (monomial identity of exponents) over ``parts``.
 
-    Its depth T is the largest among the parts, or ``(n - 1) // 2`` when
-    there are none; a term beyond a part's depth counts as zero.
+    A monomial identity depends only on the orbit of its exponents under
+    permutation, so the coefficients of parts with equal sorted exponents
+    are summed first and one identity is built and scaled per orbit.  The
+    depth T is the largest truncation depth among the orbits, those whose
+    coefficients cancel included, or ``(n - 1) // 2`` when there are none;
+    a term beyond an orbit's depth counts as zero.
     """
-    subs = [(coeff, _monomial_identity(expts)) for coeff, expts in parts]
-    depth = max((sub.T for _, sub in subs), default=(n - 1) // 2)
-    terms = []
-    for l in range(depth + 1):
-        acc = UniPoly.zero()
-        for coeff, sub in subs:
-            if l <= sub.T:
-                acc = acc + coeff * sub.terms[l]
-        terms.append(acc)
+    orbits: dict[tuple[int, ...], Fraction] = {}
+    for coeff, expts in parts:
+        key = tuple(sorted(expts))
+        orbits[key] = orbits.get(key, 0) + coeff
+    depth = max(map(truncation_depth, orbits), default=(n - 1) // 2)
+    terms = [UniPoly.zero()] * (depth + 1)
+    for key, coeff in orbits.items():
+        if coeff:
+            for l, term in enumerate(_monomial_identity(key).terms):
+                terms[l] = terms[l] + coeff * term
     return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=tuple(terms), poly=poly)
 
 
@@ -207,8 +214,13 @@ def zeta_identity_monomial(mvec: Sequence[int]) -> WeightedSumIdentity:
         sum_{k_1+...+k_n=k} k_1^{m_1}...k_n^{m_n} zeta(2k_1)...zeta(2k_n)
             = terms[0](k) zeta(2k)
             + sum_{l=1}^{min(T,k)} terms[l](k) zeta(2l) zeta(2k-2l).
+
+    The identity is shared by every ordering of ``mvec``; the result carries
+    the caller's ordering.
     """
-    return _monomial_identity(_validated_mvec(mvec))
+    mvec = _validated_mvec(mvec)
+    identity = _monomial_identity(tuple(sorted(mvec)))
+    return identity if identity.mvec == mvec else replace(identity, mvec=mvec)
 
 
 def zeta_identity_poly(F: MultiPoly, n: int) -> WeightedSumIdentity:

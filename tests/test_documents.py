@@ -20,6 +20,7 @@ from evenzeta import (
     to_latex,
     to_text,
     zeta_identity_monomial,
+    zeta_identity_poly,
 )
 
 K = UniPoly.x()
@@ -65,6 +66,22 @@ class TestJsonRoundTrip:
     def test_deterministic(self):
         doc = document_from_identity(bernoulli_identity((1, 0)))
         assert to_json(doc) == to_json(doc)
+
+    @pytest.mark.parametrize(
+        "identity",
+        [
+            bernoulli_identity((2, 0, 1)),
+            zeta_identity_monomial((2, 0, 1)),
+            zeta_identity_poly(parse_poly("x1^2*x2 - 1/3", 2), 2),
+            mzv_identity(parse_poly("x1*x2 + x1 + x2", 2), 2),
+            mzsv_identity(parse_poly("x1^2 + x2^2 + x3^2", 3), 3),
+        ],
+        ids=["bernoulli", "zeta-mvec", "zeta-poly", "mzv", "mzsv"],
+    )
+    def test_round_trip_per_kind(self, identity):
+        doc = document_from_identity(identity)
+        assert from_json(to_json(doc)) == doc
+        assert to_json(from_json(to_json(doc))) == to_json(doc)
 
 
 class TestFromJsonValidation:
@@ -125,6 +142,47 @@ class TestFromJsonValidation:
     def test_missing_field_rejected(self, field):
         payload = self.good_payload()
         del payload[field]
+        with pytest.raises(ValueError):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "kind, change",
+        [
+            ("bernoulli", {"poly": 5}),
+            ("bernoulli", {"poly": "x1 + x2"}),
+            ("zeta", {"mvec": None, "poly": None}),
+            ("bernoulli", {"mvec": None, "poly": "x1 + x2"}),
+            ("mzv", {"mvec": [0, 0], "poly": None}),
+            ("mzsv", {"mvec": [0, 0], "poly": None}),
+            ("mzv", {"poly": 5}),
+            ("mzv", {"poly": ["x1"]}),
+            ("mzv", {"poly": "x1 +"}),
+            ("mzv", {"poly": "x3"}),
+            ("mzv", {"poly": ""}),
+        ],
+        ids=[
+            "both-set",
+            "both-set-text",
+            "neither-set",
+            "bernoulli-without-mvec",
+            "mzv-without-poly",
+            "mzsv-without-poly",
+            "poly-number",
+            "poly-list",
+            "poly-malformed",
+            "poly-beyond-arity",
+            "poly-empty",
+        ],
+    )
+    def test_weight_fields_validated(self, kind, change):
+        if kind == "bernoulli":
+            payload = self.good_payload()
+        else:
+            weight = MultiPoly.constant(2, 1)
+            build = {"zeta": zeta_identity_poly, "mzv": mzv_identity, "mzsv": mzsv_identity}[kind]
+            payload = json.loads(to_json(document_from_identity(build(weight, 2))))
+        from_json(json.dumps(payload))  # the unchanged payload loads
+        payload.update(change)
         with pytest.raises(ValueError):
             from_json(json.dumps(payload))
 

@@ -5,10 +5,13 @@ expansion, no pipeline code) for the symbolic side, and plain Fraction
 summation for the numeric partial sums.
 """
 
+import itertools
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenzeta import (
     MultiPoly,
@@ -147,6 +150,53 @@ class TestCompositionPowerSum:
         with pytest.raises(ValueError):
             composition_power_sum(())
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.lists(st.integers(0, 4), min_size=1, max_size=5), st.randoms(use_true_random=False))
+    def test_same_for_every_permutation(self, pvec, rng):
+        # The cache is keyed on the sorted exponents; each ordering must
+        # still equal its own fold and its own brute-force sum.
+        poly = composition_power_sum(pvec)
+        orderings = sorted(set(itertools.permutations(pvec)))
+        for pvec_perm in rng.sample(orderings, min(len(orderings), 4)):
+            assert composition_power_sum(pvec_perm) == poly
+            assert plain_power_sum(pvec_perm) == poly
+            n = len(pvec_perm)
+            for k in (n, n + 1, n + 3):
+                brute = sum(
+                    (prod_powers(comp, pvec_perm) for comp in compositions(k, n)),
+                    start=Fraction(0),
+                )
+                assert poly(k) == brute
+
+
+def plain_power_sum(pvec):
+    """Fold of ``power_sum_2`` over the exponents in the order given."""
+    result = UniPoly.monomial(pvec[0])
+    for p_next in pvec[1:]:
+        acc = UniPoly.zero()
+        for power, coeff in enumerate(result.coeffs):
+            acc = acc + coeff * power_sum_2(power, p_next)
+        result = acc
+    return result
+
+
+def plain_block_reduce(F, shape):
+    """Monomial by monomial, block by block, with no merging or caching."""
+    blocks = len(shape)
+    acc = MultiPoly.zero(blocks)
+    for coeff, expts in F.monomials():
+        term = MultiPoly.constant(blocks, coeff)
+        start = 0
+        for j, size in enumerate(shape):
+            factor = plain_power_sum(expts[start : start + size])
+            term = term * MultiPoly(
+                blocks,
+                {tuple(p if i == j else 0 for i in range(blocks)): c for p, c in enumerate(factor.coeffs)},
+            )
+            start += size
+        acc = acc + term
+    return acc
+
 
 def prod_powers(comp, pvec):
     out = Fraction(1)
@@ -180,6 +230,38 @@ class TestBlockReduce:
                     F.evaluate((a, t1 - a, t2)) for a in range(1, t1)
                 )
                 assert reduced.evaluate((t1, t2)) == direct
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            ("x1^2 + x2^2 + x3^2 + x4^2 + x5^2", 5),
+            ("(x1 + x2 + x3 + x4 + x5)^2 - 2", 5),
+            ("x1*x2*x3 + x1*x2*x4 + x1*x3*x4 + x2*x3*x4 + 1/3", 4),
+            ("x1^3*x2 + x2^3*x1 + x1^3*x3 + x3^3*x1 + x2^3*x3 + x3^3*x2", 3),
+            ("x1^2*x2 + 3*x3*x4^3 - x5", 5),
+        ],
+        ids=["power-sum", "square", "e3", "m31", "asymmetric"],
+    )
+    def test_matches_plain_expansion(self, text, n):
+        from evenzeta import block_shapes
+
+        F = parse_poly(text, n)
+        for shape in block_shapes(n):
+            assert block_reduce(F, shape) == plain_block_reduce(F, shape), shape
+
+    def test_repeated_block_sizes(self):
+        # Shape (2, 2, 1): each pair block takes its own split sum.
+        F = parse_poly("x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x1*x2*x3*x4*x5", 5)
+        reduced = block_reduce(F, (2, 2, 1))
+        for t1 in range(2, 6):
+            for t2 in range(2, 6):
+                for t3 in range(1, 4):
+                    direct = sum(
+                        F.evaluate((a, t1 - a, b, t2 - b, t3))
+                        for a in range(1, t1)
+                        for b in range(1, t2)
+                    )
+                    assert reduced.evaluate((t1, t2, t3)) == direct
 
     def test_shape_must_cover(self):
         with pytest.raises(ValueError):

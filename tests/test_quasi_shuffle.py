@@ -181,11 +181,14 @@ def _package_caches():
 
 
 # Fewest entries each cache must keep so that no benchmark workload evicts:
-# the most distinct keys one workload forms (verify --suite words --max-n 5
-# forms about 8,300 word products), or every table depth the CLI admits.
+# the most distinct keys one workload or `verify --suite all --max-n 5
+# --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
+# about 8,300 word products), or every table depth the CLI admits.
 CACHE_FLOORS = {
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
+    "mzv_identities._sorted_power_sum": 31,
+    "mzv_identities.power_sum_2": 21,
     "quasi_shuffle._word_product": 8_400,
     "zeta_identities._monomial_identity": 226,
     "zeta_identities.zeta_even": 17,

@@ -182,3 +182,39 @@ class TestVerification:
         F = parse_poly("x1^2*x2", 2)
         for k in range(2, 7):
             assert verify_zeta(F, 2, k).ok
+
+
+class TestOrbits:
+    def test_cancelled_orbit_keeps_its_depth(self):
+        # x1^2 and -x2^2 share one orbit and cancel; the depth still counts it.
+        identity = zeta_identity_poly(parse_poly("x1^2 - x2^2", 2), 2)
+        assert identity.T == 1
+        assert len(identity.terms) == 2
+        assert all(term.is_zero() for term in identity.terms)
+
+    def test_partly_cancelled_weight(self):
+        # The cancelled orbit of (1, 3) sets T = 2; the others reach T = 0.
+        F = parse_poly("x1^3*x2 - x2^3*x1 + x1 + 1", 2)
+        identity = zeta_identity_poly(F, 2)
+        assert identity.T == 2
+        assert identity.terms[2].is_zero()
+        for k in range(2, 8):
+            assert verify_zeta(F, 2, k, identity=identity).ok
+
+    def test_caller_ordering_is_kept(self):
+        sorted_identity = zeta_identity_monomial((0, 1, 2))
+        identity = zeta_identity_monomial((2, 0, 1))
+        assert sorted_identity.mvec == (0, 1, 2)
+        assert identity.mvec == (2, 0, 1)
+        assert identity.terms == sorted_identity.terms
+        assert identity.T == sorted_identity.T
+        assert zeta_identity_monomial([2, 0, 1]).mvec == (2, 0, 1)
+
+    def test_every_ordering_verifies(self):
+        for mvec in [(2, 0, 1), (1, 2, 0), (0, 0, 3), (3, 0, 0), (1, 0, 1, 2)]:
+            identity = zeta_identity_monomial(mvec)
+            n = len(mvec)
+            F = MultiPoly.monomial(mvec)
+            for k in range(n, n + 4):
+                result = verify_zeta(F, n, k, identity=identity)
+                assert result.ok, result.describe()
