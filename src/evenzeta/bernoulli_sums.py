@@ -24,8 +24,8 @@ from typing import Sequence
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
 from .enumeration import compositions
-from .polynomials import UniPoly, convolve_integers
-from .rationals import bernoulli, factorial, integer_numerators
+from .polynomials import UniPoly
+from .rationals import bernoulli, factorial
 
 __all__ = [
     "BernoulliIdentity",
@@ -66,17 +66,15 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     """
     mvec = _validated_mvec(mvec)
     table = f_table(max(mvec))
-    # Convolved on integer numerators over the product of row denominators.
-    den, product = integer_numerators([p.coeffs for p in table.row(mvec[0])])
+    product = table.row(mvec[0])
     for m in mvec[1:]:
-        row_den, row = integer_numerators([p.coeffs for p in table.row(m)])
+        row = table.row(m)
         pairs: list[list] = [[] for _ in range(len(product) + len(row) - 1)]
         for a, left in enumerate(product):
             for b, right in enumerate(row):
                 pairs[a + b].append((left, right))
-        product = [convolve_integers(terms) for terms in pairs]
-        den *= row_den
-    return tuple(UniPoly(Fraction(c, den) for c in poly) for poly in product)
+        product = tuple(UniPoly.dot(terms) for terms in pairs)
+    return product
 
 
 def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
@@ -101,18 +99,10 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
             continue
         sign = Fraction(-1 if i % 2 else 1, 2)
         head = head + sign * (fs[i] * UniPoly.monomial(i))
-    # Each F_j is convolved on integer numerators: one common denominator
-    # for f_1..f_N and one for column j of the inverse triangle, so every
-    # coefficient of F_j costs a single Fraction.
-    f_den, f_nums = integer_numerators([p.coeffs for p in fs[1:]])
-    out = [head]
-    for j in range(1, total + 1):
-        column = [inverse.entry(i - 1, j).coeffs for i in range(j, total + 1)]
-        g_den, g_nums = integer_numerators(column)
-        den = f_den * g_den
-        acc = convolve_integers(zip(f_nums[j - 1 :], g_nums))
-        out.append(UniPoly(Fraction(c, den) for c in acc))
-    return tuple(out)
+    return (head,) + tuple(
+        UniPoly.dot((fs[i], inverse.entry(i - 1, j)) for i in range(j, total + 1))
+        for j in range(1, total + 1)
+    )
 
 
 def a_coeffs(mvec: Sequence[int]) -> dict[tuple[int, int], Fraction]:

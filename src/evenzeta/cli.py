@@ -17,6 +17,7 @@ from typing import Sequence
 from .bernoulli_sums import bernoulli_identity
 from .derivative_tables import f_table, g_table
 from .documents import (
+    _coeff_strings,
     document_from_identity,
     poly_latex,
     poly_text,
@@ -194,14 +195,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     if args.format == "json":
         payload = {
             "depth": args.depth,
-            "f": [
-                [[f"{c.numerator}/{c.denominator}" for c in entry.coeffs] for entry in row]
-                for row in fs.rows
-            ],
-            "g": [
-                [[f"{c.numerator}/{c.denominator}" for c in entry.coeffs] for entry in row]
-                for row in gs.rows
-            ],
+            "f": [[list(_coeff_strings(entry)) for entry in row] for row in fs.rows],
+            "g": [[list(_coeff_strings(entry)) for entry in row] for row in gs.rows],
         }
         text = json.dumps(payload, indent=2)
     else:

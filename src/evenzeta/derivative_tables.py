@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import UniPoly
-from .rationals import GrowableTable, factorial, integer_numerators
+from .rationals import GrowableTable, factorial
 
 __all__ = ["FTable", "GTable", "c_coeffs", "d_coeffs", "f_table", "g_table"]
 
@@ -79,43 +79,26 @@ class GTable(_TriangleRows):
     _first = 1
 
 
-def _mix(cur: list[int], left: list[int], a: int, b: int, c: int) -> list[int]:
-    """Integer coefficients of a*(1 - t)*cur + b*t*cur' + c*left."""
-    out = [0] * max(len(cur) + 1, len(left))
-    for k, x in enumerate(cur):
-        out[k] += (a + b * k) * x
-        out[k + 1] -= a * x
-    for k, x in enumerate(left):
-        out[k] += c * x
-    return out
+_T = UniPoly.x()
+_ONE_MINUS_T = UniPoly((1, -1))
 
 
 def _f_step(rows: list[Row]) -> Row:
-    # Entries i >= 1 of row m - 1 over one common denominator; the padding
-    # entry i = m + 1 is zero.
-    prev, m = rows[-1], len(rows)
-    den, nums = integer_numerators([p.coeffs for p in prev[1:]])
-    nums.append([])
-    row = [UniPoly.x() * prev[0].derivative()]
-    for i in range(1, m + 2):
-        left = nums[i - 2] if i >= 2 else []
-        mixed = _mix(nums[i - 1], left, i, 1, -(i - 1))
-        row.append(UniPoly(Fraction(x, den) for x in mixed))
-    return tuple(row)
+    # Row m - 1 padded with its zero entry i = m + 1.
+    prev = (*rows[-1], UniPoly.zero())
+    return (_T * prev[0].derivative(),) + tuple(
+        _T * prev[i].derivative() + i * _ONE_MINUS_T * prev[i] - (i - 1) * prev[i - 1]
+        for i in range(1, len(prev))
+    )
 
 
 def _g_step(rows: list[Row]) -> Row:
-    # Row r - 1 (entries j = 1..r) over one common denominator; the padding
-    # entries j = 0 and j = r + 1 are zero.
-    prev, r = rows[-1], len(rows)
-    den, nums = integer_numerators([p.coeffs for p in prev])
-    nums.append([])
-    row = []
-    for j in range(1, r + 2):
-        left = nums[j - 2] if j >= 2 else []
-        mixed = _mix(nums[j - 1], left, r, -1, -1)
-        row.append(UniPoly(Fraction(x, den * r) for x in mixed))
-    return tuple(row)
+    # Row r - 1 padded with its zero entries j = 0 and j = r + 1.
+    prev, r = (UniPoly.zero(), *rows[-1], UniPoly.zero()), len(rows)
+    return tuple(
+        _ONE_MINUS_T * prev[j] - (_T * prev[j].derivative() + prev[j - 1]) / r
+        for j in range(1, r + 2)
+    )
 
 
 _F_ROWS = GrowableTable((UniPoly((Fraction(-1), Fraction(1, 2))), UniPoly.one()), _f_step)

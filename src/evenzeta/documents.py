@@ -17,7 +17,6 @@ from fractions import Fraction
 from . import __version__
 from .bernoulli_sums import BernoulliIdentity
 from .polynomials import ParseError, UniPoly, parse_poly
-from .rationals import integer_numerators
 from .zeta_identities import WeightedSumIdentity
 
 __all__ = [
@@ -141,9 +140,9 @@ def from_json(text: str) -> IdentityDocument:
     if kind in ("mzv", "mzsv") and poly is None:
         raise ValueError(f"a {kind} document needs poly")
     if mvec is not None and not (
-        type(mvec) is list and len(mvec) == n and all(type(m) is int for m in mvec)
+        type(mvec) is list and len(mvec) == n and all(type(m) is int and m >= 0 for m in mvec)
     ):
-        raise ValueError(f"mvec must be a list of {n} integers, got {mvec!r}")
+        raise ValueError(f"mvec must be a list of {n} integers >= 0, got {mvec!r}")
     if poly is not None:
         if not isinstance(poly, str):
             raise ValueError(f"poly must be polynomial text, got {poly!r}")
@@ -162,7 +161,7 @@ def from_json(text: str) -> IdentityDocument:
     )
 
 
-def _int_body(coeffs: list[int], var: str, power_format: str) -> str:
+def _int_body(coeffs: tuple[int, ...], var: str, power_format: str) -> str:
     """Render integer coefficients, highest power first; '' when zero."""
     parts: list[str] = []
     for power in range(len(coeffs) - 1, -1, -1):
@@ -183,24 +182,22 @@ def _int_body(coeffs: list[int], var: str, power_format: str) -> str:
 
 def poly_text(poly: UniPoly, var: str = "k") -> str:
     """Plain-text polynomial with cleared denominators, e.g. '(2k + 1)/2'."""
-    denominator, (coeffs,) = integer_numerators([poly.coeffs])
-    if not coeffs:
+    if not poly.nums:
         return "0"
-    body = _int_body(coeffs, var, "{var}^{power}")
-    if sum(1 for c in coeffs if c) > 1:
+    body = _int_body(poly.nums, var, "{var}^{power}")
+    if sum(1 for c in poly.nums if c) > 1:
         body = f"({body})"
-    return body if denominator == 1 else f"{body}/{denominator}"
+    return body if poly.den == 1 else f"{body}/{poly.den}"
 
 
 def poly_latex(poly: UniPoly, var: str = "k") -> str:
     r"""LaTeX polynomial with cleared denominators, e.g. '\frac{2k + 1}{2}'."""
-    denominator, (coeffs,) = integer_numerators([poly.coeffs])
-    if not coeffs:
+    if not poly.nums:
         return "0"
-    body = _int_body(coeffs, var, "{var}^{{{power}}}")
-    if denominator != 1:
-        return rf"\frac{{{body}}}{{{denominator}}}"
-    if sum(1 for c in coeffs if c) > 1:
+    body = _int_body(poly.nums, var, "{var}^{{{power}}}")
+    if poly.den != 1:
+        return rf"\frac{{{body}}}{{{poly.den}}}"
+    if sum(1 for c in poly.nums if c) > 1:
         return rf"\left({body}\right)"
     return body
 

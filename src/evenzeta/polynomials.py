@@ -1,11 +1,11 @@
 """Exact polynomial arithmetic over rationals, univariate and multivariate,
 plus a parser for polynomial text in variables x1..xn.
 
-``UniPoly`` is dense (a coefficient tuple, low degree first) and is used for
-the coefficient polynomials in one variable k.  ``MultiPoly`` is sparse
-(exponent tuple -> coefficient) and is used for weight polynomials in the
-summation indices.  Both are immutable and hashable, and both reject floats:
-only ints and ``Fraction`` values enter.
+``UniPoly`` is dense (integer numerators over one denominator, low degree
+first) and is used for the coefficient polynomials in one variable k.
+``MultiPoly`` is sparse (exponent tuple -> coefficient) and is used for
+weight polynomials in the summation indices.  Both are immutable and
+hashable, and both reject floats: only ints and ``Fraction`` values enter.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
-
-from .rationals import binomial
 
 __all__ = ["NEG_INFINITY", "MultiPoly", "ParseError", "UniPoly", "max_parse_degree", "parse_poly"]
 
@@ -44,19 +42,37 @@ def _as_rational(value: Scalar) -> Fraction:
 class UniPoly:
     """Dense univariate polynomial with exact rational coefficients.
 
-    ``coeffs[i]`` is the coefficient of x**i; trailing zeros are trimmed, so
-    the zero polynomial stores nothing and reports degree NEG_INFINITY.
+    Stored as integer numerators over one denominator: the coefficient of
+    x**i is ``nums[i] / den``.  The form is canonical -- ``nums`` has no
+    trailing zeros, ``den > 0`` and gcd(den, *nums) == 1, so ``den`` is the
+    least common denominator and zero is ((), 1) -- and all arithmetic runs
+    on the integers, with one normalisation per result.  ``nums`` and
+    ``den`` are read-only; ``coeffs`` gives the coefficients as Fractions.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        stored = [_as_rational(c) for c in coeffs]
-        while stored and not stored[-1]:
-            stored.pop()
-        object.__setattr__(self, "coeffs", tuple(stored))
+        values = [_as_rational(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in values))
+        self._store([c.numerator * (den // c.denominator) for c in values], den)
+
+    @classmethod
+    def _normalised(cls, nums: list[int], den: int) -> "UniPoly":
+        """The polynomial sum_i nums[i]/den x**i, for den > 0."""
+        poly = object.__new__(cls)
+        poly._store(nums, den)
+        return poly
+
+    def _store(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        common = math.gcd(den, *nums)
+        object.__setattr__(self, "nums", tuple(x // common for x in nums))
+        object.__setattr__(self, "den", den // common)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
@@ -87,22 +103,27 @@ class UniPoly:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """``coeffs[i]`` is the coefficient of x**i, up to the degree."""
+        return tuple(Fraction(x, self.den) for x in self.nums)
+
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, i: int) -> Fraction:
         """Coefficient of x**i (zero outside the stored range)."""
         if i < 0:
             raise ValueError(f"coefficient index must be >= 0, got {i}")
-        return self.coeffs[i] if i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if i < len(self.nums) else Fraction(0)
 
     def leading(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -111,13 +132,14 @@ class UniPoly:
             other = UniPoly.constant(other)
         if not isinstance(other, UniPoly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = [x * (den // self.den) for x in self.nums]
+        b = [x * (den // other.den) for x in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return UniPoly(out)
+        for i, x in enumerate(b):
+            a[i] += x
+        return UniPoly._normalised(a, den)
 
     __radd__ = __add__
 
@@ -132,28 +154,39 @@ class UniPoly:
         return (-self) + other
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._normalised([-x for x in self.nums], self.den)
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
             scale = _as_rational(other)
-            if not scale:
-                return UniPoly()
-            return UniPoly(tuple(c * scale for c in self.coeffs))
+            return UniPoly._normalised(
+                [x * scale.numerator for x in self.nums], self.den * scale.denominator
+            )
         if not isinstance(other, UniPoly):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] += a * b
-        return UniPoly(out)
+        return UniPoly.dot([(self, other)])
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["UniPoly", "UniPoly"]]) -> "UniPoly":
+        """The sum of p * q over ``pairs``.
+
+        Every product is convolved on integer numerators over the lcm of the
+        pairs' denominators, and the sum is normalised once at the end.
+        """
+        pairs = [(p, q) for p, q in pairs if p.nums and q.nums]
+        den = math.lcm(*(p.den * q.den for p, q in pairs))
+        acc: list[int] = []
+        for p, q in pairs:
+            scale = den // (p.den * q.den)
+            acc.extend([0] * (len(p.nums) + len(q.nums) - 1 - len(acc)))
+            for a, x in enumerate(p.nums):
+                if x:
+                    x *= scale
+                    for b, y in enumerate(q.nums):
+                        acc[a + b] += x * y
+        return UniPoly._normalised(acc, den)
 
     def __truediv__(self, other: Scalar) -> "UniPoly":
         scale = _as_rational(other)
@@ -175,41 +208,40 @@ class UniPoly:
         return result
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return UniPoly._normalised([i * x for i, x in enumerate(self.nums) if i], self.den)
 
     def __call__(self, point: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
+        """Evaluate by Horner's rule on integers, with point = p/q:
+        sum_i nums[i] p^i q^(d-i) over den * q^d, d the degree."""
         x = _as_rational(point)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        acc, scale = 0, 1
+        for c in reversed(self.nums):
+            acc = acc * x.numerator + c * scale
+            scale *= x.denominator
+        return Fraction(acc * x.denominator, self.den * scale)
 
-    def shift(self, offset: Scalar) -> "UniPoly":
-        """Return q with q(x) = p(x - offset), expanded binomially."""
-        off = _as_rational(offset)
-        if not off or not self.coeffs:
-            return self
-        out = [Fraction(0)] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            for j in range(i + 1):
-                out[j] += c * binomial(i, j) * (-off) ** (i - j)
-        return UniPoly(out)
+    def shift(self, offset: int) -> "UniPoly":
+        """Return q with q(x) = p(x - offset), by repeated synthetic division."""
+        if not isinstance(offset, int):
+            raise TypeError(f"shift offset must be an int, got {type(offset).__name__}")
+        nums = list(self.nums)
+        for low in range(len(nums) - 1):
+            for j in range(len(nums) - 2, low - 1, -1):
+                nums[j] -= offset * nums[j + 1]
+        return UniPoly._normalised(nums, self.den)
 
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, UniPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(("UniPoly", self.coeffs))
+        return hash(("UniPoly", self.nums, self.den))
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
         return f"UniPoly({self._format()!r})"
@@ -232,21 +264,6 @@ class UniPoly:
             else:
                 parts.append(f"+ {body}" if c > 0 else f"- {body}")
         return " ".join(parts)
-
-
-def convolve_integers(pairs: Iterable[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
-    """Sum of the products f * g of integer coefficient lists (lowest power
-    first) over ``pairs``; empty lists are zero."""
-    acc: list[int] = []
-    for f, g in pairs:
-        if not f or not g:
-            continue
-        acc.extend([0] * (len(f) + len(g) - 1 - len(acc)))
-        for a, x in enumerate(f):
-            if x:
-                for b, y in enumerate(g):
-                    acc[a + b] += x * y
-    return acc
 
 
 class MultiPoly:

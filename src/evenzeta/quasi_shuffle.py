@@ -16,6 +16,7 @@ what ``verify_symmetric_sum`` checks.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -23,7 +24,6 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from .checks import CheckResult
 from .enumeration import partition_weight, set_partitions
-from .rationals import integer_numerators
 
 __all__ = [
     "NCPoly",
@@ -203,10 +203,14 @@ def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
     # Word products have integer coefficients, so the whole sum is carried in
     # integers over the square of the common denominator of both factors,
     # and each word gets one Fraction.
-    den, (left, right) = integer_numerators([u.terms.values(), v.terms.values()])
+    den = math.lcm(*(c.denominator for poly in (u, v) for c in poly.terms.values()))
+    left, right = (
+        [(w, c.numerator * (den // c.denominator)) for w, c in poly.terms.items()]
+        for poly in (u, v)
+    )
     acc: dict[Word, int] = {}
-    for w1, a1 in zip(u.terms, left):
-        for w2, a2 in zip(v.terms, right):
+    for w1, a1 in left:
+        for w2, a2 in right:
             scale = a1 * a2
             for word, c in _word_product(w1, w2, merge_sign):
                 acc[word] = acc.get(word, 0) + scale * c

@@ -2,7 +2,7 @@
 
 Every quantity in this package is an exact ``fractions.Fraction``; nothing is
 ever rounded.  This module also owns the append-only table class shared
-between threads and the common-denominator step of the integer kernels.
+between threads.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 __all__ = ["Rational", "BernoulliTable", "bernoulli", "binomial", "factorial"]
 
@@ -31,13 +31,6 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         raise ValueError(f"binomial undefined for n={n}, k={k}")
     return math.comb(n, k)
-
-
-def integer_numerators(rows: Sequence[Iterable[Fraction]]) -> tuple[int, list[list[int]]]:
-    """The lcm of the denominators of every value in ``rows`` and each row's
-    integer numerators over it; rows are read twice, so no iterators."""
-    den = math.lcm(*(c.denominator for row in rows for c in row))
-    return den, [[c.numerator * (den // c.denominator) for c in row] for row in rows]
 
 
 class GrowableTable:

@@ -133,7 +133,7 @@ def tables_suite(max_depth: int = 12) -> SuiteReport:
         for i in range(1, m + 2):
             entry = fs.entry(m, i)
             report.check(
-                all(c.denominator == 1 for c in entry.coeffs),
+                entry.den == 1,
                 f"f[{m},{i}] has integer coefficients",
             )
             report.check(entry.degree() == m + 1 - i, f"f[{m},{i}] has degree m+1-i")

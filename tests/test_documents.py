@@ -118,6 +118,7 @@ class TestFromJsonValidation:
             {"mvec": [1]},
             {"mvec": [1, 0, 0]},
             {"mvec": "1,0"},
+            {"mvec": [-1, 0]},
             {"terms": [], "T": -1},
         ],
         ids=[
@@ -129,6 +130,7 @@ class TestFromJsonValidation:
             "mvec-short",
             "mvec-long",
             "mvec-string",
+            "mvec-negative",
             "no-terms",
         ],
     )

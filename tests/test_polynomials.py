@@ -9,7 +9,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evenzeta import MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly
-from evenzeta.polynomials import convolve_integers
 
 X = UniPoly.x()
 
@@ -81,14 +80,130 @@ coeffs = st.fractions(
 unipolys = st.lists(coeffs, max_size=5).map(UniPoly)
 
 
-class TestConvolveIntegers:
-    def test_sum_of_products(self):
-        # (1 + 2x)(3 - x) + x^2 * 1, and an empty list is zero.
-        pairs = [([1, 2], [3, -1]), ([0, 0, 1], [1]), ([], [5])]
-        assert convolve_integers(pairs) == [3, 5, -1]
+coeff_lists = st.lists(coeffs, max_size=5)
 
-    def test_no_pairs(self):
-        assert convolve_integers([]) == []
+
+def trimmed(values):
+    values = list(values)
+    while values and not values[-1]:
+        values.pop()
+    return values
+
+
+# Oracle: polynomials as plain lists of Fractions, lowest power first.
+def ref_add(a, b):
+    longer, shorter = (a, b) if len(a) >= len(b) else (b, a)
+    return trimmed(x + (shorter[i] if i < len(shorter) else 0) for i, x in enumerate(longer))
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return trimmed(out)
+
+
+def ref_shift(a, offset):
+    # p(x - offset) = sum_i a_i sum_j C(i, j) x^j (-offset)^(i - j)
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j in range(i + 1):
+            out[j] += x * math.comb(i, j) * (-offset) ** (i - j)
+    return trimmed(out)
+
+
+def ref_eval(a, point):
+    return sum((x * point**i for i, x in enumerate(a)), Fraction(0))
+
+
+def assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(x) is int for x in p.nums)
+    assert not p.nums or p.nums[-1] != 0
+    assert math.gcd(p.den, *p.nums) == 1
+
+
+def assert_matches(p, values):
+    assert_canonical(p)
+    assert list(p.coeffs) == trimmed(values)
+    expected = UniPoly(values)
+    assert (p.nums, p.den, hash(p)) == (expected.nums, expected.den, hash(expected))
+
+
+class TestIntegerRepresentation:
+    def test_least_common_denominator(self):
+        p = UniPoly([Fraction(1, 2), Fraction(-1, 3), 0])
+        assert (p.nums, p.den) == ((3, -2), 6)
+        assert p.coeffs == (Fraction(1, 2), Fraction(-1, 3))
+
+    def test_zero_is_empty_over_one(self):
+        for zero in (UniPoly(), UniPoly([0, 0]), X - X, 0 * (X + Fraction(1, 3))):
+            assert (zero.nums, zero.den) == ((), 1)
+
+    def test_normalised_after_cancellation(self):
+        p = (X / 6 + Fraction(1, 6)) + (X / 3 - Fraction(1, 6))
+        assert (p.nums, p.den) == ((0, 1), 2)
+
+    def test_dot_sum_of_products(self):
+        # (1 + 2x)(3 - x) + x^2 * 1 + 0 * 5 = 3 + 5x - x^2
+        pairs = [
+            (UniPoly([1, 2]), UniPoly([3, -1])),
+            (X**2, UniPoly.one()),
+            (UniPoly.zero(), UniPoly.constant(5)),
+        ]
+        assert UniPoly.dot(pairs) == UniPoly([3, 5, -1])
+
+    def test_dot_over_common_denominator(self):
+        # 1/2 * 1/3 + 1/6 * 1 = 1/3, normalised once at the end.
+        half, third, sixth = (UniPoly.constant(Fraction(1, d)) for d in (2, 3, 6))
+        total = UniPoly.dot([(half, third), (sixth, UniPoly.one())])
+        assert (total.nums, total.den) == ((1,), 3)
+
+    def test_dot_of_no_pairs_is_zero(self):
+        total = UniPoly.dot([])
+        assert (total.nums, total.den) == ((), 1)
+
+    def test_dot_with_zero_factors(self):
+        total = UniPoly.dot([(UniPoly.zero(), X), (X + 1, UniPoly.zero())])
+        assert (total.nums, total.den) == ((), 1)
+
+    def test_shift_takes_an_int(self):
+        with pytest.raises(TypeError):
+            X.shift(Fraction(1, 2))
+
+    @given(coeff_lists, coeff_lists)
+    def test_add_and_mul_match_oracle(self, a, b):
+        p, q = UniPoly(a), UniPoly(b)
+        assert_matches(p + q, ref_add(a, b))
+        assert_matches(p - q, ref_add(a, [-x for x in b]))
+        assert_matches(p * q, ref_mul(a, b))
+        assert_matches(q * p, ref_mul(a, b))
+
+    @given(st.lists(st.tuples(coeff_lists, coeff_lists), max_size=4))
+    def test_dot_matches_oracle(self, pairs):
+        expected = []
+        for a, b in pairs:
+            expected = ref_add(expected, ref_mul(a, b))
+        assert_matches(UniPoly.dot((UniPoly(a), UniPoly(b)) for a, b in pairs), expected)
+
+    @given(coeff_lists, coeffs)
+    def test_scalar_mul_matches_oracle(self, a, scale):
+        assert_matches(UniPoly(a) * scale, [x * scale for x in a])
+        if scale:
+            assert_matches(UniPoly(a) / scale, [x / scale for x in a])
+
+    @given(coeff_lists, st.integers(-4, 4))
+    def test_shift_and_derivative_match_oracle(self, a, offset):
+        p = UniPoly(a)
+        assert_matches(p.shift(offset), ref_shift(a, offset))
+        assert_matches(p.derivative(), [i * x for i, x in enumerate(a)][1:])
+
+    @given(coeff_lists, coeffs)
+    def test_call_matches_oracle(self, a, point):
+        value = UniPoly(a)(point)
+        assert type(value) is Fraction
+        assert value == ref_eval(a, point)
 
 
 class TestUniPolyRingLaws:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from evenzeta import BernoulliTable, bernoulli, binomial, f_table, factorial, g_table
 from evenzeta import derivative_tables
-from evenzeta.rationals import GrowableTable, integer_numerators
+from evenzeta.rationals import GrowableTable
 
 
 def series_quotient_coeffs(count):
@@ -134,15 +134,6 @@ class TestGrowableTable:
             assert entries == expected[: depth + 1]
             for i, entry in enumerate(entries):
                 assert entry is results[deepest][i]
-
-
-class TestIntegerNumerators:
-    def test_common_denominator(self):
-        rows = [[Fraction(1, 2), Fraction(-1, 3)], [], [Fraction(5, 4)]]
-        assert integer_numerators(rows) == (12, [[6, -4], [], [15]])
-
-    def test_all_empty(self):
-        assert integer_numerators([()]) == (1, [[]])
 
 
 class TestCombinatorialHelpers:
