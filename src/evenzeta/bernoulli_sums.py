@@ -23,9 +23,9 @@ from typing import Sequence
 
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
-from .enumeration import compositions
 from .polynomials import UniPoly
 from .rationals import bernoulli, factorial
+from .series import composition_sum
 
 __all__ = [
     "BernoulliIdentity",
@@ -170,24 +170,23 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
 
 
 def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:
-    """Exact composition sum on the left side (brute force)."""
+    """Exact composition sum on the left side, for k >= n.
+
+    Read as [t^k] of the product of the series sum_a a^{m_j} B_{2a}/(2a)! t^a
+    (``series.composition_sum``), whose Bernoulli values come from the sinc
+    product: it shares no code with the tables or the Bernoulli recurrence.
+    """
     mvec = _validated_mvec(mvec)
     n = len(mvec)
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
-    total = Fraction(0)
-    for comp in compositions(k, n):
-        term = Fraction(1)
-        for kj, mj in zip(comp, mvec):
-            term *= kj**mj * bernoulli(2 * kj) / factorial(2 * kj)
-        total += term
-    return total
+    return composition_sum("bernoulli", mvec, k)
 
 
 def verify_bernoulli(
     mvec: Sequence[int], k: int, identity: BernoulliIdentity | None = None
 ) -> CheckResult:
-    """Compare the brute-force sum against the collapsed side at one k."""
+    """Compare the series left side against the collapsed side at one k."""
     mvec = _validated_mvec(mvec)
     if identity is None:
         identity = bernoulli_identity(mvec)

@@ -18,10 +18,13 @@ power sums are cached on it, ``block_reduce`` merges the monomials of F
 whose block exponents agree up to order, and the combination step builds
 one monomial identity per orbit.
 
-Both directions are implemented: the symbolic pipeline (``mzv_identity``,
-``mzsv_identity``) and an independent exact evaluator (``mzv_lhs_exact``)
-used to cross-check it, plus a high-precision numeric evaluator for the
-defining nested series.
+The symbolic pipeline (``mzv_identity``, ``mzsv_identity``) is checked
+against ``mzv_lhs_exact``, which splits F into monomial symmetric functions
+and reads each one's composition sum off a truncated series of elementary
+(zeta) or complete (zeta-star) symmetric functions built by ``series`` from
+the sinc product.  It shares neither the symmetric-sum theorem nor the
+Bernoulli table with the pipeline.  ``mzv_numeric`` evaluates the defining
+nested series to high precision.
 """
 
 from __future__ import annotations
@@ -36,22 +39,11 @@ from functools import lru_cache
 from typing import Sequence
 
 from .checks import CheckResult
-from .enumeration import (
-    SetPartition,
-    block_shapes,
-    compositions,
-    partition_weight,
-    set_partitions,
-)
+from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli, binomial, factorial
-from .zeta_identities import (
-    PiValue,
-    WeightedSumIdentity,
-    _combined_identity,
-    eval_identity_rhs,
-    zeta_even,
-)
+from .series import symmetric_sum
+from .zeta_identities import PiValue, WeightedSumIdentity, _combined_identity, eval_identity_rhs
 
 __all__ = [
     "block_reduce",
@@ -60,14 +52,10 @@ __all__ = [
     "mzv_identity",
     "mzv_lhs_exact",
     "mzv_numeric",
-    "partitions",
     "power_sum_2",
     "shape_count",
     "verify_mzv",
 ]
-
-#: Largest depth for which the full set-partition list may be materialised.
-_MAX_PARTITION_DEPTH = 12
 
 #: Power-sum polynomials kept by the ``power_sum_2`` cache, one per
 #: exponent pair (p1, p2).
@@ -83,13 +71,6 @@ _DECIMAL_DIGITS = 40
 #: Extra decimal places ``mzv_numeric`` first carries beyond 40; doubled
 #: until the rounding is certified.
 _GUARD_DIGITS = 12
-
-
-def partitions(n: int) -> list[SetPartition]:
-    """All set partitions of {1, ..., n} in canonical order; 1 <= n <= 12."""
-    if not 1 <= n <= _MAX_PARTITION_DEPTH:
-        raise ValueError(f"depth must be in 1..{_MAX_PARTITION_DEPTH}, got {n}")
-    return set_partitions(n)
 
 
 def shape_count(shape: Sequence[int]) -> int:
@@ -161,11 +142,12 @@ def _sorted_power_sum(pvec: tuple[int, ...]) -> UniPoly:
     # A sorted tuple's prefixes are sorted, so the fold reuses their entries.
     if len(pvec) == 1:
         return UniPoly.monomial(pvec[0])
+    prefix = _sorted_power_sum(pvec[:-1])
     acc = UniPoly.zero()
-    for power, coeff in enumerate(_sorted_power_sum(pvec[:-1]).coeffs):
-        if coeff:
-            acc = acc + coeff * power_sum_2(power, pvec[-1])
-    return acc
+    for power, x in enumerate(prefix.nums):
+        if x:
+            acc = acc + x * power_sum_2(power, pvec[-1])
+    return acc / prefix.den
 
 
 def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
@@ -181,7 +163,8 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
     Each block of a monomial collapses to the composition power sum of its
     exponents, which depends only on their orbit.  So the monomials of F are
     first merged on the tuple of their sorted block exponents, and each
-    merged monomial is expanded once into one dict of coefficients.
+    merged monomial is expanded once, on the integer numerators of the
+    power sums, into one dict of coefficients.
     """
     shape = tuple(int(l) for l in shape)
     if not shape or any(l < 1 for l in shape):
@@ -199,17 +182,19 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
         if not coeff:
             continue
         # Expanded block by block, so each partial product is formed once.
-        expansion = {(): coeff}
+        expansion, den = {(): 1}, 1
         for block in key:
-            factor = composition_power_sum(block).coeffs
+            factor = composition_power_sum(block)
+            den *= factor.den
             expansion = {
-                powers + (power,): c * factor_coeff
+                powers + (power,): c * x
                 for powers, c in expansion.items()
-                for power, factor_coeff in enumerate(factor)
-                if factor_coeff
+                for power, x in enumerate(factor.nums)
+                if x
             }
+        scale = coeff / den
         for powers, c in expansion.items():
-            acc[powers] = acc.get(powers, 0) + c
+            acc[powers] = acc.get(powers, 0) + c * scale
     return MultiPoly(len(shape), acc)
 
 
@@ -250,13 +235,13 @@ def mzsv_identity(F: MultiPoly, n: int) -> WeightedSumIdentity:
 
 def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> PiValue:
     """Exact composition sum of F(k_1..k_n) * zeta(2k_1, ..., 2k_n), or the
-    zeta-star analogue when ``star``.
+    zeta-star analogue when ``star``; F must be symmetric.
 
-    Each multiple zeta value at even arguments is itself evaluated through
-    the set-partition expansion of symmetric sums, which for a symmetric F
-    telescopes to: 1/n! times the sum over compositions and partitions of the
-    signed block products.  This never touches the identity pipeline, so it
-    serves as an independent cross-check of it.
+    F is the sum of c_mu * m_mu over the monomial symmetric functions m_mu,
+    with c_mu the coefficient of its nonincreasing exponent tuple.  Each
+    m_mu's composition sum is one coefficient of the series of
+    ``series.symmetric_sum``, which never touches the identity pipeline, so
+    this serves as an independent cross-check of it.
     """
     if F.arity != n:
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
@@ -264,21 +249,11 @@ def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> PiValue:
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
-    parts = partitions(n)
-    weights = [partition_weight(p) for p in parts]
-    total = PiValue.zero(k)
-    for comp in compositions(k, n):
-        value = F.evaluate(comp)
-        if not value:
-            continue
-        comp_total = PiValue.zero(k)
-        for part, weight in zip(parts, weights):
-            product = PiValue(0, Fraction(1))
-            for block in part:
-                product = product * zeta_even(sum(comp[index - 1] for index in block))
-            comp_total = comp_total + (weight.c if star else weight.c_tilde) * product
-        total = total + value * comp_total
-    return total * Fraction(1, factorial(n))
+    total = Fraction(0)
+    for expts, coeff in F.terms.items():
+        if all(a >= b for a, b in zip(expts, expts[1:])):
+            total += coeff * symmetric_sum([e for e in expts if e], n, k, star)
+    return PiValue(k, total)
 
 
 def verify_mzv(

@@ -180,7 +180,8 @@ def _identity_degree_ok(terms: Sequence[UniPoly], r: int, n: int) -> bool:
 
 
 def bernoulli_suite(max_n: int = 4, max_k: int = 12, max_weight: int = 3) -> SuiteReport:
-    """Brute-force verification grid for the Bernoulli-product identities.
+    """Verification grid for the Bernoulli-product identities against the
+    series left side.
 
     Every exponent tuple with n <= max_n and sum <= max_weight, every
     k <= max_k; combinations with k < n are reported as skipped.
@@ -227,7 +228,7 @@ def zeta_suite(max_n: int = 4, max_k: int = 12, max_weight: int = 3) -> SuiteRep
 
     For each exponent tuple m, checks the k-weighted relation
     sum_j Z(m + e_j) = k * Z(m) between identities built at different
-    exponents, the degree bounds, and the brute-force sums at every k.
+    exponents, the degree bounds, and the series left side at every k.
     """
     _validate_bounds(max_n, max_k)
     report = SuiteReport("zeta")

@@ -23,9 +23,9 @@ from typing import Iterable, Sequence, Union
 
 from .bernoulli_sums import _validated_mvec, bernoulli_identity, truncation_depth
 from .checks import CheckResult
-from .enumeration import compositions
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli, factorial
+from .series import composition_sum
 
 __all__ = [
     "PiValue",
@@ -236,21 +236,22 @@ def zeta_identity_poly(F: MultiPoly, n: int) -> WeightedSumIdentity:
 
 def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:
     """Exact left side: sum over compositions of F(k_1..k_n) * zeta(2k_1) ...
-    zeta(2k_n).  Always a rational multiple of pi^(2k)."""
+    zeta(2k_n).  Always a rational multiple of pi^(2k).
+
+    Each monomial's sum is [t^k] of a product of the series
+    sum_a a^{m_j} zeta(2a)/pi^(2a) t^a (``series.composition_sum``), with
+    zeta values from the sinc product rather than ``zeta_even``.  No
+    symmetry is required.
+    """
     if F.arity != n:
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
-    total = PiValue.zero(k)
-    for comp in compositions(k, n):
-        value = F.evaluate(comp)
-        if not value:
-            continue
-        product = PiValue(0, value)
-        for kj in comp:
-            product = product * zeta_even(kj)
-        total = total + product
-    return total
+    total = sum(
+        (coeff * composition_sum("zeta", expts, k) for expts, coeff in F.terms.items()),
+        Fraction(0),
+    )
+    return PiValue(k, total)
 
 
 def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> PiValue:
@@ -273,7 +274,7 @@ def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> PiValue:
 def verify_zeta(
     F: MultiPoly, n: int, k: int, identity: WeightedSumIdentity | None = None
 ) -> CheckResult:
-    """Compare the brute-force zeta-product sum against the collapsed side."""
+    """Compare the series zeta-product sum against the collapsed side."""
     if identity is None:
         identity = zeta_identity_poly(F, n)
     left = eval_zeta_lhs(F, n, k)

@@ -119,7 +119,7 @@ def test_criterion_04_bernoulli_brute_force():
 
 
 def test_criterion_05_mzv_cross_path():
-    with criterion(5, "mzv/mzsv pipeline vs partition expansion", budget=60.0):
+    with criterion(5, "mzv/mzsv pipeline vs series evaluator", budget=60.0):
         checked = 0
         for n in range(1, 5):
             for F in weight_family(n):

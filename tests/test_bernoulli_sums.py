@@ -1,7 +1,9 @@
 """Weighted Bernoulli sum identities.
 
-Every identity is checked against `bernoulli_lhs`, a brute-force sum over
-integer compositions that never touches the table machinery.
+Every identity is checked against `bernoulli_lhs`, the composition sum read
+off a product of truncated series (`evenzeta.series`) that never touches the
+table machinery; `tests/test_series.py` checks it against the composition
+loop of `brute_force.py`.
 """
 
 from fractions import Fraction

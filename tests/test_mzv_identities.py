@@ -1,8 +1,10 @@
 """Multiple zeta value identities and the numeric spot check.
 
-Two independent oracles appear here: `mzv_lhs_exact` (set-partition
-expansion, no pipeline code) for the symbolic side, and plain Fraction
-summation for the numeric partial sums.
+Two independent oracles appear here: `mzv_lhs_exact` (truncated series of
+symmetric functions from `evenzeta.series`, no pipeline code) for the
+symbolic side, and plain Fraction summation for the numeric partial sums.
+`tests/test_series.py` checks `mzv_lhs_exact` against the composition and
+set-partition loops of `brute_force.py`.
 """
 
 import itertools
@@ -27,7 +29,6 @@ from evenzeta import (
     mzv_numeric,
     parse_poly,
     partition_shape,
-    partitions,
     power_sum_2,
     set_partitions,
     shape_count,
@@ -36,18 +37,6 @@ from evenzeta import (
 )
 
 K = UniPoly.x()
-
-
-class TestPartitions:
-    def test_matches_enumeration(self):
-        for n in range(1, 7):
-            assert partitions(n) == set_partitions(n)
-
-    def test_depth_cap(self):
-        with pytest.raises(ValueError):
-            partitions(13)
-        with pytest.raises(ValueError):
-            partitions(0)
 
 
 class TestShapeCount:

@@ -190,6 +190,10 @@ CACHE_FLOORS = {
     "mzv_identities._sorted_power_sum": 31,
     "mzv_identities.power_sum_2": 21,
     "quasi_shuffle._word_product": 8_400,
+    "series._phi_power": 33,
+    "series._product": 62,
+    "series._symmetric": 78,
+    "series._weights": 2,
     "zeta_identities._monomial_identity": 226,
     "zeta_identities.zeta_even": 17,
 }

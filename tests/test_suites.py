@@ -84,6 +84,20 @@ class TestRunSuites:
             "words": (244, 0, 0),
         }
 
+    def test_largest_bound_counts(self):
+        # (passed, failed, skipped) per suite at the largest bounds.
+        counts = {
+            r.suite: (r.passed, r.failed, r.skipped)
+            for r in run_suites(SUITE_NAMES, max_n=5, max_k=16)
+        }
+        assert counts == {
+            "tables": (741, 0, 0),
+            "bernoulli": (1871, 0, 379),
+            "zeta": (1871, 0, 379),
+            "mzv": (750, 0, 100),
+            "words": (265, 0, 0),
+        }
+
 
 class TestIndividualSuites:
     def test_tables_depth_zero(self):
@@ -104,7 +118,7 @@ class TestIndividualSuites:
 
     def test_k_weighted_relation_catches_a_table_fault(self, monkeypatch):
         # Perturb one coefficient of a_coeffs for every tuple of length >= 2
-        # and weight 2.  With max_k = 1 every brute-force check of those
+        # and weight 2.  With max_k = 1 every per-k check of those
         # tuples is skipped (k < n), so only the k-weighted relation can see
         # the fault: it compares identities of weights 1 and 2 with those of
         # weights 2 and 3.

@@ -1,7 +1,9 @@
 """Zeta-value identities at even arguments.
 
-`eval_zeta_lhs` is the oracle here: a direct composition sum over exact
-rational multiples of even pi powers, independent of the collapsed form.
+`eval_zeta_lhs` is the oracle here: the composition sum read off a product
+of truncated series (`evenzeta.series`), with zeta values from the sinc
+product, independent of the collapsed form; `tests/test_series.py` checks
+it against the composition loop of `brute_force.py`.
 """
 
 from fractions import Fraction
