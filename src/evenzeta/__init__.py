@@ -48,8 +48,6 @@ from .mzv_identities import (
     mzv_identity,
     mzv_lhs_exact,
     mzv_numeric,
-    power_sum_2,
-    shape_count,
     verify_mzv,
 )
 from .polynomials import NEG_INFINITY, MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly
@@ -143,12 +141,10 @@ __all__ = [
     "partition_word_sum",
     "poly_latex",
     "poly_text",
-    "power_sum_2",
     "run_suites",
     "sbar",
     "sections",
     "set_partitions",
-    "shape_count",
     "star",
     "symmetric_word_sum",
     "tables_suite",

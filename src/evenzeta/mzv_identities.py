@@ -7,10 +7,21 @@ of single zeta values: each partition Pi = {P_1, ..., P_i} contributes
 (-1)^(n-i) * prod_j (|P_j| - 1)! times prod_j zeta(2 * sum_{l in P_j} k_l),
 and the zeta-star analogue drops the sign.  For a *symmetric* weight
 polynomial F this turns every weighted composition sum of multiple zeta
-values into a combination of the single-zeta identities, one per block shape:
-the weight collapses block by block through exact power-sum polynomials.
-The monomials of every collapsed weight, each scaled by its shape's weight,
-go through the same combination step as a single-zeta identity.
+values into a combination of the single-zeta identities, one per block shape
+lambda.  Divided by the n! orderings, the partitions of shape lambda weigh
+eps_lambda / z_lambda together, where z_lambda = prod_j l_j * prod_c m_c!
+(m_c the number of blocks of size c) is the centraliser order of the cycle
+type lambda, and eps_lambda = (-1)^(n - len(lambda)) for zeta values (1 for
+zeta-star).  The weight collapses block by block to exact composition power
+sums, and the monomials of every collapsed weight, each scaled by its
+shape's weight, go through the same combination step as a single-zeta
+identity.
+
+A composition power sum is counted off a generating function.  With
+u = x/(1-x) and theta = x d/dx = u(1+u) d/du, sum_{a>=1} a^p x^a = theta^p u,
+an integer polynomial E_p(u); and [x^k] u^m = C(k-1, m-1).  So the sum over
+k_1 + ... + k_n = k of k_1^{p_1} ... k_n^{p_n} is sum_m c_m C(k-1, m-1), with
+c_m the coefficients of E_{p_1}(u) ... E_{p_n}(u).
 
 Every piece of that work is symmetric in its exponents, so it is done once
 per permutation orbit, keyed on the sorted exponent tuple: the composition
@@ -41,7 +52,7 @@ from typing import Sequence
 from .checks import CheckResult
 from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
-from .rationals import bernoulli, binomial, factorial
+from .rationals import GrowableTable, factorial
 from .series import symmetric_sum
 from .zeta_identities import PiValue, WeightedSumIdentity, _combined_identity, eval_identity_rhs
 
@@ -52,17 +63,10 @@ __all__ = [
     "mzv_identity",
     "mzv_lhs_exact",
     "mzv_numeric",
-    "power_sum_2",
-    "shape_count",
     "verify_mzv",
 ]
 
-#: Power-sum polynomials kept by the ``power_sum_2`` cache, one per
-#: exponent pair (p1, p2).
-_POWER_SUM_CACHE_SIZE = 1 << 10
-
-#: Composition power sums kept, one per sorted exponent tuple and every
-#: prefix of one.
+#: Composition power sums kept, one per sorted exponent tuple.
 _COMPOSITION_CACHE_SIZE = 1 << 12
 
 #: Significant digits of the decimals returned by ``mzv_numeric``.
@@ -72,51 +76,15 @@ _DECIMAL_DIGITS = 40
 #: until the rounding is certified.
 _GUARD_DIGITS = 12
 
+_U_ONE_PLUS_U = UniPoly((0, 1, 1))
 
-def shape_count(shape: Sequence[int]) -> int:
-    """Number of set partitions of {1..n} with the given block sizes.
+#: E_p(u) = theta^p u, by E_{p+1} = u(1+u) E_p'.
+_THETA_POWERS = GrowableTable(UniPoly.x(), lambda rows: _U_ONE_PLUS_U * rows[-1].derivative())
 
-    ``shape`` must be a nonincreasing tuple of positive integers; n is its
-    sum.  The count is n! divided by the product of the block-size
-    factorials and the factorials of the multiplicities of each size.
-    """
-    shape = tuple(int(l) for l in shape)
-    if not shape or any(l < 1 for l in shape):
-        raise ValueError(f"shape must consist of positive integers, got {shape}")
-    if any(shape[i] < shape[i + 1] for i in range(len(shape) - 1)):
-        raise ValueError(f"shape must be nonincreasing, got {shape}")
-    n = sum(shape)
-    denominator = math.prod(factorial(l) for l in shape)
-    for multiplicity in Counter(shape).values():
-        denominator *= factorial(multiplicity)
-    return factorial(n) // denominator
-
-
-@lru_cache(maxsize=_POWER_SUM_CACHE_SIZE)
-def power_sum_2(p1: int, p2: int) -> UniPoly:
-    """The polynomial in k equal to sum_{i=1}^{k-1} i^{p1} (k-i)^{p2} for
-    every integer k >= 1.
-
-    Closed form over pairs (i, j) with p1 <= i+j <= p1+p2:
-
-        (-1)^(j+p1) C(i+j, i) C(p2, i+j-p1) B_i/(j+1) (k-1)^(j+1) k^(p1+p2-i-j)
-
-    where B_1 = -1/2 contributes.  Degree p1+p2+1, leading coefficient
-    p1! p2! / (p1+p2+1)!, and the value vanishes at k = 1.
-    """
-    if p1 < 0 or p2 < 0:
-        raise ValueError(f"powers must be >= 0, got ({p1}, {p2})")
-    total = UniPoly.zero()
-    for i in range(p1 + p2 + 1):
-        b = bernoulli(i)
-        if not b:
-            continue
-        for j in range(max(0, p1 - i), p1 + p2 - i + 1):
-            sign = -1 if (j + p1) % 2 else 1
-            coeff = sign * binomial(i + j, i) * binomial(p2, i + j - p1) * b / (j + 1)
-            piece = UniPoly.monomial(j + 1).shift(1) * UniPoly.monomial(p1 + p2 - i - j)
-            total = total + coeff * piece
-    return total
+#: C(k-1, i) as a polynomial in k, by C(k-1, i) = C(k-1, i-1) (k-i)/i.
+_BINOMIALS = GrowableTable(
+    UniPoly.one(), lambda rows: rows[-1] * UniPoly((-len(rows), 1)) / len(rows)
+)
 
 
 def composition_power_sum(pvec: Sequence[int]) -> UniPoly:
@@ -124,10 +92,11 @@ def composition_power_sum(pvec: Sequence[int]) -> UniPoly:
 
         sum_{k_1+...+k_n = k, k_j >= 1} k_1^{p_1} ... k_n^{p_n}
 
-    (zero when k < n).  Permuting the exponents permutes the compositions,
-    so the sum depends only on the orbit of ``pvec``: it is built once per
-    sorted exponent tuple, by folding ``power_sum_2`` over the exponents in
-    ascending order, and cached on that key.
+    (zero when k < n).  It is sum_m c_m C(k-1, m-1), with c_m the
+    coefficients of the product of the theta-power polynomials E_{p_j}(u)
+    (see the module docstring).  Permuting the exponents permutes the
+    compositions, so the sum depends only on the orbit of ``pvec``: it is
+    built once per sorted exponent tuple and cached on that key.
     """
     pvec = tuple(int(p) for p in pvec)
     if not pvec:
@@ -139,15 +108,10 @@ def composition_power_sum(pvec: Sequence[int]) -> UniPoly:
 
 @lru_cache(maxsize=_COMPOSITION_CACHE_SIZE)
 def _sorted_power_sum(pvec: tuple[int, ...]) -> UniPoly:
-    # A sorted tuple's prefixes are sorted, so the fold reuses their entries.
-    if len(pvec) == 1:
-        return UniPoly.monomial(pvec[0])
-    prefix = _sorted_power_sum(pvec[:-1])
-    acc = UniPoly.zero()
-    for power, x in enumerate(prefix.nums):
-        if x:
-            acc = acc + x * power_sum_2(power, pvec[-1])
-    return acc / prefix.den
+    counts = math.prod((_THETA_POWERS.value(p) for p in pvec), start=UniPoly.one())
+    return UniPoly.dot(
+        (UniPoly.constant(c), _BINOMIALS.value(m - 1)) for m, c in enumerate(counts.nums) if c
+    )
 
 
 def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
@@ -198,6 +162,12 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
     return MultiPoly(len(shape), acc)
 
 
+def _shape_weight(shape: tuple[int, ...], signed: bool) -> Fraction:
+    """eps_lambda / z_lambda for the block shape lambda (module docstring)."""
+    centraliser = math.prod(shape) * math.prod(map(factorial, Counter(shape).values()))
+    return Fraction(-1 if signed and (sum(shape) - len(shape)) % 2 else 1, centraliser)
+
+
 def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdentity:
     if not isinstance(F, MultiPoly):
         raise TypeError(f"expected a MultiPoly weight, got {type(F).__name__}")
@@ -205,15 +175,9 @@ def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdent
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
     if not F.is_symmetric():
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
-    signed = kind == "mzv"
-    n_factorial = factorial(n)
     parts = []
     for shape in block_shapes(n):
-        weight = Fraction(
-            shape_count(shape) * math.prod(factorial(l - 1) for l in shape), n_factorial
-        )
-        if signed and (n - len(shape)) % 2:
-            weight = -weight
+        weight = _shape_weight(shape, signed=kind == "mzv")
         parts.extend((weight * coeff, expts) for coeff, expts in block_reduce(F, shape).monomials())
     return _combined_identity(kind, n, parts, F)
 

@@ -244,26 +244,7 @@ class UniPoly:
         return bool(self.nums)
 
     def __repr__(self) -> str:
-        return f"UniPoly({self._format()!r})"
-
-    def _format(self, var: str = "x") -> str:
-        if not self.coeffs:
-            return "0"
-        parts: list[str] = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
-            if not c:
-                continue
-            if power == 0:
-                body = str(abs(c))
-            else:
-                head = "" if abs(c) == 1 else f"{abs(c)}*"
-                body = f"{head}{var}" + (f"^{power}" if power > 1 else "")
-            if not parts:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(parts)
+        return f"UniPoly(nums={self.nums!r}, den={self.den})"
 
 
 class MultiPoly:

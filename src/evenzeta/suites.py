@@ -334,7 +334,10 @@ def words_suite(max_n: int = 4, max_letter: int = 3) -> SuiteReport:
 
 
 def run_suites(names: Sequence[str], max_n: int = 4, max_k: int = 10) -> list[SuiteReport]:
-    """Run the named suites (in the canonical order) with shared bounds."""
+    """Run the named suites (in the canonical order) with shared bounds.
+
+    Every name and both bounds are checked before the first suite runs.
+    """
     chosen = []
     for name in SUITE_NAMES:
         if name in names:
@@ -342,6 +345,7 @@ def run_suites(names: Sequence[str], max_n: int = 4, max_k: int = 10) -> list[Su
     unknown = set(names) - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suite names: {sorted(unknown)}")
+    _validate_bounds(max_n, max_k)
     reports = []
     for name in chosen:
         if name == "tables":
@@ -353,5 +357,5 @@ def run_suites(names: Sequence[str], max_n: int = 4, max_k: int = 10) -> list[Su
         elif name == "mzv":
             reports.append(mzv_suite(max_n=max_n, max_k=max_k))
         elif name == "words":
-            reports.append(words_suite(max_n=min(max_n, 6)))
+            reports.append(words_suite(max_n=max_n))
     return reports

@@ -17,13 +17,13 @@ from evenzeta import (
     UniPoly,
     bernoulli_identity,
     check_gallery_identity,
+    composition_power_sum,
     gallery,
     mzsv_identity,
     mzv_identity,
     mzv_lhs_exact,
     mzv_numeric,
     parse_poly,
-    power_sum_2,
     tables_suite,
     verify_bernoulli,
     verify_mzv,
@@ -162,12 +162,12 @@ def test_criterion_07_word_sweep():
 
 
 def test_criterion_08_power_sum_closed_form():
-    with criterion(8, "two-part power sum closed form", budget=5.0):
+    with criterion(8, "two-part composition power sums", budget=5.0):
         from evenzeta import factorial
 
         for p1 in range(6):
             for p2 in range(6):
-                poly = power_sum_2(p1, p2)
+                poly = composition_power_sum((p1, p2))
                 assert poly.degree() == p1 + p2 + 1
                 assert poly.leading() == Fraction(
                     factorial(p1) * factorial(p2), factorial(p1 + p2 + 1)

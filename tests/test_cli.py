@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from evenzeta import cli, f_table, from_json
+from evenzeta import cli, f_table, from_json, suites
 from evenzeta.cli import MAX_MZV_DEPTH, MAX_TABLE_DEPTH, main
 
 
@@ -144,8 +144,29 @@ class TestVerifyCommand:
         assert payload["suites"][0]["failed"] == 0
 
     def test_bounds_checked(self, capsys):
-        code, _, err = run(capsys, "verify", "--suite", "zeta", "--max-n", "99")
+        code, out, err = run(capsys, "verify", "--suite", "zeta", "--max-n", "99")
         assert code == 2
+        assert out == ""
+        assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--suite", "words", "--max-n", "9", "--max-k", "999"),
+            ("--suite", "words", "--max-n", "6"),
+            ("--suite", "tables", "--max-n", "0", "--max-k", "-3"),
+            ("--suite", "all", "--max-n", "6"),
+        ],
+        ids=["words-both", "words-depth-6", "tables-both", "all-depth"],
+    )
+    def test_bounds_checked_before_any_suite(self, capsys, monkeypatch, argv):
+        # Every suite shares the bounds 1..5 and 1..16, and they are checked
+        # before the first suite runs, so no suite runs and nothing is printed.
+        for name in suites.SUITE_NAMES:
+            monkeypatch.setattr(suites, f"{name}_suite", lambda *_, **__: pytest.fail("a suite ran"))
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2
+        assert out == ""
         assert "error:" in err
 
     def test_all_suites(self, capsys):

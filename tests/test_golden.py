@@ -19,6 +19,8 @@ _IDENTITIES = [
     ("zeta", "--n", "3", "--poly", "1/3*x1^2*x2 - 5/7*x3"),
     ("mzv", "--n", "5", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2"),
     ("mzsv", "--n", "4", "--poly", "(x1+x2+x3+x4)^3 + x1*x2*x3*x4"),
+    ("mzv", "--n", "6", "--poly", "(x1+x2+x3+x4+x5+x6)^3"),
+    ("mzsv", "--n", "7", "--poly", "(x1+x2+x3+x4+x5+x6+x7)^2-3"),
 ]
 
 _IDENTITY_DIGESTS = [
@@ -40,6 +42,12 @@ _IDENTITY_DIGESTS = [
     "a33b76c05ac82b4fea53709c30ac9350643921e32bdd83b34e4ce52693ae3580",
     "60408c1cbba980f26218364c0f5cdadfe4530a69dd8dd246351e7f34e93a9f8a",
     "e09697bf3575ae3c5bcf39420de80f161b90e68993f048233f97edc44b3dc3cb",
+    "1f700a17b00e08f4939da76087d02d46b2a6d6473148d6ed61bd9e024e46137e",
+    "83c34da97597b09f7b44870e327a9384b7198bbda7aeb489e6ea45408e4103b3",
+    "9507bf0de5ae51bbe6ecee91aa295e8f10ecacd3feef1a48bd24a0554b8f4877",
+    "0c735e31e01136206ed7ce141e32939aec8cc50b146302242cf585aaa229c508",
+    "907211336ba9888c1d8e577fc57935202d79b8827f360fea3a1fad1a20396b43",
+    "81086eb1397eb9ada073a9b242e1bd66353f9460bfab7e8e251872dd0229df2f",
 ]
 
 GOLDEN = [

@@ -8,8 +8,10 @@ set-partition loops of `brute_force.py`.
 """
 
 import itertools
+import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from evenzeta import (
     PiValue,
     UniPoly,
     block_reduce,
+    block_shapes,
     composition_power_sum,
     compositions,
     factorial,
@@ -29,49 +32,39 @@ from evenzeta import (
     mzv_numeric,
     parse_poly,
     partition_shape,
-    power_sum_2,
     set_partitions,
-    shape_count,
     verify_mzv,
     zeta_even,
 )
+from evenzeta.mzv_identities import _shape_weight
 
 K = UniPoly.x()
 
 
-class TestShapeCount:
-    def test_known_values(self):
-        assert shape_count((4,)) == 1
-        assert shape_count((3, 1)) == 4
-        assert shape_count((2, 2)) == 3
-        assert shape_count((2, 1, 1)) == 6
-        assert shape_count((1, 1, 1, 1)) == 1
+class TestShapeWeights:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matches_set_partition_sum(self, n):
+        # A set partition {P_1, ..., P_i} of {1..n} carries
+        # prod_j (|P_j| - 1)! / n!, signed by (-1)^(n-i) for zeta; those of
+        # one shape add up to that shape's weight.
+        totals = {}
+        for partition in set_partitions(n):
+            shape = partition_shape(partition)
+            share = Fraction(math.prod(factorial(len(b) - 1) for b in partition), factorial(n))
+            totals[shape] = totals.get(shape, 0) + share
+        assert sorted(totals) == sorted(block_shapes(n))
+        for shape, total in totals.items():
+            assert _shape_weight(shape, signed=False) == total
+            assert _shape_weight(shape, signed=True) == (-1) ** (n - len(shape)) * total
 
-    def test_counts_sum_to_bell(self):
-        # Shape counts over all shapes of n partition the Bell number.
-        from evenzeta import block_shapes
 
-        for n in range(1, 9):
-            total = sum(shape_count(s) for s in block_shapes(n))
-            assert total == len(set_partitions(n))
-
-    def test_matches_direct_enumeration(self):
-        from evenzeta import block_shapes
-
-        for n in range(1, 8):
-            for shape in block_shapes(n):
-                direct = sum(
-                    1 for p in set_partitions(n) if partition_shape(p) == shape
-                )
-                assert shape_count(shape) == direct
-
-    def test_invalid_shapes(self):
-        with pytest.raises(ValueError):
-            shape_count(())
-        with pytest.raises(ValueError):
-            shape_count((1, 2))
-        with pytest.raises(ValueError):
-            shape_count((2, 0))
+@lru_cache(maxsize=None)
+def split_sum(pvec, k):
+    """sum_{k_1+...+k_n = k, k_j >= 1} k_1^{p_1} ... k_n^{p_n}, by splitting
+    off the first part."""
+    if len(pvec) == 1:
+        return k ** pvec[0]
+    return sum(a ** pvec[0] * split_sum(pvec[1:], k - a) for a in range(1, k))
 
 
 def brute_power_sum_2(p1, p2, k):
@@ -79,23 +72,25 @@ def brute_power_sum_2(p1, p2, k):
 
 
 class TestPowerSum2:
+    """Two-part composition power sums."""
+
     def test_closed_forms(self):
-        assert power_sum_2(0, 0) == K - 1
-        assert power_sum_2(1, 0) == K * (K - 1) / 2
-        assert power_sum_2(0, 1) == K * (K - 1) / 2
-        assert power_sum_2(1, 1) == (K**3 - K) / 6
+        assert composition_power_sum((0, 0)) == K - 1
+        assert composition_power_sum((1, 0)) == K * (K - 1) / 2
+        assert composition_power_sum((0, 1)) == K * (K - 1) / 2
+        assert composition_power_sum((1, 1)) == (K**3 - K) / 6
 
     def test_brute_force_grid(self):
         for p1 in range(6):
             for p2 in range(6):
-                poly = power_sum_2(p1, p2)
+                poly = composition_power_sum((p1, p2))
                 for k in range(1, 31):
                     assert poly(k) == brute_power_sum_2(p1, p2, k)
 
     def test_degree_and_leading(self):
         for p1 in range(6):
             for p2 in range(6):
-                poly = power_sum_2(p1, p2)
+                poly = composition_power_sum((p1, p2))
                 assert poly.degree() == p1 + p2 + 1
                 expected = Fraction(
                     factorial(p1) * factorial(p2), factorial(p1 + p2 + 1)
@@ -105,11 +100,11 @@ class TestPowerSum2:
     def test_vanishes_at_one(self):
         for p1 in range(5):
             for p2 in range(5):
-                assert power_sum_2(p1, p2)(1) == 0
+                assert composition_power_sum((p1, p2))(1) == 0
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            power_sum_2(-1, 0)
+            composition_power_sum((-1, 0))
 
 
 class TestCompositionPowerSum:
@@ -139,11 +134,25 @@ class TestCompositionPowerSum:
         with pytest.raises(ValueError):
             composition_power_sum(())
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_pinned_for_small_tuples(self, n):
+        # Degree d = sum(p) + n - 1 and d + 1 brute-force values determine the
+        # polynomial; the leading coefficient is prod p_j! / d!.
+        for pvec in itertools.combinations_with_replacement(range(9), n):
+            if sum(pvec) > 8:
+                continue
+            poly = composition_power_sum(pvec)
+            degree = sum(pvec) + n - 1
+            assert poly.degree() == degree, pvec
+            assert poly.leading() == Fraction(math.prod(map(factorial, pvec)), factorial(degree))
+            for k in range(n, n + degree + 1):
+                assert poly(k) == split_sum(pvec, k), (pvec, k)
+
     @settings(deadline=None, max_examples=40)
     @given(st.lists(st.integers(0, 4), min_size=1, max_size=5), st.randoms(use_true_random=False))
     def test_same_for_every_permutation(self, pvec, rng):
         # The cache is keyed on the sorted exponents; each ordering must
-        # still equal its own fold and its own brute-force sum.
+        # still equal its own interpolated split sums and its own brute-force sum.
         poly = composition_power_sum(pvec)
         orderings = sorted(set(itertools.permutations(pvec)))
         for pvec_perm in rng.sample(orderings, min(len(orderings), 4)):
@@ -159,18 +168,22 @@ class TestCompositionPowerSum:
 
 
 def plain_power_sum(pvec):
-    """Fold of ``power_sum_2`` over the exponents in the order given."""
-    result = UniPoly.monomial(pvec[0])
-    for p_next in pvec[1:]:
-        acc = UniPoly.zero()
-        for power, coeff in enumerate(result.coeffs):
-            acc = acc + coeff * power_sum_2(power, p_next)
-        result = acc
+    """Interpolated through the split sums at k = 1..sum(p) + n, enough for
+    its degree sum(p) + n - 1."""
+    points = range(1, sum(pvec) + len(pvec) + 1)
+    result = UniPoly.zero()
+    for i in points:
+        basis = UniPoly.one()
+        for j in points:
+            if j != i:
+                basis = basis * (K - j) / (i - j)
+        result = result + split_sum(tuple(pvec), i) * basis
     return result
 
 
 def plain_block_reduce(F, shape):
-    """Monomial by monomial, block by block, with no merging or caching."""
+    """Monomial by monomial, block by block, with no merging or caching;
+    each block is the interpolated split sum of ``plain_power_sum``."""
     blocks = len(shape)
     acc = MultiPoly.zero(blocks)
     for coeff, expts in F.monomials():
@@ -232,8 +245,6 @@ class TestBlockReduce:
         ids=["power-sum", "square", "e3", "m31", "asymmetric"],
     )
     def test_matches_plain_expansion(self, text, n):
-        from evenzeta import block_shapes
-
         F = parse_poly(text, n)
         for shape in block_shapes(n):
             assert block_reduce(F, shape) == plain_block_reduce(F, shape), shape

@@ -188,7 +188,6 @@ CACHE_FLOORS = {
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
     "mzv_identities._sorted_power_sum": 31,
-    "mzv_identities.power_sum_2": 21,
     "quasi_shuffle._word_product": 8_400,
     "series._phi_power": 33,
     "series._product": 62,
