@@ -10,7 +10,9 @@ with + for the ``star`` product and - for the ``sbar`` variant; the empty
 word is the unit of both.  The symmetric sum of all reorderings of a word
 factors over set partitions into iterated products of single letters, with
 signed weights for ``star`` and plain weights for ``sbar``; that expansion is
-what ``verify_symmetric_sum`` checks.
+what ``verify_symmetric_sum`` checks.  ``partition_word_sum`` sums the weights
+per ordered tuple of block letters and multiplies each distinct tuple out
+once, in integers.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ _MAX_SYMMETRIC_DEPTH = 8
 _MAX_VERIFY_DEPTH = 6
 
 #: Entries kept by the word-product cache.  ``verify --suite words --max-n 5``
-#: needs about 8,300 of them; the bound keeps a long-lived process from
-#: holding every product it ever formed.
+#: forms 8,326 of them (a ``spot-checks`` benchmark repetition 8,330-8,333);
+#: the bound keeps a long-lived process from holding every product it ever
+#: formed.
 _WORD_PRODUCT_CACHE_SIZE = 1 << 14
 
 
@@ -177,20 +180,27 @@ class NCPoly:
 
 @lru_cache(maxsize=_WORD_PRODUCT_CACHE_SIZE)
 def _word_product(left: Word, right: Word, merge_sign: int) -> tuple[tuple[Word, int], ...]:
-    """Product of two single words as a sorted tuple of (word, int coeff)."""
+    """Product of two single words as a tuple of (word, nonzero int coeff)."""
     if not left:
         return ((right, 1),)
     if not right:
         return ((left, 1),)
-    head_left, head_right = left[0], right[0]
-    acc: Counter[Word] = Counter()
-    for word, c in _word_product(left[1:], right, merge_sign):
-        acc[(head_left, *word)] += c
+    # The heads are the first letters as one-letter words.  Words from the
+    # three terms start with head_left, head_right and the merged letter;
+    # only the first two terms can meet, and only when the heads are equal.
+    head_left, head_right = left[:1], right[:1]
+    acc = {head_left + word: c for word, c in _word_product(left[1:], right, merge_sign)}
     for word, c in _word_product(left, right[1:], merge_sign):
-        acc[(head_right, *word)] += c
+        key = head_right + word
+        value = acc.get(key, 0) + c
+        if value:
+            acc[key] = value
+        else:
+            del acc[key]
+    merged = (left[0] + right[0],)
     for word, c in _word_product(left[1:], right[1:], merge_sign):
-        acc[(head_left + head_right, *word)] += merge_sign * c
-    return tuple(sorted((w, c) for w, c in acc.items() if c))
+        acc[merged + word] = merge_sign * c
+    return tuple(acc.items())
 
 
 def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
@@ -199,23 +209,33 @@ def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
     return NCPoly.from_word(_validated_word(value))
 
 
-def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
-    # Word products have integer coefficients, so the whole sum is carried in
-    # integers over the square of the common denominator of both factors,
-    # and each word gets one Fraction.
-    den = math.lcm(*(c.denominator for poly in (u, v) for c in poly.terms.values()))
-    left, right = (
-        [(w, c.numerator * (den // c.denominator)) for w, c in poly.terms.items()]
-        for poly in (u, v)
-    )
+def _integer_product(
+    left: Iterable[tuple[Word, int]], right: Sequence[tuple[Word, int]], merge_sign: int
+) -> dict[Word, int]:
+    """Product of two integer combinations of words, zero terms dropped."""
     acc: dict[Word, int] = {}
     for w1, a1 in left:
         for w2, a2 in right:
             scale = a1 * a2
             for word, c in _word_product(w1, w2, merge_sign):
                 acc[word] = acc.get(word, 0) + scale * c
-    denominator = den * den
-    return NCPoly._trusted({word: Fraction(c, denominator) for word, c in acc.items() if c})
+    return {word: c for word, c in acc.items() if c}
+
+
+def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
+    # Word products have integer coefficients, so the whole sum is carried in
+    # integers over the square of the common denominator of both factors,
+    # and each word gets one Fraction (built from the integer alone when the
+    # factors have integer coefficients, which skips the gcd).
+    den = math.lcm(*(c.denominator for poly in (u, v) for c in poly.terms.values()))
+    left, right = (
+        [(w, c.numerator * (den // c.denominator)) for w, c in poly.terms.items()]
+        for poly in (u, v)
+    )
+    acc = _integer_product(left, right, merge_sign)
+    if den == 1:
+        return NCPoly._trusted({word: Fraction(c) for word, c in acc.items()})
+    return NCPoly._trusted({word: Fraction(c, den * den) for word, c in acc.items()})
 
 
 def star(u: "NCPoly | Sequence[int]", v: "NCPoly | Sequence[int]") -> NCPoly:
@@ -259,26 +279,40 @@ def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
     """Set-partition expansion of the symmetric word sum.
 
     For each set partition of the letter positions, form one letter per block
-    (the sum of its letters) and multiply those single-letter words with the
-    product selected by ``mode``: "star" uses the + product with weights
-    (-1)^(n-i) * prod (|P_j| - 1)!, "sbar" uses the - product with the
-    unsigned weights.  Both modes reproduce ``symmetric_word_sum``.
+    (the sum of its letters) and multiply those single-letter words, left to
+    right in block order, with the product selected by ``mode``: "star" uses
+    the + product with weights (-1)^(n-i) * prod (|P_j| - 1)!, "sbar" uses the
+    - product with the unsigned weights.  Both modes reproduce
+    ``symmetric_word_sum``.
+
+    The weights are summed per ordered tuple of block letters, and each
+    distinct tuple is multiplied out once, in integers, sharing the products
+    of its prefixes; every word gets one Fraction at the end.
     """
     if mode not in ("star", "sbar"):
         raise ValueError(f"mode must be 'star' or 'sbar', got {mode!r}")
     word = _validated_word(kvec)
     if not 1 <= len(word) <= _MAX_SYMMETRIC_DEPTH:
         raise ValueError(f"depth must be in 1..{_MAX_SYMMETRIC_DEPTH}, got {len(word)}")
-    product = star if mode == "star" else sbar
-    total = NCPoly.zero()
+    merge_sign = 1 if mode == "star" else -1
+    weights: dict[Word, int] = {}
     for partition in set_partitions(len(word)):
         weight = partition_weight(partition)
-        coeff = weight.c_tilde if mode == "star" else weight.c
-        acc = NCPoly.unit()
-        for block in partition:
-            acc = product(acc, (sum(word[index - 1] for index in block),))
-        total = total + coeff * acc
-    return total
+        letters = tuple(sum(word[index - 1] for index in block) for block in partition)
+        weights[letters] = weights.get(letters, 0) + (weight.c_tilde if mode == "star" else weight.c)
+    folds: dict[Word, dict[Word, int]] = {(): {(): 1}}
+
+    def fold(letters: Word) -> dict[Word, int]:
+        if letters not in folds:
+            prefix = fold(letters[:-1])
+            folds[letters] = _integer_product(prefix.items(), (((letters[-1],), 1),), merge_sign)
+        return folds[letters]
+
+    total: dict[Word, int] = {}
+    for letters, coeff in weights.items():
+        for w, c in fold(letters).items():
+            total[w] = total.get(w, 0) + coeff * c
+    return NCPoly._trusted({w: Fraction(c) for w, c in total.items() if c})
 
 
 def verify_symmetric_sum(kvec: Sequence[int]) -> CheckResult:

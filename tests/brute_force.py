@@ -8,17 +8,25 @@ sum over set partitions of products of single zeta values, so for a
 symmetric weight the composition sum is 1/n! times the sum over
 compositions and partitions of the signed block products.  The cost is
 C(k-1, n-1) compositions times Bell(n) partitions, so keep n and k small.
+
+``partition_word_sum`` is the partition-by-partition oracle of the word
+expansion of the same name in ``evenzeta.quasi_shuffle``: it multiplies each
+partition's block letters out on its own through the public ``star`` or
+``sbar`` and adds the weighted results.
 """
 
 from fractions import Fraction
 
 from evenzeta import (
+    NCPoly,
     PiValue,
     bernoulli,
     compositions,
     factorial,
     partition_weight,
+    sbar,
     set_partitions,
+    star,
     zeta_even,
 )
 
@@ -66,3 +74,17 @@ def mzv_lhs(F, n, k, star=False):
             comp_total = comp_total + (weight.c if star else weight.c_tilde) * product
         total = total + value * comp_total
     return total * Fraction(1, factorial(n))
+
+
+def partition_word_sum(kvec, mode):
+    """sum over set partitions of the weighted product, in block order, of
+    the block letters: star with signed weights, sbar with plain ones."""
+    product = star if mode == "star" else sbar
+    total = NCPoly.zero()
+    for partition in set_partitions(len(kvec)):
+        weight = partition_weight(partition)
+        acc = NCPoly.unit()
+        for block in partition:
+            acc = product(acc, (sum(kvec[index - 1] for index in block),))
+        total = total + (weight.c_tilde if mode == "star" else weight.c) * acc
+    return total

@@ -1,10 +1,13 @@
 """Quasi-shuffle word algebra.
 
 The symmetric-sum identities are checked against `symmetric_word_sum`, a
-plain permutation count that knows nothing about either product.
+plain permutation count that knows nothing about either product, and the
+grouped set-partition expansion against the partition-by-partition loop of
+`brute_force.py`.
 """
 
 import importlib
+import itertools
 import pkgutil
 from fractions import Fraction
 
@@ -12,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_force
 import evenzeta
 from evenzeta import (
     NCPoly,
     is_admissible,
     partition_word_sum,
+    quasi_shuffle,
     sbar,
     star,
     symmetric_word_sum,
@@ -183,7 +188,8 @@ def _package_caches():
 # Fewest entries each cache must keep so that no benchmark workload evicts:
 # the most distinct keys one workload or `verify --suite all --max-n 5
 # --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
-# about 8,300 word products), or every table depth the CLI admits.
+# 8,326 word products, a spot-checks repetition 8,330-8,333), or every table
+# depth the CLI admits.
 CACHE_FLOORS = {
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
@@ -273,3 +279,37 @@ class TestSymmetricSums:
             verify_symmetric_sum((1,) * 7)
         with pytest.raises(ValueError):
             verify_symmetric_sum(())
+
+
+def _multisets(letters, depths):
+    for depth in depths:
+        yield from itertools.combinations_with_replacement(letters, depth)
+
+
+class TestPartitionExpansion:
+    @pytest.mark.parametrize("mode", ["star", "sbar"])
+    def test_matches_partition_by_partition_oracle(self, mode):
+        for kvec in _multisets(range(1, 5), range(1, 6)):
+            expected = brute_force.partition_word_sum(kvec, mode)
+            assert partition_word_sum(kvec, mode) == expected, kvec
+
+    @pytest.mark.parametrize("fault", ["drop", "flip"])
+    def test_kernel_fault_fails_the_check(self, monkeypatch, fault):
+        # Drop or sign-flip the merged-letter term of the word product at
+        # every level of its recursion; the grouped expansion goes through
+        # that kernel, so the symmetric-sum check must fail at every depth
+        # from 2 on.
+        kernel = quasi_shuffle._word_product.__wrapped__
+
+        def faulty(left, right, merge_sign):
+            terms = kernel(left, right, merge_sign)
+            if not left or not right:
+                return terms
+            merged = left[0] + right[0]
+            if fault == "drop":
+                return tuple((w, c) for w, c in terms if w[0] != merged)
+            return tuple((w, -c if w[0] == merged else c) for w, c in terms)
+
+        monkeypatch.setattr(quasi_shuffle, "_word_product", faulty)
+        for kvec in _multisets(range(1, 4), range(2, 5)):
+            assert not verify_symmetric_sum(kvec).ok, kvec

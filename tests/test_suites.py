@@ -109,6 +109,12 @@ class TestIndividualSuites:
         with pytest.raises(ValueError):
             tables_suite(21)
 
+    def test_words_depth_bound(self):
+        # The words suite takes the depth bound 1..5 of every other suite.
+        for max_n in (0, 6):
+            with pytest.raises(ValueError):
+                words_suite(max_n=max_n)
+
     def test_words_deterministic(self):
         # The random pairs are drawn from a fixed seed.
         first = words_suite(max_n=3, max_letter=3)
