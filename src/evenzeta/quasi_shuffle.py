@@ -225,16 +225,13 @@ def _integer_product(
 def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
     # Word products have integer coefficients, so the whole sum is carried in
     # integers over the square of the common denominator of both factors,
-    # and each word gets one Fraction (built from the integer alone when the
-    # factors have integer coefficients, which skips the gcd).
+    # and each word gets one Fraction.
     den = math.lcm(*(c.denominator for poly in (u, v) for c in poly.terms.values()))
     left, right = (
         [(w, c.numerator * (den // c.denominator)) for w, c in poly.terms.items()]
         for poly in (u, v)
     )
     acc = _integer_product(left, right, merge_sign)
-    if den == 1:
-        return NCPoly._trusted({word: Fraction(c) for word, c in acc.items()})
     return NCPoly._trusted({word: Fraction(c, den * den) for word, c in acc.items()})
 
 
@@ -286,8 +283,8 @@ def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
     ``symmetric_word_sum``.
 
     The weights are summed per ordered tuple of block letters, and each
-    distinct tuple is multiplied out once, in integers, sharing the products
-    of its prefixes; every word gets one Fraction at the end.
+    distinct tuple is multiplied out once, left to right, in integers; every
+    word gets one Fraction at the end.
     """
     if mode not in ("star", "sbar"):
         raise ValueError(f"mode must be 'star' or 'sbar', got {mode!r}")
@@ -300,17 +297,12 @@ def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
         weight = partition_weight(partition)
         letters = tuple(sum(word[index - 1] for index in block) for block in partition)
         weights[letters] = weights.get(letters, 0) + (weight.c_tilde if mode == "star" else weight.c)
-    folds: dict[Word, dict[Word, int]] = {(): {(): 1}}
-
-    def fold(letters: Word) -> dict[Word, int]:
-        if letters not in folds:
-            prefix = fold(letters[:-1])
-            folds[letters] = _integer_product(prefix.items(), (((letters[-1],), 1),), merge_sign)
-        return folds[letters]
-
     total: dict[Word, int] = {}
     for letters, coeff in weights.items():
-        for w, c in fold(letters).items():
+        acc = {(): 1}
+        for letter in letters:
+            acc = _integer_product(acc.items(), (((letter,), 1),), merge_sign)
+        for w, c in acc.items():
             total[w] = total.get(w, 0) + coeff * c
     return NCPoly._trusted({w: Fraction(c) for w, c in total.items() if c})
 

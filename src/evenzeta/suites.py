@@ -96,7 +96,7 @@ class SuiteReport:
         )
 
 
-def _validate_bounds(max_n: int, max_k: int = MAX_K) -> None:
+def _validate_bounds(max_n: int, max_k: int) -> None:
     if not 1 <= max_n <= MAX_N:
         raise ValueError(f"--max-n must be in 1..{MAX_N}, got {max_n}")
     if not 1 <= max_k <= MAX_K:
@@ -293,7 +293,7 @@ def words_suite(max_n: int = 4, max_letter: int = 3) -> SuiteReport:
     """Word-algebra checks: the symmetric-sum expansions for every letter
     multiset, plus seeded commutativity/associativity/admissibility spot
     checks of both products."""
-    _validate_bounds(max_n)
+    _validate_bounds(max_n, MAX_K)
     if not 1 <= max_letter <= 6:
         raise ValueError(f"letter bound must be in 1..6, got {max_letter}")
     report = SuiteReport("words")
