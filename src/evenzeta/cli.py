@@ -4,7 +4,8 @@ Subcommands: ``identity`` generates one identity and prints it as text, JSON,
 or LaTeX; ``verify`` runs the exact verification suites; ``examples`` checks
 the built-in gallery; ``tables`` dumps the derivative tables.  Exit codes:
 0 success, 1 a verification or gallery check failed, 2 usage or domain
-errors (bad arguments, malformed or non-symmetric polynomials).
+errors (bad arguments, malformed or non-symmetric polynomials, an ``--out``
+file that cannot be written).
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .documents import (
     to_latex,
     to_text,
 )
-from .examples import check_gallery_identity, gallery
+from .examples import check_gallery_identity, gallery, sections
 from .mzv_identities import mzsv_identity, mzv_identity
-from .polynomials import ParseError, parse_poly
-from .suites import MAX_K, MAX_N, SUITE_NAMES, run_suites
+from .polynomials import parse_poly
+from .suites import DEFAULT_MAX_K, DEFAULT_MAX_N, MAX_K, MAX_N, SUITE_NAMES, run_suites
 from .zeta_identities import zeta_identity_monomial, zeta_identity_poly
 
 __all__ = ["MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
@@ -68,14 +69,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run exact verification suites")
     verify.add_argument("--suite", required=True, choices=(*SUITE_NAMES, "all"))
-    verify.add_argument("--max-n", type=int, default=4, help=f"depth bound, 1..{MAX_N}")
-    verify.add_argument("--max-k", type=int, default=10, help=f"weight bound, 1..{MAX_K}")
+    verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help=f"depth bound, 1..{MAX_N}")
+    verify.add_argument("--max-k", type=int, default=DEFAULT_MAX_K, help=f"weight bound, 1..{MAX_K}")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="also write the report to this file")
     verify.set_defaults(handler=_cmd_verify)
 
     examples = sub.add_parser("examples", help="check the built-in gallery")
-    examples.add_argument("--section", required=True, type=int, choices=(2, 3, 4))
+    examples.add_argument("--section", required=True, type=int, choices=sections())
     examples.add_argument("--out", help="also write the output to this file")
     examples.set_defaults(handler=_cmd_examples)
 
@@ -217,10 +218,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -147,9 +147,11 @@ def from_json(text: str) -> IdentityDocument:
         if not isinstance(poly, str):
             raise ValueError(f"poly must be polynomial text, got {poly!r}")
         try:
-            parse_poly(poly, n)
+            weight = parse_poly(poly, n)
         except ParseError as exc:
             raise ValueError(f"poly {poly!r} does not parse in x1..x{n}: {exc}") from exc
+        if kind in ("mzv", "mzsv") and not weight.is_symmetric():
+            raise ValueError(f"a {kind} document needs a symmetric poly, got {poly!r}")
     return IdentityDocument(
         kind=kind,
         n=n,

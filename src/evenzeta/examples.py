@@ -24,6 +24,9 @@ __all__ = ["GalleryIdentity", "check_gallery_identity", "gallery", "sections"]
 
 K = UniPoly.x()
 
+#: The gallery section of each kind (see the module docstring).
+_SECTION_OF_KIND = {"bernoulli": 2, "zeta": 3, "mzv": 4, "mzsv": 4}
+
 _C = UniPoly.constant
 
 
@@ -31,7 +34,6 @@ _C = UniPoly.constant
 class GalleryIdentity:
     """One displayed identity: its weight and the expected nonzero terms."""
 
-    section: int
     label: str
     kind: str
     n: int
@@ -43,7 +45,6 @@ class GalleryIdentity:
 _GALLERY: tuple[GalleryIdentity, ...] = (
     # -- section 2: Bernoulli-number sums, depth 4 --------------------------
     GalleryIdentity(
-        section=2,
         label="bernoulli n=4 m=(0,0,0,0)",
         kind="bernoulli",
         n=4,
@@ -55,7 +56,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=2,
         label="bernoulli n=4 m=(2,0,0,0)",
         kind="bernoulli",
         n=4,
@@ -68,7 +68,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=2,
         label="bernoulli n=4 m=(3,0,0,0)",
         kind="bernoulli",
         n=4,
@@ -82,7 +81,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
     ),
     # -- section 3: products of single zeta values, depth 4 -----------------
     GalleryIdentity(
-        section=3,
         label="zeta n=4 m=(0,0,0,0)",
         kind="zeta",
         n=4,
@@ -94,7 +92,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=3,
         label="zeta n=4 m=(2,0,0,0)",
         kind="zeta",
         n=4,
@@ -107,7 +104,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=3,
         label="zeta n=4 m=(3,0,0,0)",
         kind="zeta",
         n=4,
@@ -121,7 +117,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
     ),
     # -- section 4: multiple zeta and zeta-star values, depth 4 -------------
     GalleryIdentity(
-        section=4,
         label="mzv n=4 F=1",
         kind="mzv",
         n=4,
@@ -133,7 +128,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=4,
         label="mzv n=4 F=sum of squares",
         kind="mzv",
         n=4,
@@ -146,7 +140,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=4,
         label="mzv n=4 F=sum of cubes",
         kind="mzv",
         n=4,
@@ -159,7 +152,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=4,
         label="mzsv n=4 F=1",
         kind="mzsv",
         n=4,
@@ -171,7 +163,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=4,
         label="mzsv n=4 F=sum of squares",
         kind="mzsv",
         n=4,
@@ -184,7 +175,6 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
         ),
     ),
     GalleryIdentity(
-        section=4,
         label="mzsv n=4 F=sum of cubes",
         kind="mzsv",
         n=4,
@@ -200,12 +190,12 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
 
 
 def sections() -> tuple[int, ...]:
-    return tuple(sorted({entry.section for entry in _GALLERY}))
+    return tuple(sorted(set(_SECTION_OF_KIND.values())))
 
 
 def gallery(section: int) -> tuple[GalleryIdentity, ...]:
     """The gallery entries of one section (2, 3, or 4)."""
-    entries = tuple(entry for entry in _GALLERY if entry.section == section)
+    entries = tuple(entry for entry in _GALLERY if _SECTION_OF_KIND[entry.kind] == section)
     if not entries:
         raise ValueError(f"unknown section {section}; choose one of {sections()}")
     return entries

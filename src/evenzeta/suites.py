@@ -41,9 +41,20 @@ __all__ = [
 
 SUITE_NAMES = ("tables", "bernoulli", "zeta", "mzv", "words")
 
+#: Bounds of ``verify`` when none are given.
+DEFAULT_MAX_N = 4
+DEFAULT_MAX_K = 10
+
 #: Bounds accepted by the suites; larger grids grow combinatorially.
 MAX_N = 5
 MAX_K = 16
+
+#: Fixed extents of the grids that do not take the shared bounds: the
+#: largest exponent sum of the bernoulli and zeta suites, the largest letter
+#: of the words suite and the depth of the tables suite.
+_MAX_WEIGHT = 3
+_MAX_LETTER = 3
+_TABLE_DEPTH = 12
 
 
 @dataclass
@@ -113,18 +124,16 @@ def _exponent_tuples(length: int, total_cap: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-def tables_suite(max_depth: int = 12) -> SuiteReport:
-    """Structural invariants of the derivative tables up to ``max_depth``."""
-    if not 0 <= max_depth <= 20:
-        raise ValueError(f"table depth must be in 0..20, got {max_depth}")
+def tables_suite() -> SuiteReport:
+    """Structural invariants of the derivative tables up to ``_TABLE_DEPTH``."""
     report = SuiteReport("tables")
-    fs = f_table(max_depth)
-    gs = g_table(max_depth)
-    cs = c_coeffs(max_depth)
-    ds = d_coeffs(max_depth)
+    fs = f_table(_TABLE_DEPTH)
+    gs = g_table(_TABLE_DEPTH)
+    cs = c_coeffs(_TABLE_DEPTH)
+    ds = d_coeffs(_TABLE_DEPTH)
     t = UniPoly.x()
     half_t = UniPoly((0, Fraction(1, 2)))
-    for m in range(max_depth + 1):
+    for m in range(_TABLE_DEPTH + 1):
         expected_head = half_t - 1 if m == 0 else half_t
         report.check(fs.entry(m, 0) == expected_head, f"f[{m},0] equals t/2 - delta")
         diag = UniPoly.constant((-1) ** m * factorial(m))
@@ -179,17 +188,17 @@ def _identity_degree_ok(terms: Sequence[UniPoly], r: int, n: int) -> bool:
     )
 
 
-def bernoulli_suite(max_n: int = 4, max_k: int = 12, max_weight: int = 3) -> SuiteReport:
+def bernoulli_suite(max_n: int, max_k: int) -> SuiteReport:
     """Verification grid for the Bernoulli-product identities against the
     series left side.
 
-    Every exponent tuple with n <= max_n and sum <= max_weight, every
+    Every exponent tuple with n <= max_n and sum <= _MAX_WEIGHT, every
     k <= max_k; combinations with k < n are reported as skipped.
     """
     _validate_bounds(max_n, max_k)
     report = SuiteReport("bernoulli")
     for n in range(1, max_n + 1):
-        for mvec in _exponent_tuples(n, max_weight):
+        for mvec in _exponent_tuples(n, _MAX_WEIGHT):
             identity = bernoulli_identity(mvec)
             report.check(
                 identity.T == truncation_depth(mvec), f"T formula for m={mvec}"
@@ -223,7 +232,7 @@ def _k_weighted_relation(identity: WeightedSumIdentity) -> bool:
     return left == right + (UniPoly.zero(),) * (len(left) - len(right))
 
 
-def zeta_suite(max_n: int = 4, max_k: int = 12, max_weight: int = 3) -> SuiteReport:
+def zeta_suite(max_n: int, max_k: int) -> SuiteReport:
     """Verification grid for single-zeta identities over the same exponents.
 
     For each exponent tuple m, checks the k-weighted relation
@@ -233,7 +242,7 @@ def zeta_suite(max_n: int = 4, max_k: int = 12, max_weight: int = 3) -> SuiteRep
     _validate_bounds(max_n, max_k)
     report = SuiteReport("zeta")
     for n in range(1, max_n + 1):
-        for mvec in _exponent_tuples(n, max_weight):
+        for mvec in _exponent_tuples(n, _MAX_WEIGHT):
             identity = zeta_identity_monomial(mvec)
             report.check(_k_weighted_relation(identity), f"k-weighted relation for m={mvec}")
             report.check(
@@ -267,7 +276,7 @@ def _weight_family(n: int) -> list[tuple[str, MultiPoly]]:
     return [(label, parse_poly(text, n)) for label, text in power_sums]
 
 
-def mzv_suite(max_n: int = 4, max_k: int = 10) -> SuiteReport:
+def mzv_suite(max_n: int, max_k: int) -> SuiteReport:
     """Cross-check the multiple-zeta pipeline against the independent
     evaluator for both kinds, over a fixed family of symmetric weights."""
     _validate_bounds(max_n, max_k)
@@ -289,16 +298,14 @@ def mzv_suite(max_n: int = 4, max_k: int = 10) -> SuiteReport:
     return report
 
 
-def words_suite(max_n: int = 4, max_letter: int = 3) -> SuiteReport:
-    """Word-algebra checks: the symmetric-sum expansions for every letter
-    multiset, plus seeded commutativity/associativity/admissibility spot
-    checks of both products."""
+def words_suite(max_n: int) -> SuiteReport:
+    """Word-algebra checks: the symmetric-sum expansions for every multiset
+    of at most max_n letters 1.._MAX_LETTER, plus seeded commutativity/
+    associativity/admissibility spot checks of both products."""
     _validate_bounds(max_n, MAX_K)
-    if not 1 <= max_letter <= 6:
-        raise ValueError(f"letter bound must be in 1..6, got {max_letter}")
     report = SuiteReport("words")
     for depth in range(1, max_n + 1):
-        for kvec in itertools.combinations_with_replacement(range(1, max_letter + 1), depth):
+        for kvec in itertools.combinations_with_replacement(range(1, _MAX_LETTER + 1), depth):
             report.add(verify_symmetric_sum(kvec))
     rng = random.Random(20250819)
 
@@ -332,15 +339,14 @@ def words_suite(max_n: int = 4, max_letter: int = 3) -> SuiteReport:
     return report
 
 
-def run_suites(names: Sequence[str], max_n: int = 4, max_k: int = 10) -> list[SuiteReport]:
+def run_suites(
+    names: Sequence[str], max_n: int = DEFAULT_MAX_N, max_k: int = DEFAULT_MAX_K
+) -> list[SuiteReport]:
     """Run the named suites (in the canonical order) with shared bounds.
 
     Every name and both bounds are checked before the first suite runs.
     """
-    chosen = []
-    for name in SUITE_NAMES:
-        if name in names:
-            chosen.append(name)
+    chosen = [name for name in SUITE_NAMES if name in names]
     unknown = set(names) - set(SUITE_NAMES)
     if unknown:
         raise ValueError(f"unknown suite names: {sorted(unknown)}")
@@ -350,11 +356,11 @@ def run_suites(names: Sequence[str], max_n: int = 4, max_k: int = 10) -> list[Su
         if name == "tables":
             reports.append(tables_suite())
         elif name == "bernoulli":
-            reports.append(bernoulli_suite(max_n=max_n, max_k=max_k))
+            reports.append(bernoulli_suite(max_n, max_k))
         elif name == "zeta":
-            reports.append(zeta_suite(max_n=max_n, max_k=max_k))
+            reports.append(zeta_suite(max_n, max_k))
         elif name == "mzv":
-            reports.append(mzv_suite(max_n=max_n, max_k=max_k))
+            reports.append(mzv_suite(max_n, max_k))
         elif name == "words":
-            reports.append(words_suite(max_n=max_n))
+            reports.append(words_suite(max_n))
     return reports

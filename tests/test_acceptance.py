@@ -156,7 +156,7 @@ def test_criterion_07_word_sweep():
                 result = verify_symmetric_sum(kvec)
                 assert result.ok, result.describe()
         # Commutativity/associativity and admissibility closure.
-        report = words_suite(max_n=4, max_letter=3)
+        report = words_suite(4)
         assert report.ok, report.summary_line()
         assert report.failed == 0
 
@@ -182,7 +182,7 @@ def test_criterion_08_power_sum_closed_form():
 
 def test_criterion_09_structural_invariants():
     with criterion(9, "table invariants and degree bounds", budget=60.0):
-        report = tables_suite(12)
+        report = tables_suite()
         assert report.ok, report.summary_line()
         assert report.failed == 0
 

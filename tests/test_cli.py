@@ -1,6 +1,9 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -115,6 +118,21 @@ class TestIdentityCommand:
         )
         assert code == 0
         assert target.read_text(encoding="utf-8").strip() == out.strip()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identity", "--kind", "zeta", "--n", "1", "--m", "0"),
+            ("verify", "--suite", "tables"),
+        ],
+        ids=["identity", "verify"],
+    )
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "out.txt"
+        code, _, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestVerifyCommand:
@@ -294,3 +312,25 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+_README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+_README_COMMANDS = re.findall(r"^evenzeta .*$", _README, re.MULTILINE)
+_README_OUTPUTS = dict(re.findall(r"^(evenzeta .*)\n# -> (.*)$", _README, re.MULTILINE))
+
+
+class TestReadmeCommands:
+    """Every ``evenzeta ...`` line of README runs and prints what it shows."""
+
+    def test_commands_found(self):
+        assert len(_README_COMMANDS) == 13
+        assert list(_README_OUTPUTS.values()) == [
+            "\\frac{35}{64}\\zeta(2k)-\\frac{5}{16}\\zeta(2)\\zeta(2k-2)"
+        ]
+
+    @pytest.mark.parametrize("line", _README_COMMANDS)
+    def test_command_runs(self, capsys, line):
+        code, out, _ = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0
+        if line in _README_OUTPUTS:
+            assert out.strip() == _README_OUTPUTS[line]

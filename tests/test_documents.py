@@ -161,6 +161,8 @@ class TestFromJsonValidation:
             ("mzv", {"poly": "x1 +"}),
             ("mzv", {"poly": "x3"}),
             ("mzv", {"poly": ""}),
+            ("mzv", {"poly": "x1"}),
+            ("mzsv", {"poly": "x1^2*x2"}),
         ],
         ids=[
             "both-set",
@@ -174,6 +176,8 @@ class TestFromJsonValidation:
             "poly-malformed",
             "poly-beyond-arity",
             "poly-empty",
+            "mzv-poly-not-symmetric",
+            "mzsv-poly-not-symmetric",
         ],
     )
     def test_weight_fields_validated(self, kind, change):

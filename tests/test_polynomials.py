@@ -290,6 +290,14 @@ class TestParser:
 
     def test_unary_minus(self):
         assert parse_poly("-x1 + 1", 1) == parse_poly("1 - x1", 1)
+        assert parse_poly("-x1^2", 1) == -parse_poly("x1^2", 1)
+        assert parse_poly("x1*(-x2)", 2) == -parse_poly("x1*x2", 2)
+
+    @pytest.mark.parametrize("text, position", [("x1*-x2", 3), ("x1 - -x2", 5), ("--x1", 1)])
+    def test_sign_only_where_an_expression_opens(self, text, position):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, 2)
+        assert info.value.position == position
 
     def test_whitespace_insensitive(self):
         assert parse_poly(" x1 *x2+ 1 ", 2) == parse_poly("x1*x2+1", 2)

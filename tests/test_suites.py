@@ -11,7 +11,6 @@ from evenzeta import (
     SuiteReport,
     bernoulli_sums,
     run_suites,
-    tables_suite,
     words_suite,
     zeta_identities,
     zeta_suite,
@@ -100,15 +99,6 @@ class TestRunSuites:
 
 
 class TestIndividualSuites:
-    def test_tables_depth_zero(self):
-        report = tables_suite(0)
-        assert report.ok
-        assert report.passed > 0
-
-    def test_tables_depth_bound(self):
-        with pytest.raises(ValueError):
-            tables_suite(21)
-
     def test_words_depth_bound(self):
         # The words suite takes the depth bound 1..5 of every other suite.
         for max_n in (0, 6):
@@ -117,8 +107,8 @@ class TestIndividualSuites:
 
     def test_words_deterministic(self):
         # The random pairs are drawn from a fixed seed.
-        first = words_suite(max_n=3, max_letter=3)
-        second = words_suite(max_n=3, max_letter=3)
+        first = words_suite(3)
+        second = words_suite(3)
         assert first.passed == second.passed
         assert first.ok and second.ok
 
