@@ -90,10 +90,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, out: str | None) -> None:
-    print(text)
+    # The file is written first, so an unwritable path prints nothing but
+    # the error line.
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    print(text)
 
 
 def _parse_mvec(raw: str, n: int) -> tuple[int, ...]:

@@ -7,12 +7,15 @@ bilinear rules defined recursively on first letters:
                         +- z_{k+l} (w_1 * w_2)
 
 with + for the ``star`` product and - for the ``sbar`` variant; the empty
-word is the unit of both.  The symmetric sum of all reorderings of a word
-factors over set partitions into iterated products of single letters, with
-signed weights for ``star`` and plain weights for ``sbar``; that expansion is
-what ``verify_symmetric_sum`` checks.  ``partition_word_sum`` sums the weights
-per ordered tuple of block letters and multiplies each distinct tuple out
-once, in integers.
+word is the unit of both.  ``NCPoly`` keeps integer numerators over one
+denominator, and both products run on one cached kernel: the ``star``
+product of two words split by the parity of the number of merged letters,
+so that ``sbar`` is the even part minus the odd part.  The symmetric sum of
+all reorderings of a word factors over set partitions into iterated
+products of single letters, with signed weights for ``star`` and plain
+weights for ``sbar``; that expansion is what ``verify_symmetric_sum``
+checks.  ``partition_word_sum`` sums the weights per ordered tuple of block
+letters and multiplies each distinct tuple out once, in integers.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .checks import CheckResult
@@ -49,10 +53,10 @@ _MAX_SYMMETRIC_DEPTH = 8
 #: Depth cap for the full symmetric-sum verification sweep.
 _MAX_VERIFY_DEPTH = 6
 
-#: Entries kept by the word-product cache.  ``verify --suite words --max-n 5``
-#: forms 8,326 of them (a ``spot-checks`` benchmark repetition 8,330-8,333);
-#: the bound keeps a long-lived process from holding every product it ever
-#: formed.
+#: Entries kept by the word-product cache, one per ordered pair of words for
+#: both products.  ``verify --suite words --max-n 5`` forms 4,163 of them (a
+#: ``spot-checks`` benchmark repetition 4,167-4,172); the bound keeps a
+#: long-lived process from holding every product it ever formed.
 _WORD_PRODUCT_CACHE_SIZE = 1 << 14
 
 
@@ -66,13 +70,18 @@ def _validated_word(letters: Sequence[int]) -> Word:
 class NCPoly:
     """Finite rational linear combination of words.
 
-    Zero coefficients are never stored; the zero element has no terms.
-    Scalar multiples and sums combine like terms exactly.
+    Stored as integer numerators over one denominator: the coefficient of a
+    word is ``nums[word] / den``.  The form is canonical -- no zero numerator
+    is stored, ``den > 0`` and gcd(den, *nums) == 1, so zero is ({}, 1) -- and
+    all arithmetic runs on the integers, with one normalisation per result.
+    ``nums`` (a read-only mapping) and ``den`` cannot be changed; ``terms``
+    gives the coefficients as Fractions.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    terms: dict[Word, Fraction]
+    nums: Mapping[Word, int]
+    den: int
 
     def __init__(
         self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()
@@ -81,21 +90,25 @@ class NCPoly:
         data: dict[Word, Fraction] = {}
         for letters, coeff in items:
             word = _validated_word(letters)
-            value = data.get(word, Fraction(0)) + Fraction(coeff)
-            if value:
-                data[word] = value
-            else:
-                data.pop(word, None)
-        object.__setattr__(self, "terms", data)
+            data[word] = data.get(word, 0) + Fraction(coeff)
+        den = math.lcm(*(c.denominator for c in data.values()))
+        self._store({w: c.numerator * (den // c.denominator) for w, c in data.items()}, den)
 
     @classmethod
-    def _trusted(cls, data: dict[Word, Fraction]) -> "NCPoly":
-        """Wrap terms that are already canonical: words of positive letters
-        mapped to nonzero ``Fraction`` coefficients.  Takes ``data`` over
-        without copying or checking it."""
+    def _normalised(cls, nums: dict[Word, int], den: int) -> "NCPoly":
+        """The combination sum_w nums[w]/den w, for den > 0 and words of
+        positive letters."""
         poly = object.__new__(cls)
-        object.__setattr__(poly, "terms", data)
+        poly._store(nums, den)
         return poly
+
+    def _store(self, nums: dict[Word, int], den: int) -> None:
+        nums = {w: c for w, c in nums.items() if c}
+        common = math.gcd(den, *nums.values())
+        if common != 1:
+            nums = {w: c // common for w, c in nums.items()}
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "den", den // common)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NCPoly is immutable")
@@ -113,24 +126,27 @@ class NCPoly:
     def from_word(letters: Sequence[int], coeff: Scalar = 1) -> "NCPoly":
         return NCPoly({tuple(letters): coeff})
 
+    @property
+    def terms(self) -> dict[Word, Fraction]:
+        """A new dict from each word present to its nonzero coefficient."""
+        return {w: Fraction(c, self.den) for w, c in self.nums.items()}
+
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in lexicographic word order."""
-        return [(word, self.terms[word]) for word in sorted(self.terms)]
+        return [(word, Fraction(self.nums[word], self.den)) for word in sorted(self.nums)]
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __add__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
             return NotImplemented
-        data = dict(self.terms)
-        for word, coeff in other.terms.items():
-            value = data.get(word, 0) + coeff
-            if value:
-                data[word] = value
-            else:
-                del data[word]
-        return NCPoly._trusted(data)
+        den = math.lcm(self.den, other.den)
+        scale = den // other.den
+        nums = {w: c * (den // self.den) for w, c in self.nums.items()}
+        for word, c in other.nums.items():
+            nums[word] = nums.get(word, 0) + c * scale
+        return NCPoly._normalised(nums, den)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
         if not isinstance(other, NCPoly):
@@ -138,30 +154,31 @@ class NCPoly:
         return self + (-other)
 
     def __neg__(self) -> "NCPoly":
-        return NCPoly._trusted({w: -c for w, c in self.terms.items()})
+        return NCPoly._normalised({w: -c for w, c in self.nums.items()}, self.den)
 
     def __mul__(self, other: Scalar) -> "NCPoly":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other:
-            return NCPoly()
-        return NCPoly._trusted({w: c * other for w, c in self.terms.items()})
+        scale = Fraction(other)
+        return NCPoly._normalised(
+            {w: c * scale.numerator for w, c in self.nums.items()}, self.den * scale.denominator
+        )
 
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, NCPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(("NCPoly", frozenset(self.terms.items())))
+        return hash(("NCPoly", self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.nums:
             return "0"
         parts: list[str] = []
         for word, coeff in self.items():
@@ -178,29 +195,40 @@ class NCPoly:
         return f"NCPoly({str(self)!r})"
 
 
+#: Words with positive integer coefficients.
+_WordTerms = tuple[tuple[Word, int], ...]
+
+
 @lru_cache(maxsize=_WORD_PRODUCT_CACHE_SIZE)
-def _word_product(left: Word, right: Word, merge_sign: int) -> tuple[tuple[Word, int], ...]:
-    """Product of two single words as a tuple of (word, nonzero int coeff)."""
+def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
+    """``star`` product of two single words, split as (even, odd) by the
+    parity of the number of merged letters behind each word.
+
+    A word w of the product has |left| + |right| - |w| merged letters, so no
+    word is in both parts, and ``sbar`` is even - odd.
+    """
     if not left:
-        return ((right, 1),)
+        return ((right, 1),), ()
     if not right:
-        return ((left, 1),)
+        return ((left, 1),), ()
     # The heads are the first letters as one-letter words.  Words from the
     # three terms start with head_left, head_right and the merged letter;
     # only the first two terms can meet, and only when the heads are equal.
-    head_left, head_right = left[:1], right[:1]
-    acc = {head_left + word: c for word, c in _word_product(left[1:], right, merge_sign)}
-    for word, c in _word_product(left, right[1:], merge_sign):
-        key = head_right + word
-        value = acc.get(key, 0) + c
-        if value:
-            acc[key] = value
-        else:
-            del acc[key]
-    merged = (left[0] + right[0],)
-    for word, c in _word_product(left[1:], right[1:], merge_sign):
-        acc[merged + word] = merge_sign * c
-    return tuple(acc.items())
+    # Merging a letter moves the tail product's terms to the other part.
+    head_left, head_right, merged = left[:1], right[:1], (left[0] + right[0],)
+    tail_left = _word_product(left[1:], right)
+    tail_right = _word_product(left, right[1:])
+    tail_both = _word_product(left[1:], right[1:])
+    parts = []
+    for parity in (0, 1):
+        acc = {head_left + word: c for word, c in tail_left[parity]}
+        for word, c in tail_right[parity]:
+            key = head_right + word
+            acc[key] = acc.get(key, 0) + c
+        for word, c in tail_both[1 - parity]:
+            acc[merged + word] = c
+        parts.append(tuple(acc.items()))
+    return parts[0], parts[1]
 
 
 def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
@@ -210,29 +238,29 @@ def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
 
 
 def _integer_product(
-    left: Iterable[tuple[Word, int]], right: Sequence[tuple[Word, int]], merge_sign: int
+    left: Iterable[tuple[Word, int]], right: Iterable[tuple[Word, int]], merge_sign: int
 ) -> dict[Word, int]:
-    """Product of two integer combinations of words, zero terms dropped."""
+    """Product of two integer combinations of words; ``right`` is iterated
+    once per term of ``left``.  Words whose terms cancel stay, with 0."""
     acc: dict[Word, int] = {}
     for w1, a1 in left:
         for w2, a2 in right:
             scale = a1 * a2
-            for word, c in _word_product(w1, w2, merge_sign):
+            even, odd = _word_product(w1, w2)
+            for word, c in even:
                 acc[word] = acc.get(word, 0) + scale * c
-    return {word: c for word, c in acc.items() if c}
+            scale *= merge_sign
+            for word, c in odd:
+                acc[word] = acc.get(word, 0) + scale * c
+    return acc
 
 
 def _bilinear(u: NCPoly, v: NCPoly, merge_sign: int) -> NCPoly:
-    # Word products have integer coefficients, so the whole sum is carried in
-    # integers over the square of the common denominator of both factors,
-    # and each word gets one Fraction.
-    den = math.lcm(*(c.denominator for poly in (u, v) for c in poly.terms.values()))
-    left, right = (
-        [(w, c.numerator * (den // c.denominator)) for w, c in poly.terms.items()]
-        for poly in (u, v)
+    # Word products have integer coefficients, so the numerators multiply
+    # out in integers over the product of the two denominators.
+    return NCPoly._normalised(
+        _integer_product(u.nums.items(), v.nums.items(), merge_sign), u.den * v.den
     )
-    acc = _integer_product(left, right, merge_sign)
-    return NCPoly._trusted({word: Fraction(c, den * den) for word, c in acc.items()})
 
 
 def star(u: "NCPoly | Sequence[int]", v: "NCPoly | Sequence[int]") -> NCPoly:
@@ -256,7 +284,7 @@ def is_admissible(value: "NCPoly | Sequence[int]") -> bool:
     products keep it closed.
     """
     poly = _coerce(value)
-    return all(not word or word[0] >= 2 for word in poly.terms)
+    return all(not word or word[0] >= 2 for word in poly.nums)
 
 
 def symmetric_word_sum(kvec: Sequence[int]) -> NCPoly:
@@ -269,7 +297,7 @@ def symmetric_word_sum(kvec: Sequence[int]) -> NCPoly:
     if not 1 <= len(word) <= _MAX_SYMMETRIC_DEPTH:
         raise ValueError(f"depth must be in 1..{_MAX_SYMMETRIC_DEPTH}, got {len(word)}")
     counts = Counter(itertools.permutations(word))
-    return NCPoly({rearranged: Fraction(count) for rearranged, count in counts.items()})
+    return NCPoly._normalised(dict(counts), 1)
 
 
 def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
@@ -283,8 +311,7 @@ def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
     ``symmetric_word_sum``.
 
     The weights are summed per ordered tuple of block letters, and each
-    distinct tuple is multiplied out once, left to right, in integers; every
-    word gets one Fraction at the end.
+    distinct tuple is multiplied out once, left to right, in integers.
     """
     if mode not in ("star", "sbar"):
         raise ValueError(f"mode must be 'star' or 'sbar', got {mode!r}")
@@ -304,7 +331,7 @@ def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
             acc = _integer_product(acc.items(), (((letter,), 1),), merge_sign)
         for w, c in acc.items():
             total[w] = total.get(w, 0) + coeff * c
-    return NCPoly._trusted({w: Fraction(c) for w, c in total.items() if c})
+    return NCPoly._normalised(total, 1)
 
 
 def verify_symmetric_sum(kvec: Sequence[int]) -> CheckResult:

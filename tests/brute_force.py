@@ -9,7 +9,10 @@ symmetric weight the composition sum is 1/n! times the sum over
 compositions and partitions of the signed block products.  The cost is
 C(k-1, n-1) compositions times Bell(n) partitions, so keep n and k small.
 
-``partition_word_sum`` is the partition-by-partition oracle of the word
+``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
+words: it sums over lattice paths and calls nothing in
+``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
+partition-by-partition oracle of the word
 expansion of the same name in ``evenzeta.quasi_shuffle``: it multiplies each
 partition's block letters out on its own through the public ``star`` or
 ``sbar`` and adds the weighted results.
@@ -88,3 +91,28 @@ def partition_word_sum(kvec, mode):
             acc = product(acc, (sum(kvec[index - 1] for index in block),))
         total = total + (weight.c_tilde if mode == "star" else weight.c) * acc
     return total
+
+
+def word_product(u, v, sign):
+    """The product of words u and v with merged letters weighted by ``sign``
+    (1 for star, -1 for sbar), as a dict from word to nonzero int coefficient.
+
+    It sums over the Delannoy lattice paths from (0, 0) to (len(u), len(v)):
+    a right step writes the next letter of u, a down step the next letter of
+    v, and a diagonal step their sum, with weight ``sign``.
+    """
+    total = {}
+
+    def walk(i, j, word, weight):
+        if i == len(u) and j == len(v):
+            total[word] = total.get(word, 0) + weight
+            return
+        if i < len(u):
+            walk(i + 1, j, word + (u[i],), weight)
+        if j < len(v):
+            walk(i, j + 1, word + (v[j],), weight)
+        if i < len(u) and j < len(v):
+            walk(i + 1, j + 1, word + (u[i] + v[j],), weight * sign)
+
+    walk(0, 0, (), 1)
+    return {word: c for word, c in total.items() if c}

@@ -129,8 +129,9 @@ class TestIdentityCommand:
     )
     def test_unwritable_out_is_usage_error(self, capsys, tmp_path, argv):
         target = tmp_path / "missing" / "out.txt"
-        code, _, err = run(capsys, *argv, "--out", str(target))
+        code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2
+        assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
 

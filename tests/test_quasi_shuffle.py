@@ -1,13 +1,14 @@
 """Quasi-shuffle word algebra.
 
 The symmetric-sum identities are checked against `symmetric_word_sum`, a
-plain permutation count that knows nothing about either product, and the
+plain permutation count that knows nothing about either product, the
 grouped set-partition expansion against the partition-by-partition loop of
-`brute_force.py`.
+`brute_force.py`, and both products against its lattice-path sum.
 """
 
 import importlib
 import itertools
+import math
 import pkgutil
 from fractions import Fraction
 
@@ -60,13 +61,37 @@ class TestNCPoly:
 
     def test_immutable_and_hashable(self):
         p = NCPoly.from_word((2,))
-        with pytest.raises(AttributeError):
-            p.terms = {}
+        for name, value in (("terms", {}), ("nums", {}), ("den", 2)):
+            with pytest.raises(AttributeError):
+                setattr(p, name, value)
+        p.terms[(3,)] = Fraction(1)
+        with pytest.raises(TypeError):
+            p.nums[(3,)] = 1
+        assert p.items() == [((2,), Fraction(1))]
         assert len({p, NCPoly.from_word((2,)), NCPoly.zero()}) == 2
+        # One value built by the constructor, by arithmetic and by products.
+        third = Fraction(1, 3)
+        built = [
+            NCPoly({(1, 1): Fraction(2, 3), (2,): third}),
+            NCPoly([((1, 1), third), ((2,), third), ((1, 1), third)]),
+            third * (2 * NCPoly.from_word((1, 1)) + NCPoly.from_word((2,))),
+            NCPoly.from_word((1, 1), third) + NCPoly.from_word((1, 1), third) + NCPoly.from_word((2,), third),
+            third * star((1,), (1,)),
+            star(NCPoly.from_word((1,), third), (1,)),
+            star(NCPoly.from_word((1,), Fraction(2, 3)), NCPoly.from_word((1,), Fraction(1, 2))),
+        ]
+        assert len(set(built)) == 1
+        assert all(is_canonical(p) and p == built[0] for p in built)
 
     def test_letters_validated(self):
         with pytest.raises(ValueError):
             NCPoly.from_word((0, 2))
+
+
+#: Every word of length at most 3 over the letters 1..3.
+short_letter_words = [
+    word for length in range(4) for word in itertools.product(range(1, 4), repeat=length)
+]
 
 
 class TestProducts:
@@ -114,6 +139,11 @@ class TestProducts:
             for word, _ in result.items():
                 assert sum(word) == 10
 
+    @pytest.mark.parametrize("product, sign", [(star, 1), (sbar, -1)], ids=["star", "sbar"])
+    def test_matches_lattice_path_oracle(self, product, sign):
+        for u, v in itertools.product(short_letter_words, repeat=2):
+            assert dict(product(u, v).items()) == brute_force.word_product(u, v, sign), (u, v)
+
     def test_bilinearity(self):
         a = NCPoly.from_word((2,)) + 2 * NCPoly.from_word((3,))
         b = NCPoly.from_word((1, 1))
@@ -138,10 +168,17 @@ ncpolys = st.dictionaries(short_words, coefficients, max_size=3).map(NCPoly)
 
 
 def is_canonical(p):
-    """Same terms as the public constructor makes of them, every coefficient
-    a nonzero Fraction."""
-    return p == NCPoly(dict(p.terms)) and all(
-        type(c) is Fraction and c != 0 for c in p.terms.values()
+    """Nonzero integer numerators over one positive denominator in lowest
+    terms, equal and hashing equal to what the public constructor makes of
+    ``terms``, and every coefficient in ``terms`` a nonzero Fraction."""
+    rebuilt = NCPoly(p.terms)
+    return (
+        p.den > 0
+        and math.gcd(p.den, *p.nums.values()) == 1
+        and all(type(c) is int and c != 0 for c in p.nums.values())
+        and p == rebuilt
+        and hash(p) == hash(rebuilt)
+        and all(type(c) is Fraction and c != 0 for c in p.terms.values())
     )
 
 
@@ -149,8 +186,11 @@ class TestCanonicalResults:
     @settings(deadline=None, max_examples=60)
     @given(ncpolys, ncpolys, coefficients)
     def test_results_are_canonical(self, u, v, scale):
-        for result in (star(u, v), sbar(u, v), u + v, u - v, -u, scale * u, u - u):
+        halved = Fraction(1, 2) * (2 * u)
+        for result in (star(u, v), sbar(u, v), u + v, u - v, -u, scale * u, u - u, halved):
             assert is_canonical(result)
+        assert halved == u and hash(halved) == hash(u)
+        assert u - u == NCPoly.zero() and (u - u).den == 1
 
     def test_cancelled_words_are_dropped(self):
         # The mixed products z2*z1 and z1*z2 cancel term by term.
@@ -188,8 +228,8 @@ def _package_caches():
 # Fewest entries each cache must keep so that no benchmark workload evicts:
 # the most distinct keys one workload or `verify --suite all --max-n 5
 # --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
-# 8,326 word products, a spot-checks repetition 8,330-8,333), or every table
-# depth the CLI admits.
+# 4,163 word products and a spot-checks repetition 4,167-4,172, half the
+# floor), or every table depth the CLI admits.
 CACHE_FLOORS = {
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
@@ -293,22 +333,35 @@ class TestPartitionExpansion:
             expected = brute_force.partition_word_sum(kvec, mode)
             assert partition_word_sum(kvec, mode) == expected, kvec
 
-    @pytest.mark.parametrize("fault", ["drop", "flip"])
+    @pytest.mark.parametrize("fault", ["drop", "flip", "parity"])
     def test_kernel_fault_fails_the_check(self, monkeypatch, fault):
-        # Drop or sign-flip the merged-letter term of the word product at
-        # every level of its recursion; the grouped expansion goes through
-        # that kernel, so the symmetric-sum check must fail at every depth
-        # from 2 on.
+        # Drop, sign-flip or move into the wrong parity part the merged-letter
+        # terms of the word product at every level of its recursion; the
+        # grouped expansion goes through that kernel, so the symmetric-sum
+        # check must fail at every depth from 2 on.
         kernel = quasi_shuffle._word_product.__wrapped__
 
-        def faulty(left, right, merge_sign):
-            terms = kernel(left, right, merge_sign)
+        def faulty(left, right):
+            even, odd = kernel(left, right)
             if not left or not right:
-                return terms
+                return even, odd
             merged = left[0] + right[0]
+
+            def split(terms):
+                return (
+                    tuple(t for t in terms if t[0][0] != merged),
+                    tuple(t for t in terms if t[0][0] == merged),
+                )
+
+            def negated(terms):
+                return tuple((w, -c) for w, c in terms)
+
+            (even_kept, even_merged), (odd_kept, odd_merged) = split(even), split(odd)
             if fault == "drop":
-                return tuple((w, c) for w, c in terms if w[0] != merged)
-            return tuple((w, -c if w[0] == merged else c) for w, c in terms)
+                return even_kept, odd_kept
+            if fault == "flip":
+                return even_kept + negated(even_merged), odd_kept + negated(odd_merged)
+            return even_kept + odd_merged, odd_kept + even_merged
 
         monkeypatch.setattr(quasi_shuffle, "_word_product", faulty)
         for kvec in _multisets(range(1, 4), range(2, 5)):
