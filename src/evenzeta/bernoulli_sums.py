@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
@@ -129,6 +129,8 @@ class BernoulliIdentity:
     For every integer k >= n the composition sum with exponents ``mvec``
     equals sum_{l=0}^{min(T, k)} rhs[l](k) * B_{2k-2l}/(2k-2l)!.
     """
+
+    kind: ClassVar[str] = "bernoulli"
 
     mvec: tuple[int, ...]
     T: int

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: ``identity`` generates one identity and prints it as text, JSON,
-or LaTeX; ``verify`` runs the exact verification suites; ``examples`` checks
-the built-in gallery; ``tables`` dumps the derivative tables.  Exit codes:
-0 success, 1 a verification or gallery check failed, 2 usage or domain
-errors (bad arguments, malformed or non-symmetric polynomials, an ``--out``
-file that cannot be written).
+or LaTeX, taking its kinds, weight check and builders from the kind table of
+``documents``; ``verify`` runs the exact verification suites; ``examples``
+checks the built-in gallery; ``tables`` dumps the derivative tables.  Exit
+codes: 0 success, 1 a verification or gallery check failed, 2 usage or
+domain errors (bad arguments, malformed or non-symmetric polynomials, an
+``--out`` file that cannot be written).
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ import json
 import sys
 from typing import Sequence
 
-from .bernoulli_sums import bernoulli_identity
 from .derivative_tables import f_table, g_table
 from .documents import (
+    _KINDS,
+    _check_weight,
     _coeff_strings,
     document_from_identity,
     poly_latex,
@@ -27,18 +29,16 @@ from .documents import (
     to_text,
 )
 from .examples import check_gallery_identity, gallery, sections
-from .mzv_identities import mzsv_identity, mzv_identity
-from .polynomials import parse_poly
 from .suites import DEFAULT_MAX_K, DEFAULT_MAX_N, MAX_K, MAX_N, SUITE_NAMES, run_suites
-from .zeta_identities import zeta_identity_monomial, zeta_identity_poly
 
 __all__ = ["MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
 
 #: Admission limits of ``identity``.  The derivative tables behind every kind
 #: reach depth deg(F) + n - 1 (sum(m) + n - 1 for a monomial weight); the
-#: mzv/mzsv assembly walks every block shape of n.  Larger inputs exit 2
-#: before any table is built or any polynomial is expanded, and ``parse_poly``
-#: caps the degree of ``--poly`` itself (see ``max_parse_degree``).
+#: assembly of a kind with a symmetric weight (mzv, mzsv) walks every block
+#: shape of n.  Larger inputs exit 2 before any table is built or any
+#: polynomial is expanded, and ``parse_poly`` caps the degree of ``--poly``
+#: itself (see ``max_parse_degree``).
 MAX_TABLE_DEPTH = 48
 MAX_MZV_DEPTH = 10
 
@@ -51,9 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     identity = sub.add_parser("identity", help="generate one identity")
-    identity.add_argument(
-        "--kind", required=True, choices=("bernoulli", "zeta", "mzv", "mzsv")
-    )
+    identity.add_argument("--kind", required=True, choices=tuple(_KINDS))
     identity.add_argument("--n", required=True, type=int, help="depth (number of indices)")
     identity.add_argument(
         "--m",
@@ -98,16 +96,11 @@ def _emit(text: str, out: str | None) -> None:
     print(text)
 
 
-def _parse_mvec(raw: str, n: int) -> tuple[int, ...]:
+def _parse_mvec(raw: str) -> list[int]:
     try:
-        mvec = tuple(int(part.strip()) for part in raw.split(","))
+        return [int(part.strip()) for part in raw.split(",")]
     except ValueError:
         raise ValueError(f"--m must be comma-separated integers, got {raw!r}") from None
-    if len(mvec) != n:
-        raise ValueError(f"--m lists {len(mvec)} exponents but --n is {n}")
-    if any(m < 0 for m in mvec):
-        raise ValueError(f"--m entries must be >= 0, got {mvec}")
-    return mvec
 
 
 def _admit_table_depth(degree: int | float, n: int) -> None:
@@ -120,29 +113,17 @@ def _admit_table_depth(degree: int | float, n: int) -> None:
 
 
 def _cmd_identity(args: argparse.Namespace) -> int:
+    kind = _KINDS[args.kind]
+    # The limits on --n alone come first: they refuse before --poly is parsed.
     if args.n < 1:
         raise ValueError(f"--n must be >= 1, got {args.n}")
-    if (args.m is None) == (args.poly is None):
-        raise ValueError("provide exactly one of --m and --poly")
-    if args.kind == "bernoulli" and args.m is None:
-        raise ValueError("kind bernoulli takes --m")
-    if args.kind in ("mzv", "mzsv"):
-        if args.poly is None:
-            raise ValueError(f"kind {args.kind} takes --poly")
-        if args.n > MAX_MZV_DEPTH:
-            raise ValueError(f"--n {args.n} exceeds the limit {MAX_MZV_DEPTH} for {args.kind}")
+    if kind.symmetric and args.n > MAX_MZV_DEPTH:
+        raise ValueError(f"--n {args.n} exceeds the limit {MAX_MZV_DEPTH} for {args.kind}")
     _admit_table_depth(0, args.n)
-    if args.m is not None:
-        mvec = _parse_mvec(args.m, args.n)
-        _admit_table_depth(sum(mvec), args.n)
-        build_monomial = bernoulli_identity if args.kind == "bernoulli" else zeta_identity_monomial
-        identity = build_monomial(mvec)
-    else:
-        weight = parse_poly(args.poly, args.n)
-        _admit_table_depth(weight.degree(), args.n)
-        build = {"zeta": zeta_identity_poly, "mzv": mzv_identity, "mzsv": mzsv_identity}[args.kind]
-        identity = build(weight, args.n)
-    doc = document_from_identity(identity)
+    mvec = None if args.m is None else _parse_mvec(args.m)
+    weight = _check_weight(args.kind, args.n, mvec, args.poly)
+    _admit_table_depth(sum(weight) if isinstance(weight, tuple) else weight.degree(), args.n)
+    doc = document_from_identity(kind.build(weight, args.n))
     renderer = {"text": to_text, "json": to_json, "latex": to_latex}[args.format]
     _emit(renderer(doc), args.out)
     return 0

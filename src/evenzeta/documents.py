@@ -1,4 +1,5 @@
-"""Loss-free JSON documents and text/LaTeX rendering for generated identities.
+"""Loss-free JSON documents and text/LaTeX rendering for generated identities,
+and the table of identity kinds (``_KINDS``) with its one weight check.
 
 The JSON layout (schema 1) is flat and fully exact: every polynomial
 coefficient is a "numerator/denominator" string, terms are listed by the
@@ -13,11 +14,13 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .bernoulli_sums import BernoulliIdentity
-from .polynomials import ParseError, UniPoly, parse_poly
-from .zeta_identities import WeightedSumIdentity
+from .bernoulli_sums import BernoulliIdentity, bernoulli_identity
+from .mzv_identities import mzsv_identity, mzv_identity
+from .polynomials import MultiPoly, ParseError, UniPoly, parse_poly
+from .zeta_identities import WeightedSumIdentity, zeta_identity_monomial, zeta_identity_poly
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -33,7 +36,89 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_KINDS = ("bernoulli", "zeta", "mzv", "mzsv")
+_Identity = BernoulliIdentity | WeightedSumIdentity
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """One identity kind.  A builder is None when the kind does not take
+    that weight form; each basis pair is (l = 0, l > 0), the second a
+    template formatted with j = 2l."""
+
+    section: int
+    lhs_text: str
+    monomial: Callable[[tuple[int, ...]], _Identity] | None = None
+    poly: Callable[[MultiPoly, int], _Identity] | None = None
+    symmetric: bool = False
+    basis_text: tuple[str, str] = ("zeta(2k)", "zeta({j})*zeta(2k-{j})")
+    basis_latex: tuple[str, str] = (r"\zeta(2k)", r"\zeta({j})\zeta(2k-{j})")
+
+    def build(self, weight: tuple[int, ...] | MultiPoly, n: int) -> _Identity:
+        """The identity of a weight returned by ``_check_weight``."""
+        return self.poly(weight, n) if isinstance(weight, MultiPoly) else self.monomial(weight)
+
+
+# The builders look their function up when called, so a rebound module
+# global (a tracer's wrapper, a test's stub) is the one that runs.
+_KINDS: dict[str, _Kind] = {
+    "bernoulli": _Kind(
+        section=2,
+        lhs_text="k1^m1*...*kn^mn * B(2k1)/(2k1)! * ... * B(2kn)/(2kn)!",
+        monomial=lambda mvec: bernoulli_identity(mvec),
+        basis_text=("B(2k)/(2k)!", "B(2k-{j})/(2k-{j})!"),
+        basis_latex=(r"\frac{B_{2k}}{(2k)!}", r"\frac{{B_{{2k-{j}}}}}{{(2k-{j})!}}"),
+    ),
+    "zeta": _Kind(
+        section=3,
+        lhs_text="F(k1,...,kn) * zeta(2k1)*...*zeta(2kn)",
+        monomial=lambda mvec: zeta_identity_monomial(mvec),
+        poly=lambda weight, n: zeta_identity_poly(weight, n),
+    ),
+    "mzv": _Kind(
+        section=4,
+        lhs_text="F(k1,...,kn) * zeta(2k1, ..., 2kn)",
+        poly=lambda weight, n: mzv_identity(weight, n),
+        symmetric=True,
+    ),
+    "mzsv": _Kind(
+        section=4,
+        lhs_text="F(k1,...,kn) * zetastar(2k1, ..., 2kn)",
+        poly=lambda weight, n: mzsv_identity(weight, n),
+        symmetric=True,
+    ),
+}
+
+
+def _check_weight(
+    kind: str, n: int, mvec: Sequence[int] | None, poly: str | None
+) -> tuple[int, ...] | MultiPoly:
+    """The weight of a ``kind`` identity at depth n: exactly one of n
+    exponents >= 0 and text that ``parse_poly`` accepts, in the form the
+    kind takes and symmetric where it must be.  Raises ValueError."""
+    record = _KINDS[kind]
+    if (mvec is None) == (poly is None):
+        raise ValueError("provide exactly one of mvec (--m) and poly (--poly)")
+    if mvec is not None:
+        if record.monomial is None:
+            raise ValueError(f"kind {kind} takes poly (--poly), not mvec (--m)")
+        # type() rather than isinstance(): JSON true/false must not pass as 1/0.
+        if not isinstance(mvec, (list, tuple)) or any(type(m) is not int or m < 0 for m in mvec):
+            raise ValueError(f"mvec (--m) must list integers >= 0, got {mvec!r}")
+        if len(mvec) != n:
+            raise ValueError(f"mvec (--m) lists {len(mvec)} exponents but --n is {n}")
+        return tuple(mvec)
+    if record.poly is None:
+        raise ValueError(f"kind {kind} takes mvec (--m), not poly (--poly)")
+    if not isinstance(poly, str):
+        raise ValueError(f"poly must be polynomial text, got {poly!r}")
+    try:
+        weight = parse_poly(poly, n)
+    except ParseError as exc:
+        raise ValueError(f"poly {poly!r} does not parse in x1..x{n}: {exc}") from exc
+    if record.symmetric and not weight.is_symmetric():
+        raise ValueError(f"kind {kind} needs a symmetric poly, got {poly!r}")
+    return weight
+
 
 _COEFF_PATTERN = re.compile(r"-?\d+(/[1-9]\d*)?")
 
@@ -65,27 +150,21 @@ def _coeff_strings(poly: UniPoly) -> tuple[str, ...]:
     return tuple(f"{c.numerator}/{c.denominator}" for c in poly.coeffs)
 
 
-def document_from_identity(
-    identity: BernoulliIdentity | WeightedSumIdentity,
-) -> IdentityDocument:
+def document_from_identity(identity: _Identity) -> IdentityDocument:
     if isinstance(identity, BernoulliIdentity):
-        return IdentityDocument(
-            kind="bernoulli",
-            n=identity.n,
-            T=identity.T,
-            terms=tuple(_coeff_strings(p) for p in identity.rhs),
-            mvec=identity.mvec,
-        )
-    if isinstance(identity, WeightedSumIdentity):
-        return IdentityDocument(
-            kind=identity.kind,
-            n=identity.n,
-            T=identity.T,
-            terms=tuple(_coeff_strings(p) for p in identity.terms),
-            mvec=identity.mvec,
-            poly=identity.poly.render() if identity.poly is not None else None,
-        )
-    raise TypeError(f"cannot document a {type(identity).__name__}")
+        terms, poly = identity.rhs, None
+    elif isinstance(identity, WeightedSumIdentity):
+        terms, poly = identity.terms, identity.poly
+    else:
+        raise TypeError(f"cannot document a {type(identity).__name__}")
+    return IdentityDocument(
+        kind=identity.kind,
+        n=identity.n,
+        T=identity.T,
+        terms=tuple(_coeff_strings(p) for p in terms),
+        mvec=identity.mvec,
+        poly=poly.render() if poly is not None else None,
+    )
 
 
 def to_json(doc: IdentityDocument) -> str:
@@ -133,25 +212,7 @@ def from_json(text: str) -> IdentityDocument:
     if type(T) is not int or T != len(terms) - 1:
         raise ValueError(f"T must be one less than the {len(terms)} terms, got {T!r}")
     poly = payload.get("poly")
-    if (mvec is None) == (poly is None):
-        raise ValueError("exactly one of mvec and poly must be set")
-    if kind == "bernoulli" and mvec is None:
-        raise ValueError("a bernoulli document needs mvec")
-    if kind in ("mzv", "mzsv") and poly is None:
-        raise ValueError(f"a {kind} document needs poly")
-    if mvec is not None and not (
-        type(mvec) is list and len(mvec) == n and all(type(m) is int and m >= 0 for m in mvec)
-    ):
-        raise ValueError(f"mvec must be a list of {n} integers >= 0, got {mvec!r}")
-    if poly is not None:
-        if not isinstance(poly, str):
-            raise ValueError(f"poly must be polynomial text, got {poly!r}")
-        try:
-            weight = parse_poly(poly, n)
-        except ParseError as exc:
-            raise ValueError(f"poly {poly!r} does not parse in x1..x{n}: {exc}") from exc
-        if kind in ("mzv", "mzsv") and not weight.is_symmetric():
-            raise ValueError(f"a {kind} document needs a symmetric poly, got {poly!r}")
+    _check_weight(kind, n, mvec, poly)
     return IdentityDocument(
         kind=kind,
         n=n,
@@ -204,32 +265,16 @@ def poly_latex(poly: UniPoly, var: str = "k") -> str:
     return body
 
 
-_LHS_TEXT = {
-    "bernoulli": "k1^m1*...*kn^mn * B(2k1)/(2k1)! * ... * B(2kn)/(2kn)!",
-    "zeta": "F(k1,...,kn) * zeta(2k1)*...*zeta(2kn)",
-    "mzv": "F(k1,...,kn) * zeta(2k1, ..., 2kn)",
-    "mzsv": "F(k1,...,kn) * zetastar(2k1, ..., 2kn)",
-}
-
-
-def _basis_text(kind: str, l: int) -> str:
-    if kind == "bernoulli":
-        if l == 0:
-            return "B(2k)/(2k)!"
-        return f"B(2k-{2 * l})/(2k-{2 * l})!"
-    if l == 0:
-        return "zeta(2k)"
-    return f"zeta({2 * l})*zeta(2k-{2 * l})"
-
-
-def _basis_latex(kind: str, l: int) -> str:
-    if kind == "bernoulli":
-        if l == 0:
-            return r"\frac{B_{2k}}{(2k)!}"
-        return rf"\frac{{B_{{2k-{2 * l}}}}}{{(2k-{2 * l})!}}"
-    if l == 0:
-        return r"\zeta(2k)"
-    return rf"\zeta({2 * l})\zeta(2k-{2 * l})"
+def _signed_terms(
+    doc: IdentityDocument, basis: tuple[str, str]
+) -> Iterator[tuple[bool, UniPoly, str]]:
+    """(negative, |p_l|, basis element l) of each nonzero term, by l."""
+    for l, poly in enumerate(doc.term_polys()):
+        if poly.is_zero():
+            continue
+        element = basis[0] if l == 0 else basis[1].format(j=2 * l)
+        negative = poly.leading() < 0
+        yield negative, (-poly if negative else poly), element
 
 
 def to_text(doc: IdentityDocument) -> str:
@@ -238,44 +283,24 @@ def to_text(doc: IdentityDocument) -> str:
         lines.append(f"weight : m = {tuple(doc.mvec)}")
     if doc.poly is not None:
         lines.append(f"weight : F = {doc.poly}")
-    lines.append(f"lhs    : sum over k1+...+k{doc.n} = k (kj >= 1) of {_LHS_TEXT[doc.kind]}")
-    polys = doc.term_polys()
-    if all(p.is_zero() for p in polys):
+    lines.append(f"lhs    : sum over k1+...+k{doc.n} = k (kj >= 1) of {_KINDS[doc.kind].lhs_text}")
+    terms = list(_signed_terms(doc, _KINDS[doc.kind].basis_text))
+    if not terms:
         lines.append("rhs    : 0")
-    else:
-        first = True
-        for l, poly in enumerate(polys):
-            if poly.is_zero():
-                continue
-            negative = poly.leading() < 0
-            if negative:
-                poly = -poly
-            body = f"{poly_text(poly)} * {_basis_text(doc.kind, l)}"
-            if first:
-                lines.append(f"rhs    = {'-' if negative else ''}{body}")
-                first = False
-            else:
-                lines.append(f"       {'-' if negative else '+'} {body}")
+    for i, (negative, poly, basis) in enumerate(terms):
+        body = f"{poly_text(poly)} * {basis}"
+        if i == 0:
+            lines.append(f"rhs    = {'-' if negative else ''}{body}")
+        else:
+            lines.append(f"       {'-' if negative else '+'} {body}")
     lines.append(f"tool   : {doc.tool}")
     return "\n".join(lines)
 
 
 def to_latex(doc: IdentityDocument) -> str:
-    polys = doc.term_polys()
     pieces: list[str] = []
-    for l, poly in enumerate(polys):
-        if poly.is_zero():
-            continue
-        sign = ""
-        if poly.leading() < 0:
-            poly = -poly
-            sign = "-"
+    for negative, poly, basis in _signed_terms(doc, _KINDS[doc.kind].basis_latex):
         rendered = poly_latex(poly)
-        if rendered == "1":
-            rendered = ""
-        body = f"{sign}{rendered}{_basis_latex(doc.kind, l)}"
-        if pieces and not body.startswith("-"):
-            pieces.append(f"+{body}")
-        else:
-            pieces.append(body)
+        sign = "-" if negative else ("+" if pieces else "")
+        pieces.append(f"{sign}{'' if rendered == '1' else rendered}{basis}")
     return "".join(pieces) if pieces else "0"

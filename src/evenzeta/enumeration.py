@@ -1,4 +1,5 @@
-"""Deterministic enumeration of compositions, set partitions, and block shapes."""
+"""Deterministic enumeration of set partitions and block shapes, and the
+weights set partitions carry."""
 
 from __future__ import annotations
 
@@ -10,8 +11,6 @@ __all__ = [
     "PartitionWeight",
     "SetPartition",
     "block_shapes",
-    "compositions",
-    "partition_shape",
     "partition_weight",
     "set_partitions",
 ]
@@ -19,23 +18,6 @@ __all__ = [
 #: A set partition of {1, ..., n}: each block is a sorted tuple of indices,
 #: and blocks are ordered by their smallest element.
 SetPartition = tuple[tuple[int, ...], ...]
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Yield every tuple of ``parts`` positive integers summing to ``total``.
-
-    Emitted in lexicographic order; the iterator is empty when total < parts.
-    """
-    if parts < 1:
-        raise ValueError(f"need at least one part, got {parts}")
-    if total < parts:
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in compositions(total - first, parts - 1):
-            yield (first, *rest)
 
 
 def set_partitions(n: int) -> list[SetPartition]:
@@ -73,11 +55,6 @@ def block_shapes(n: int) -> list[tuple[int, ...]]:
                 yield (first, *rest)
 
     return list(rec(n, n))
-
-
-def partition_shape(partition: SetPartition) -> tuple[int, ...]:
-    """Block sizes of a set partition, sorted nonincreasing."""
-    return tuple(sorted((len(block) for block in partition), reverse=True))
 
 
 @dataclass(frozen=True)

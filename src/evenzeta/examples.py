@@ -2,7 +2,8 @@
 closed forms, used by the ``examples`` command and the acceptance tests.
 
 Sections: 2 = Bernoulli-number sums, 3 = products of single zeta values,
-4 = multiple zeta and zeta-star values.  Every expected coefficient
+4 = multiple zeta and zeta-star values; the kind table of ``documents``
+gives each kind's section and builds each entry.  Every expected coefficient
 polynomial is entered in the factored form in which these identities are
 classically displayed, and expanded here by exact arithmetic; nothing is
 copied from pipeline output.
@@ -13,20 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bernoulli_sums import bernoulli_identity
 from .checks import CheckResult
-from .documents import poly_text
-from .mzv_identities import mzsv_identity, mzv_identity
-from .polynomials import UniPoly, parse_poly
-from .zeta_identities import zeta_identity_monomial
+from .documents import _KINDS, _check_weight, document_from_identity, poly_text
+from .polynomials import UniPoly
 
 __all__ = ["GalleryIdentity", "check_gallery_identity", "gallery", "sections"]
 
 K = UniPoly.x()
-
-#: The gallery section of each kind (see the module docstring).
-_SECTION_OF_KIND = {"bernoulli": 2, "zeta": 3, "mzv": 4, "mzsv": 4}
-
 _C = UniPoly.constant
 
 
@@ -190,31 +184,20 @@ _GALLERY: tuple[GalleryIdentity, ...] = (
 
 
 def sections() -> tuple[int, ...]:
-    return tuple(sorted(set(_SECTION_OF_KIND.values())))
+    return tuple(sorted({kind.section for kind in _KINDS.values()}))
 
 
 def gallery(section: int) -> tuple[GalleryIdentity, ...]:
     """The gallery entries of one section (2, 3, or 4)."""
-    entries = tuple(entry for entry in _GALLERY if _SECTION_OF_KIND[entry.kind] == section)
+    entries = tuple(entry for entry in _GALLERY if _KINDS[entry.kind].section == section)
     if not entries:
         raise ValueError(f"unknown section {section}; choose one of {sections()}")
     return entries
 
 
 def _pipeline_terms(entry: GalleryIdentity) -> tuple[UniPoly, ...]:
-    if entry.kind == "bernoulli":
-        assert entry.mvec is not None
-        return bernoulli_identity(entry.mvec).rhs
-    if entry.kind == "zeta":
-        assert entry.mvec is not None
-        return zeta_identity_monomial(entry.mvec).terms
-    assert entry.poly_text is not None
-    weight = parse_poly(entry.poly_text, entry.n)
-    if entry.kind == "mzv":
-        return mzv_identity(weight, entry.n).terms
-    if entry.kind == "mzsv":
-        return mzsv_identity(weight, entry.n).terms
-    raise ValueError(f"unknown kind {entry.kind!r}")
+    weight = _check_weight(entry.kind, entry.n, entry.mvec, entry.poly_text)
+    return document_from_identity(_KINDS[entry.kind].build(weight, entry.n)).term_polys()
 
 
 def check_gallery_identity(entry: GalleryIdentity) -> CheckResult:

@@ -77,6 +77,9 @@ class UniPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("UniPoly is immutable")
 
+    def __reduce__(self) -> tuple:
+        return UniPoly, (self.coeffs,)
+
     # -- constructors ------------------------------------------------------
 
     @staticmethod
@@ -284,6 +287,9 @@ class MultiPoly:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self) -> tuple:
+        return MultiPoly, (self.arity, self.terms)
 
     # -- constructors ------------------------------------------------------
 

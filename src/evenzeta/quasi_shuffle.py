@@ -113,6 +113,9 @@ class NCPoly:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NCPoly is immutable")
 
+    def __reduce__(self) -> tuple:
+        return NCPoly, (self.terms,)
+
     @staticmethod
     def zero() -> "NCPoly":
         return NCPoly()

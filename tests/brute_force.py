@@ -1,5 +1,7 @@
 """Composition-by-composition left sides: the small-k oracle of the series
 kernel behind ``bernoulli_lhs``, ``eval_zeta_lhs`` and ``mzv_lhs_exact``.
+``compositions`` and ``partition_shape`` are the enumerations the oracles
+and the tests walk; the package itself needs neither.
 
 Each sum walks every composition of k into n parts.  The multiple zeta
 values at even arguments are expanded over set partitions: the symmetric
@@ -19,12 +21,13 @@ partition's block letters out on its own through the public ``star`` or
 """
 
 from fractions import Fraction
+from typing import Iterator
 
 from evenzeta import (
     NCPoly,
     PiValue,
+    SetPartition,
     bernoulli,
-    compositions,
     factorial,
     partition_weight,
     sbar,
@@ -32,6 +35,28 @@ from evenzeta import (
     star,
     zeta_even,
 )
+
+
+def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Yield every tuple of ``parts`` positive integers summing to ``total``.
+
+    Emitted in lexicographic order; the iterator is empty when total < parts.
+    """
+    if parts < 1:
+        raise ValueError(f"need at least one part, got {parts}")
+    if total < parts:
+        return
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in compositions(total - first, parts - 1):
+            yield (first, *rest)
+
+
+def partition_shape(partition: SetPartition) -> tuple[int, ...]:
+    """Block sizes of a set partition, sorted nonincreasing."""
+    return tuple(sorted((len(block) for block in partition), reverse=True))
 
 
 def bernoulli_lhs(mvec, k):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from evenzeta import cli, f_table, from_json, suites
+from evenzeta import documents, f_table, from_json, suites, to_json
 from evenzeta.cli import MAX_MZV_DEPTH, MAX_TABLE_DEPTH, main
 
 
@@ -256,8 +256,8 @@ class TestAdmission:
         assert (MAX_TABLE_DEPTH, MAX_MZV_DEPTH) == (48, 10)
 
     def test_table_depth_for_m(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "bernoulli_identity", refuse)
-        monkeypatch.setattr(cli, "zeta_identity_monomial", refuse)
+        monkeypatch.setattr(documents, "bernoulli_identity", refuse)
+        monkeypatch.setattr(documents, "zeta_identity_monomial", refuse)
         for kind in ("bernoulli", "zeta"):
             with pytest.raises(Admitted):
                 main(["identity", "--kind", kind, "--n", "2", "--m", "47,0"])
@@ -266,16 +266,16 @@ class TestAdmission:
             assert "table depth 49, above the limit 48" in err
 
     def test_table_depth_for_n(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "bernoulli_identity", refuse)
+        monkeypatch.setattr(documents, "bernoulli_identity", refuse)
         with pytest.raises(Admitted):
             main(["identity", "--kind", "bernoulli", "--n", "49", "--m", ",".join("0" * 49)])
-        monkeypatch.setattr(cli, "parse_poly", refuse)
+        monkeypatch.setattr(documents, "parse_poly", refuse)
         code, _, err = run(capsys, "identity", "--kind", "zeta", "--n", "50", "--poly", "1")
         assert code == 2
         assert "table depth 49" in err
 
     def test_table_depth_for_poly(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "zeta_identity_poly", refuse)
+        monkeypatch.setattr(documents, "zeta_identity_poly", refuse)
         with pytest.raises(Admitted):
             main(["identity", "--kind", "zeta", "--n", "1", "--poly", "x1^48"])
         code, _, err = run(capsys, "identity", "--kind", "zeta", "--n", "1", "--poly", "x1^49")
@@ -283,25 +283,79 @@ class TestAdmission:
         assert "table depth 49, above the limit 48" in err
 
     def test_mzv_depth(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "mzv_identity", refuse)
-        monkeypatch.setattr(cli, "mzsv_identity", refuse)
+        monkeypatch.setattr(documents, "mzv_identity", refuse)
+        monkeypatch.setattr(documents, "mzsv_identity", refuse)
         for kind in ("mzv", "mzsv"):
             with pytest.raises(Admitted):
                 main(["identity", "--kind", kind, "--n", "10", "--poly", "1"])
-        monkeypatch.setattr(cli, "parse_poly", refuse)
+        monkeypatch.setattr(documents, "parse_poly", refuse)
         for kind in ("mzv", "mzsv"):
             code, _, err = run(capsys, "identity", "--kind", kind, "--n", "11", "--poly", "1")
             assert code == 2
             assert f"--n 11 exceeds the limit 10 for {kind}" in err
 
     def test_poly_degree(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "mzv_identity", refuse)
+        monkeypatch.setattr(documents, "mzv_identity", refuse)
         weight = "(" + " + ".join(f"x{i}" for i in range(1, 9)) + ")"
         with pytest.raises(Admitted):
             main(["identity", "--kind", "mzv", "--n", "8", "--poly", f"{weight}^4"])
         code, _, err = run(capsys, "identity", "--kind", "mzv", "--n", "8", "--poly", f"{weight}^5")
         assert code == 2
         assert "total degree 5 exceeds the limit 4" in err
+
+
+#: (kind, n, mvec, poly, accepted): one weight form each, run through both
+#: the ``identity`` command and ``from_json``.
+_WEIGHT_FORMS = [
+    pytest.param("bernoulli", 3, [2, 0, 1], None, True, id="bernoulli-mvec"),
+    pytest.param("zeta", 2, [1, 0], None, True, id="zeta-mvec"),
+    pytest.param("zeta", 2, None, "x1^2*x2 - 1/3", True, id="zeta-poly"),
+    pytest.param("mzv", 2, None, "x1*x2 + x1 + x2", True, id="mzv-poly"),
+    pytest.param("mzsv", 3, None, "x1^2 + x2^2 + x3^2", True, id="mzsv-poly"),
+    pytest.param("bernoulli", 2, None, "1", False, id="bernoulli-poly"),
+    pytest.param("mzv", 2, [0, 0], None, False, id="mzv-mvec"),
+    pytest.param("mzsv", 2, [0, 0], None, False, id="mzsv-mvec"),
+    pytest.param("zeta", 2, [0, 0], "1", False, id="both-set"),
+    pytest.param("zeta", 2, None, None, False, id="neither-set"),
+    pytest.param("bernoulli", 3, [0, 0], None, False, id="mvec-short"),
+    pytest.param("zeta", 2, [0, 0, 0], None, False, id="mvec-long"),
+    pytest.param("zeta", 2, [0, -1], None, False, id="mvec-negative"),
+    pytest.param("mzv", 2, None, "x1^2*x2", False, id="mzv-not-symmetric"),
+    pytest.param("mzsv", 2, None, "x1", False, id="mzsv-not-symmetric"),
+]
+
+
+class TestWeightForms:
+    """The ``identity`` command and ``from_json`` accept and reject the same
+    weights, and every accepted JSON document round-trips byte for byte."""
+
+    @staticmethod
+    def argv(kind, n, mvec, poly):
+        argv = ["identity", "--kind", kind, "--n", str(n), "--format", "json"]
+        if mvec is not None:
+            argv += ["--m", ",".join(map(str, mvec))]
+        if poly is not None:
+            argv += ["--poly", poly]
+        return argv
+
+    @pytest.mark.parametrize("kind, n, mvec, poly, accepted", _WEIGHT_FORMS)
+    def test_both_entry_points_agree(self, capsys, kind, n, mvec, poly, accepted):
+        code, out, err = run(capsys, *self.argv(kind, n, mvec, poly))
+        assert (code, bool(out), bool(err)) == ((0, True, False) if accepted else (2, False, True))
+        payload = json.dumps({
+            "schema": 1, "kind": kind, "n": n, "T": 0, "mvec": mvec, "poly": poly,
+            "terms": [{"l": 0, "coeffs": ["1/1"]}], "tool": "test",
+        })
+        if accepted:
+            assert to_json(from_json(out)) + "\n" == out
+            from_json(payload)
+        else:
+            with pytest.raises(ValueError):
+                from_json(payload)
+
+    def test_every_kind_accepted(self):
+        accepted = {form.values[0] for form in _WEIGHT_FORMS if form.values[4]}
+        assert accepted == set(documents._KINDS)
 
 
 class TestDeterminism:

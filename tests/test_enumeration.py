@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenzeta import (
-    block_shapes,
-    compositions,
-    partition_shape,
-    partition_weight,
-    set_partitions,
-)
+from brute_force import compositions, partition_shape
+from evenzeta import block_shapes, partition_weight, set_partitions
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 

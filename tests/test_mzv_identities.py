@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brute_force import compositions, partition_shape
 from evenzeta import (
     MultiPoly,
     PiValue,
@@ -24,14 +25,12 @@ from evenzeta import (
     block_reduce,
     block_shapes,
     composition_power_sum,
-    compositions,
     factorial,
     mzsv_identity,
     mzv_identity,
     mzv_lhs_exact,
     mzv_numeric,
     parse_poly,
-    partition_shape,
     set_partitions,
     verify_mzv,
     zeta_even,
