@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Sequence
 
 from .derivative_tables import f_table, g_table
@@ -43,7 +44,10 @@ MAX_TABLE_DEPTH = 48
 MAX_MZV_DEPTH = 10
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="evenzeta",
         description="Exact weighted sum identities for Bernoulli numbers and even zeta values.",

@@ -125,10 +125,10 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
     generality.  Degree can only grow: deg G <= deg F + n - i.
 
     Each block of a monomial collapses to the composition power sum of its
-    exponents, which depends only on their orbit.  So the monomials of F are
-    first merged on the tuple of their sorted block exponents, and each
-    merged monomial is expanded once, on the integer numerators of the
-    power sums, into one dict of coefficients.
+    exponents, which depends only on their orbit.  So the numerators of F
+    are first merged on the tuple of their sorted block exponents, and each
+    merged monomial is expanded once, on the integer numerators of the power
+    sums over the lcm of their denominators, into one dict of numerators.
     """
     shape = tuple(int(l) for l in shape)
     if not shape or any(l < 1 for l in shape):
@@ -137,29 +137,29 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
         raise ValueError(f"shape {shape} does not cover arity {F.arity}")
     ends = list(itertools.accumulate(shape))
     spans = list(zip([0, *ends], ends))
-    merged: dict[tuple[tuple[int, ...], ...], Fraction] = {}
-    for expts, coeff in F.terms.items():
+    merged: dict[tuple[tuple[int, ...], ...], int] = {}
+    for expts, c in F.nums.items():
         key = tuple(tuple(sorted(expts[a:b])) for a, b in spans)
-        merged[key] = merged.get(key, 0) + coeff
-    acc: dict[tuple[int, ...], Fraction] = {}
-    for key, coeff in merged.items():
-        if not coeff:
-            continue
+        merged[key] = merged.get(key, 0) + c
+    factors = [
+        (c, [composition_power_sum(block) for block in key]) for key, c in merged.items() if c
+    ]
+    dens = [math.prod(factor.den for factor in row) for _, row in factors]
+    den = math.lcm(*dens)
+    acc: dict[tuple[int, ...], int] = {}
+    for (c, row), row_den in zip(factors, dens):
         # Expanded block by block, so each partial product is formed once.
-        expansion, den = {(): 1}, 1
-        for block in key:
-            factor = composition_power_sum(block)
-            den *= factor.den
+        expansion = {(): c * (den // row_den)}
+        for factor in row:
             expansion = {
-                powers + (power,): c * x
-                for powers, c in expansion.items()
+                powers + (power,): y * x
+                for powers, y in expansion.items()
                 for power, x in enumerate(factor.nums)
                 if x
             }
-        scale = coeff / den
-        for powers, c in expansion.items():
-            acc[powers] = acc.get(powers, 0) + c * scale
-    return MultiPoly(len(shape), acc)
+        for powers, y in expansion.items():
+            acc[powers] = acc.get(powers, 0) + y
+    return MultiPoly._normalised(len(shape), acc, F.den * den)
 
 
 def _shape_weight(shape: tuple[int, ...], signed: bool) -> Fraction:
@@ -175,11 +175,17 @@ def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdent
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
     if not F.is_symmetric():
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
-    parts = []
-    for shape in block_shapes(n):
-        weight = _shape_weight(shape, signed=kind == "mzv")
-        parts.extend((weight * coeff, expts) for coeff, expts in block_reduce(F, shape).monomials())
-    return _combined_identity(kind, n, parts, F)
+    reduced = [
+        (_shape_weight(shape, signed=kind == "mzv"), block_reduce(F, shape))
+        for shape in block_shapes(n)
+    ]
+    den = math.lcm(*(weight.denominator * G.den for weight, G in reduced))
+    parts = [
+        (expts, c * weight.numerator * (den // (weight.denominator * G.den)))
+        for weight, G in reduced
+        for expts, c in G.nums.items()
+    ]
+    return _combined_identity(kind, n, parts, den, F)
 
 
 def mzv_identity(F: MultiPoly, n: int) -> WeightedSumIdentity:
@@ -214,10 +220,10 @@ def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> PiValue:
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
     total = Fraction(0)
-    for expts, coeff in F.terms.items():
+    for expts, c in F.nums.items():
         if all(a >= b for a, b in zip(expts, expts[1:])):
-            total += coeff * symmetric_sum([e for e in expts if e], n, k, star)
-    return PiValue(k, total)
+            total += c * symmetric_sum([e for e in expts if e], n, k, star)
+    return PiValue(k, total / F.den)
 
 
 def verify_mzv(

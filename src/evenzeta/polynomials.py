@@ -1,17 +1,19 @@
 """Exact polynomial arithmetic over rationals, univariate and multivariate,
 plus a parser for polynomial text in variables x1..xn.
 
-``UniPoly`` is dense (integer numerators over one denominator, low degree
-first) and is used for the coefficient polynomials in one variable k.
-``MultiPoly`` is sparse (exponent tuple -> coefficient) and is used for
-weight polynomials in the summation indices.  Both are immutable and
-hashable, and both reject floats: only ints and ``Fraction`` values enter.
+Both keep integer numerators over one denominator.  ``UniPoly`` is dense
+(low degree first), for the coefficient polynomials in one variable k;
+``MultiPoly`` is sparse (exponent tuple -> numerator), for the weight
+polynomials in the summation indices.  Both are immutable and hashable, and
+both reject floats: only ints and ``Fraction`` values enter.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = ["NEG_INFINITY", "MultiPoly", "ParseError", "UniPoly", "max_parse_degree", "parse_poly"]
@@ -29,6 +31,16 @@ _MAX_EXPONENT = 64
 #: total degree D in n variables has at most C(D + n, n) of them, so the
 #: parser caps the total degree (see ``max_parse_degree``).
 _MAX_PARSE_TERMS = 1_000
+
+
+def _lowest_terms(nums: dict, den: int) -> tuple[Mapping, int]:
+    """The sparse numerators ``nums`` over ``den > 0`` in canonical form: a
+    read-only mapping without zero entries over the least denominator."""
+    nums = {key: c for key, c in nums.items() if c}
+    common = math.gcd(den, *nums.values())
+    if common != 1:
+        nums = {key: c // common for key, c in nums.items()}
+    return MappingProxyType(nums), den // common
 
 
 def _as_rational(value: Scalar) -> Fraction:
@@ -253,14 +265,20 @@ class UniPoly:
 class MultiPoly:
     """Sparse multivariate polynomial in variables x1..x(arity).
 
-    Terms are stored as a mapping from exponent tuples (length == arity,
-    entries >= 0) to nonzero rational coefficients.
+    Stored as integer numerators over one denominator: the coefficient of
+    the monomial with exponent tuple e (length == arity, entries >= 0) is
+    ``nums[e] / den``.  The form is canonical -- no zero numerator is
+    stored, ``den > 0`` and gcd(den, *nums) == 1, so zero is ({}, 1) -- and
+    all arithmetic runs on the integers, with one normalisation per result.
+    ``nums`` (a read-only mapping) and ``den`` cannot be changed; ``terms``
+    gives the coefficients as Fractions.
     """
 
-    __slots__ = ("arity", "terms")
+    __slots__ = ("arity", "nums", "den")
 
     arity: int
-    terms: dict[tuple[int, ...], Fraction]
+    nums: Mapping[tuple[int, ...], int]
+    den: int
 
     def __init__(
         self,
@@ -277,13 +295,23 @@ class MultiPoly:
                 raise ValueError(f"exponent tuple {key} does not match arity {arity}")
             if any(e < 0 for e in key):
                 raise ValueError(f"exponents must be >= 0, got {key}")
-            value = data.get(key, Fraction(0)) + _as_rational(coeff)
-            if value:
-                data[key] = value
-            else:
-                data.pop(key, None)
+            data[key] = data.get(key, 0) + _as_rational(coeff)
+        den = math.lcm(*(c.denominator for c in data.values()))
+        self._store(arity, {e: c.numerator * (den // c.denominator) for e, c in data.items()}, den)
+
+    @classmethod
+    def _normalised(cls, arity: int, nums: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
+        """The polynomial sum_e nums[e]/den x^e, for den > 0 and exponent
+        tuples of length ``arity`` with entries >= 0."""
+        poly = object.__new__(cls)
+        poly._store(arity, nums, den)
+        return poly
+
+    def _store(self, arity: int, nums: dict[tuple[int, ...], int], den: int) -> None:
+        nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "terms", data)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MultiPoly is immutable")
@@ -316,34 +344,40 @@ class MultiPoly:
 
     # -- inspection --------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[tuple[int, ...], Fraction]:
+        """A new dict from each exponent tuple present to its nonzero
+        coefficient."""
+        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def degree(self) -> int | float:
-        if not self.terms:
+        if not self.nums:
             return NEG_INFINITY
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.nums))
 
     def monomials(self) -> list[tuple[Fraction, tuple[int, ...]]]:
         """Terms as (coefficient, exponents), exponent tuples in ascending
         lexicographic order."""
-        return [(self.terms[e], e) for e in sorted(self.terms)]
+        return [(Fraction(self.nums[e], self.den), e) for e in sorted(self.nums)]
 
     def coefficient(self, expts: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(expts), Fraction(0))
+        return Fraction(self.nums.get(tuple(expts), 0), self.den)
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         coords = [_as_rational(p) for p in point]
         acc = Fraction(0)
-        for expts, coeff in self.terms.items():
-            term = coeff
+        for expts, c in self.nums.items():
+            term = Fraction(c)
             for base, power in zip(coords, expts):
                 if power:
                     term *= base**power
             acc += term
-        return acc
+        return acc / self.den
 
     def is_symmetric(self) -> bool:
         """True when invariant under every permutation of the variables.
@@ -351,11 +385,11 @@ class MultiPoly:
         It suffices to test the adjacent transpositions, which generate the
         whole symmetric group.
         """
+        nums = self.nums
         for pos in range(self.arity - 1):
-            for expts, coeff in self.terms.items():
-                swapped = list(expts)
-                swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                if self.terms.get(tuple(swapped)) != coeff:
+            for expts, c in nums.items():
+                swapped = (*expts[:pos], expts[pos + 1], expts[pos], *expts[pos + 2 :])
+                if nums.get(swapped) != c:
                     return False
         return True
 
@@ -374,14 +408,12 @@ class MultiPoly:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        data = dict(self.terms)
-        for expts, coeff in rhs.terms.items():
-            value = data.get(expts, Fraction(0)) + coeff
-            if value:
-                data[expts] = value
-            else:
-                data.pop(expts, None)
-        return MultiPoly(self.arity, data)
+        den = math.lcm(self.den, rhs.den)
+        scale = den // rhs.den
+        nums = {e: c * (den // self.den) for e, c in self.nums.items()}
+        for expts, c in rhs.nums.items():
+            nums[expts] = nums.get(expts, 0) + c * scale
+        return MultiPoly._normalised(self.arity, nums, den)
 
     __radd__ = __add__
 
@@ -395,34 +427,32 @@ class MultiPoly:
         return (-self) + other
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.arity, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._normalised(self.arity, {e: -c for e, c in self.nums.items()}, self.den)
 
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
         if isinstance(other, (int, Fraction)):
             scale = _as_rational(other)
-            if not scale:
-                return MultiPoly(self.arity)
-            return MultiPoly(self.arity, {e: c * scale for e, c in self.terms.items()})
+            return MultiPoly._normalised(
+                self.arity,
+                {e: c * scale.numerator for e, c in self.nums.items()},
+                self.den * scale.denominator,
+            )
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        data: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in rhs.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                value = data.get(key, Fraction(0)) + c1 * c2
-                if value:
-                    data[key] = value
-                else:
-                    data.pop(key, None)
-        return MultiPoly(self.arity, data)
+        nums: dict[tuple[int, ...], int] = {}
+        for e1, c1 in self.nums.items():
+            for e2, c2 in rhs.nums.items():
+                key = tuple(map(operator.add, e1, e2))
+                nums[key] = nums.get(key, 0) + c1 * c2
+        return MultiPoly._normalised(self.arity, nums, self.den * rhs.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
-        result = MultiPoly.constant(self.arity, 1)
+        result = MultiPoly._normalised(self.arity, {(0,) * self.arity: 1}, 1)
         base = self
         while exponent:
             if exponent & 1:
@@ -440,7 +470,7 @@ class MultiPoly:
         Monomials appear in descending lexicographic order of exponent
         tuples, the usual display convention (x1^2 before x2).
         """
-        if not self.terms:
+        if not self.nums:
             return "0"
         pieces: list[tuple[str, str]] = []
         for coeff, expts in reversed(self.monomials()):
@@ -469,13 +499,13 @@ class MultiPoly:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self.arity == other.arity and self.terms == other.terms
+        return self.arity == other.arity and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(("MultiPoly", self.arity, frozenset(self.terms.items())))
+        return hash(("MultiPoly", self.arity, self.den, frozenset(self.nums.items())))
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}, {self.render()!r})"

@@ -25,11 +25,11 @@ import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 from .checks import CheckResult
 from .enumeration import partition_weight, set_partitions
+from .polynomials import _lowest_terms
 
 __all__ = [
     "NCPoly",
@@ -103,12 +103,9 @@ class NCPoly:
         return poly
 
     def _store(self, nums: dict[Word, int], den: int) -> None:
-        nums = {w: c for w, c in nums.items() if c}
-        common = math.gcd(den, *nums.values())
-        if common != 1:
-            nums = {w: c // common for w, c in nums.items()}
-        object.__setattr__(self, "nums", MappingProxyType(nums))
-        object.__setattr__(self, "den", den // common)
+        nums, den = _lowest_terms(nums, den)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("NCPoly is immutable")

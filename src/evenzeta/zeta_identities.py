@@ -183,28 +183,34 @@ def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
 
 
 def _combined_identity(
-    kind: str, n: int, parts: Iterable[tuple[Scalar, tuple[int, ...]]], poly: MultiPoly
+    kind: str, n: int, nums: Iterable[tuple[tuple[int, ...], int]], den: int, poly: MultiPoly
 ) -> WeightedSumIdentity:
-    """The sum of coeff * (monomial identity of exponents) over ``parts``.
+    """The sum of c/den * (monomial identity of exponents) over the pairs
+    (exponents, c) of ``nums``, with integer c and den > 0.
 
     A monomial identity depends only on the orbit of its exponents under
-    permutation, so the coefficients of parts with equal sorted exponents
-    are summed first and one identity is built and scaled per orbit.  The
-    depth T is the largest truncation depth among the orbits, those whose
-    coefficients cancel included, or ``(n - 1) // 2`` when there are none;
-    a term beyond an orbit's depth counts as zero.
+    permutation, so the numerators of pairs with equal sorted exponents are
+    summed first, one identity is built per orbit, and each term l is
+    summed over the orbits in one ``UniPoly.dot``.  The depth T is the
+    largest truncation depth among the orbits, those whose coefficients
+    cancel included, or ``(n - 1) // 2`` when there are none; a term beyond
+    an orbit's depth counts as zero.
     """
-    orbits: dict[tuple[int, ...], Fraction] = {}
-    for coeff, expts in parts:
+    orbits: dict[tuple[int, ...], int] = {}
+    for expts, c in nums:
         key = tuple(sorted(expts))
-        orbits[key] = orbits.get(key, 0) + coeff
+        orbits[key] = orbits.get(key, 0) + c
     depth = max(map(truncation_depth, orbits), default=(n - 1) // 2)
-    terms = [UniPoly.zero()] * (depth + 1)
-    for key, coeff in orbits.items():
-        if coeff:
-            for l, term in enumerate(_monomial_identity(key).terms):
-                terms[l] = terms[l] + coeff * term
-    return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=tuple(terms), poly=poly)
+    scaled = [
+        (UniPoly.constant(Fraction(c, den)), _monomial_identity(key).terms)
+        for key, c in orbits.items()
+        if c
+    ]
+    terms = tuple(
+        UniPoly.dot((scale, row[l]) for scale, row in scaled if l < len(row))
+        for l in range(depth + 1)
+    )
+    return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=terms, poly=poly)
 
 
 def zeta_identity_monomial(mvec: Sequence[int]) -> WeightedSumIdentity:
@@ -231,7 +237,7 @@ def zeta_identity_poly(F: MultiPoly, n: int) -> WeightedSumIdentity:
         raise TypeError(f"expected a MultiPoly weight, got {type(F).__name__}")
     if F.arity != n:
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
-    return _combined_identity("zeta", n, F.monomials(), F)
+    return _combined_identity("zeta", n, F.nums.items(), F.den, F)
 
 
 def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:
@@ -248,10 +254,9 @@ def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
     total = sum(
-        (coeff * composition_sum("zeta", expts, k) for expts, coeff in F.terms.items()),
-        Fraction(0),
+        (c * composition_sum("zeta", expts, k) for expts, c in F.nums.items()), Fraction(0)
     )
-    return PiValue(k, total)
+    return PiValue(k, total / F.den)
 
 
 def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> PiValue:

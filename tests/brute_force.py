@@ -11,6 +11,11 @@ symmetric weight the composition sum is 1/n! times the sum over
 compositions and partitions of the signed block products.  The cost is
 C(k-1, n-1) compositions times Bell(n) partitions, so keep n and k small.
 
+``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul`` and ``poly_pow``
+are the oracle of ``MultiPoly`` arithmetic: they work on plain dicts from
+exponent tuple to ``Fraction`` and import nothing from
+``evenzeta.polynomials``.
+
 ``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
 words: it sums over lattice paths and calls nothing in
 ``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
@@ -141,3 +146,41 @@ def word_product(u, v, sign):
 
     walk(0, 0, (), 1)
     return {word: c for word, c in total.items() if c}
+
+
+def _nonzero(terms):
+    return {expts: c for expts, c in terms.items() if c}
+
+
+def poly_add(a, b):
+    """Sum of two dicts from exponent tuple to Fraction, zeros dropped."""
+    total = dict(a)
+    for expts, c in b.items():
+        total[expts] = total.get(expts, Fraction(0)) + c
+    return _nonzero(total)
+
+
+def poly_neg(a):
+    return {expts: -c for expts, c in a.items()}
+
+
+def poly_scale(a, scale):
+    return _nonzero({expts: c * scale for expts, c in a.items()})
+
+
+def poly_mul(a, b):
+    """Product of two such dicts, monomial by monomial."""
+    total = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expts = tuple(x + y for x, y in zip(e1, e2))
+            total[expts] = total.get(expts, Fraction(0)) + c1 * c2
+    return _nonzero(total)
+
+
+def poly_pow(a, arity, exponent):
+    """a ** exponent by repeated multiplication, starting from 1."""
+    result = {(0,) * arity: Fraction(1)}
+    for _ in range(exponent):
+        result = poly_mul(result, a)
+    return result

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from evenzeta import documents, f_table, from_json, suites, to_json
-from evenzeta.cli import MAX_MZV_DEPTH, MAX_TABLE_DEPTH, main
+from evenzeta.cli import MAX_MZV_DEPTH, MAX_TABLE_DEPTH, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -367,6 +367,19 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first == second
+
+
+class TestParserCache:
+    def test_parser_built_once_per_process(self, capsys):
+        _build_parser.cache_clear()
+        ok = ["identity", "--kind", "mzv", "--n", "3", "--poly", "x1*x2*x3", "--format", "json"]
+        bad = ["identity", "--kind", "mzv", "--n", "2", "--poly", "x1^2"]
+        first = [run(capsys, *ok), run(capsys, *bad)]
+        second = [run(capsys, *ok), run(capsys, *bad)]
+        assert first == second
+        assert [code for code, _, _ in first] == [0, 2]
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
 
 _README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")

@@ -5,9 +5,10 @@ from fractions import Fraction
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_force
 from evenzeta import MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly
 
 X = UniPoly.x()
@@ -384,3 +385,107 @@ class TestRenderRoundTrip:
     @given(multipolys())
     def test_parse_of_render(self, p):
         assert parse_poly(p.render(), p.arity) == p
+
+
+class TestMultiPolyRepresentation:
+    def test_numerators_over_least_common_denominator(self):
+        p = parse_poly("1/2*x1^2 + 1/2*x2^2 - 2/3", 2)
+        assert dict(p.nums) == {(2, 0): 3, (0, 2): 3, (0, 0): -4}
+        assert p.den == 6
+
+    def test_zero_is_empty_over_one(self):
+        p = MultiPoly(1, [((1,), Fraction(1, 3)), ((1,), Fraction(-1, 3))])
+        assert (dict(p.nums), p.den) == ({}, 1)
+        assert p == MultiPoly.zero(1) and p.is_zero()
+
+    @pytest.mark.parametrize(
+        "arity, terms, error",
+        [
+            (0, {}, ValueError),
+            (2, {(1,): 1}, ValueError),
+            (2, {(1, -1): 1}, ValueError),
+            (2, {(1, 0): 0.5}, TypeError),
+        ],
+    )
+    def test_constructor_validates(self, arity, terms, error):
+        with pytest.raises(error):
+            MultiPoly(arity, terms)
+
+    def test_terms_is_a_fresh_copy(self):
+        p = parse_poly("x1 + x2", 2)
+        before = (hash(p), p.render(), p.terms)
+        p.terms[(5, 5)] = Fraction(3)
+        assert (hash(p), p.render(), p.terms) == before
+        assert p == parse_poly("x1 + x2", 2)
+
+    def test_zeroed_copy_leaves_the_poly(self):
+        p = MultiPoly(2, {(1, 0): 1})
+        p.terms[(1, 0)] = Fraction(0)
+        assert repr(p) == "MultiPoly(2, 'x1')"
+        assert not p.is_zero() and p == MultiPoly.variable(2, 1)
+
+    def test_numerators_are_read_only(self):
+        p = parse_poly("x1 + 1/2", 1)
+        with pytest.raises(AttributeError):
+            p.nums = {}
+        with pytest.raises(AttributeError):
+            p.den = 1
+        with pytest.raises(AttributeError):
+            p.terms = {}
+        with pytest.raises(TypeError):
+            p.nums[(1,)] = 5
+        assert p.render() == "x1 + 1/2"
+
+
+@st.composite
+def multipoly_pairs(draw):
+    """An arity and two nonzero-coefficient dicts from exponent tuple to
+    Fraction over it."""
+    arity = draw(st.integers(1, 3))
+    expts = st.tuples(*[st.integers(0, 3)] * arity)
+    dicts = st.dictionaries(expts, coeffs.filter(bool), max_size=4)
+    return arity, draw(dicts), draw(dicts)
+
+
+def is_canonical_multi(p):
+    """Nonzero integer numerators over one positive denominator in lowest
+    terms, equal and hashing equal to what the public constructor makes of
+    ``terms``, and every coefficient in ``terms`` a nonzero Fraction."""
+    rebuilt = MultiPoly(p.arity, p.terms)
+    return (
+        type(p.den) is int
+        and p.den > 0
+        and math.gcd(p.den, *p.nums.values()) == 1
+        and all(type(c) is int and c != 0 for c in p.nums.values())
+        and p == rebuilt
+        and hash(p) == hash(rebuilt)
+        and all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    )
+
+
+class TestMultiPolyCanonicalResults:
+    @settings(deadline=None, max_examples=80)
+    @given(multipoly_pairs(), coeffs, st.integers(0, 3))
+    def test_results_are_canonical_and_match_oracle(self, pair, scale, exponent):
+        arity, a, b = pair
+        p, q = MultiPoly(arity, a), MultiPoly(arity, b)
+        assert p.terms == a and q.terms == b
+        halved = Fraction(1, 2) * (2 * p)
+        constant = {(0,) * arity: scale} if scale else {}
+        cases = [
+            (p + q, brute_force.poly_add(a, b)),
+            (p - q, brute_force.poly_add(a, brute_force.poly_neg(b))),
+            (-p, brute_force.poly_neg(a)),
+            (p * q, brute_force.poly_mul(a, b)),
+            (scale * p, brute_force.poly_scale(a, scale)),
+            (p * scale, brute_force.poly_scale(a, scale)),
+            (p + scale, brute_force.poly_add(a, constant)),
+            (halved, a),
+            (p - p, {}),
+            (p**exponent, brute_force.poly_pow(a, arity, exponent)),
+        ]
+        for result, expected in cases:
+            assert is_canonical_multi(result)
+            assert result.terms == expected
+        assert halved == p and hash(halved) == hash(p)
+        assert p - p == MultiPoly.zero(arity) and (p - p).den == 1
