@@ -142,7 +142,7 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
         key = tuple(tuple(sorted(expts[a:b])) for a, b in spans)
         merged[key] = merged.get(key, 0) + c
     factors = [
-        (c, [composition_power_sum(block) for block in key]) for key, c in merged.items() if c
+        (c, [_sorted_power_sum(block) for block in key]) for key, c in merged.items() if c
     ]
     dens = [math.prod(factor.den for factor in row) for _, row in factors]
     den = math.lcm(*dens)
@@ -159,7 +159,7 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
             }
         for powers, y in expansion.items():
             acc[powers] = acc.get(powers, 0) + y
-    return MultiPoly._normalised(len(shape), acc, F.den * den)
+    return MultiPoly._normalised(acc, F.den * den, len(shape))
 
 
 def _shape_weight(shape: tuple[int, ...], signed: bool) -> Fraction:

@@ -1,11 +1,14 @@
 """Exact polynomial arithmetic over rationals, univariate and multivariate,
 plus a parser for polynomial text in variables x1..xn.
 
-Both keep integer numerators over one denominator.  ``UniPoly`` is dense
-(low degree first), for the coefficient polynomials in one variable k;
-``MultiPoly`` is sparse (exponent tuple -> numerator), for the weight
-polynomials in the summation indices.  Both are immutable and hashable, and
-both reject floats: only ints and ``Fraction`` values enter.
+Every type here keeps integer numerators over one denominator, in lowest
+terms.  ``UniPoly`` is dense (low degree first), for the coefficient
+polynomials in one variable k.  ``_Combination`` is the sparse form, a
+read-only mapping from key to numerator, with its linear arithmetic;
+``MultiPoly`` (keyed by exponent tuples), for the weight polynomials in the
+summation indices, and ``quasi_shuffle.NCPoly`` (keyed by words) build on
+it.  All are immutable and hashable, and all reject floats and strings:
+only ints and ``Fraction`` values (``Scalar``) enter.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = ["NEG_INFINITY", "MultiPoly", "ParseError", "UniPoly", "max_parse_degr
 #: Degree reported for the zero polynomial.
 NEG_INFINITY = float("-inf")
 
+#: The scalars every exact type in the package accepts.
 Scalar = Union[int, Fraction]
 
 #: Largest exponent the parser accepts; keeps pathological inputs from
@@ -33,22 +37,26 @@ _MAX_EXPONENT = 64
 _MAX_PARSE_TERMS = 1_000
 
 
-def _lowest_terms(nums: dict, den: int) -> tuple[Mapping, int]:
-    """The sparse numerators ``nums`` over ``den > 0`` in canonical form: a
-    read-only mapping without zero entries over the least denominator."""
-    nums = {key: c for key, c in nums.items() if c}
-    common = math.gcd(den, *nums.values())
-    if common != 1:
-        nums = {key: c // common for key, c in nums.items()}
-    return MappingProxyType(nums), den // common
-
-
 def _as_rational(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
+
+
+def _power(base, exponent: int, one):
+    """``base ** exponent`` by square-and-multiply, from the unit ``one``."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
+    result = one
+    while exponent:
+        if exponent & 1:
+            result = result * base
+        exponent >>= 1
+        if exponent:
+            base = base * base
+    return result
 
 
 class UniPoly:
@@ -210,17 +218,7 @@ class UniPoly:
         return self * (Fraction(1) / scale)
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
-        result = UniPoly.one()
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _power(self, exponent, UniPoly.one())
 
     def derivative(self) -> "UniPoly":
         return UniPoly._normalised([i * x for i, x in enumerate(self.nums) if i], self.den)
@@ -262,23 +260,150 @@ class UniPoly:
         return f"UniPoly(nums={self.nums!r}, den={self.den})"
 
 
-class MultiPoly:
-    """Sparse multivariate polynomial in variables x1..x(arity).
+class _Combination:
+    """Finite rational linear combination of keys: the storage and the
+    linear arithmetic of ``MultiPoly`` (keyed by exponent tuples) and
+    ``quasi_shuffle.NCPoly`` (keyed by words).
 
-    Stored as integer numerators over one denominator: the coefficient of
-    the monomial with exponent tuple e (length == arity, entries >= 0) is
-    ``nums[e] / den``.  The form is canonical -- no zero numerator is
-    stored, ``den > 0`` and gcd(den, *nums) == 1, so zero is ({}, 1) -- and
-    all arithmetic runs on the integers, with one normalisation per result.
-    ``nums`` (a read-only mapping) and ``den`` cannot be changed; ``terms``
-    gives the coefficients as Fractions.
+    Stored as integer numerators over one denominator: the coefficient of a
+    key is ``nums[key] / den``.  The form is canonical -- no zero numerator
+    is stored, ``den > 0`` and gcd(den, *nums) == 1, so zero is ({}, 1) --
+    and all arithmetic runs on the integers, with one normalisation per
+    result.  ``nums`` (a read-only mapping) and ``den`` cannot be changed;
+    ``terms`` gives the coefficients as Fractions.
+
+    A subclass checks each key in ``_validated_key`` and holds in its own
+    slots the shape its keys share (the arity of a ``MultiPoly``), which
+    ``_shape`` returns.  Values of different types or shapes are never
+    equal, and only values of one type and shape add.
     """
 
-    __slots__ = ("arity", "nums", "den")
+    __slots__ = ("nums", "den")
+
+    nums: Mapping
+    den: int
+
+    def __init__(self, terms: Mapping | Iterable[tuple] = ()) -> None:
+        items = terms.items() if isinstance(terms, Mapping) else terms
+        data: dict = {}
+        for key, coeff in items:
+            key = self._validated_key(key)
+            data[key] = data.get(key, 0) + _as_rational(coeff)
+        den = math.lcm(*(c.denominator for c in data.values()))
+        self._store({key: c.numerator * (den // c.denominator) for key, c in data.items()}, den)
+
+    @classmethod
+    def _normalised(cls, nums: dict, den: int, *shape: object) -> "_Combination":
+        """The combination sum_key nums[key]/den key, for den > 0 and valid
+        keys; ``shape`` fills the subclass's own slots in order."""
+        combo = object.__new__(cls)
+        for name, value in zip(cls.__slots__, shape):
+            object.__setattr__(combo, name, value)
+        combo._store(nums, den)
+        return combo
+
+    def _store(self, nums: dict, den: int) -> None:
+        nums = {key: c for key, c in nums.items() if c}
+        common = math.gcd(den, *nums.values())
+        if common != 1:
+            nums = {key: c // common for key, c in nums.items()}
+        object.__setattr__(self, "nums", MappingProxyType(nums))
+        object.__setattr__(self, "den", den // common)
+
+    def _shape(self) -> tuple:
+        """The values of the subclass's own slots, in order."""
+        return ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self) -> tuple:
+        return type(self), (*self._shape(), self.terms)
+
+    @property
+    def terms(self) -> dict:
+        """A new dict from each key present to its nonzero coefficient."""
+        return {key: Fraction(c, self.den) for key, c in self.nums.items()}
+
+    def is_zero(self) -> bool:
+        return not self.nums
+
+    def __bool__(self) -> bool:
+        return bool(self.nums)
+
+    # -- arithmetic --------------------------------------------------------
+
+    def _coerce(self, other: object) -> "_Combination | None":
+        """``other`` as an addend of this type and shape, or None."""
+        return other if type(other) is type(self) else None
+
+    def __add__(self, other: "_Combination | Scalar") -> "_Combination":
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        den = math.lcm(self.den, rhs.den)
+        scale = den // rhs.den
+        nums = {key: c * (den // self.den) for key, c in self.nums.items()}
+        for key, c in rhs.nums.items():
+            nums[key] = nums.get(key, 0) + c * scale
+        return self._normalised(nums, den, *self._shape())
+
+    __radd__ = __add__
+
+    def __sub__(self, other: "_Combination | Scalar") -> "_Combination":
+        rhs = self._coerce(other)
+        if rhs is None:
+            return NotImplemented
+        return self + (-rhs)
+
+    def __rsub__(self, other: Scalar) -> "_Combination":
+        lhs = self._coerce(other)
+        if lhs is None:
+            return NotImplemented
+        return lhs - self
+
+    def __neg__(self) -> "_Combination":
+        return self._normalised({key: -c for key, c in self.nums.items()}, self.den, *self._shape())
+
+    def __mul__(self, other: Scalar) -> "_Combination":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        scale = _as_rational(other)
+        return self._normalised(
+            {key: c * scale.numerator for key, c in self.nums.items()},
+            self.den * scale.denominator,
+            *self._shape(),
+        )
+
+    __rmul__ = __mul__
+
+    # -- protocol ----------------------------------------------------------
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Combination):
+            return NotImplemented
+        return (
+            type(self) is type(other)
+            and self._shape() == other._shape()
+            and self.den == other.den
+            and self.nums == other.nums
+        )
+
+    def __hash__(self) -> int:
+        return hash((type(self).__name__, *self._shape(), self.den, frozenset(self.nums.items())))
+
+
+class MultiPoly(_Combination):
+    """Sparse multivariate polynomial in variables x1..x(arity), with exact
+    rational coefficients in the canonical form of ``_Combination``: the
+    coefficient of the monomial with exponent tuple e (length == arity,
+    entries >= 0) is ``nums[e] / den``.
+    """
+
+    __slots__ = ("arity",)
 
     arity: int
     nums: Mapping[tuple[int, ...], int]
-    den: int
 
     def __init__(
         self,
@@ -287,37 +412,19 @@ class MultiPoly:
     ) -> None:
         if arity < 1:
             raise ValueError(f"arity must be >= 1, got {arity}")
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[tuple[int, ...], Fraction] = {}
-        for expts, coeff in items:
-            key = tuple(int(e) for e in expts)
-            if len(key) != arity:
-                raise ValueError(f"exponent tuple {key} does not match arity {arity}")
-            if any(e < 0 for e in key):
-                raise ValueError(f"exponents must be >= 0, got {key}")
-            data[key] = data.get(key, 0) + _as_rational(coeff)
-        den = math.lcm(*(c.denominator for c in data.values()))
-        self._store(arity, {e: c.numerator * (den // c.denominator) for e, c in data.items()}, den)
-
-    @classmethod
-    def _normalised(cls, arity: int, nums: dict[tuple[int, ...], int], den: int) -> "MultiPoly":
-        """The polynomial sum_e nums[e]/den x^e, for den > 0 and exponent
-        tuples of length ``arity`` with entries >= 0."""
-        poly = object.__new__(cls)
-        poly._store(arity, nums, den)
-        return poly
-
-    def _store(self, arity: int, nums: dict[tuple[int, ...], int], den: int) -> None:
-        nums, den = _lowest_terms(nums, den)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        super().__init__(terms)
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MultiPoly is immutable")
+    def _shape(self) -> tuple[int]:
+        return (self.arity,)
 
-    def __reduce__(self) -> tuple:
-        return MultiPoly, (self.arity, self.terms)
+    def _validated_key(self, expts: Sequence[int]) -> tuple[int, ...]:
+        key = tuple(int(e) for e in expts)
+        if len(key) != self.arity:
+            raise ValueError(f"exponent tuple {key} does not match arity {self.arity}")
+        if any(e < 0 for e in key):
+            raise ValueError(f"exponents must be >= 0, got {key}")
+        return key
 
     # -- constructors ------------------------------------------------------
 
@@ -343,15 +450,6 @@ class MultiPoly:
         return MultiPoly(len(expts), {expts: coeff})
 
     # -- inspection --------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[tuple[int, ...], Fraction]:
-        """A new dict from each exponent tuple present to its nonzero
-        coefficient."""
-        return {e: Fraction(c, self.den) for e, c in self.nums.items()}
-
-    def is_zero(self) -> bool:
-        return not self.nums
 
     def degree(self) -> int | float:
         if not self.nums:
@@ -395,7 +493,7 @@ class MultiPoly:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other: "MultiPoly | Scalar") -> "MultiPoly | None":
+    def _coerce(self, other: object) -> "MultiPoly | None":
         if isinstance(other, MultiPoly):
             if other.arity != self.arity:
                 raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
@@ -404,63 +502,19 @@ class MultiPoly:
             return MultiPoly.constant(self.arity, other)
         return None
 
-    def __add__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        den = math.lcm(self.den, rhs.den)
-        scale = den // rhs.den
-        nums = {e: c * (den // self.den) for e, c in self.nums.items()}
-        for expts, c in rhs.nums.items():
-            nums[expts] = nums.get(expts, 0) + c * scale
-        return MultiPoly._normalised(self.arity, nums, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Scalar) -> "MultiPoly":
-        return (-self) + other
-
-    def __neg__(self) -> "MultiPoly":
-        return MultiPoly._normalised(self.arity, {e: -c for e, c in self.nums.items()}, self.den)
-
     def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        if isinstance(other, (int, Fraction)):
-            scale = _as_rational(other)
-            return MultiPoly._normalised(
-                self.arity,
-                {e: c * scale.numerator for e, c in self.nums.items()},
-                self.den * scale.denominator,
-            )
+        if not isinstance(other, MultiPoly):
+            return super().__mul__(other)
         rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
         nums: dict[tuple[int, ...], int] = {}
         for e1, c1 in self.nums.items():
             for e2, c2 in rhs.nums.items():
                 key = tuple(map(operator.add, e1, e2))
                 nums[key] = nums.get(key, 0) + c1 * c2
-        return MultiPoly._normalised(self.arity, nums, self.den * rhs.den)
-
-    __rmul__ = __mul__
+        return MultiPoly._normalised(nums, self.den * rhs.den, self.arity)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
-        result = MultiPoly._normalised(self.arity, {(0,) * self.arity: 1}, 1)
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            exponent >>= 1
-            if exponent:
-                base = base * base
-        return result
+        return _power(self, exponent, MultiPoly._normalised({(0,) * self.arity: 1}, 1, self.arity))
 
     # -- rendering ---------------------------------------------------------
 
@@ -493,19 +547,6 @@ class MultiPoly:
         for sign, body in pieces[1:]:
             text += f" {sign} {body}"
         return text
-
-    # -- protocol ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return self.arity == other.arity and self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash(("MultiPoly", self.arity, self.den, frozenset(self.nums.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}, {self.render()!r})"

@@ -21,15 +21,14 @@ letters and multiplies each distinct tuple out once, in integers.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .checks import CheckResult
 from .enumeration import partition_weight, set_partitions
-from .polynomials import _lowest_terms
+from .polynomials import Scalar, _Combination
 
 __all__ = [
     "NCPoly",
@@ -44,8 +43,6 @@ __all__ = [
 
 #: A word: a tuple of positive integer letters.  The empty tuple is the unit.
 Word = tuple[int, ...]
-
-Scalar = Union[int, Fraction]
 
 #: Depth cap for materialising all permutations of a word.
 _MAX_SYMMETRIC_DEPTH = 8
@@ -67,51 +64,16 @@ def _validated_word(letters: Sequence[int]) -> Word:
     return word
 
 
-class NCPoly:
-    """Finite rational linear combination of words.
+class NCPoly(_Combination):
+    """Finite rational linear combination of words, in the canonical form of
+    ``polynomials._Combination``: the coefficient of a word is
+    ``nums[word] / den``."""
 
-    Stored as integer numerators over one denominator: the coefficient of a
-    word is ``nums[word] / den``.  The form is canonical -- no zero numerator
-    is stored, ``den > 0`` and gcd(den, *nums) == 1, so zero is ({}, 1) -- and
-    all arithmetic runs on the integers, with one normalisation per result.
-    ``nums`` (a read-only mapping) and ``den`` cannot be changed; ``terms``
-    gives the coefficients as Fractions.
-    """
-
-    __slots__ = ("nums", "den")
+    __slots__ = ()
 
     nums: Mapping[Word, int]
-    den: int
 
-    def __init__(
-        self, terms: Mapping[Word, Scalar] | Iterable[tuple[Word, Scalar]] = ()
-    ) -> None:
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        data: dict[Word, Fraction] = {}
-        for letters, coeff in items:
-            word = _validated_word(letters)
-            data[word] = data.get(word, 0) + Fraction(coeff)
-        den = math.lcm(*(c.denominator for c in data.values()))
-        self._store({w: c.numerator * (den // c.denominator) for w, c in data.items()}, den)
-
-    @classmethod
-    def _normalised(cls, nums: dict[Word, int], den: int) -> "NCPoly":
-        """The combination sum_w nums[w]/den w, for den > 0 and words of
-        positive letters."""
-        poly = object.__new__(cls)
-        poly._store(nums, den)
-        return poly
-
-    def _store(self, nums: dict[Word, int], den: int) -> None:
-        nums, den = _lowest_terms(nums, den)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("NCPoly is immutable")
-
-    def __reduce__(self) -> tuple:
-        return NCPoly, (self.terms,)
+    _validated_key = staticmethod(_validated_word)
 
     @staticmethod
     def zero() -> "NCPoly":
@@ -126,56 +88,9 @@ class NCPoly:
     def from_word(letters: Sequence[int], coeff: Scalar = 1) -> "NCPoly":
         return NCPoly({tuple(letters): coeff})
 
-    @property
-    def terms(self) -> dict[Word, Fraction]:
-        """A new dict from each word present to its nonzero coefficient."""
-        return {w: Fraction(c, self.den) for w, c in self.nums.items()}
-
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in lexicographic word order."""
         return [(word, Fraction(self.nums[word], self.den)) for word in sorted(self.nums)]
-
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        den = math.lcm(self.den, other.den)
-        scale = den // other.den
-        nums = {w: c * (den // self.den) for w, c in self.nums.items()}
-        for word, c in other.nums.items():
-            nums[word] = nums.get(word, 0) + c * scale
-        return NCPoly._normalised(nums, den)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly._normalised({w: -c for w, c in self.nums.items()}, self.den)
-
-    def __mul__(self, other: Scalar) -> "NCPoly":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        scale = Fraction(other)
-        return NCPoly._normalised(
-            {w: c * scale.numerator for w, c in self.nums.items()}, self.den * scale.denominator
-        )
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash(("NCPoly", self.den, frozenset(self.nums.items())))
-
-    def __bool__(self) -> bool:
-        return bool(self.nums)
 
     def __str__(self) -> str:
         if not self.nums:

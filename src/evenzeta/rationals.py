@@ -1,4 +1,4 @@
-"""Exact rational scalars, factorials, binomial coefficients, and Bernoulli numbers.
+"""Exact factorials, binomial coefficients, and Bernoulli numbers.
 
 Every quantity in this package is an exact ``fractions.Fraction``; nothing is
 ever rounded.  This module also owns the append-only table class shared
@@ -12,11 +12,7 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-__all__ = ["Rational", "BernoulliTable", "bernoulli", "binomial", "factorial"]
-
-#: Scalar type used throughout the package: arbitrary-precision rationals,
-#: normalised with positive denominator and coprime numerator/denominator.
-Rational = Fraction
+__all__ = ["BernoulliTable", "bernoulli", "binomial", "factorial"]
 
 
 def factorial(n: int) -> int:

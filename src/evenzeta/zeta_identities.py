@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .bernoulli_sums import _validated_mvec, bernoulli_identity, truncation_depth
 from .checks import CheckResult
-from .polynomials import MultiPoly, UniPoly
+from .polynomials import MultiPoly, Scalar, UniPoly
 from .rationals import bernoulli, factorial
 from .series import composition_sum
 
@@ -37,8 +37,6 @@ __all__ = [
     "zeta_identity_monomial",
     "zeta_identity_poly",
 ]
-
-Scalar = Union[int, Fraction]
 
 #: Entries kept by the ``zeta_even`` cache: zeta(2j) for every j a run asks
 #: for.  The benchmark workloads ask for at most 16.

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import brute_force
 import evenzeta
 from evenzeta import (
+    MultiPoly,
     NCPoly,
     is_admissible,
     partition_word_sum,
@@ -82,10 +83,20 @@ class TestNCPoly:
         ]
         assert len(set(built)) == 1
         assert all(is_canonical(p) and p == built[0] for p in built)
+        # Equal numerators never make different types or arities equal.
+        assert MultiPoly(1, {(2,): 1}) != NCPoly({(2,): 1})
+        assert MultiPoly.zero(2) != MultiPoly.zero(3)
 
     def test_letters_validated(self):
         with pytest.raises(ValueError):
             NCPoly.from_word((0, 2))
+
+    @pytest.mark.parametrize("coeff", [0.1, "1/3"])
+    def test_inexact_coefficients_rejected(self, coeff):
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            NCPoly({(2,): coeff})
+        with pytest.raises(TypeError, match="expected an int or Fraction"):
+            NCPoly.from_word((2,), coeff)
 
 
 #: Every word of length at most 3 over the letters 1..3.
@@ -189,6 +200,14 @@ class TestCanonicalResults:
         halved = Fraction(1, 2) * (2 * u)
         for result in (star(u, v), sbar(u, v), u + v, u - v, -u, scale * u, u - u, halved):
             assert is_canonical(result)
+        a, b = u.terms, v.terms
+        for result, expected in (
+            (u + v, brute_force.poly_add(a, b)),
+            (u - v, brute_force.poly_add(a, brute_force.poly_neg(b))),
+            (-u, brute_force.poly_neg(a)),
+            (scale * u, brute_force.poly_scale(a, scale)),
+        ):
+            assert result.terms == expected
         assert halved == u and hash(halved) == hash(u)
         assert u - u == NCPoly.zero() and (u - u).den == 1
 
