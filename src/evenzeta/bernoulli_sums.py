@@ -17,6 +17,7 @@ triangle, and read off even Taylor coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -93,13 +94,15 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     fs = f_prod(mvec)
     total = len(fs) - 1
     inverse = g_table(total - 1)
-    head = fs[0]
+    # 2*F_0 = 2*f_0 + sum_{i>=1} (-1)^i t^i f_i, on numerators over 2*lcm.
+    den = math.lcm(*(f.den for f in fs))
+    head = [2 * (den // fs[0].den) * x for x in fs[0].nums]
     for i in range(1, total + 1):
-        if fs[i].is_zero():
-            continue
-        sign = Fraction(-1 if i % 2 else 1, 2)
-        head = head + sign * (fs[i] * UniPoly.monomial(i))
-    return (head,) + tuple(
+        scale = (-1) ** i * (den // fs[i].den)
+        head.extend([0] * (i + len(fs[i].nums) - len(head)))
+        for k, x in enumerate(fs[i].nums, i):
+            head[k] += scale * x
+    return (UniPoly._normalised(head, 2 * den),) + tuple(
         UniPoly.dot((fs[i], inverse.entry(i - 1, j)) for i in range(j, total + 1))
         for j in range(1, total + 1)
     )
@@ -163,9 +166,8 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
     coeffs = a_coeffs(mvec)
     n, s = len(mvec), sum(mvec)
     rhs = tuple(
-        UniPoly(
-            coeffs[(j, l)] * Fraction(2) ** (j - 1 - s) for j in range(1, s + n - 2 * l + 1)
-        ).shift(l)
+        UniPoly(coeffs[(j, l)] * 2 ** (j - 1) for j in range(1, s + n - 2 * l + 1)).shift(l)
+        / 2**s
         for l in range(truncation_depth(mvec) + 1)
     )
     return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)

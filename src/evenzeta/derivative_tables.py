@@ -25,7 +25,9 @@ the inverse relation between them is a genuine cross-check.
 
 Each triangle is grown on demand in one shared ``GrowableTable``: rows are
 appended under a lock and never change afterwards, so ``f_table(d)`` and
-``g_table(d)`` hold prefixes of the same rows for every depth d.
+``g_table(d)`` hold prefixes of the same rows for every depth d.  Each row
+is stepped on integer numerators (f over 2, g scaled by r!), with one
+normalisation per new entry.
 Downstream modules consume only these triangles and their extreme
 coefficients; the transcendental functions themselves are never evaluated.
 """
@@ -79,26 +81,40 @@ class GTable(_TriangleRows):
     _first = 1
 
 
-_T = UniPoly.x()
-_ONE_MINUS_T = UniPoly((1, -1))
-
-
 def _f_step(rows: list[Row]) -> Row:
-    # Row m - 1 padded with its zero entry i = m + 1.
-    prev = (*rows[-1], UniPoly.zero())
-    return (_T * prev[0].derivative(),) + tuple(
-        _T * prev[i].derivative() + i * _ONE_MINUS_T * prev[i] - (i - 1) * prev[i - 1]
-        for i in range(1, len(prev))
-    )
+    # Row m - 1 on numerators over 2, padded with zero entries i = -1, m + 1:
+    # 2*[t^k] f_{m,i} = (k + i)*a_k - i*a_{k-1} - (i - 1)*b_k, (a, b) = 2*f_{m-1,(i,i-1)}.
+    prev = [[]] + [[x * (2 // p.den) for x in p.nums] for p in rows[-1]] + [[]]
+    out = []
+    for i in range(len(prev) - 1):
+        b, a = prev[i], prev[i + 1]
+        nums = [0] * max(len(a) + 1, len(b))
+        for k, x in enumerate(a):
+            nums[k] += (k + i) * x
+            nums[k + 1] -= i * x
+        for k, x in enumerate(b):
+            nums[k] -= (i - 1) * x
+        out.append(UniPoly._normalised(nums, 2))
+    return tuple(out)
 
 
 def _g_step(rows: list[Row]) -> Row:
-    # Row r - 1 padded with its zero entries j = 0 and j = r + 1.
-    prev, r = (UniPoly.zero(), *rows[-1], UniPoly.zero()), len(rows)
-    return tuple(
-        _ONE_MINUS_T * prev[j] - (_T * prev[j].derivative() + prev[j - 1]) / r
-        for j in range(1, r + 2)
-    )
+    # Row r - 1 as G_{r-1}, padded with zero entries j = 0, r + 1:
+    # [t^k] G_{r,j} = (r - k)*a_k - r*a_{k-1} - b_k, (a, b) = G_{r-1,(j,j-1)}.
+    r = len(rows)
+    scale = factorial(r - 1)
+    prev = [[]] + [[x * (scale // p.den) for x in p.nums] for p in rows[-1]] + [[]]
+    out = []
+    for j in range(1, r + 2):
+        b, a = prev[j - 1], prev[j]
+        nums = [0] * max(len(a) + 1, len(b))
+        for k, x in enumerate(a):
+            nums[k] += (r - k) * x
+            nums[k + 1] -= r * x
+        for k, x in enumerate(b):
+            nums[k] -= x
+        out.append(UniPoly._normalised(nums, scale * r))
+    return tuple(out)
 
 
 _F_ROWS = GrowableTable((UniPoly((Fraction(-1), Fraction(1, 2))), UniPoly.one()), _f_step)
@@ -115,6 +131,7 @@ def f_table(depth: int) -> FTable:
         f_{m,i}   = t * f_{m-1,i}' + i*(1 - t)*f_{m-1,i} - (i - 1)*f_{m-1,i-1}
 
     for 1 <= i <= m + 1, with f_{m-1,m+1} = 0 (so f_{m,m+1} = -m * f_{m-1,m}).
+    Every denominator divides 2, so rows are stepped on numerators over 2.
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
@@ -131,7 +148,9 @@ def g_table(depth: int) -> GTable:
         g_{r,j} = (1 - t)*g_{r-1,j} - (t*g_{r-1,j}' + g_{r-1,j-1}) / r
 
     for 1 <= j <= r + 1, with g_{r-1,0} = g_{r-1,r+1} = 0; the diagonal is
-    (-1)^r / r!.  The triangle inverts the f-system columnwise,
+    (-1)^r / r!.  Rows are stepped on the integer numerators G_r = r!*g_r, by
+    G_{r,j} = r*(1 - t)*G_{r-1,j} - t*G_{r-1,j}' - G_{r-1,j-1}.  The
+    triangle inverts the f-system columnwise,
     sum_{j=i}^{m+1} f_{m,j} * g_{j-1,i} = [i = m+1], but is not built from it.
     """
     if depth < 0:

@@ -174,7 +174,9 @@ class UniPoly:
         return self + (-other)
 
     def __rsub__(self, other: Scalar) -> "UniPoly":
-        return (-self) + other
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return UniPoly.constant(other) - self
 
     def __neg__(self) -> "UniPoly":
         return UniPoly._normalised([-x for x in self.nums], self.den)

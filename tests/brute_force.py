@@ -16,6 +16,11 @@ are the oracle of ``MultiPoly`` arithmetic: they work on plain dicts from
 exponent tuple to ``Fraction`` and import nothing from
 ``evenzeta.polynomials``.
 
+``f_triangle`` and ``g_triangle`` run the recursions documented in
+``f_table`` and ``g_table`` on plain lists of ``Fraction`` coefficients (low
+degree first): they are the oracle of the integer triangle steps and share
+no code with ``UniPoly``.
+
 ``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
 words: it sums over lattice paths and calls nothing in
 ``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
@@ -184,3 +189,49 @@ def poly_pow(a, arity, exponent):
     for _ in range(exponent):
         result = poly_mul(result, a)
     return result
+
+
+def _combine(*terms):
+    """sum of scale * t^shift * p over (scale, shift, p), on coefficient
+    lists, with trailing zeros dropped."""
+    out = []
+    for scale, shift, p in terms:
+        out.extend([Fraction(0)] * (shift + len(p) - len(out)))
+        for k, c in enumerate(p, shift):
+            out[k] += scale * c
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _t_derivative(p):
+    """t * p'."""
+    return [k * c for k, c in enumerate(p)]
+
+
+def f_triangle(depth):
+    """Rows 0..depth of f_{m,i}, i = 0..m+1: row 0 is (t/2 - 1, 1), then
+    f_{m,i} = t*f_{m-1,i}' + i*(1 - t)*f_{m-1,i} - (i - 1)*f_{m-1,i-1}."""
+    rows = [[[Fraction(-1), Fraction(1, 2)], [Fraction(1)]]]
+    for m in range(1, depth + 1):
+        prev = rows[-1] + [[]]
+        row = [_combine((1, 0, _t_derivative(prev[0])))]
+        for i in range(1, m + 2):
+            a, b = prev[i], prev[i - 1]
+            row.append(_combine((1, 0, _t_derivative(a)), (i, 0, a), (-i, 1, a), (1 - i, 0, b)))
+        rows.append(row)
+    return rows
+
+
+def g_triangle(depth):
+    """Rows 0..depth of g_{r,j}, j = 1..r+1 (stored from index 0): row 0 is
+    (1,), then g_{r,j} = (1 - t)*g_{r-1,j} - (t*g_{r-1,j}' + g_{r-1,j-1})/r."""
+    rows = [[[Fraction(1)]]]
+    for r in range(1, depth + 1):
+        prev, inv = [[]] + rows[-1] + [[]], Fraction(-1, r)
+        row = []
+        for j in range(1, r + 2):
+            a, b = prev[j], prev[j - 1]
+            row.append(_combine((1, 0, a), (-1, 1, a), (inv, 0, _t_derivative(a)), (inv, 0, b)))
+        rows.append(row)
+    return rows

@@ -94,7 +94,10 @@ class TestBigF:
 
     def test_head_closed_form(self):
         # F_0 = (1/2) prod(t/2 - [m_j = 0]) + (1/2)(-1)^n prod(t/2 + [m_j = 0]).
-        for mvec in [(0,), (1,), (0, 0), (1, 0), (0, 0, 0, 0), (2, 0, 0, 0)]:
+        for mvec in [
+            (0,), (1,), (0, 0), (1, 0), (0, 0, 0, 0), (2, 0, 0, 0),
+            (20, 8), (17, 3, 4), (1, 11, 4), (0, 24, 0),
+        ]:
             n = len(mvec)
             low = UniPoly.one()
             high = UniPoly.one()
@@ -216,6 +219,14 @@ class TestVerification:
             for k in range(n, n + 4):
                 result = verify_bernoulli(mvec, k)
                 assert result.ok, result.describe()
+
+    @pytest.mark.parametrize("mvec", [(20, 8), (17, 3, 4)])
+    def test_deep_identity_at_full_depth(self, mvec):
+        # At k = N = sum(m) + n and N + 1 every p_l enters the collapsed side.
+        identity = bernoulli_identity(mvec)
+        N = sum(mvec) + len(mvec)
+        for k in (N, N + 1):
+            assert identity.rhs_value(k) == bernoulli_lhs(mvec, k)
 
     def test_result_carries_values(self):
         result = verify_bernoulli((0, 0), 3)

@@ -2,12 +2,18 @@
 
 The inverse table is built by its own recursion and checked against an
 independent oracle: generic back-substitution inversion of the forward
-triangle, written here without reference to the package's recursion.
+triangle, written here without reference to the package's recursion.  Both
+triangles are also checked at depth against ``brute_force.f_triangle`` and
+``g_triangle``, which run the documented recursions on plain ``Fraction``
+lists.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
+
+import brute_force
 
 from evenzeta import (
     UniPoly,
@@ -136,6 +142,24 @@ class TestGTable:
 
     def test_matches_back_substitution_oracle_at_depth_20(self):
         self.assert_matches_oracle(20)
+
+
+class TestRecursionOracle:
+    """Every entry equals the plain-Fraction recursion and is canonical."""
+
+    @pytest.mark.parametrize(
+        "build, oracle, first",
+        [(f_table, brute_force.f_triangle, 0), (g_table, brute_force.g_triangle, 1)],
+    )
+    def test_matches_fraction_recursion_at_depth_32(self, build, oracle, first):
+        table, expected = build(32), oracle(32)
+        for m in range(33):
+            for i in range(first, m + 2):
+                poly = table.entry(m, i)
+                assert poly.den > 0
+                assert math.gcd(poly.den, *poly.nums) == 1
+                assert not poly.nums or poly.nums[-1] != 0
+                assert list(poly.coeffs) == expected[m][i - first]
 
 
 class TestSharedTriangles:

@@ -66,6 +66,12 @@ class TestUniPolyBasics:
         with pytest.raises(TypeError):
             UniPoly([0.5])
 
+    def test_reflected_subtraction(self):
+        assert 1 - X == UniPoly((1, -1))
+        assert Fraction(1, 2) - X == UniPoly((Fraction(1, 2), -1))
+        with pytest.raises(TypeError, match="for -:"):
+            "a" - X
+
     def test_immutable(self):
         p = X + 1
         with pytest.raises(AttributeError):
