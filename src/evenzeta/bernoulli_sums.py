@@ -18,6 +18,7 @@ triangle, and read off even Taylor coefficients.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import ClassVar, Sequence
@@ -41,7 +42,7 @@ __all__ = [
 
 
 def _validated_mvec(mvec: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(m) for m in mvec)
+    out = tuple(operator.index(m) for m in mvec)
     if not out:
         raise ValueError("need at least one exponent")
     if any(m < 0 for m in out):
@@ -64,18 +65,23 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
 
     Entry i of the result convolves the forward-triangle rows m_1, ..., m_n
     over all splittings i_1 + ... + i_n = i; there are sum(m) + n + 1 entries.
+    Every f entry reads over 2, so the product runs on numerators over 2^n.
     """
     mvec = _validated_mvec(mvec)
     table = f_table(max(mvec))
-    product = table.row(mvec[0])
-    for m in mvec[1:]:
-        row = table.row(m)
-        pairs: list[list] = [[] for _ in range(len(product) + len(row) - 1)]
+    product, *rows = ([[x * (2 // p.den) for x in p.nums] for p in table.row(m)] for m in mvec)
+    for row in rows:
+        merged: list[list[int]] = [[] for _ in range(len(product) + len(row) - 1)]
         for a, left in enumerate(product):
             for b, right in enumerate(row):
-                pairs[a + b].append((left, right))
-        product = tuple(UniPoly.dot(terms) for terms in pairs)
-    return product
+                acc = merged[a + b]
+                acc.extend([0] * (len(left) + len(right) - 1 - len(acc)))
+                for c, x in enumerate(left):
+                    if x:
+                        for d, y in enumerate(right, c):
+                            acc[d] += x * y
+        product = merged
+    return tuple(UniPoly._normalised(nums, 2 ** len(mvec)) for nums in product)
 
 
 def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
@@ -88,7 +94,10 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
         F_j = sum_{i=j}^{N} f_i * g_{i-1,j}
 
     All entries are even polynomials; entry 0 collects the polynomial part
-    left over when each h^i is replaced by its derivative expression.
+    left over when each h^i is replaced by its derivative expression.  As
+    deg f_i <= N - i and deg g_{i-1,j} <= i - j, each term of F_j has degree
+    at most N - j; F_j is summed on its even coefficients alone, over the one
+    denominator lcm(f dens) * (N-1)! (g_{i-1,j} reads over (i-1)!).
     """
     mvec = _validated_mvec(mvec)
     fs = f_prod(mvec)
@@ -102,10 +111,23 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
         head.extend([0] * (i + len(fs[i].nums) - len(head)))
         for k, x in enumerate(fs[i].nums, i):
             head[k] += scale * x
-    return (UniPoly._normalised(head, 2 * den),) + tuple(
-        UniPoly.dot((fs[i], inverse.entry(i - 1, j)) for i in range(j, total + 1))
-        for j in range(1, total + 1)
-    )
+    out = [UniPoly._normalised(head, 2 * den)]
+    top = factorial(total - 1)
+    for j in range(1, total + 1):
+        # acc[e] is the numerator of t^(2e) over den * (N-1)!; only the
+        # products of f_i's t^c and g's t^d with c = d mod 2 reach it.
+        acc = [0] * ((total - j) // 2 + 1)
+        for i in range(j, total + 1):
+            g = inverse.entry(i - 1, j)
+            scale = (den // fs[i].den) * (top // g.den)
+            halves = (g.nums[0::2], g.nums[1::2])
+            for c, x in enumerate(fs[i].nums):
+                if x:
+                    x *= scale
+                    for e, y in enumerate(halves[c & 1], (c + 1) >> 1):
+                        acc[e] += x * y
+        out.append(UniPoly._normalised([v for a in acc for v in (a, 0)], den * top))
+    return tuple(out)
 
 
 def a_coeffs(mvec: Sequence[int]) -> dict[tuple[int, int], Fraction]:

@@ -21,6 +21,10 @@ exponent tuple to ``Fraction`` and import nothing from
 degree first): they are the oracle of the integer triangle steps and share
 no code with ``UniPoly``.
 
+``f_product`` and ``collapsed_sums`` are the oracle of ``f_prod`` and of
+the j >= 1 entries of ``big_F``: plain ``UniPoly`` ``+`` and ``*`` over the
+table rows, odd coefficients included.
+
 ``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
 words: it sums over lattice paths and calls nothing in
 ``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
@@ -37,8 +41,11 @@ from evenzeta import (
     NCPoly,
     PiValue,
     SetPartition,
+    UniPoly,
     bernoulli,
+    f_table,
     factorial,
+    g_table,
     partition_weight,
     sbar,
     set_partitions,
@@ -235,3 +242,33 @@ def g_triangle(depth):
             row.append(_combine((1, 0, a), (-1, 1, a), (inv, 0, _t_derivative(a)), (inv, 0, b)))
         rows.append(row)
     return rows
+
+
+def f_product(mvec):
+    """Coefficients of h^i in D^{m_1} f * ... * D^{m_n} f: the f-table rows
+    convolved entry by entry with ``UniPoly`` ``+`` and ``*``."""
+    table = f_table(max(mvec))
+    product = list(table.row(mvec[0]))
+    for m in mvec[1:]:
+        row = table.row(m)
+        merged = [UniPoly.zero()] * (len(product) + len(row) - 1)
+        for a, left in enumerate(product):
+            for b, right in enumerate(row):
+                merged[a + b] = merged[a + b] + left * right
+        product = merged
+    return product
+
+
+def collapsed_sums(mvec):
+    """F_1, ..., F_N (N = sum(m) + n) as the full products
+    F_j = sum_{i=j}^{N} f_i * g_{i-1,j}, every coefficient formed."""
+    fs = f_product(mvec)
+    total = len(fs) - 1
+    inverse = g_table(total - 1)
+    sums = []
+    for j in range(1, total + 1):
+        acc = UniPoly.zero()
+        for i in range(j, total + 1):
+            acc = acc + fs[i] * inverse.entry(i - 1, j)
+        sums.append(acc)
+    return sums

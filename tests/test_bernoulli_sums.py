@@ -9,6 +9,7 @@ loop of `brute_force.py`.
 from fractions import Fraction
 
 import pytest
+from brute_force import collapsed_sums, f_product
 
 from evenzeta import (
     UniPoly,
@@ -17,10 +18,9 @@ from evenzeta import (
     bernoulli_lhs,
     big_F,
     f_prod,
-    f_table,
-    g_table,
     truncation_depth,
     verify_bernoulli,
+    zeta_identity_monomial,
 )
 
 T = UniPoly.x()
@@ -49,6 +49,20 @@ class TestTruncationDepth:
         with pytest.raises(ValueError):
             truncation_depth((1, -1))
 
+    @pytest.mark.parametrize(
+        "build, mvec",
+        [
+            (bernoulli_identity, (1.5, 2)),
+            (bernoulli_identity, (2.0, 2)),
+            (truncation_depth, ["3", 2]),
+            (zeta_identity_monomial, (1, Fraction(3, 2))),
+        ],
+    )
+    def test_non_integral_rejected(self, build, mvec):
+        # An exponent is taken as it is or refused, never truncated to an int.
+        with pytest.raises(TypeError):
+            build(mvec)
+
 
 class TestFProd:
     def test_single_factor(self):
@@ -66,20 +80,13 @@ class TestFProd:
         # One entry per power of h from 0 to sum(m) + n.
         assert len(f_prod((2, 0, 0, 0))) == 7
 
-    @pytest.mark.parametrize("mvec", [(1, 2), (4, 1), (3, 0, 2), (2, 2, 1, 0)])
+    @pytest.mark.parametrize(
+        "mvec", [(1, 2), (4, 1), (3, 0, 2), (2, 2, 1, 0), (24, 23), (17, 3, 4), (0, 24, 0)]
+    )
     def test_matches_plain_convolution(self, mvec):
-        # The integer-numerator product equals the Fraction convolution of
-        # the table rows, entry by entry.
-        table = f_table(max(mvec))
-        product = list(table.row(mvec[0]))
-        for m in mvec[1:]:
-            row = table.row(m)
-            merged = [UniPoly.zero()] * (len(product) + len(row) - 1)
-            for a, left in enumerate(product):
-                for b, right in enumerate(row):
-                    merged[a + b] = merged[a + b] + left * right
-            product = merged
-        assert f_prod(mvec) == tuple(product)
+        # The integer-numerator product equals the UniPoly convolution of the
+        # table rows, entry by entry.
+        assert f_prod(mvec) == tuple(f_product(mvec))
 
 
 class TestBigF:
@@ -110,28 +117,27 @@ class TestBigF:
 
     @pytest.mark.parametrize(
         "mvec",
-        [(0,), (5,), (0, 0), (3, 0), (2, 4), (0, 0, 0), (1, 0, 3), (2, 2, 2), (0, 0, 0, 0), (1, 0, 2, 0), (0, 3, 1, 2)],
+        [
+            (0,), (5,), (0, 0), (3, 0), (2, 4), (0, 0, 0), (1, 0, 3), (2, 2, 2),
+            (0, 0, 0, 0), (1, 0, 2, 0), (0, 3, 1, 2), (24, 23), (16, 16, 14),
+        ],
     )
     def test_matches_plain_polynomial_sum(self, mvec):
-        # F_j = sum_{i=j}^{N} f_i * g_{i-1,j}, summed term by term in UniPoly.
-        fs = f_prod(mvec)
-        total = len(fs) - 1
-        g = g_table(total - 1)
+        # F_j = sum_{i=j}^{N} f_i * g_{i-1,j}, summed term by term in UniPoly;
+        # (24, 23) and (16, 16, 14) reach table depth 48, the deepest the CLI admits.
         F = big_F(mvec)
-        assert len(F) == total + 1
-        for j in range(1, total + 1):
-            expected = UniPoly.zero()
-            for i in range(j, total + 1):
-                expected = expected + fs[i] * g.entry(i - 1, j)
-            assert F[j] == expected
+        assert len(F) == sum(mvec) + len(mvec) + 1
+        assert list(F[1:]) == collapsed_sums(mvec)
 
     def test_all_entries_even(self):
-        for mvec in [(0,), (1,), (2,), (0, 0), (1, 0), (0, 0, 0, 0), (3, 0, 0, 0)]:
-            for poly in big_F(mvec):
-                if poly.is_zero():
-                    continue
-                for i in range(1, poly.degree() + 1, 2):
-                    assert poly.coefficient(i) == 0
+        # The full sums, odd coefficients formed, have none and stay within
+        # degree N - j; big_F forms only the even ones.
+        for mvec in [(0,), (1,), (2,), (0, 0), (1, 0), (0, 0, 0, 0), (3, 0, 0, 0), (24, 23), (16, 16, 14)]:
+            N = sum(mvec) + len(mvec)
+            assert not any(big_F(mvec)[0].nums[1::2])
+            for j, poly in enumerate(collapsed_sums(mvec), 1):
+                assert not any(poly.nums[1::2])
+                assert poly.degree() <= N - j
 
 
 class TestACoeffs:

@@ -1,5 +1,6 @@
 """Command-line interface: flags, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import re
 import shlex
@@ -56,6 +57,19 @@ class TestIdentityCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["terms"][0]["coeffs"] == ["1/1"]
+
+    def test_three_index_table_depth_48_pinned(self, capsys):
+        # Two convolution steps of the f-product at the deepest admitted
+        # table; the digest was recorded before the Bernoulli collapse ran on
+        # integer rows.
+        code, out, _ = run(
+            capsys, "identity", "--kind", "bernoulli", "--n", "3", "--m", "16,16,14",
+            "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "6ec01f1c19de9d33e4ba042515c7eda2ef1c313ba5079ff9a0d1365fa29972ad"
+        )
 
     def test_poly_for_zeta_kind(self, capsys):
         code, out, _ = run(

@@ -80,6 +80,16 @@ class TestUniPolyBasics:
     def test_hashable(self):
         assert len({X + 1, X + 1, X}) == 2
 
+    def test_equality_reads_every_coefficient(self):
+        # Polynomials of degree 60 over one denominator that differ only at
+        # degree 45 are unequal; equal ones built two ways hash equal.
+        base = UniPoly([Fraction(k, 7) for k in range(1, 62)])
+        moved = base + UniPoly.monomial(45)
+        assert moved.den == base.den and moved.nums[:45] == base.nums[:45]
+        assert base != moved and moved != base
+        rebuilt = moved - UniPoly.monomial(45)
+        assert rebuilt == base and hash(rebuilt) == hash(base)
+
 
 coeffs = st.fractions(
     min_value=Fraction(-9), max_value=Fraction(9), max_denominator=6
