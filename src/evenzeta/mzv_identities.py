@@ -43,6 +43,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
+import operator
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -98,7 +99,7 @@ def composition_power_sum(pvec: Sequence[int]) -> UniPoly:
     compositions, so the sum depends only on the orbit of ``pvec``: it is
     built once per sorted exponent tuple and cached on that key.
     """
-    pvec = tuple(int(p) for p in pvec)
+    pvec = tuple(operator.index(p) for p in pvec)
     if not pvec:
         raise ValueError("need at least one exponent")
     if any(p < 0 for p in pvec):
@@ -130,7 +131,7 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
     merged monomial is expanded once, on the integer numerators of the power
     sums over the lcm of their denominators, into one dict of numerators.
     """
-    shape = tuple(int(l) for l in shape)
+    shape = tuple(operator.index(l) for l in shape)
     if not shape or any(l < 1 for l in shape):
         raise ValueError(f"shape must consist of positive integers, got {shape}")
     if sum(shape) != F.arity:
@@ -290,7 +291,7 @@ def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:
     when every argument is >= 2 (1.645 > zeta(2) dominates each inner sum).
     The word must be admissible: k_1 >= 2.
     """
-    kvec = tuple(int(k) for k in kvec)
+    kvec = tuple(operator.index(k) for k in kvec)
     if not kvec or any(k < 1 for k in kvec):
         raise ValueError(f"arguments must be positive integers, got {kvec}")
     if kvec[0] < 2:

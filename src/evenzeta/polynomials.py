@@ -421,7 +421,7 @@ class MultiPoly(_Combination):
         return (self.arity,)
 
     def _validated_key(self, expts: Sequence[int]) -> tuple[int, ...]:
-        key = tuple(int(e) for e in expts)
+        key = tuple(operator.index(e) for e in expts)
         if len(key) != self.arity:
             raise ValueError(f"exponent tuple {key} does not match arity {self.arity}")
         if any(e < 0 for e in key):

@@ -10,7 +10,10 @@ with + for the ``star`` product and - for the ``sbar`` variant; the empty
 word is the unit of both.  ``NCPoly`` keeps integer numerators over one
 denominator, and both products run on one cached kernel: the ``star``
 product of two words split by the parity of the number of merged letters,
-so that ``sbar`` is the even part minus the odd part.  The symmetric sum of
+so that ``sbar`` is the even part minus the odd part.  Each cached part is a
+pair of parallel tuples, its words and their coefficients, and the words are
+taken from a bounded table that holds one object per distinct word, so the
+many entries that contain a word share it.  The symmetric sum of
 all reorderings of a word factors over set partitions into iterated
 products of single letters, with signed weights for ``star`` and plain
 weights for ``sbar``; that expansion is what ``verify_symmetric_sum``
@@ -21,10 +24,11 @@ letters and multiplies each distinct tuple out once, in integers.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .checks import CheckResult
 from .enumeration import partition_weight, set_partitions
@@ -52,13 +56,23 @@ _MAX_VERIFY_DEPTH = 6
 
 #: Entries kept by the word-product cache, one per ordered pair of words for
 #: both products.  ``verify --suite words --max-n 5`` forms 4,163 of them (a
-#: ``spot-checks`` benchmark repetition 4,167-4,172); the bound keeps a
-#: long-lived process from holding every product it ever formed.
+#: ``spot-checks`` benchmark repetition 4,167-4,172), which hold 85,690
+#: words, 19,925 of them distinct; the bound keeps a long-lived process from
+#: holding every product it ever formed.
 _WORD_PRODUCT_CACHE_SIZE = 1 << 14
+
+#: Distinct words the word table keeps, over three times the 19,925 above.
+#: When a part would take the table past the bound, it is cleared: that
+#: only loses sharing with the words of older entries, never a value.
+_WORD_TABLE_SIZE = 1 << 16
+
+#: The word table: each distinct word formed by the word-product kernel, as
+#: the first object equal to it, keyed by itself.
+_words: dict[Word, Word] = {}
 
 
 def _validated_word(letters: Sequence[int]) -> Word:
-    word = tuple(int(k) for k in letters)
+    word = tuple(operator.index(k) for k in letters)
     if any(k < 1 for k in word):
         raise ValueError(f"letters must be positive integers, got {word}")
     return word
@@ -110,8 +124,18 @@ class NCPoly(_Combination):
         return f"NCPoly({str(self)!r})"
 
 
-#: Words with positive integer coefficients.
-_WordTerms = tuple[tuple[Word, int], ...]
+#: Words with positive integer coefficients, as parallel tuples.
+_WordTerms = tuple[tuple[Word, ...], tuple[int, ...]]
+
+
+def _shared(words: Collection[Word]) -> tuple[Word, ...]:
+    """The words, each replaced by the equal word the table holds."""
+    if len(_words) + len(words) > _WORD_TABLE_SIZE:
+        _words.clear()
+        if len(words) > _WORD_TABLE_SIZE:
+            return tuple(words)
+    share = _words.setdefault
+    return tuple([share(word, word) for word in words])
 
 
 @lru_cache(maxsize=_WORD_PRODUCT_CACHE_SIZE)
@@ -123,9 +147,9 @@ def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
     word is in both parts, and ``sbar`` is even - odd.
     """
     if not left:
-        return ((right, 1),), ()
+        return ((right,), (1,)), ((), ())
     if not right:
-        return ((left, 1),), ()
+        return ((left,), (1,)), ((), ())
     # The heads are the first letters as one-letter words.  Words from the
     # three terms start with head_left, head_right and the merged letter;
     # only the first two terms can meet, and only when the heads are equal.
@@ -136,13 +160,13 @@ def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
     tail_both = _word_product(left[1:], right[1:])
     parts = []
     for parity in (0, 1):
-        acc = {head_left + word: c for word, c in tail_left[parity]}
-        for word, c in tail_right[parity]:
+        acc = {head_left + word: c for word, c in zip(*tail_left[parity])}
+        for word, c in zip(*tail_right[parity]):
             key = head_right + word
             acc[key] = acc.get(key, 0) + c
-        for word, c in tail_both[1 - parity]:
+        for word, c in zip(*tail_both[1 - parity]):
             acc[merged + word] = c
-        parts.append(tuple(acc.items()))
+        parts.append((_shared(acc), tuple(acc.values())))
     return parts[0], parts[1]
 
 
@@ -162,10 +186,10 @@ def _integer_product(
         for w2, a2 in right:
             scale = a1 * a2
             even, odd = _word_product(w1, w2)
-            for word, c in even:
+            for word, c in zip(*even):
                 acc[word] = acc.get(word, 0) + scale * c
             scale *= merge_sign
-            for word, c in odd:
+            for word, c in zip(*odd):
                 acc[word] = acc.get(word, 0) + scale * c
     return acc
 

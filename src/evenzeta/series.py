@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -174,7 +175,7 @@ def composition_sum(family: str, mvec: Sequence[int], k: int) -> Fraction:
     """sum over k_1 + ... + k_n = k, k_j >= 1, of k_1^{m_1} ... k_n^{m_n}
     c_{k_1} ... c_{k_n}, with c_a = zeta(2a)/pi^(2a) for the family "zeta"
     and B_{2a}/(2a)! for "bernoulli"."""
-    mvec = tuple(sorted(int(m) for m in mvec))
+    mvec = tuple(sorted(operator.index(m) for m in mvec))
     if not mvec or mvec[0] < 0:
         raise ValueError(f"need at least one exponent, all >= 0, got {mvec}")
     if k < 0:
@@ -222,7 +223,7 @@ def symmetric_sum(mu: Sequence[int], n: int, k: int, star: bool = False) -> Frac
     m_mu, the sum of the distinct monomials whose exponents permute
     (mu, 0, ..., 0); it needs len(mu) <= n.
     """
-    mu = tuple(sorted((int(p) for p in mu), reverse=True))
+    mu = tuple(sorted((operator.index(p) for p in mu), reverse=True))
     if mu and mu[-1] < 1:
         raise ValueError(f"parts must be positive, got {mu}")
     if n < 1 or len(mu) > n:

@@ -133,6 +133,11 @@ class TestCompositionPowerSum:
         with pytest.raises(ValueError):
             composition_power_sum(())
 
+    @pytest.mark.parametrize("p", [1.5, "1", Fraction(1)])
+    def test_non_integral_exponents_rejected(self, p):
+        with pytest.raises(TypeError):
+            composition_power_sum((2, p))
+
     @pytest.mark.parametrize("n", range(1, 6))
     def test_pinned_for_small_tuples(self, n):
         # Degree d = sum(p) + n - 1 and d + 1 brute-force values determine the
@@ -265,6 +270,11 @@ class TestBlockReduce:
     def test_shape_must_cover(self):
         with pytest.raises(ValueError):
             block_reduce(MultiPoly.constant(3, 1), (2,))
+
+    @pytest.mark.parametrize("length", [2.0, "2", Fraction(2)])
+    def test_non_integral_shape_rejected(self, length):
+        with pytest.raises(TypeError):
+            block_reduce(MultiPoly.constant(3, 1), (1, length))
 
 
 class TestIdentityPipeline:
@@ -444,3 +454,8 @@ class TestNumeric:
     def test_positive_arguments_required(self):
         with pytest.raises(ValueError):
             mzv_numeric((2, 0), 100)
+
+    @pytest.mark.parametrize("kvec", [(2.5,), ("2",), (2, Fraction(1))])
+    def test_non_integral_arguments_rejected(self, kvec):
+        with pytest.raises(TypeError):
+            mzv_numeric(kvec, 100)

@@ -280,6 +280,13 @@ class TestMultiPoly:
         with pytest.raises(ValueError):
             MultiPoly.variable(2, 1) + MultiPoly.variable(3, 1)
 
+    @pytest.mark.parametrize("exponent", [1.5, "1", Fraction(1)])
+    def test_non_integral_exponents_rejected(self, exponent):
+        with pytest.raises(TypeError):
+            MultiPoly(2, [((exponent, 0), 1)])
+        with pytest.raises(TypeError):
+            MultiPoly(2, {(0, exponent): Fraction(1, 2)})
+
     def test_pow(self):
         p = parse_poly("x1 + x2", 2) ** 2
         assert p == parse_poly("x1^2 + 2*x1*x2 + x2^2", 2)

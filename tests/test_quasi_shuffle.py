@@ -6,10 +6,12 @@ grouped set-partition expansion against the partition-by-partition loop of
 `brute_force.py`, and both products against its lattice-path sum.
 """
 
+import gc
 import importlib
 import itertools
 import math
 import pkgutil
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -29,6 +31,7 @@ from evenzeta import (
     symmetric_word_sum,
     verify_symmetric_sum,
 )
+from evenzeta.suites import words_suite
 
 
 class TestNCPoly:
@@ -90,6 +93,16 @@ class TestNCPoly:
     def test_letters_validated(self):
         with pytest.raises(ValueError):
             NCPoly.from_word((0, 2))
+
+    @pytest.mark.parametrize("letters", [(2.7,), ("2", 1), (Fraction(2),)])
+    def test_non_integral_letters_rejected(self, letters):
+        # Letters are never truncated or parsed into integers.
+        with pytest.raises(TypeError):
+            star(letters, (1,))
+        with pytest.raises(TypeError):
+            symmetric_word_sum(letters)
+        with pytest.raises(TypeError):
+            NCPoly.from_word(letters)
 
     @pytest.mark.parametrize("coeff", [0.1, "1/3"])
     def test_inexact_coefficients_rejected(self, coeff):
@@ -247,9 +260,9 @@ def _package_caches():
 # Fewest entries each cache must keep so that no benchmark workload evicts:
 # the most distinct keys one workload or `verify --suite all --max-n 5
 # --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
-# 4,163 word products and a spot-checks repetition 4,167-4,172, half the
-# floor), or every table depth the CLI admits.  The CLI keeps its one
-# argument parser.
+# 4,163 word products, holding 19,925 distinct words, and a spot-checks
+# repetition 4,167-4,172, half the floor), or every table depth the CLI
+# admits.  The CLI keeps its one argument parser.
 CACHE_FLOORS = {
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,
@@ -368,22 +381,99 @@ class TestPartitionExpansion:
                 return even, odd
             merged = left[0] + right[0]
 
-            def split(terms):
+            def split(part):
+                terms = list(zip(*part))
                 return (
-                    tuple(t for t in terms if t[0][0] != merged),
-                    tuple(t for t in terms if t[0][0] == merged),
+                    [t for t in terms if t[0][0] != merged],
+                    [t for t in terms if t[0][0] == merged],
                 )
 
             def negated(terms):
-                return tuple((w, -c) for w, c in terms)
+                return [(w, -c) for w, c in terms]
+
+            def part(terms):
+                return tuple(w for w, _ in terms), tuple(c for _, c in terms)
 
             (even_kept, even_merged), (odd_kept, odd_merged) = split(even), split(odd)
             if fault == "drop":
-                return even_kept, odd_kept
+                return part(even_kept), part(odd_kept)
             if fault == "flip":
-                return even_kept + negated(even_merged), odd_kept + negated(odd_merged)
-            return even_kept + odd_merged, odd_kept + even_merged
+                return part(even_kept + negated(even_merged)), part(odd_kept + negated(odd_merged))
+            return part(even_kept + odd_merged), part(odd_kept + even_merged)
 
         monkeypatch.setattr(quasi_shuffle, "_word_product", faulty)
         for kvec in _multisets(range(1, 4), range(2, 5)):
             assert not verify_symmetric_sum(kvec).ok, kvec
+
+
+def _clear_word_caches():
+    quasi_shuffle._word_product.cache_clear()
+    quasi_shuffle._words.clear()
+
+
+class _WatchedTable(dict):
+    """A word table that records its largest size and how often it was
+    cleared."""
+
+    peak = 0
+    clears = 0
+
+    def setdefault(self, key, default):
+        value = super().setdefault(key, default)
+        self.peak = max(self.peak, len(self))
+        return value
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+#: Bytes the word-product cache may hold after ``words_suite(5)`` from cold
+#: caches.  It held 13.9 MB while each entry kept its own words as (word,
+#: coefficient) pairs, and holds 5.6 MB with shared words in parallel tuples.
+WORDS_SUITE_HELD_BYTES = 8 << 20
+
+
+class TestWordTable:
+    def test_entries_share_equal_words(self):
+        _clear_word_caches()
+        star((1, 2, 1), (2, 1))
+        # Entries formed by that product's recursion, read as cache hits.
+        for left, right in [((1, 2, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 2, 1), (1,)), ((2, 1), (1,))]:
+            for words, coeffs in quasi_shuffle._word_product(left, right):
+                assert len(words) == len(coeffs)
+                for word in words:
+                    assert quasi_shuffle._words[word] is word, (left, right, word)
+
+    @pytest.mark.parametrize("bound", [16, 200])
+    def test_table_stays_within_its_bound(self, monkeypatch, bound):
+        # Bound 16 is below the size of some single parts, which then keep
+        # their own words; both bounds are passed many times over.
+        pairs = list(itertools.product(short_letter_words, repeat=2))
+        expected = [(star(u, v), sbar(u, v)) for u, v in pairs]
+        table = _WatchedTable()
+        monkeypatch.setattr(quasi_shuffle, "_WORD_TABLE_SIZE", bound)
+        monkeypatch.setattr(quasi_shuffle, "_words", table)
+        quasi_shuffle._word_product.cache_clear()
+        for (u, v), products in zip(pairs, expected):
+            assert (star(u, v), sbar(u, v)) == products, (u, v)
+            assert dict(star(u, v).items()) == brute_force.word_product(u, v, 1), (u, v)
+        assert table.clears > 1
+        assert 0 < table.peak <= bound
+
+    def test_words_suite_memory_is_bounded(self):
+        _clear_word_caches()
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = words_suite(5)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert report.ok and report.passed == 265
+        assert held < WORDS_SUITE_HELD_BYTES, f"{held / 1e6:.2f} MB held"

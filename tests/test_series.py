@@ -110,6 +110,16 @@ class TestSeries:
         with pytest.raises(ValueError):
             symmetric_sum((), 0, 3)
 
+    @pytest.mark.parametrize("part", [1.9, "1", Fraction(1)])
+    def test_non_integral_exponents_rejected(self, part):
+        # Exponents are never truncated or parsed into integers.
+        with pytest.raises(TypeError):
+            composition_sum("zeta", (part,), 3)
+        with pytest.raises(TypeError):
+            composition_sum("bernoulli", (2, part), 3)
+        with pytest.raises(TypeError):
+            symmetric_sum((part,), 2, 3)
+
 
 class TestAgainstBruteForce:
     """The series evaluators against the composition loops, n <= 4, k <= 10."""
