@@ -21,7 +21,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import ClassVar, Sequence
+from typing import Callable, ClassVar, Sequence
 
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
@@ -166,15 +166,42 @@ class BernoulliIdentity:
         return len(self.mvec)
 
     def rhs_value(self, k: int) -> Fraction:
-        """Exact value of the collapsed side at an integer k >= n."""
+        """Exact value of the collapsed side at an integer k >= n, summed by
+        ``_collapsed_sum`` over one running denominator."""
         if k < self.n:
             raise ValueError(f"need k >= n = {self.n}, got {k}")
-        total = Fraction(0)
-        for l in range(min(self.T, k) + 1):
-            value = self.rhs[l](k)
-            if value:
-                total += value * bernoulli(2 * k - 2 * l) / factorial(2 * k - 2 * l)
-        return total
+        return _collapsed_sum(self.rhs[: min(self.T, k) + 1], k, _bernoulli_basis)
+
+
+def _bernoulli_basis(k: int, l: int) -> tuple[int, int]:
+    """B_{2k-2l}/(2k-2l)! as an unreduced (numerator, denominator) pair."""
+    value = bernoulli(2 * k - 2 * l)
+    return value.numerator, value.denominator * factorial(2 * k - 2 * l)
+
+
+def _collapsed_sum(
+    polys: Sequence[UniPoly], k: int, basis: Callable[[int, int], tuple[int, int]]
+) -> Fraction:
+    """sum_l polys[l](k) * basis(k, l) over every l < len(polys), exactly.
+
+    Each p_l(k) runs Horner on the integer numerators at the integer k; a
+    zero value skips its basis.  The terms accumulate as one numerator over
+    a running denominator, the lcm of theirs, and one ``Fraction`` is built
+    at the end.  Shared by the Bernoulli and the zeta collapsed sides; the
+    left-side evaluators never call it.
+    """
+    num, den = 0, 1
+    for l, poly in enumerate(polys):
+        value = 0
+        for c in reversed(poly.nums):
+            value = value * k + c
+        if value:
+            top, bottom = basis(k, l)
+            bottom *= poly.den
+            common = math.gcd(den, bottom)
+            num = num * (bottom // common) + value * top * (den // common)
+            den *= bottom // common
+    return Fraction(num, den)
 
 
 def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
@@ -183,16 +210,21 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
     The coefficient of B_{2k-2l}/(2k-2l)! is the polynomial
 
         p_l(k) = sum_{j=1}^{sum(m)+n-2l} a_{j,l} * 2^(j-1-sum(m)) * (k-l)^(j-1).
+
+    Each p_l is assembled on integers: the numerators of a_{j,l} over their
+    lcm, shifted left by j - 1, over lcm * 2^sum(m), then one integer shift
+    of the variable by l.
     """
     mvec = _validated_mvec(mvec)
     coeffs = a_coeffs(mvec)
     n, s = len(mvec), sum(mvec)
-    rhs = tuple(
-        UniPoly(coeffs[(j, l)] * 2 ** (j - 1) for j in range(1, s + n - 2 * l + 1)).shift(l)
-        / 2**s
-        for l in range(truncation_depth(mvec) + 1)
-    )
-    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)
+    rhs = []
+    for l in range(truncation_depth(mvec) + 1):
+        row = [coeffs[(j, l)] for j in range(1, s + n - 2 * l + 1)]
+        lcm = math.lcm(*(a.denominator for a in row))
+        nums = [a.numerator * (lcm // a.denominator) << (j - 1) for j, a in enumerate(row, 1)]
+        rhs.append(UniPoly._normalised(nums, lcm << s).shift(l))
+    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=tuple(rhs))
 
 
 def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:
@@ -212,10 +244,16 @@ def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:
 def verify_bernoulli(
     mvec: Sequence[int], k: int, identity: BernoulliIdentity | None = None
 ) -> CheckResult:
-    """Compare the series left side against the collapsed side at one k."""
+    """Compare the series left side against the collapsed side at one k.
+
+    A given ``identity`` must be the Bernoulli identity of ``mvec``;
+    otherwise ``ValueError`` is raised before anything is evaluated.
+    """
     mvec = _validated_mvec(mvec)
     if identity is None:
         identity = bernoulli_identity(mvec)
+    elif identity.kind != "bernoulli" or identity.mvec != mvec:
+        raise ValueError(f"identity is for {identity.kind} m={identity.mvec}, not m={mvec}")
     left = bernoulli_lhs(mvec, k)
     right = identity.rhs_value(k)
     return CheckResult(

@@ -55,7 +55,13 @@ from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
 from .rationals import GrowableTable, factorial
 from .series import symmetric_sum
-from .zeta_identities import PiValue, WeightedSumIdentity, _combined_identity, eval_identity_rhs
+from .zeta_identities import (
+    PiValue,
+    WeightedSumIdentity,
+    _check_identity,
+    _combined_identity,
+    eval_identity_rhs,
+)
 
 __all__ = [
     "block_reduce",
@@ -234,9 +240,15 @@ def verify_mzv(
     star: bool = False,
     identity: WeightedSumIdentity | None = None,
 ) -> CheckResult:
-    """Cross-check the identity pipeline against the independent evaluator."""
+    """Cross-check the identity pipeline against the independent evaluator.
+
+    A given ``identity`` must be an mzsv (``star``) or mzv identity at depth
+    n; otherwise ``ValueError`` is raised before anything is evaluated.
+    """
     if identity is None:
         identity = mzsv_identity(F, n) if star else mzv_identity(F, n)
+    else:
+        _check_identity(identity, "mzsv" if star else "mzv", n)
     left = mzv_lhs_exact(F, n, k, star=star)
     right = eval_identity_rhs(identity, k)
     name = "mzsv" if star else "mzv"

@@ -524,31 +524,31 @@ class MultiPoly(_Combination):
         """Canonical text accepted back by ``parse_poly``.
 
         Monomials appear in descending lexicographic order of exponent
-        tuples, the usual display convention (x1^2 before x2).
+        tuples, the usual display convention (x1^2 before x2).  Magnitudes
+        are written from ``nums`` and ``den`` as ``str`` of the reduced
+        ``Fraction`` would write them.
         """
         if not self.nums:
             return "0"
-        pieces: list[tuple[str, str]] = []
-        for coeff, expts in reversed(self.monomials()):
-            factors = []
-            for index, power in enumerate(expts, start=1):
-                if power == 1:
-                    factors.append(f"x{index}")
-                elif power > 1:
-                    factors.append(f"x{index}^{power}")
-            magnitude = abs(coeff)
-            if factors and magnitude == 1:
-                body = "*".join(factors)
-            elif factors:
-                body = "*".join([str(magnitude), *factors])
+        den = self.den
+        pieces: list[str] = []
+        for expts, num in sorted(self.nums.items(), reverse=True):
+            factors = [
+                f"x{index}" if power == 1 else f"x{index}^{power}"
+                for index, power in enumerate(expts, start=1)
+                if power
+            ]
+            magnitude = abs(num)
+            if magnitude != den or not factors:
+                common = math.gcd(magnitude, den)
+                top, bottom = magnitude // common, den // common
+                factors.insert(0, str(top) if bottom == 1 else f"{top}/{bottom}")
+            body = "*".join(factors)
+            if pieces:
+                pieces.append(f"- {body}" if num < 0 else f"+ {body}")
             else:
-                body = str(magnitude)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        text = body if sign == "+" else f"-{body}"
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
+                pieces.append(f"-{body}" if num < 0 else body)
+        return " ".join(pieces)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}, {self.render()!r})"

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bernoulli_sums import _validated_mvec, bernoulli_identity, truncation_depth
+from .bernoulli_sums import _collapsed_sum, _validated_mvec, bernoulli_identity, truncation_depth
 from .checks import CheckResult
 from .polynomials import MultiPoly, Scalar, UniPoly
 from .rationals import bernoulli, factorial
@@ -259,27 +259,41 @@ def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:
 
 def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> PiValue:
     """Exact value of the collapsed side at an integer k >= 1, truncating the
-    sum at l = min(T, k)."""
+    sum at l = min(T, k).  The coefficient of pi^(2k) is summed by
+    ``bernoulli_sums._collapsed_sum`` over one running denominator."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    total = PiValue.zero(k)
-    for l in range(min(identity.T, k) + 1):
-        value = identity.terms[l](k)
-        if not value:
-            continue
-        if l == 0:
-            total = total + value * zeta_even(k)
-        else:
-            total = total + value * (zeta_even(l) * zeta_even(k - l))
-    return total
+    return PiValue(k, _collapsed_sum(identity.terms[: min(identity.T, k) + 1], k, _zeta_basis))
+
+
+def _zeta_basis(k: int, l: int) -> tuple[int, int]:
+    """The pi^(2k) coefficient of zeta(2l) zeta(2k-2l), or of zeta(2k) for
+    l = 0, as an unreduced (numerator, denominator) pair."""
+    if l == 0:
+        value = zeta_even(k).coeff
+        return value.numerator, value.denominator
+    left, right = zeta_even(l).coeff, zeta_even(k - l).coeff
+    return left.numerator * right.numerator, left.denominator * right.denominator
+
+
+def _check_identity(identity: WeightedSumIdentity, kind: str, n: int) -> None:
+    """Raise ``ValueError`` unless ``identity`` is of ``kind`` at depth n."""
+    if identity.kind != kind or identity.n != n:
+        raise ValueError(f"identity is for {identity.kind} n={identity.n}, not {kind} n={n}")
 
 
 def verify_zeta(
     F: MultiPoly, n: int, k: int, identity: WeightedSumIdentity | None = None
 ) -> CheckResult:
-    """Compare the series zeta-product sum against the collapsed side."""
+    """Compare the series zeta-product sum against the collapsed side.
+
+    A given ``identity`` must be a zeta identity at depth n; otherwise
+    ``ValueError`` is raised before anything is evaluated.
+    """
     if identity is None:
         identity = zeta_identity_poly(F, n)
+    else:
+        _check_identity(identity, "zeta", n)
     left = eval_zeta_lhs(F, n, k)
     right = eval_identity_rhs(identity, k)
     return CheckResult(

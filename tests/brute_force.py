@@ -25,6 +25,13 @@ no code with ``UniPoly``.
 the j >= 1 entries of ``big_F``: plain ``UniPoly`` ``+`` and ``*`` over the
 table rows, odd coefficients included.
 
+``bernoulli_rhs`` and ``zeta_rhs`` are the oracle of the collapsed sides
+``BernoulliIdentity.rhs_value`` and ``eval_identity_rhs``: each term
+p_l(k) * basis is formed as a ``Fraction`` (``UniPoly.__call__``) or a
+``PiValue`` product and added on its own.  ``bernoulli_rhs_polys`` is the
+oracle of the p_l assembly in ``bernoulli_identity``: ``UniPoly`` arithmetic
+on the ``a_coeffs`` Fractions.
+
 ``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
 words: it sums over lattice paths and calls nothing in
 ``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
@@ -42,6 +49,7 @@ from evenzeta import (
     PiValue,
     SetPartition,
     UniPoly,
+    a_coeffs,
     bernoulli,
     f_table,
     factorial,
@@ -272,3 +280,45 @@ def collapsed_sums(mvec):
             acc = acc + fs[i] * inverse.entry(i - 1, j)
         sums.append(acc)
     return sums
+
+
+def bernoulli_rhs_polys(mvec):
+    """p_0, ..., p_T of the Bernoulli identity, as
+    p_l(k) = sum_j a_{j,l} 2^(j-1) (k-l)^(j-1) / 2^sum(m) in ``UniPoly``
+    arithmetic on Fractions, T = max((s + n - 2) // 2, (n - 1) // 2)."""
+    coeffs = a_coeffs(mvec)
+    n, s = len(mvec), sum(mvec)
+    depth = max((s + n - 2) // 2, (n - 1) // 2)
+    shift = UniPoly.x()
+    polys = []
+    for l in range(depth + 1):
+        acc = UniPoly.zero()
+        for j in range(1, s + n - 2 * l + 1):
+            acc = acc + UniPoly.constant(coeffs[(j, l)] * 2 ** (j - 1)) * (shift - l) ** (j - 1)
+        polys.append(acc / 2**s)
+    return polys
+
+
+def bernoulli_rhs(identity, k):
+    """sum_{l=0}^{min(T, k)} p_l(k) * B_{2k-2l}/(2k-2l)!, term by term."""
+    total = Fraction(0)
+    for l in range(min(identity.T, k) + 1):
+        value = identity.rhs[l](k)
+        if value:
+            total += value * bernoulli(2 * k - 2 * l) / factorial(2 * k - 2 * l)
+    return total
+
+
+def zeta_rhs(identity, k):
+    """terms[0](k) zeta(2k) + sum_{l=1}^{min(T, k)} terms[l](k) zeta(2l)
+    zeta(2k-2l), term by term as ``PiValue`` products."""
+    total = PiValue.zero(k)
+    for l in range(min(identity.T, k) + 1):
+        value = identity.terms[l](k)
+        if not value:
+            continue
+        if l == 0:
+            total = total + value * zeta_even(k)
+        else:
+            total = total + value * (zeta_even(l) * zeta_even(k - l))
+    return total

@@ -234,6 +234,14 @@ class TestVerification:
         for k in (N, N + 1):
             assert identity.rhs_value(k) == bernoulli_lhs(mvec, k)
 
+    def test_mismatched_identity_rejected(self):
+        # An identity of other exponents or another kind is a caller error,
+        # not a failed check.
+        with pytest.raises(ValueError, match=r"not m=\(2, 0\)"):
+            verify_bernoulli((2, 0), 5, identity=bernoulli_identity((1, 0)))
+        with pytest.raises(ValueError, match=r"identity is for zeta"):
+            verify_bernoulli((2, 0), 5, identity=zeta_identity_monomial((2, 0)))
+
     def test_result_carries_values(self):
         result = verify_bernoulli((0, 0), 3)
         assert result.lhs == result.rhs == str(bernoulli_lhs((0, 0), 3))

@@ -363,6 +363,15 @@ class TestCrossPath:
                         result = verify_mzv(F, n, k, star=star)
                         assert result.ok, result.describe()
 
+    def test_mismatched_identity_rejected(self):
+        # An identity of the other kind or depth is a caller error, not a
+        # failed check.
+        F = parse_poly("x1 + x2 + x3", 3)
+        with pytest.raises(ValueError, match="not mzsv n=3"):
+            verify_mzv(F, 3, 5, star=True, identity=mzv_identity(F, 3))
+        with pytest.raises(ValueError, match="not mzv n=3"):
+            verify_mzv(F, 3, 5, identity=mzv_identity(parse_poly("x1 + x2", 2), 2))
+
 
 def to_dec40(value):
     import decimal

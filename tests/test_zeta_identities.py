@@ -17,6 +17,7 @@ from evenzeta import (
     bernoulli_identity,
     eval_identity_rhs,
     eval_zeta_lhs,
+    mzv_identity,
     parse_poly,
     verify_zeta,
     zeta_even,
@@ -184,6 +185,23 @@ class TestVerification:
         F = parse_poly("x1^2*x2", 2)
         for k in range(2, 7):
             assert verify_zeta(F, 2, k).ok
+
+    @pytest.mark.parametrize("mvec", [(20, 8), (17, 3, 4)])
+    def test_deep_identity_at_full_depth(self, mvec):
+        # At k = N = sum(m) + n and N + 1 every term enters the collapsed side.
+        identity = zeta_identity_monomial(mvec)
+        n, N = len(mvec), sum(mvec) + len(mvec)
+        for k in (N, N + 1):
+            assert eval_identity_rhs(identity, k) == eval_zeta_lhs(MultiPoly.monomial(mvec), n, k)
+
+    def test_mismatched_identity_rejected(self):
+        # An identity of another depth or kind is a caller error, not a
+        # failed check.
+        F = parse_poly("x1 + x2 + x3", 3)
+        with pytest.raises(ValueError, match="not zeta n=3"):
+            verify_zeta(F, 3, 5, identity=zeta_identity_poly(parse_poly("x1 + x2", 2), 2))
+        with pytest.raises(ValueError, match="not zeta n=3"):
+            verify_zeta(F, 3, 5, identity=mzv_identity(F, 3))
 
 
 class TestOrbits:
