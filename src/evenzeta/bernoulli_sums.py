@@ -55,7 +55,11 @@ def truncation_depth(mvec: Sequence[int]) -> int:
 
     T = max(floor((sum(m) + n - 2) / 2), floor((n - 1) / 2)).
     """
-    mvec = _validated_mvec(mvec)
+    return _depth(_validated_mvec(mvec))
+
+
+def _depth(mvec: tuple[int, ...]) -> int:
+    """``truncation_depth`` of a validated exponent tuple."""
     n, s = len(mvec), sum(mvec)
     return max((s + n - 2) // 2, (n - 1) // 2)
 

@@ -17,7 +17,7 @@ import math
 import operator
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Any, Iterable, Mapping, Sequence, Union
 
 __all__ = ["NEG_INFINITY", "MultiPoly", "ParseError", "UniPoly", "max_parse_degree", "parse_poly"]
 
@@ -167,9 +167,7 @@ class UniPoly:
     __radd__ = __add__
 
     def __sub__(self, other: "UniPoly | Scalar") -> "UniPoly":
-        if isinstance(other, (int, Fraction)):
-            other = UniPoly.constant(other)
-        if not isinstance(other, UniPoly):
+        if not isinstance(other, (UniPoly, int, Fraction)):
             return NotImplemented
         return self + (-other)
 
@@ -183,9 +181,8 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly | Scalar") -> "UniPoly":
         if isinstance(other, (int, Fraction)):
-            scale = _as_rational(other)
             return UniPoly._normalised(
-                [x * scale.numerator for x in self.nums], self.den * scale.denominator
+                [x * other.numerator for x in self.nums], self.den * other.denominator
             )
         if not isinstance(other, UniPoly):
             return NotImplemented
@@ -370,10 +367,9 @@ class _Combination:
     def __mul__(self, other: Scalar) -> "_Combination":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        scale = _as_rational(other)
         return self._normalised(
-            {key: c * scale.numerator for key, c in self.nums.items()},
-            self.den * scale.denominator,
+            {key: c * other.numerator for key, c in self.nums.items()},
+            self.den * other.denominator,
             *self._shape(),
         )
 
@@ -470,14 +466,10 @@ class MultiPoly(_Combination):
         if len(point) != self.arity:
             raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
         coords = [_as_rational(p) for p in point]
-        acc = Fraction(0)
-        for expts, c in self.nums.items():
-            term = Fraction(c)
-            for base, power in zip(coords, expts):
-                if power:
-                    term *= base**power
-            acc += term
-        return acc / self.den
+        total = sum(
+            c * math.prod(x**e for x, e in zip(coords, expts)) for expts, c in self.nums.items()
+        )
+        return Fraction(total) / self.den
 
     def is_symmetric(self) -> bool:
         """True when invariant under every permutation of the variables.
@@ -516,7 +508,7 @@ class MultiPoly(_Combination):
         return MultiPoly._normalised(nums, self.den * rhs.den, self.arity)
 
     def __pow__(self, exponent: int) -> "MultiPoly":
-        return _power(self, exponent, MultiPoly._normalised({(0,) * self.arity: 1}, 1, self.arity))
+        return _power(self, exponent, MultiPoly.constant(self.arity, 1))
 
     # -- rendering ---------------------------------------------------------
 
@@ -562,36 +554,41 @@ class ParseError(ValueError):
         self.position = position
 
 
-_Token = tuple[str, object, int]  # kind, value, position
+_Token = tuple[str, Any, int]  # kind, value, position
 
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     while i < len(text):
-        ch = text[i]
+        ch, start = text[i], i
+        i += 1
         if ch.isspace():
-            i += 1
             continue
-        if ch.isdigit():
-            start = i
-            while i < len(text) and text[i].isdigit():
+        if "0" <= ch <= "9":
+            while i < len(text) and "0" <= text[i] <= "9":
                 i += 1
             tokens.append(("int", int(text[start:i]), start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
+        elif ch.isalpha() or ch == "_":
             while i < len(text) and (text[i].isalnum() or text[i] == "_"):
                 i += 1
             tokens.append(("name", text[start:i], start))
-            continue
-        if ch in "+-*/^()":
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
+        elif ch in "+-*/^()":
+            tokens.append((ch, ch, start))
+        else:
+            raise ParseError(f"unexpected character {ch!r}", start)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def _product(left: dict, right: dict) -> dict:
+    """The expanded product of two parsed polynomials, cancelled terms dropped."""
+    out: dict = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(map(operator.add, e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 class _Parser:
@@ -603,6 +600,8 @@ class _Parser:
         primary := INT ('/' INT)? | VARIABLE | '(' expr ')'
 
     with VARIABLE one of x1..xn.  There is no implicit multiplication.
+    Every production returns a dict from exponent tuple to nonzero int or
+    Fraction coefficient; ``parse`` makes the one ``MultiPoly``.
     """
 
     def __init__(self, text: str, arity: int) -> None:
@@ -613,35 +612,36 @@ class _Parser:
         self.arity = arity
         self.max_degree = max_parse_degree(arity)
 
-    def _peek(self) -> _Token:
-        return self.tokens[self.pos]
-
     def _next(self) -> _Token:
         token = self.tokens[self.pos]
         self.pos += 1
         return token
 
+    def _accept(self, kinds: str) -> _Token | None:
+        """The next token if its kind is one of ``kinds``, consumed."""
+        return self._next() if self.tokens[self.pos][0] in kinds else None
+
     def parse(self) -> MultiPoly:
-        poly = self._expr()
-        kind, value, position = self._peek()
+        terms = self._expr()
+        kind, value, position = self._next()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", position)
-        return poly
+        return MultiPoly(self.arity, terms)
 
-    def _expr(self) -> MultiPoly:
-        negate = False
-        if self._peek()[0] in "+-":
-            negate = self._next()[0] == "-"
-        poly = self._term()
-        if negate:
-            poly = -poly
-        while self._peek()[0] in "+-":
-            op = self._next()[0]
-            rhs = self._term()
-            poly = poly + rhs if op == "+" else poly - rhs
-        return poly
+    def _expr(self) -> dict:
+        # Each term is added into one accumulator, in place.
+        acc: dict = {}
+        sign = self._accept("+-")
+        while True:
+            negate = sign and sign[0] == "-"
+            for key, c in self._term().items():
+                acc[key] = acc.get(key, 0) + (-c if negate else c)
+            if not (sign := self._accept("+-")):
+                return {key: c for key, c in acc.items() if c}
 
-    def _admit(self, degree: int | float, position: int) -> None:
+    def _admit(self, position: int, *factors: dict) -> None:
+        """Refuse a product of ``factors`` whose total degree exceeds the limit."""
+        degree = sum(max(map(sum, f), default=NEG_INFINITY) for f in factors)
         if degree > self.max_degree:
             raise ParseError(
                 f"total degree {degree} exceeds the limit {self.max_degree} "
@@ -649,56 +649,52 @@ class _Parser:
                 position,
             )
 
-    def _term(self) -> MultiPoly:
-        poly = self._factor()
-        while self._peek()[0] == "*":
-            position = self._next()[2]
+    def _term(self) -> dict:
+        terms = self._factor()
+        while star := self._accept("*"):
             rhs = self._factor()
-            self._admit(poly.degree() + rhs.degree(), position)
-            poly = poly * rhs
-        return poly
+            self._admit(star[2], terms, rhs)
+            terms = _product(terms, rhs)
+        return terms
 
-    def _factor(self) -> MultiPoly:
+    def _factor(self) -> dict:
         base = self._primary()
-        if self._peek()[0] != "^":
+        if not self._accept("^"):
             return base
-        self._next()
         kind, value, position = self._next()
         if kind != "int":
             raise ParseError("expected a nonnegative integer exponent", position)
-        assert isinstance(value, int)
         if value > _MAX_EXPONENT:
             raise ParseError(f"exponent {value} exceeds the limit {_MAX_EXPONENT}", position)
-        if value:
-            self._admit(base.degree() * value, position)
-        return base**value
+        self._admit(position, *[base] * value)
+        terms = {(0,) * self.arity: 1}
+        for _ in range(value):
+            terms = _product(terms, base)
+        return terms
 
-    def _primary(self) -> MultiPoly:
+    def _primary(self) -> dict:
         kind, value, position = self._next()
         if kind == "int":
-            assert isinstance(value, int)
-            if self._peek()[0] == "/":
-                self._next()
+            if self._accept("/"):
                 dkind, dvalue, dposition = self._next()
                 if dkind != "int":
                     raise ParseError("expected an integer denominator", dposition)
-                assert isinstance(dvalue, int)
                 if dvalue == 0:
                     raise ParseError("zero denominator", dposition)
-                return MultiPoly.constant(self.arity, Fraction(value, dvalue))
-            return MultiPoly.constant(self.arity, value)
+                value = Fraction(value, dvalue)
+            return {(0,) * self.arity: value} if value else {}
         if kind == "name":
-            assert isinstance(value, str)
             body = value[1:]
-            if value.startswith("x") and body.isdigit() and 1 <= int(body) <= self.arity:
-                return MultiPoly.variable(self.arity, int(body))
+            index = int(body) if value.startswith("x") and body.isascii() and body.isdigit() else 0
+            if 1 <= index <= self.arity:
+                return {tuple(int(i == index) for i in range(1, self.arity + 1)): 1}
             raise ParseError(f"unknown variable {value!r} (expected x1..x{self.arity})", position)
         if kind == "(":
-            poly = self._expr()
+            terms = self._expr()
             ckind, _, cposition = self._next()
             if ckind != ")":
                 raise ParseError("expected ')'", cposition)
-            return poly
+            return terms
         raise ParseError("expected a number, a variable, or '('", position)
 
 

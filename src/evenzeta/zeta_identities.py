@@ -16,12 +16,13 @@ combination of monomial identities, formed by ``_combined_identity``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bernoulli_sums import _collapsed_sum, _validated_mvec, bernoulli_identity, truncation_depth
+from .bernoulli_sums import _collapsed_sum, _depth, _validated_mvec, bernoulli_identity
 from .checks import CheckResult
 from .polynomials import MultiPoly, Scalar, UniPoly
 from .rationals import bernoulli, factorial
@@ -184,31 +185,35 @@ def _combined_identity(
     kind: str, n: int, nums: Iterable[tuple[tuple[int, ...], int]], den: int, poly: MultiPoly
 ) -> WeightedSumIdentity:
     """The sum of c/den * (monomial identity of exponents) over the pairs
-    (exponents, c) of ``nums``, with integer c and den > 0.
+    (exponents, c) of ``nums``, with integer c, den > 0 and every exponent
+    tuple valid.
 
     A monomial identity depends only on the orbit of its exponents under
     permutation, so the numerators of pairs with equal sorted exponents are
-    summed first, one identity is built per orbit, and each term l is
-    summed over the orbits in one ``UniPoly.dot``.  The depth T is the
-    largest truncation depth among the orbits, those whose coefficients
-    cancel included, or ``(n - 1) // 2`` when there are none; a term beyond
-    an orbit's depth counts as zero.
+    summed first and one identity is built per orbit.  Each term l is then
+    summed over the orbits as integer numerators over the lcm of their
+    denominators, with one normalisation.  The depth T is the largest
+    truncation depth among the orbits, those whose coefficients cancel
+    included, or ``(n - 1) // 2`` when there are none; a term beyond an
+    orbit's depth counts as zero.
     """
     orbits: dict[tuple[int, ...], int] = {}
     for expts, c in nums:
         key = tuple(sorted(expts))
         orbits[key] = orbits.get(key, 0) + c
-    depth = max(map(truncation_depth, orbits), default=(n - 1) // 2)
-    scaled = [
-        (UniPoly.constant(Fraction(c, den)), _monomial_identity(key).terms)
-        for key, c in orbits.items()
-        if c
-    ]
-    terms = tuple(
-        UniPoly.dot((scale, row[l]) for scale, row in scaled if l < len(row))
-        for l in range(depth + 1)
-    )
-    return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=terms, poly=poly)
+    depth = max(map(_depth, orbits), default=(n - 1) // 2)
+    rows = [(c, _monomial_identity(key).terms) for key, c in orbits.items() if c]
+    terms = []
+    for l in range(depth + 1):
+        present = [(c, row[l]) for c, row in rows if l < len(row)]
+        lcm = math.lcm(*(p.den for _, p in present))
+        acc = [0] * max((len(p.nums) for _, p in present), default=0)
+        for c, p in present:
+            scale = c * (lcm // p.den)
+            for i, x in enumerate(p.nums):
+                acc[i] += scale * x
+        terms.append(UniPoly._normalised(acc, den * lcm))
+    return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=tuple(terms), poly=poly)
 
 
 def zeta_identity_monomial(mvec: Sequence[int]) -> WeightedSumIdentity:

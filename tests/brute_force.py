@@ -32,6 +32,12 @@ p_l(k) * basis is formed as a ``Fraction`` (``UniPoly.__call__``) or a
 oracle of the p_l assembly in ``bernoulli_identity``: ``UniPoly`` arithmetic
 on the ``a_coeffs`` Fractions.
 
+``combined_identity`` is the oracle of ``zeta_identities._combined_identity``,
+the orbit combination behind every zeta, mzv and mzsv identity of a weight
+polynomial: one ``UniPoly.constant`` per orbit and a ``UniPoly.dot`` per
+term, the depth from ``truncation_depth``.  ``dense_weight`` is the densest
+symmetric weight the parser admits at one depth.
+
 ``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
 words: it sums over lattice paths and calls nothing in
 ``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
@@ -41,6 +47,7 @@ partition's block letters out on its own through the public ``star`` or
 ``sbar`` and adds the weighted results.
 """
 
+import itertools
 from fractions import Fraction
 from typing import Iterator
 
@@ -58,7 +65,9 @@ from evenzeta import (
     sbar,
     set_partitions,
     star,
+    truncation_depth,
     zeta_even,
+    zeta_identity_monomial,
 )
 
 
@@ -322,3 +331,40 @@ def zeta_rhs(identity, k):
         else:
             total = total + value * (zeta_even(l) * zeta_even(k - l))
     return total
+
+
+def combined_identity(nums, den, n):
+    """(T, terms) of sum c/den * (monomial identity of exponents) over the
+    pairs (exponents, c) of ``nums``: the numerators of one orbit under
+    permutation are summed, each orbit enters as ``UniPoly.constant(c/den)``
+    and each term l is one ``UniPoly.dot`` over the orbits.  T is the largest
+    ``truncation_depth`` over all orbits, or (n - 1) // 2 without any."""
+    orbits = {}
+    for expts, c in nums:
+        key = tuple(sorted(expts))
+        orbits[key] = orbits.get(key, 0) + c
+    depth = max(map(truncation_depth, orbits), default=(n - 1) // 2)
+    scaled = [
+        (UniPoly.constant(Fraction(c, den)), zeta_identity_monomial(key).terms)
+        for key, c in orbits.items()
+        if c
+    ]
+    terms = tuple(
+        UniPoly.dot((scale, row[l]) for scale, row in scaled if l < len(row))
+        for l in range(depth + 1)
+    )
+    return depth, terms
+
+
+def dense_weight(n, degree):
+    """(text, coefficients) of the weight with every monomial of total degree
+    <= ``degree`` in x1..xn, the monomial with exponents e weighted by
+    (1 + sum(e)) / (1 + max(e)); the text writes every coefficient as a/b
+    and every power as x_i^p."""
+    coeffs, pieces = {}, []
+    for expts in itertools.product(range(degree + 1), repeat=n):
+        if sum(expts) <= degree:
+            coeffs[expts] = Fraction(1 + sum(expts), 1 + max(expts))
+            powers = [f"x{i}^{p}" for i, p in enumerate(expts, 1) if p]
+            pieces.append("*".join([f"{1 + sum(expts)}/{1 + max(expts)}", *powers]))
+    return " + ".join(pieces), coeffs

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import brute_force
 from brute_force import compositions, partition_shape
 from evenzeta import (
     MultiPoly,
@@ -26,14 +27,17 @@ from evenzeta import (
     block_shapes,
     composition_power_sum,
     factorial,
+    max_parse_degree,
     mzsv_identity,
     mzv_identity,
     mzv_lhs_exact,
     mzv_numeric,
     parse_poly,
     set_partitions,
+    suites,
     verify_mzv,
     zeta_even,
+    zeta_identity_poly,
 )
 from evenzeta.mzv_identities import _shape_weight
 
@@ -468,3 +472,42 @@ class TestNumeric:
     def test_non_integral_arguments_rejected(self, kvec):
         with pytest.raises(TypeError):
             mzv_numeric(kvec, 100)
+
+
+class TestOrbitCombination:
+    """``_combined_identity`` against the ``UniPoly.constant``/``UniPoly.dot``
+    combination of ``brute_force.combined_identity``, on every call the
+    zeta, mzv and mzsv pipelines make for the weights below."""
+
+    @pytest.fixture
+    def compared(self, monkeypatch):
+        from evenzeta import mzv_identities, zeta_identities
+
+        calls = []
+        combine = zeta_identities._combined_identity
+
+        def checked(kind, n, nums, den, poly):
+            nums = list(nums)
+            identity = combine(kind, n, nums, den, poly)
+            assert (identity.T, identity.terms) == brute_force.combined_identity(nums, den, n)
+            calls.append(kind)
+            return identity
+
+        monkeypatch.setattr(zeta_identities, "_combined_identity", checked)
+        monkeypatch.setattr(mzv_identities, "_combined_identity", checked)
+        return calls
+
+    def test_mzv_suite_weights(self, compared):
+        weights = [(n, w) for n in range(1, suites.MAX_N + 1) for _, w in suites._weight_family(n)]
+        for n, weight in weights:
+            mzv_identity(weight, n)
+            mzsv_identity(weight, n)
+        assert len(compared) == 2 * len(weights)
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dense_weights_at_the_degree_limit(self, compared, n):
+        text, _ = brute_force.dense_weight(n, max_parse_degree(n))
+        weight = parse_poly(text, n)
+        mzv_identity(weight, n)
+        zeta_identity_poly(weight, n)
+        assert compared == ["mzv", "zeta"]

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import brute_force
-from evenzeta import MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly
+from evenzeta import MultiPoly, ParseError, UniPoly, max_parse_degree, parse_poly, polynomials
 
 X = UniPoly.x()
 
@@ -356,12 +356,21 @@ class TestParser:
 
     def test_power_degree_limit(self, monkeypatch):
         base = "(x1 + x2 + x3 + x4)"
-        assert parse_poly(f"{base}^9", 4).degree() == 9
+        degrees = []
+        expand = polynomials._product
 
-        def refuse(self, exponent):
+        def recording(left, right):
+            degrees.append(max(map(sum, left)) + max(map(sum, right)))
+            return expand(left, right)
+
+        monkeypatch.setattr(polynomials, "_product", recording)
+        assert parse_poly(f"{base}^9", 4).degree() == 9
+        assert max(degrees) == 9
+
+        def refuse(left, right):
             raise AssertionError("expanded an over-limit power")
 
-        monkeypatch.setattr(MultiPoly, "__pow__", refuse)
+        monkeypatch.setattr(polynomials, "_product", refuse)
         with pytest.raises(ParseError) as info:
             parse_poly(f"{base}^10", 4)
         assert "total degree 10 exceeds the limit 9" in str(info.value)
@@ -369,20 +378,47 @@ class TestParser:
     def test_product_degree_limit(self, monkeypatch):
         base = "(x1 + x2 + x3 + x4)"
         degrees = []
-        multiply = MultiPoly.__mul__
+        expand = polynomials._product
 
-        def recording(self, other):
-            degrees.append(self.degree() + other.degree())
-            return multiply(self, other)
+        def recording(left, right):
+            degrees.append(max(map(sum, left)) + max(map(sum, right)))
+            return expand(left, right)
 
-        monkeypatch.setattr(MultiPoly, "__mul__", recording)
+        monkeypatch.setattr(polynomials, "_product", recording)
         assert parse_poly("*".join([base] * 9), 4).degree() == 9
+        assert max(degrees) == 9
         degrees.clear()
         text = "*".join([base] * 10)
         with pytest.raises(ParseError) as info:
             parse_poly(text, 4)
         assert info.value.position == text.rindex("*")
         assert max(degrees) == 9
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [("(x1^43 - x1^43)*x1^43", "0"), ("0*x2^43", "0"), ("(x2^43 - x2^43 + x1)^43", "x1^43")],
+    )
+    def test_cancelled_terms_do_not_count_toward_the_limit(self, text, expected):
+        assert parse_poly(text, 2).render() == expected
+
+    def test_a_zero_factor_has_no_degree(self):
+        # At arity 1000 the limit is 0, so a product with x1 is admitted only
+        # when the other factor is zero.
+        assert max_parse_degree(1000) == 0
+        assert parse_poly("0*x1", 1000).is_zero()
+        with pytest.raises(ParseError, match="total degree 1 exceeds"):
+            parse_poly("2*x1", 1000)
+
+    @pytest.mark.parametrize("text, arity, position", [("٣*x1", 2, 0), ("x١", 2, 0), ("x1^²", 1, 3)])
+    def test_only_ascii_digits(self, text, arity, position):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, arity)
+        assert info.value.position == position
+
+    def test_dense_weight_at_the_degree_limit(self):
+        text, coeffs = brute_force.dense_weight(3, max_parse_degree(3))
+        assert len(coeffs) == 969
+        assert parse_poly(text, 3) == MultiPoly(3, coeffs)
 
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
@@ -402,6 +438,87 @@ def multipolys(draw):
         expts = tuple(draw(st.integers(0, 3)) for _ in range(arity))
         terms[expts] = draw(coeffs)
     return MultiPoly(arity, terms)
+
+
+class OverLimit(Exception):
+    """The tree holds a product or power the parser must refuse."""
+
+
+@st.composite
+def expression_trees(draw):
+    """An arity and an expression tree over it: ("const", q), ("var", i),
+    ("neg", t), (op, a, b) for op in + - *, or ("^", t, exponent)."""
+    arity = draw(st.integers(1, 3))
+    leaves = st.one_of(
+        st.tuples(st.just("const"), coeffs), st.tuples(st.just("var"), st.integers(1, arity))
+    )
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), children, children),
+            st.tuples(st.just("neg"), children),
+            st.tuples(st.just("^"), children, st.integers(0, 9)),
+        )
+
+    return arity, draw(st.recursive(leaves, extend, max_leaves=8))
+
+
+def tree_text(tree, level=0):
+    """The tree as parser input, parenthesised where its precedence (0 sum,
+    1 product, 2 power, 3 primary) is below ``level``."""
+    kind = tree[0]
+    if kind == "const":
+        q = tree[1]
+        text, own = (str(abs(q)), 3) if q >= 0 else (f"-{abs(q)}", 0)
+    elif kind == "var":
+        text, own = f"x{tree[1]}", 3
+    elif kind == "neg":
+        text, own = f"-{tree_text(tree[1], 1)}", 0
+    elif kind == "^":
+        text, own = f"{tree_text(tree[1], 3)}^{tree[2]}", 2
+    elif kind == "*":
+        text, own = f"{tree_text(tree[1], 1)}*{tree_text(tree[2], 2)}", 1
+    else:
+        text, own = f"{tree_text(tree[1], 0)} {kind} {tree_text(tree[2], 1)}", 0
+    return text if own >= level else f"({text})"
+
+
+def tree_value(tree, arity):
+    """The tree through ``MultiPoly`` arithmetic; ``OverLimit`` where a
+    product or power would pass ``max_parse_degree(arity)``."""
+    kind = tree[0]
+    if kind == "const":
+        return MultiPoly.constant(arity, tree[1])
+    if kind == "var":
+        return MultiPoly.variable(arity, tree[1])
+    if kind == "neg":
+        return -tree_value(tree[1], arity)
+    if kind == "^":
+        base = tree_value(tree[1], arity)
+        if tree[2] and base.degree() * tree[2] > max_parse_degree(arity):
+            raise OverLimit
+        return base ** tree[2]
+    left, right = tree_value(tree[1], arity), tree_value(tree[2], arity)
+    if kind == "*":
+        if left.degree() + right.degree() > max_parse_degree(arity):
+            raise OverLimit
+        return left * right
+    return left + right if kind == "+" else left - right
+
+
+class TestParserOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(expression_trees())
+    def test_parse_matches_multipoly_arithmetic(self, case):
+        arity, tree = case
+        text = tree_text(tree)
+        try:
+            expected = tree_value(tree, arity)
+        except OverLimit:
+            with pytest.raises(ParseError, match="total degree"):
+                parse_poly(text, arity)
+        else:
+            assert parse_poly(text, arity) == expected, text
 
 
 class TestRenderRoundTrip:
