@@ -80,8 +80,10 @@ _COMPOSITION_CACHE_SIZE = 1 << 12
 _DECIMAL_DIGITS = 40
 
 #: Extra decimal places ``mzv_numeric`` first carries beyond 40; doubled
-#: until the rounding is certified.
-_GUARD_DIGITS = 12
+#: until the rounding is certified.  The bracket is depth * bound units
+#: wide; with 16, tiny deep sums such as (5, 4, 4, 2, 2, 2) at bound 1000
+#: are certified in one pass.
+_GUARD_DIGITS = 16
 
 _U_ONE_PLUS_U = UniPoly((0, 1, 1))
 
@@ -267,26 +269,20 @@ def _to_decimal(value: Fraction) -> Decimal:
 
 
 def _nested_sum_bracket(kvec: tuple[int, ...], bound: int, scale: int) -> tuple[int, int]:
-    """Integers lo <= S * scale <= hi for the truncated nested sum S.
+    """Integers lo <= S * scale < hi = lo + len(kvec) * bound for the
+    truncated nested sum S.
 
     Level by level from the innermost argument, the prefix sums
-    sum_{j <= m} prev[j - 1] / j^k are carried twice: once with every
-    quotient floored and once with every quotient ceiled.  All terms are
-    nonnegative, so the floor chain stays below the exact scaled sums and the
-    ceiling chain above them; the gap grows by at most one unit per term.
+    sum_{j <= m} prev[j - 1] / j^k are carried with every quotient floored,
+    so lo never exceeds the exact scaled sum.  Each floor loses less than one
+    unit, and a deficit below (level - 1) * (j - 1) divided by j^k >= j stays
+    below level - 1, so the deficit at level l and index m is below l * m.
     """
-    lo = hi = [scale] * bound  # the empty inner sum is 1
+    lo = [scale] * bound  # the empty inner sum is 1
     for exponent in reversed(kvec):
-        lo_next, hi_next = [0], [0]
-        lo_run = hi_run = 0
-        for m in range(1, bound + 1):
-            power = m**exponent
-            lo_run += lo[m - 1] // power
-            hi_run -= -hi[m - 1] // power
-            lo_next.append(lo_run)
-            hi_next.append(hi_run)
-        lo, hi = lo_next, hi_next
-    return lo[bound], hi[bound]
+        quotients = (prev // m**exponent for m, prev in zip(range(1, bound + 1), lo))
+        lo = [0, *itertools.accumulate(quotients)]
+    return lo[bound], lo[bound] + len(kvec) * bound
 
 
 def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:
@@ -296,7 +292,8 @@ def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:
 
     The partial sum is correctly rounded (round-half-even) to 40 significant
     digits.  It is bracketed in fixed point with 40 + guard decimal places by
-    ``_nested_sum_bracket``; rounding is monotone, so when both ends of the
+    ``_nested_sum_bracket``, one floor chain whose deficit is below
+    depth * bound units; rounding is monotone, so when both ends of the
     bracket round to the same digits the exact sum does too.  Otherwise the
     guard digits are doubled and the sum redone.
     The tail estimate is (1645/1000)^(n-1) * bound^(1-k_1), a genuine bound

@@ -144,36 +144,49 @@ def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
     parity of the number of merged letters behind each word.
 
     A word w of the product has |left| + |right| - |w| merged letters, so no
-    word is in both parts, and ``sbar`` is even - odd.
+    word is in both parts, and ``sbar`` is even - odd.  Each part holds
+    distinct words, each the word table's object (a product with the empty
+    word holds the other argument).
     """
     if not left:
         return ((right,), (1,)), ((), ())
     if not right:
         return ((left,), (1,)), ((), ())
     # The heads are the first letters as one-letter words.  Words from the
-    # three terms start with head_left, head_right and the merged letter;
+    # three terms start with head_left, head_right and the merged letter,
+    # which exceeds both heads, and each tail part holds distinct words; so
     # only the first two terms can meet, and only when the heads are equal.
-    # Merging a letter moves the tail product's terms to the other part.
+    # Otherwise each part is the three prefixed lists end to end.  Merging a
+    # letter moves the tail product's terms to the other part.
     head_left, head_right, merged = left[:1], right[:1], (left[0] + right[0],)
     tail_left = _word_product(left[1:], right)
     tail_right = _word_product(left, right[1:])
     tail_both = _word_product(left[1:], right[1:])
     parts = []
     for parity in (0, 1):
-        acc = {head_left + word: c for word, c in zip(*tail_left[parity])}
-        for word, c in zip(*tail_right[parity]):
-            key = head_right + word
-            acc[key] = acc.get(key, 0) + c
-        for word, c in zip(*tail_both[1 - parity]):
-            acc[merged + word] = c
-        parts.append((_shared(acc), tuple(acc.values())))
+        (lw, lc), (rw, rc) = tail_left[parity], tail_right[parity]
+        bw, bc = tail_both[1 - parity]
+        if head_left != head_right:
+            words = [head_left + word for word in lw]
+            words += [head_right + word for word in rw]
+            words += [merged + word for word in bw]
+            coeffs = lc + rc + bc
+        else:
+            acc = {head_left + word: c for word, c in zip(lw, lc)}
+            for word, c in zip(rw, rc):
+                key = head_right + word
+                acc[key] = acc.get(key, 0) + c
+            for word, c in zip(bw, bc):
+                acc[merged + word] = c
+            words, coeffs = acc, tuple(acc.values())
+        parts.append((_shared(words), coeffs))
     return parts[0], parts[1]
 
 
 def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
     if isinstance(value, NCPoly):
         return value
-    return NCPoly.from_word(_validated_word(value))
+    return NCPoly._normalised({_validated_word(value): 1}, 1)
 
 
 def _integer_product(

@@ -38,6 +38,11 @@ polynomial: one ``UniPoly.constant`` per orbit and a ``UniPoly.dot`` per
 term, the depth from ``truncation_depth``.  ``dense_weight`` is the densest
 symmetric weight the parser admits at one depth.
 
+``floor_ceiling_bracket`` brackets a truncated nested sum between a floor
+chain and a ceiling chain, where ``_nested_sum_bracket`` carries the floor
+chain alone: put in its place, it must leave every digit of
+``mzv_numeric`` unchanged.
+
 ``word_product`` is the oracle of the ``star`` and ``sbar`` products of two
 words: it sums over lattice paths and calls nothing in
 ``evenzeta.quasi_shuffle``.  ``partition_word_sum`` is the
@@ -150,6 +155,29 @@ def partition_word_sum(kvec, mode):
             acc = product(acc, (sum(kvec[index - 1] for index in block),))
         total = total + (weight.c_tilde if mode == "star" else weight.c) * acc
     return total
+
+
+def floor_ceiling_bracket(kvec, bound, scale):
+    """Integers lo <= S * scale <= hi for the truncated nested sum S.
+
+    Level by level from the innermost argument, the prefix sums
+    sum_{j <= m} prev[j - 1] / j^k are carried twice: once with every
+    quotient floored and once with every quotient ceiled.  All terms are
+    nonnegative, so the floor chain stays below the exact scaled sums and the
+    ceiling chain above them.
+    """
+    lo = hi = [scale] * bound  # the empty inner sum is 1
+    for exponent in reversed(kvec):
+        lo_next, hi_next = [0], [0]
+        lo_run = hi_run = 0
+        for m in range(1, bound + 1):
+            power = m**exponent
+            lo_run += lo[m - 1] // power
+            hi_run -= -hi[m - 1] // power
+            lo_next.append(lo_run)
+            hi_next.append(hi_run)
+        lo, hi = lo_next, hi_next
+    return lo[bound], hi[bound]
 
 
 def word_product(u, v, sign):

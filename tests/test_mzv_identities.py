@@ -9,6 +9,7 @@ set-partition loops of `brute_force.py`.
 
 import itertools
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -436,6 +437,54 @@ class TestNumeric:
         assert tuple(map(str, widened)) == tuple(map(str, expected))
         assert scales[0] == 10**40
         assert len(scales) > 1
+
+    @pytest.mark.parametrize("depth", range(1, 5))
+    def test_bracket_contains_the_sum_and_has_its_width(self, depth):
+        # Every admissible word over the letters 1..4; the floors lose the
+        # most at small scales.
+        from evenzeta.mzv_identities import _nested_sum_bracket
+
+        for kvec in itertools.product(range(1, 5), repeat=depth):
+            if kvec[0] < 2:
+                continue
+            for bound in range(10, 21):
+                exact = nested_sum(kvec, bound)
+                for scale in (1, 10, 10**3):
+                    lo, hi = _nested_sum_bracket(kvec, bound, scale)
+                    assert lo <= exact * scale < hi, (kvec, bound, scale)
+                    assert hi - lo == depth * bound, (kvec, bound, scale)
+
+    def test_digits_match_the_floor_ceiling_bracket(self, monkeypatch):
+        from evenzeta import mzv_identities
+
+        rng = random.Random(20)
+        cases = [((2, 2), 10**4), ((4,), 10**3), ((5, 4, 4, 2, 2, 2), 1000)]
+        while len(cases) < 203:
+            tail = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 5)))
+            cases.append(((rng.randint(2, 6), *tail), rng.choice((10, 50, 300, 1000))))
+        digits = [tuple(map(str, mzv_numeric(kvec, bound))) for kvec, bound in cases]
+        monkeypatch.setattr(mzv_identities, "_GUARD_DIGITS", 12)
+        monkeypatch.setattr(mzv_identities, "_nested_sum_bracket", brute_force.floor_ceiling_bracket)
+        for (kvec, bound), got in zip(cases, digits):
+            assert got == tuple(map(str, mzv_numeric(kvec, bound))), (kvec, bound)
+
+    @pytest.mark.parametrize("kvec, bound", [((2, 2), 10**4), ((4,), 10**3), ((5, 4, 4, 2, 2, 2), 1000)])
+    def test_certified_in_one_pass(self, monkeypatch, kvec, bound):
+        # Acceptance criterion 10, and a tiny deep sum that the floor and
+        # ceiling bracket with 12 guard digits certified only on a second
+        # pass.
+        from evenzeta import mzv_identities
+
+        scales = []
+        bracket = mzv_identities._nested_sum_bracket
+
+        def recording(kvec, bound, scale):
+            scales.append(scale)
+            return bracket(kvec, bound, scale)
+
+        monkeypatch.setattr(mzv_identities, "_nested_sum_bracket", recording)
+        mzv_numeric(kvec, bound)
+        assert len(scales) == 1
 
     def test_partial_sum_is_exact_depth_one(self):
         approx, tail = mzv_numeric((2,), 50)

@@ -445,6 +445,29 @@ class TestWordTable:
                 for word in words:
                     assert quasi_shuffle._words[word] is word, (left, right, word)
 
+    def test_parts_are_disjoint_shared_and_exact(self, monkeypatch):
+        # Every ordered pair of words of length <= 3 over the letters 1..4,
+        # so equal first letters meet at every depth, as in (2, 2, 1) x
+        # (2, 2, 3), besides the unequal ones whose parts are concatenated.
+        words = [w for length in range(4) for w in itertools.product(range(1, 5), repeat=length)]
+        table = _WatchedTable()
+        monkeypatch.setattr(quasi_shuffle, "_words", table)
+        quasi_shuffle._word_product.cache_clear()
+        for u, v in itertools.product(words, repeat=2):
+            even, odd = quasi_shuffle._word_product(u, v)
+            for part_words, coeffs in (even, odd):
+                assert len(part_words) == len(coeffs) == len(set(part_words)), (u, v)
+                for word in part_words:
+                    if u and v:
+                        assert table[word] is word, (u, v, word)
+                    else:
+                        # A product with the empty word holds the other word.
+                        assert word is (u or v), (u, v)
+            assert not set(even[0]) & set(odd[0]), (u, v)
+            assert dict(star(u, v).items()) == brute_force.word_product(u, v, 1), (u, v)
+            assert dict(sbar(u, v).items()) == brute_force.word_product(u, v, -1), (u, v)
+        assert table.clears == 0
+
     @pytest.mark.parametrize("bound", [16, 200])
     def test_table_stays_within_its_bound(self, monkeypatch, bound):
         # Bound 16 is below the size of some single parts, which then keep
