@@ -17,13 +17,17 @@ many entries that contain a word share it.  The symmetric sum of
 all reorderings of a word factors over set partitions into iterated
 products of single letters, with signed weights for ``star`` and plain
 weights for ``sbar``; that expansion is what ``verify_symmetric_sum``
-checks.  ``partition_word_sum`` sums the weights per ordered tuple of block
-letters and multiplies each distinct tuple out once, in integers.
+checks.  A partition's weight is a product of block weights and both
+products commute and associate, so ``partition_word_sum`` enumerates no
+partition: it splits off the block that holds the first letter, one
+sub-multiset of the other letters at a time, and multiplies the cached
+expansion of the letters left over by that block's letter, in integers.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections import Counter
 from fractions import Fraction
@@ -31,7 +35,6 @@ from functools import lru_cache
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .checks import CheckResult
-from .enumeration import partition_weight, set_partitions
 from .polynomials import Scalar, _Combination
 
 __all__ = [
@@ -55,16 +58,22 @@ _MAX_SYMMETRIC_DEPTH = 8
 _MAX_VERIFY_DEPTH = 6
 
 #: Entries kept by the word-product cache, one per ordered pair of words for
-#: both products.  ``verify --suite words --max-n 5`` forms 4,163 of them (a
-#: ``spot-checks`` benchmark repetition 4,167-4,172), which hold 85,690
-#: words, 19,925 of them distinct; the bound keeps a long-lived process from
+#: both products.  ``verify --suite words --max-n 5`` forms 3,889 of them (a
+#: ``spot-checks`` benchmark repetition 3,893-3,896), which hold 84,528
+#: words, 19,870 of them distinct; the bound keeps a long-lived process from
 #: holding every product it ever formed.
 _WORD_PRODUCT_CACHE_SIZE = 1 << 14
 
-#: Distinct words the word table keeps, over three times the 19,925 above.
+#: Distinct words the word table keeps, over three times the 19,870 above.
 #: When a part would take the table past the bound, it is cleared: that
 #: only loses sharing with the words of older entries, never a value.
 _WORD_TABLE_SIZE = 1 << 16
+
+#: Entries kept by the expansion cache, one per sorted multiset of letters
+#: and merge sign.  The letters 1..8 in both modes, the costliest input
+#: ``partition_word_sum`` admits, form 258 of them, and ``verify --suite
+#: words --max-n 5`` forms 112.
+_EXPANSION_CACHE_SIZE = 1 << 9
 
 #: The word table: each distinct word formed by the word-product kernel, as
 #: the first object equal to it, keyed by itself.
@@ -256,33 +265,51 @@ def partition_word_sum(kvec: Sequence[int], mode: str) -> NCPoly:
     """Set-partition expansion of the symmetric word sum.
 
     For each set partition of the letter positions, form one letter per block
-    (the sum of its letters) and multiply those single-letter words, left to
-    right in block order, with the product selected by ``mode``: "star" uses
-    the + product with weights (-1)^(n-i) * prod (|P_j| - 1)!, "sbar" uses the
-    - product with the unsigned weights.  Both modes reproduce
-    ``symmetric_word_sum``.
+    (the sum of its letters) and multiply those single-letter words with the
+    product selected by ``mode``: "star" uses the + product with weights
+    (-1)^(n-i) * prod (|P_j| - 1)!, "sbar" uses the - product with the
+    unsigned weights.  Both modes reproduce ``symmetric_word_sum``.
 
-    The weights are summed per ordered tuple of block letters, and each
-    distinct tuple is multiplied out once, left to right, in integers.
+    No partition is enumerated.  A partition's weight is the product of one
+    weight per block, and both products commute and associate, so the sum
+    over partitions is the sum over the block B that holds the first letter
+    of B's weight times (the expansion of the other letters) * z_{sum B}.
+    That recursion (Newton's identity n e_n = sum_i +-e_{n-i} p_i read in the
+    word algebra) is run on the letters sorted, over sub-multisets, with one
+    cached expansion per multiset and mode.
     """
     if mode not in ("star", "sbar"):
         raise ValueError(f"mode must be 'star' or 'sbar', got {mode!r}")
     word = _validated_word(kvec)
     if not 1 <= len(word) <= _MAX_SYMMETRIC_DEPTH:
         raise ValueError(f"depth must be in 1..{_MAX_SYMMETRIC_DEPTH}, got {len(word)}")
-    merge_sign = 1 if mode == "star" else -1
-    weights: dict[Word, int] = {}
-    for partition in set_partitions(len(word)):
-        weight = partition_weight(partition)
-        letters = tuple(sum(word[index - 1] for index in block) for block in partition)
-        weights[letters] = weights.get(letters, 0) + (weight.c_tilde if mode == "star" else weight.c)
+    return _expansion(tuple(sorted(word)), 1 if mode == "star" else -1)
+
+
+@lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
+def _expansion(letters: Word, merge_sign: int) -> NCPoly:
+    """Set-partition expansion of a sorted word under the product with the
+    given merge sign, with integer coefficients.
+
+    The block that holds the first letter takes a sub-multiset C of the
+    other letters, chosen in prod_a C(c_a, t_a) ways when the other letters
+    hold c_a copies of a and C holds t_a of them; a block of size s + 1
+    weighs s! * (-merge_sign)^s.
+    """
+    if not letters:
+        return NCPoly.unit()
+    first, rest = letters[0], Counter(letters[1:])
+    distinct = sorted(rest)
     total: dict[Word, int] = {}
-    for letters, coeff in weights.items():
-        acc = {(): 1}
-        for letter in letters:
-            acc = _integer_product(acc.items(), (((letter,), 1),), merge_sign)
-        for w, c in acc.items():
-            total[w] = total.get(w, 0) + coeff * c
+    for taken in itertools.product(*(range(rest[a] + 1) for a in distinct)):
+        size = sum(taken)
+        ways = math.prod(math.comb(rest[a], t) for a, t in zip(distinct, taken))
+        letter = first + sum(a * t for a, t in zip(distinct, taken))
+        remaining = tuple(a for a, t in zip(distinct, taken) for _ in range(rest[a] - t))
+        block = (((letter,), ways * math.factorial(size) * (-merge_sign) ** size),)
+        product = _integer_product(_expansion(remaining, merge_sign).nums.items(), block, merge_sign)
+        for w, c in product.items():
+            total[w] = total.get(w, 0) + c
     return NCPoly._normalised(total, 1)
 
 

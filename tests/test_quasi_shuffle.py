@@ -2,8 +2,9 @@
 
 The symmetric-sum identities are checked against `symmetric_word_sum`, a
 plain permutation count that knows nothing about either product, the
-grouped set-partition expansion against the partition-by-partition loop of
-`brute_force.py`, and both products against its lattice-path sum.
+set-partition expansion, built by a recursion over sub-multisets, against
+the partition-by-partition loop of `brute_force.py`, and both products
+against its lattice-path sum.
 """
 
 import gc
@@ -260,14 +261,17 @@ def _package_caches():
 # Fewest entries each cache must keep so that no benchmark workload evicts:
 # the most distinct keys one workload or `verify --suite all --max-n 5
 # --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
-# 4,163 word products, holding 19,925 distinct words, and a spot-checks
-# repetition 4,167-4,172, half the floor), or every table depth the CLI
-# admits.  The CLI keeps its one argument parser.
+# 3,889 word products, holding 19,870 distinct words, and a spot-checks
+# repetition 3,893-3,896, under half the floor), or every table depth the
+# CLI admits.  The CLI keeps its one argument parser, and the expansion cache
+# the 258 expansions of the costliest admitted word, the letters 1..8, in
+# both modes.
 CACHE_FLOORS = {
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
     "mzv_identities._sorted_power_sum": 31,
+    "quasi_shuffle._expansion": 258,
     "quasi_shuffle._word_product": 8_400,
     "series._phi_power": 33,
     "series._product": 62,
@@ -350,6 +354,8 @@ class TestSymmetricSums:
         with pytest.raises(ValueError):
             symmetric_word_sum((1,) * 9)
         with pytest.raises(ValueError):
+            partition_word_sum((1,) * 9, "star")
+        with pytest.raises(ValueError):
             verify_symmetric_sum((1,) * 7)
         with pytest.raises(ValueError):
             verify_symmetric_sum(())
@@ -371,8 +377,8 @@ class TestPartitionExpansion:
     def test_kernel_fault_fails_the_check(self, monkeypatch, fault):
         # Drop, sign-flip or move into the wrong parity part the merged-letter
         # terms of the word product at every level of its recursion; the
-        # grouped expansion goes through that kernel, so the symmetric-sum
-        # check must fail at every depth from 2 on.
+        # expansion goes through that kernel, so the symmetric-sum check
+        # must fail at every depth from 2 on.
         kernel = quasi_shuffle._word_product.__wrapped__
 
         def faulty(left, right):
@@ -401,12 +407,38 @@ class TestPartitionExpansion:
                 return part(even_kept + negated(even_merged)), part(odd_kept + negated(odd_merged))
             return part(even_kept + odd_merged), part(odd_kept + even_merged)
 
+        # Expansions cached with the right kernel would hide the fault, and
+        # expansions cached with the faulty one would reach later tests.
+        _clear_word_caches()
         monkeypatch.setattr(quasi_shuffle, "_word_product", faulty)
-        for kvec in _multisets(range(1, 4), range(2, 5)):
-            assert not verify_symmetric_sum(kvec).ok, kvec
+        try:
+            for kvec in _multisets(range(1, 4), range(2, 5)):
+                assert not verify_symmetric_sum(kvec).ok, kvec
+        finally:
+            monkeypatch.undo()
+            _clear_word_caches()
+
+    @pytest.mark.parametrize("depth", [6, 7])
+    def test_deep_words_match_the_permutation_sum(self, depth):
+        # Every multiset of the words suite's letters at depths past its own;
+        # verify_symmetric_sum admits depth 6 at most.
+        for kvec in _multisets(range(1, 4), [depth]):
+            expected = symmetric_word_sum(kvec)
+            for mode in ("star", "sbar"):
+                assert partition_word_sum(kvec, mode) == expected, (kvec, mode)
+            if depth == 6:
+                result = verify_symmetric_sum(kvec)
+                assert result.ok, result.describe()
+
+    @pytest.mark.parametrize("kvec", [(1, 1, 1, 2, 2, 2, 3, 3), (3,) * 8])
+    def test_words_at_the_depth_cap(self, kvec):
+        expected = symmetric_word_sum(kvec)
+        for mode in ("star", "sbar"):
+            assert partition_word_sum(kvec, mode) == expected, mode
 
 
 def _clear_word_caches():
+    quasi_shuffle._expansion.cache_clear()
     quasi_shuffle._word_product.cache_clear()
     quasi_shuffle._words.clear()
 
