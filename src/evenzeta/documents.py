@@ -120,7 +120,7 @@ def _check_weight(
     return weight
 
 
-_COEFF_PATTERN = re.compile(r"-?\d+(/[1-9]\d*)?")
+_COEFF_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 @dataclass(frozen=True)

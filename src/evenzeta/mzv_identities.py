@@ -34,7 +34,8 @@ against ``mzv_lhs_exact``, which splits F into monomial symmetric functions
 and reads each one's composition sum off a truncated series of elementary
 (zeta) or complete (zeta-star) symmetric functions built by ``series`` from
 the sinc product.  It shares neither the symmetric-sum theorem nor the
-Bernoulli table with the pipeline.  ``mzv_numeric`` evaluates the defining
+Bernoulli table with the pipeline.  Both sides at k are compared as their
+``Fraction`` coefficients of pi^(2k).  ``mzv_numeric`` evaluates the defining
 nested series to high precision.
 """
 
@@ -56,7 +57,6 @@ from .polynomials import MultiPoly, UniPoly
 from .rationals import GrowableTable, factorial
 from .series import symmetric_sum
 from .zeta_identities import (
-    PiValue,
     WeightedSumIdentity,
     _check_identity,
     _combined_identity,
@@ -212,9 +212,10 @@ def mzsv_identity(F: MultiPoly, n: int) -> WeightedSumIdentity:
     return _symmetric_sum_identity(F, n, "mzsv")
 
 
-def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> PiValue:
+def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> Fraction:
     """Exact composition sum of F(k_1..k_n) * zeta(2k_1, ..., 2k_n), or the
-    zeta-star analogue when ``star``; F must be symmetric.
+    zeta-star analogue when ``star``, as its coefficient of pi^(2k); F must
+    be symmetric.
 
     F is the sum of c_mu * m_mu over the monomial symmetric functions m_mu,
     with c_mu the coefficient of its nonincreasing exponent tuple.  Each
@@ -232,7 +233,7 @@ def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> PiValue:
     for expts, c in F.nums.items():
         if all(a >= b for a, b in zip(expts, expts[1:])):
             total += c * symmetric_sum([e for e in expts if e], n, k, star)
-    return PiValue(k, total / F.den)
+    return total / F.den
 
 
 def verify_mzv(
@@ -242,7 +243,8 @@ def verify_mzv(
     star: bool = False,
     identity: WeightedSumIdentity | None = None,
 ) -> CheckResult:
-    """Cross-check the identity pipeline against the independent evaluator.
+    """Cross-check the identity pipeline against the independent evaluator,
+    as their coefficients of pi^(2k).
 
     A given ``identity`` must be an mzsv (``star``) or mzv identity at depth
     n; otherwise ``ValueError`` is raised before anything is evaluated.

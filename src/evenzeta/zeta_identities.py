@@ -2,12 +2,14 @@
 weighted sum identities for products zeta(2k_1) ... zeta(2k_n).
 
 A product of zeta values at even arguments with argument total 2k is an exact
-rational multiple of pi^(2k); ``PiValue`` carries the (weight, coefficient)
-pair so every evaluation in this module stays exact.  The identities rewrite
-power-weighted composition sums of such products as short combinations over
-the basis zeta(2l) * zeta(2k-2l), with the l = 0 coefficient normalised to
-multiply plain zeta(2k).  The formal value zeta(0) = -1/2 extends the
-composition sums to index value 0 and is what that normalisation folds in.
+rational multiple of pi^(2k), so every evaluated side here is the
+``Fraction`` coefficient of pi^(2k): ``zeta_even(j)`` is zeta(2j)/pi^(2j),
+and both sides of an identity at k are compared as such coefficients.  The
+identities rewrite power-weighted composition sums of such products as short
+combinations over the basis zeta(2l) * zeta(2k-2l), with the l = 0
+coefficient normalised to multiply plain zeta(2k).  The formal value
+zeta(0) = -1/2 extends the composition sums to index value 0 and is what
+that normalisation folds in.
 
 The identity for a monomial weight is the rescaled Bernoulli identity of
 ``bernoulli_sums``; every other zeta, mzv or mzsv identity is a linear
@@ -24,12 +26,11 @@ from typing import Iterable, Sequence
 
 from .bernoulli_sums import _collapsed_sum, _depth, _validated_mvec, bernoulli_identity
 from .checks import CheckResult
-from .polynomials import MultiPoly, Scalar, UniPoly
+from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli, factorial
 from .series import composition_sum
 
 __all__ = [
-    "PiValue",
     "WeightedSumIdentity",
     "eval_identity_rhs",
     "eval_zeta_lhs",
@@ -48,98 +49,17 @@ _ZETA_EVEN_CACHE_SIZE = 256
 _MONOMIAL_CACHE_SIZE = 1 << 10
 
 
-@dataclass(frozen=True, eq=False)
-class PiValue:
-    """Exact rational multiple of an even power of pi: coeff * pi^(2*weight).
-
-    Addition requires matching weights unless one side is zero; zero compares
-    equal across weights.
-    """
-
-    weight: int
-    coeff: Fraction
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError(f"weight must be >= 0, got {self.weight}")
-        if not isinstance(self.coeff, Fraction):
-            if not isinstance(self.coeff, int):
-                raise TypeError(f"coefficient must be rational, got {type(self.coeff).__name__}")
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
-
-    @staticmethod
-    def zero(weight: int) -> "PiValue":
-        return PiValue(weight, Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self.coeff
-
-    def __add__(self, other: "PiValue") -> "PiValue":
-        if not isinstance(other, PiValue):
-            return NotImplemented
-        if not other.coeff:
-            return self
-        if not self.coeff:
-            return other
-        if self.weight != other.weight:
-            raise ValueError(
-                f"cannot add pi^{2 * self.weight} and pi^{2 * other.weight} multiples"
-            )
-        return PiValue(self.weight, self.coeff + other.coeff)
-
-    def __sub__(self, other: "PiValue") -> "PiValue":
-        if not isinstance(other, PiValue):
-            return NotImplemented
-        return self + PiValue(other.weight, -other.coeff)
-
-    def __neg__(self) -> "PiValue":
-        return PiValue(self.weight, -self.coeff)
-
-    def __mul__(self, other: "PiValue | Scalar") -> "PiValue":
-        if isinstance(other, PiValue):
-            return PiValue(self.weight + other.weight, self.coeff * other.coeff)
-        if isinstance(other, (int, Fraction)):
-            return PiValue(self.weight, self.coeff * other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PiValue):
-            return NotImplemented
-        if not self.coeff and not other.coeff:
-            return True
-        return self.weight == other.weight and self.coeff == other.coeff
-
-    def __hash__(self) -> int:
-        if not self.coeff:
-            return hash(("PiValue", 0))
-        return hash(("PiValue", self.weight, self.coeff))
-
-    def __bool__(self) -> bool:
-        return bool(self.coeff)
-
-    def __str__(self) -> str:
-        if not self.coeff or self.weight == 0:
-            return str(self.coeff)
-        return f"({self.coeff})*pi^{2 * self.weight}"
-
-    def __repr__(self) -> str:
-        return f"PiValue(weight={self.weight}, coeff={self.coeff})"
-
-
 @lru_cache(maxsize=_ZETA_EVEN_CACHE_SIZE)
-def zeta_even(j: int) -> PiValue:
-    """zeta(2j) as an exact multiple of pi^(2j); zeta(0) is the formal -1/2.
+def zeta_even(j: int) -> Fraction:
+    """zeta(2j)/pi^(2j) as an exact rational; zeta(0) is the formal -1/2.
 
     For j >= 1: zeta(2j) = (-1)^(j+1) * B_{2j} * 2^(2j) / (2 * (2j)!) * pi^(2j).
     """
     if j < 0:
         raise ValueError(f"argument index must be >= 0, got {j}")
     if j == 0:
-        return PiValue(0, Fraction(-1, 2))
-    coeff = (-1) ** (j + 1) * bernoulli(2 * j) * Fraction(2 ** (2 * j), 2 * factorial(2 * j))
-    return PiValue(j, coeff)
+        return Fraction(-1, 2)
+    return (-1) ** (j + 1) * bernoulli(2 * j) * Fraction(2 ** (2 * j), 2 * factorial(2 * j))
 
 
 @dataclass(frozen=True)
@@ -243,9 +163,9 @@ def zeta_identity_poly(F: MultiPoly, n: int) -> WeightedSumIdentity:
     return _combined_identity("zeta", n, F.nums.items(), F.den, F)
 
 
-def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:
+def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> Fraction:
     """Exact left side: sum over compositions of F(k_1..k_n) * zeta(2k_1) ...
-    zeta(2k_n).  Always a rational multiple of pi^(2k).
+    zeta(2k_n), as its coefficient of pi^(2k).
 
     Each monomial's sum is [t^k] of a product of the series
     sum_a a^{m_j} zeta(2a)/pi^(2a) t^a (``series.composition_sum``), with
@@ -259,25 +179,25 @@ def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> PiValue:
     total = sum(
         (c * composition_sum("zeta", expts, k) for expts, c in F.nums.items()), Fraction(0)
     )
-    return PiValue(k, total / F.den)
+    return total / F.den
 
 
-def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> PiValue:
-    """Exact value of the collapsed side at an integer k >= 1, truncating the
-    sum at l = min(T, k).  The coefficient of pi^(2k) is summed by
+def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> Fraction:
+    """Exact coefficient of pi^(2k) in the collapsed side at an integer
+    k >= 1, truncating the sum at l = min(T, k).  It is summed by
     ``bernoulli_sums._collapsed_sum`` over one running denominator."""
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-    return PiValue(k, _collapsed_sum(identity.terms[: min(identity.T, k) + 1], k, _zeta_basis))
+    return _collapsed_sum(identity.terms[: min(identity.T, k) + 1], k, _zeta_basis)
 
 
 def _zeta_basis(k: int, l: int) -> tuple[int, int]:
     """The pi^(2k) coefficient of zeta(2l) zeta(2k-2l), or of zeta(2k) for
     l = 0, as an unreduced (numerator, denominator) pair."""
     if l == 0:
-        value = zeta_even(k).coeff
+        value = zeta_even(k)
         return value.numerator, value.denominator
-    left, right = zeta_even(l).coeff, zeta_even(k - l).coeff
+    left, right = zeta_even(l), zeta_even(k - l)
     return left.numerator * right.numerator, left.denominator * right.denominator
 
 
@@ -290,7 +210,8 @@ def _check_identity(identity: WeightedSumIdentity, kind: str, n: int) -> None:
 def verify_zeta(
     F: MultiPoly, n: int, k: int, identity: WeightedSumIdentity | None = None
 ) -> CheckResult:
-    """Compare the series zeta-product sum against the collapsed side.
+    """Compare the series zeta-product sum against the collapsed side, as
+    their coefficients of pi^(2k).
 
     A given ``identity`` must be a zeta identity at depth n; otherwise
     ``ValueError`` is raised before anything is evaluated.

@@ -27,8 +27,8 @@ table rows, odd coefficients included.
 
 ``bernoulli_rhs`` and ``zeta_rhs`` are the oracle of the collapsed sides
 ``BernoulliIdentity.rhs_value`` and ``eval_identity_rhs``: each term
-p_l(k) * basis is formed as a ``Fraction`` (``UniPoly.__call__``) or a
-``PiValue`` product and added on its own.  ``bernoulli_rhs_polys`` is the
+p_l(k) * basis is formed as a ``Fraction`` product (``UniPoly.__call__``
+times the basis value) and added on its own.  ``bernoulli_rhs_polys`` is the
 oracle of the p_l assembly in ``bernoulli_identity``: ``UniPoly`` arithmetic
 on the ``a_coeffs`` Fractions.
 
@@ -58,7 +58,6 @@ from typing import Iterator
 
 from evenzeta import (
     NCPoly,
-    PiValue,
     SetPartition,
     UniPoly,
     a_coeffs,
@@ -110,37 +109,39 @@ def bernoulli_lhs(mvec, k):
 
 
 def zeta_lhs(F, n, k):
-    """sum over compositions of F(k_1..k_n) zeta(2k_1) ... zeta(2k_n)."""
-    total = PiValue.zero(k)
+    """sum over compositions of F(k_1..k_n) zeta(2k_1) ... zeta(2k_n), as
+    its coefficient of pi^(2k)."""
+    total = Fraction(0)
     for comp in compositions(k, n):
         value = F.evaluate(comp)
         if not value:
             continue
-        product = PiValue(0, value)
+        product = Fraction(value)
         for kj in comp:
-            product = product * zeta_even(kj)
-        total = total + product
+            product *= zeta_even(kj)
+        total += product
     return total
 
 
 def mzv_lhs(F, n, k, star=False):
     """sum over compositions of F(k_1..k_n) zeta(2k_1, ..., 2k_n), or
-    zeta*(...) when ``star``, for a symmetric F."""
+    zeta*(...) when ``star``, for a symmetric F, as its coefficient of
+    pi^(2k)."""
     parts = set_partitions(n)
     weights = [partition_weight(p) for p in parts]
-    total = PiValue.zero(k)
+    total = Fraction(0)
     for comp in compositions(k, n):
         value = F.evaluate(comp)
         if not value:
             continue
-        comp_total = PiValue.zero(k)
+        comp_total = Fraction(0)
         for part, weight in zip(parts, weights):
-            product = PiValue(0, Fraction(1))
+            product = Fraction(1)
             for block in part:
-                product = product * zeta_even(sum(comp[index - 1] for index in block))
-            comp_total = comp_total + (weight.c if star else weight.c_tilde) * product
-        total = total + value * comp_total
-    return total * Fraction(1, factorial(n))
+                product *= zeta_even(sum(comp[index - 1] for index in block))
+            comp_total += (weight.c if star else weight.c_tilde) * product
+        total += value * comp_total
+    return total / factorial(n)
 
 
 def partition_word_sum(kvec, mode):
@@ -348,16 +349,17 @@ def bernoulli_rhs(identity, k):
 
 def zeta_rhs(identity, k):
     """terms[0](k) zeta(2k) + sum_{l=1}^{min(T, k)} terms[l](k) zeta(2l)
-    zeta(2k-2l), term by term as ``PiValue`` products."""
-    total = PiValue.zero(k)
+    zeta(2k-2l) as its coefficient of pi^(2k), term by term as ``Fraction``
+    products."""
+    total = Fraction(0)
     for l in range(min(identity.T, k) + 1):
         value = identity.terms[l](k)
         if not value:
             continue
         if l == 0:
-            total = total + value * zeta_even(k)
+            total += value * zeta_even(k)
         else:
-            total = total + value * (zeta_even(l) * zeta_even(k - l))
+            total += value * (zeta_even(l) * zeta_even(k - l))
     return total
 
 

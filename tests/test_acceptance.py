@@ -13,7 +13,6 @@ from fractions import Fraction
 
 from evenzeta import (
     MultiPoly,
-    PiValue,
     UniPoly,
     bernoulli_identity,
     check_gallery_identity,

@@ -107,6 +107,15 @@ class TestFromJsonValidation:
         with pytest.raises(ValueError):
             from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("coeff", ["\u0663/4", "3/1\u0664", "\uff11", "-\u09e8"])
+    def test_non_ascii_digits_rejected(self, coeff):
+        # Arabic-Indic, fullwidth and Bengali digits are \d in Python's re
+        # and parse as ints, but a coefficient is an ASCII p/q string.
+        payload = self.good_payload()
+        payload["terms"][0]["coeffs"] = [coeff]
+        with pytest.raises(ValueError, match="not an integer or p/q string"):
+            from_json(json.dumps(payload))
+
     @pytest.mark.parametrize(
         "change",
         [

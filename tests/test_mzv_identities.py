@@ -4,12 +4,16 @@ Two independent oracles appear here: `mzv_lhs_exact` (truncated series of
 symmetric functions from `evenzeta.series`, no pipeline code) for the
 symbolic side, and plain Fraction summation for the numeric partial sums.
 `tests/test_series.py` checks `mzv_lhs_exact` against the composition and
-set-partition loops of `brute_force.py`.
+set-partition loops of `brute_force.py`.  At k = n, for every depth the CLI
+admits, both sides also meet `two_string`: zeta({2}^n) and zeta*({2}^n)
+from the sinc product alone, which needs neither the series kernel nor the
+pipeline.
 """
 
 import itertools
 import math
 import random
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -22,11 +26,11 @@ import brute_force
 from brute_force import compositions, partition_shape
 from evenzeta import (
     MultiPoly,
-    PiValue,
     UniPoly,
     block_reduce,
     block_shapes,
     composition_power_sum,
+    eval_identity_rhs,
     factorial,
     max_parse_degree,
     mzsv_identity,
@@ -40,6 +44,7 @@ from evenzeta import (
     zeta_even,
     zeta_identity_poly,
 )
+from evenzeta.cli import MAX_MZV_DEPTH
 from evenzeta.mzv_identities import _shape_weight
 
 K = UniPoly.x()
@@ -328,8 +333,8 @@ class TestExactLhs:
     def test_depth_two_values(self):
         # zeta(2,2) = pi^4/120 and zeta*(2,2) = zeta(2,2) + zeta(4).
         one = MultiPoly.constant(2, 1)
-        assert mzv_lhs_exact(one, 2, 2) == PiValue(2, Fraction(1, 120))
-        assert mzv_lhs_exact(one, 2, 2, star=True) == PiValue(2, Fraction(7, 360))
+        assert mzv_lhs_exact(one, 2, 2) == Fraction(1, 120)
+        assert mzv_lhs_exact(one, 2, 2, star=True) == Fraction(7, 360)
 
     def test_depth_one_is_plain_zeta(self):
         one = MultiPoly.constant(1, 1)
@@ -343,7 +348,7 @@ class TestExactLhs:
         for k in range(3, 8):
             strict = mzv_lhs_exact(one, 3, k)
             star = mzv_lhs_exact(one, 3, k, star=True)
-            assert star.coeff > strict.coeff > 0
+            assert star > strict > 0
 
     def test_domain(self):
         one = MultiPoly.constant(2, 1)
@@ -376,6 +381,64 @@ class TestCrossPath:
             verify_mzv(F, 3, 5, star=True, identity=mzv_identity(F, 3))
         with pytest.raises(ValueError, match="not mzv n=3"):
             verify_mzv(F, 3, 5, identity=mzv_identity(parse_poly("x1 + x2", 2), 2))
+
+    def test_failure_carries_values(self):
+        # terms[0] + 1 adds zeta(2k) to the collapsed side: at n = k = 2 it
+        # reads (3/4 + 1)/90 = 7/360 against zeta(2, 2)/pi^4 = 1/120.
+        one = MultiPoly.constant(2, 1)
+        identity = mzv_identity(one, 2)
+        bad = replace(identity, terms=(identity.terms[0] + 1, *identity.terms[1:]))
+        result = verify_mzv(one, 2, 2, identity=bad)
+        assert not result.ok
+        assert result.lhs == str(mzv_lhs_exact(one, 2, 2)) == "1/120"
+        assert result.rhs == str(eval_identity_rhs(bad, 2)) == "7/360"
+
+
+def two_string(n, star):
+    """zeta({2}^n)/pi^(2n), or zeta*({2}^n)/pi^(2n) when ``star``, from the
+    products prod_m (1 + x^2/m^2) = sinh(pi x)/(pi x) and
+    prod_m 1/(1 - x^2/m^2) = pi x/sin(pi x): 1/(2n+1)! and [y^(2n)] y/sin y,
+    the latter by inverting the series sin y / y term by term."""
+    if not star:
+        return Fraction(1, math.factorial(2 * n + 1))
+    sinc = [Fraction((-1) ** j, math.factorial(2 * j + 1)) for j in range(n + 1)]
+    inverse = [Fraction(1)]
+    for j in range(1, n + 1):
+        inverse.append(-sum(sinc[i] * inverse[j - i] for i in range(1, j + 1)))
+    return inverse[n]
+
+
+class TestAdmittedDepths:
+    """Every depth ``identity --kind mzv|mzsv`` admits, over the mzv suite's
+    weights, which the suites sample only up to n = 5."""
+
+    def test_two_strings(self):
+        assert [two_string(n, False) for n in (1, 2)] == [Fraction(1, 6), Fraction(1, 120)]
+        assert [two_string(n, True) for n in (1, 2, 3)] == [
+            Fraction(1, 6),
+            Fraction(7, 360),
+            Fraction(31, 15120),
+        ]
+
+    @pytest.mark.parametrize("n", range(1, MAX_MZV_DEPTH + 1))
+    def test_lowest_k_against_the_two_string(self, n):
+        # At k = n every composition is (1, ..., 1), so the left side is
+        # F(1, ..., 1) zeta({2}^n): no pipeline or series code is involved.
+        for label, F in suites._weight_family(n):
+            for build, star in ((mzv_identity, False), (mzsv_identity, True)):
+                expected = F.evaluate((1,) * n) * two_string(n, star)
+                assert eval_identity_rhs(build(F, n), n) == expected, (label, star)
+                assert mzv_lhs_exact(F, n, n, star=star) == expected, (label, star)
+
+    @pytest.mark.parametrize("n", range(6, MAX_MZV_DEPTH + 1))
+    def test_verified_beyond_the_suites(self, n):
+        assert suites.MAX_N < 6
+        for label, F in suites._weight_family(n):
+            for star in (False, True):
+                identity = mzsv_identity(F, n) if star else mzv_identity(F, n)
+                for k in range(n, n + 3):
+                    result = verify_mzv(F, n, k, star=star, identity=identity)
+                    assert result.ok, (label, result.describe())
 
 
 def to_dec40(value):

@@ -72,6 +72,10 @@ class TestUniPolyBasics:
         with pytest.raises(TypeError, match="for -:"):
             "a" - X
 
+    def test_repr(self):
+        assert repr(UniPoly((Fraction(1, 2), 0, 3))) == "UniPoly(nums=(1, 0, 6), den=2)"
+        assert repr(UniPoly(())) == "UniPoly(nums=(), den=1)"
+
     def test_immutable(self):
         p = X + 1
         with pytest.raises(AttributeError):
@@ -290,6 +294,13 @@ class TestMultiPoly:
     def test_pow(self):
         p = parse_poly("x1 + x2", 2) ** 2
         assert p == parse_poly("x1^2 + 2*x1*x2 + x2^2", 2)
+
+    def test_scalar_minus_poly(self):
+        p = parse_poly("x1 + x2", 2)
+        assert 1 - p == parse_poly("1 - x1 - x2", 2)
+        assert Fraction(1, 2) - p == -(p - Fraction(1, 2))
+        with pytest.raises(TypeError):
+            1.5 - p
 
     def test_render_is_canonical(self):
         p = parse_poly("3/2*x1 - x2", 2)

@@ -64,6 +64,16 @@ class TestNCPoly:
         assert str(sbar((2,), (2,))) == "2*z2z2 - z4"
         assert str(NCPoly.zero()) == "0"
 
+    def test_repr(self):
+        assert repr(sbar((2,), (2,))) == "NCPoly('2*z2z2 - z4')"
+        assert repr(NCPoly.from_word((3, 2), Fraction(-1, 2))) == "NCPoly('-1/2*z3z2')"
+        assert repr(NCPoly.unit()) == "NCPoly('1')"
+
+    def test_scalar_minus_word_rejected(self):
+        # Only MultiPoly reads a scalar as a constant; a word sum has none.
+        with pytest.raises(TypeError):
+            1 - NCPoly.from_word((2,))
+
     def test_immutable_and_hashable(self):
         p = NCPoly.from_word((2,))
         for name, value in (("terms", {}), ("nums", {}), ("den", 2)):

@@ -64,8 +64,7 @@ class TestIndependence:
 
     def test_zeta_values_match_the_bernoulli_table(self):
         for j in range(25):
-            assert zeta_over_pi(j) == zeta_even(j).coeff
-            assert zeta_even(j).weight == j
+            assert zeta_over_pi(j) == zeta_even(j)
 
     def test_bernoulli_weights_match_the_recurrence(self):
         for k in range(1, 25):
@@ -164,7 +163,7 @@ class TestAgainstBruteForce:
             for k in range(n, 11):
                 value = mzv_lhs_exact(MultiPoly.zero(n), n, k, star=star)
                 assert value == brute_force.mzv_lhs(MultiPoly.zero(n), n, k, star=star)
-                assert value.is_zero()
+                assert value == 0
 
     def test_beyond_the_default_horizon(self):
         F = parse_poly("x1^2 + x2^2", 2)

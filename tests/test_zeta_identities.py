@@ -6,13 +6,13 @@ product, independent of the collapsed form; `tests/test_series.py` checks
 it against the composition loop of `brute_force.py`.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from evenzeta import (
     MultiPoly,
-    PiValue,
     UniPoly,
     bernoulli_identity,
     eval_identity_rhs,
@@ -29,51 +29,17 @@ K = UniPoly.x()
 HALF = Fraction(1, 2)
 
 
-class TestPiValue:
-    def test_equal_weights_add(self):
-        assert PiValue(2, HALF) + PiValue(2, HALF) == PiValue(2, 1)
-
-    def test_mismatched_weights_reject(self):
-        with pytest.raises(ValueError):
-            PiValue(1, 1) + PiValue(2, 1)
-
-    def test_zero_is_weight_agnostic(self):
-        assert PiValue.zero(3) == PiValue.zero(5)
-        assert PiValue(2, 1) + PiValue.zero(7) == PiValue(2, 1)
-
-    def test_multiplication_adds_weights(self):
-        assert PiValue(1, Fraction(1, 6)) * PiValue(2, Fraction(1, 90)) == PiValue(
-            3, Fraction(1, 540)
-        )
-
-    def test_scalar_multiplication(self):
-        assert 3 * PiValue(2, HALF) == PiValue(2, Fraction(3, 2))
-        assert PiValue(2, HALF) * Fraction(1, 2) == PiValue(2, Fraction(1, 4))
-
-    def test_negation_and_subtraction(self):
-        v = PiValue(2, Fraction(1, 3))
-        assert v - v == PiValue.zero(2)
-        assert -v + v == PiValue.zero(2)
-
-    def test_bool(self):
-        assert PiValue(1, 1)
-        assert not PiValue.zero(4)
-
-    def test_str(self):
-        assert str(PiValue(2, Fraction(1, 90))) == "(1/90)*pi^4"
-
-
 class TestZetaEven:
     def test_classical_values(self):
-        # zeta(2j) as rational multiples of pi^(2j).
-        assert zeta_even(1) == PiValue(1, Fraction(1, 6))
-        assert zeta_even(2) == PiValue(2, Fraction(1, 90))
-        assert zeta_even(3) == PiValue(3, Fraction(1, 945))
-        assert zeta_even(4) == PiValue(4, Fraction(1, 9450))
-        assert zeta_even(5) == PiValue(5, Fraction(1, 93555))
+        # zeta(2j)/pi^(2j).
+        assert zeta_even(1) == Fraction(1, 6)
+        assert zeta_even(2) == Fraction(1, 90)
+        assert zeta_even(3) == Fraction(1, 945)
+        assert zeta_even(4) == Fraction(1, 9450)
+        assert zeta_even(5) == Fraction(1, 93555)
 
     def test_formal_value_at_zero(self):
-        assert zeta_even(0) == PiValue(0, -HALF)
+        assert zeta_even(0) == -HALF
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
@@ -150,19 +116,21 @@ class TestPolynomialAssembly:
 class TestEvaluation:
     def test_lhs_spot_value(self):
         # F = 1, n = 2, k = 2: the only composition is (1, 1).
-        assert eval_zeta_lhs(MultiPoly.constant(2, 1), 2, 2) == PiValue(
-            2, Fraction(1, 36)
-        )
+        assert eval_zeta_lhs(MultiPoly.constant(2, 1), 2, 2) == Fraction(1, 36)
 
     def test_lhs_domain(self):
         with pytest.raises(ValueError):
             eval_zeta_lhs(MultiPoly.constant(2, 1), 2, 1)
 
-    def test_rhs_weight_homogeneity(self):
+    def test_sides_are_pi_power_coefficients(self):
+        # Both sides at k are the Fraction coefficients of pi^(2k).
         identity = zeta_identity_monomial((2, 0, 0, 0))
+        F = MultiPoly.monomial((2, 0, 0, 0))
         for k in range(4, 9):
             value = eval_identity_rhs(identity, k)
-            assert value.weight == k
+            assert type(value) is Fraction
+            assert type(eval_zeta_lhs(F, 4, k)) is Fraction
+            assert value == eval_zeta_lhs(F, 4, k)
 
     def test_rhs_domain(self):
         identity = zeta_identity_monomial((0, 0))
@@ -202,6 +170,20 @@ class TestVerification:
             verify_zeta(F, 3, 5, identity=zeta_identity_poly(parse_poly("x1 + x2", 2), 2))
         with pytest.raises(ValueError, match="not zeta n=3"):
             verify_zeta(F, 3, 5, identity=mzv_identity(F, 3))
+
+    def test_failure_carries_values(self):
+        # terms[0] + 1 adds zeta(2k) to the collapsed side: at n = k = 2 it
+        # reads (5/2 + 1)/90 = 7/180 against zeta(2)^2/pi^4 = 1/36.
+        one = MultiPoly.constant(2, 1)
+        identity = zeta_identity_poly(one, 2)
+        bad = replace(identity, terms=(identity.terms[0] + 1, *identity.terms[1:]))
+        result = verify_zeta(one, 2, 2, identity=bad)
+        assert not result.ok
+        assert result.lhs == str(eval_zeta_lhs(one, 2, 2)) == "1/36"
+        assert result.rhs == str(eval_identity_rhs(bad, 2)) == "7/180"
+        assert result.describe() == (
+            "FAIL: zeta weighted sum F=1 n=2 k=2\n  left  = 1/36\n  right = 7/180"
+        )
 
 
 class TestOrbits:
