@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from functools import lru_cache
 from typing import Sequence
@@ -43,6 +44,18 @@ __all__ = ["MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
 MAX_TABLE_DEPTH = 48
 MAX_MZV_DEPTH = 10
 
+#: A decimal integer in ASCII digits with an optional sign; ``int`` alone
+#: would also take other scripts' digits and underscores between digits.
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def _integer(text: str) -> int:
+    """The integer ``text`` writes, surrounding whitespace ignored.  Range
+    checks are left to the caller, so their messages name the limits."""
+    if not _INTEGER.fullmatch(text.strip()):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     identity = sub.add_parser("identity", help="generate one identity")
     identity.add_argument("--kind", required=True, choices=tuple(_KINDS))
-    identity.add_argument("--n", required=True, type=int, help="depth (number of indices)")
+    identity.add_argument("--n", required=True, type=_integer, help="depth (number of indices)")
     identity.add_argument(
         "--m",
         help="comma-separated exponents m1,...,mn (bernoulli and zeta kinds)",
@@ -71,8 +84,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run exact verification suites")
     verify.add_argument("--suite", required=True, choices=(*SUITE_NAMES, "all"))
-    verify.add_argument("--max-n", type=int, default=DEFAULT_MAX_N, help=f"depth bound, 1..{MAX_N}")
-    verify.add_argument("--max-k", type=int, default=DEFAULT_MAX_K, help=f"weight bound, 1..{MAX_K}")
+    verify.add_argument("--max-n", type=_integer, default=DEFAULT_MAX_N, help=f"depth bound, 1..{MAX_N}")
+    verify.add_argument("--max-k", type=_integer, default=DEFAULT_MAX_K, help=f"weight bound, 1..{MAX_K}")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", help="also write the report to this file")
     verify.set_defaults(handler=_cmd_verify)
@@ -83,7 +96,7 @@ def _build_parser() -> argparse.ArgumentParser:
     examples.set_defaults(handler=_cmd_examples)
 
     tables = sub.add_parser("tables", help="dump the derivative tables")
-    tables.add_argument("--depth", required=True, type=int, help="largest row, 0..16")
+    tables.add_argument("--depth", required=True, type=_integer, help="largest row, 0..16")
     tables.add_argument("--format", choices=("text", "json", "latex"), default="text")
     tables.add_argument("--out", help="also write the output to this file")
     tables.set_defaults(handler=_cmd_tables)
@@ -102,8 +115,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _parse_mvec(raw: str) -> list[int]:
     try:
-        return [int(part.strip()) for part in raw.split(",")]
-    except ValueError:
+        return [_integer(part) for part in raw.split(",")]
+    except argparse.ArgumentTypeError:
         raise ValueError(f"--m must be comma-separated integers, got {raw!r}") from None
 
 

@@ -3,12 +3,15 @@ plus a parser for polynomial text in variables x1..xn.
 
 Every type here keeps integer numerators over one denominator, in lowest
 terms.  ``UniPoly`` is dense (low degree first), for the coefficient
-polynomials in one variable k.  ``_Combination`` is the sparse form, a
-read-only mapping from key to numerator, with its linear arithmetic;
+polynomials in one variable k, and carries the arithmetic the identities
+are built with.  ``_Combination`` is the sparse form, a read-only mapping
+from key to numerator with equality and hashing but no arithmetic;
 ``MultiPoly`` (keyed by exponent tuples), for the weight polynomials in the
 summation indices, and ``quasi_shuffle.NCPoly`` (keyed by words) build on
-it.  All are immutable and hashable, and all reject floats and strings:
-only ints and ``Fraction`` values (``Scalar``) enter.
+it.  A weight is parsed, tested for symmetry, collapsed block by block and
+rendered, never added or multiplied.  All are immutable and hashable, and
+all reject floats and strings: only ints and ``Fraction`` values
+(``Scalar``) enter.
 """
 
 from __future__ import annotations
@@ -43,20 +46,6 @@ def _as_rational(value: Scalar) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"expected an int or Fraction, got {type(value).__name__}")
-
-
-def _power(base, exponent: int, one):
-    """``base ** exponent`` by square-and-multiply, from the unit ``one``."""
-    if not isinstance(exponent, int) or exponent < 0:
-        raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
-    result = one
-    while exponent:
-        if exponent & 1:
-            result = result * base
-        exponent >>= 1
-        if exponent:
-            base = base * base
-    return result
 
 
 class UniPoly:
@@ -217,7 +206,17 @@ class UniPoly:
         return self * (Fraction(1) / scale)
 
     def __pow__(self, exponent: int) -> "UniPoly":
-        return _power(self, exponent, UniPoly.one())
+        """Power by square-and-multiply."""
+        if not isinstance(exponent, int) or exponent < 0:
+            raise ValueError(f"polynomial exponent must be a nonnegative int, got {exponent!r}")
+        result, base = UniPoly.one(), self
+        while exponent:
+            if exponent & 1:
+                result = result * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return result
 
     def derivative(self) -> "UniPoly":
         return UniPoly._normalised([i * x for i, x in enumerate(self.nums) if i], self.den)
@@ -260,21 +259,22 @@ class UniPoly:
 
 
 class _Combination:
-    """Finite rational linear combination of keys: the storage and the
-    linear arithmetic of ``MultiPoly`` (keyed by exponent tuples) and
+    """Finite rational linear combination of keys: the storage, equality
+    and hashing of ``MultiPoly`` (keyed by exponent tuples) and
     ``quasi_shuffle.NCPoly`` (keyed by words).
 
     Stored as integer numerators over one denominator: the coefficient of a
     key is ``nums[key] / den``.  The form is canonical -- no zero numerator
     is stored, ``den > 0`` and gcd(den, *nums) == 1, so zero is ({}, 1) --
-    and all arithmetic runs on the integers, with one normalisation per
-    result.  ``nums`` (a read-only mapping) and ``den`` cannot be changed;
-    ``terms`` gives the coefficients as Fractions.
+    and the code that forms combinations works on the integer numerators
+    and makes each result with ``_normalised``.  ``nums`` (a read-only
+    mapping) and ``den`` cannot be changed; ``terms`` gives the
+    coefficients as Fractions.
 
     A subclass checks each key in ``_validated_key`` and holds in its own
     slots the shape its keys share (the arity of a ``MultiPoly``), which
     ``_shape`` returns.  Values of different types or shapes are never
-    equal, and only values of one type and shape add.
+    equal.
     """
 
     __slots__ = ("nums", "den")
@@ -330,51 +330,6 @@ class _Combination:
     def __bool__(self) -> bool:
         return bool(self.nums)
 
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other: object) -> "_Combination | None":
-        """``other`` as an addend of this type and shape, or None."""
-        return other if type(other) is type(self) else None
-
-    def __add__(self, other: "_Combination | Scalar") -> "_Combination":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        den = math.lcm(self.den, rhs.den)
-        scale = den // rhs.den
-        nums = {key: c * (den // self.den) for key, c in self.nums.items()}
-        for key, c in rhs.nums.items():
-            nums[key] = nums.get(key, 0) + c * scale
-        return self._normalised(nums, den, *self._shape())
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "_Combination | Scalar") -> "_Combination":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self + (-rhs)
-
-    def __rsub__(self, other: Scalar) -> "_Combination":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs - self
-
-    def __neg__(self) -> "_Combination":
-        return self._normalised({key: -c for key, c in self.nums.items()}, self.den, *self._shape())
-
-    def __mul__(self, other: Scalar) -> "_Combination":
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return self._normalised(
-            {key: c * other.numerator for key, c in self.nums.items()},
-            self.den * other.denominator,
-            *self._shape(),
-        )
-
-    __rmul__ = __mul__
-
     # -- protocol ----------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -427,22 +382,6 @@ class MultiPoly(_Combination):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def zero(arity: int) -> "MultiPoly":
-        return MultiPoly(arity)
-
-    @staticmethod
-    def constant(arity: int, value: Scalar) -> "MultiPoly":
-        return MultiPoly(arity, {(0,) * arity: value})
-
-    @staticmethod
-    def variable(arity: int, index: int) -> "MultiPoly":
-        """The variable x{index}, 1-based."""
-        if not 1 <= index <= arity:
-            raise ValueError(f"variable index must be in 1..{arity}, got {index}")
-        expts = tuple(1 if i == index - 1 else 0 for i in range(arity))
-        return MultiPoly(arity, {expts: 1})
-
-    @staticmethod
     def monomial(expts: Sequence[int], coeff: Scalar = 1) -> "MultiPoly":
         expts = tuple(expts)
         return MultiPoly(len(expts), {expts: coeff})
@@ -453,23 +392,6 @@ class MultiPoly(_Combination):
         if not self.nums:
             return NEG_INFINITY
         return max(map(sum, self.nums))
-
-    def monomials(self) -> list[tuple[Fraction, tuple[int, ...]]]:
-        """Terms as (coefficient, exponents), exponent tuples in ascending
-        lexicographic order."""
-        return [(Fraction(self.nums[e], self.den), e) for e in sorted(self.nums)]
-
-    def coefficient(self, expts: Sequence[int]) -> Fraction:
-        return Fraction(self.nums.get(tuple(expts), 0), self.den)
-
-    def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        if len(point) != self.arity:
-            raise ValueError(f"expected {self.arity} coordinates, got {len(point)}")
-        coords = [_as_rational(p) for p in point]
-        total = sum(
-            c * math.prod(x**e for x, e in zip(coords, expts)) for expts, c in self.nums.items()
-        )
-        return Fraction(total) / self.den
 
     def is_symmetric(self) -> bool:
         """True when invariant under every permutation of the variables.
@@ -484,31 +406,6 @@ class MultiPoly(_Combination):
                 if nums.get(swapped) != c:
                     return False
         return True
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _coerce(self, other: object) -> "MultiPoly | None":
-        if isinstance(other, MultiPoly):
-            if other.arity != self.arity:
-                raise ValueError(f"arity mismatch: {self.arity} vs {other.arity}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(self.arity, other)
-        return None
-
-    def __mul__(self, other: "MultiPoly | Scalar") -> "MultiPoly":
-        if not isinstance(other, MultiPoly):
-            return super().__mul__(other)
-        rhs = self._coerce(other)
-        nums: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.nums.items():
-            for e2, c2 in rhs.nums.items():
-                key = tuple(map(operator.add, e1, e2))
-                nums[key] = nums.get(key, 0) + c1 * c2
-        return MultiPoly._normalised(nums, self.den * rhs.den, self.arity)
-
-    def __pow__(self, exponent: int) -> "MultiPoly":
-        return _power(self, exponent, MultiPoly.constant(self.arity, 1))
 
     # -- rendering ---------------------------------------------------------
 
@@ -599,7 +496,8 @@ class _Parser:
         factor  := primary ('^' INT)?
         primary := INT ('/' INT)? | VARIABLE | '(' expr ')'
 
-    with VARIABLE one of x1..xn.  There is no implicit multiplication.
+    with VARIABLE one of x1..xn, its index written without a leading zero.
+    There is no implicit multiplication.
     Every production returns a dict from exponent tuple to nonzero int or
     Fraction coefficient; ``parse`` makes the one ``MultiPoly``.
     """
@@ -685,7 +583,8 @@ class _Parser:
             return {(0,) * self.arity: value} if value else {}
         if kind == "name":
             body = value[1:]
-            index = int(body) if value.startswith("x") and body.isascii() and body.isdigit() else 0
+            named = value.startswith("x") and body.isascii() and body.isdigit() and body[0] != "0"
+            index = int(body) if named else 0
             if 1 <= index <= self.arity:
                 return {tuple(int(i == index) for i in range(1, self.arity + 1)): 1}
             raise ParseError(f"unknown variable {value!r} (expected x1..x{self.arity})", position)

@@ -35,7 +35,7 @@ from functools import lru_cache
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .checks import CheckResult
-from .polynomials import Scalar, _Combination
+from .polynomials import _Combination
 
 __all__ = [
     "NCPoly",
@@ -99,17 +99,9 @@ class NCPoly(_Combination):
     _validated_key = staticmethod(_validated_word)
 
     @staticmethod
-    def zero() -> "NCPoly":
-        return NCPoly()
-
-    @staticmethod
     def unit() -> "NCPoly":
         """The empty word."""
         return NCPoly({(): 1})
-
-    @staticmethod
-    def from_word(letters: Sequence[int], coeff: Scalar = 1) -> "NCPoly":
-        return NCPoly({tuple(letters): coeff})
 
     def items(self) -> list[tuple[Word, Fraction]]:
         """Terms in lexicographic word order."""

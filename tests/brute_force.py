@@ -1,7 +1,10 @@
 """Composition-by-composition left sides: the small-k oracle of the series
 kernel behind ``bernoulli_lhs``, ``eval_zeta_lhs`` and ``mzv_lhs_exact``.
-``compositions`` and ``partition_shape`` are the enumerations the oracles
-and the tests walk; the package itself needs neither.
+``compositions``, ``set_partitions``, ``partition_weight`` and
+``partition_shape`` are the enumerations the oracles and the tests walk;
+the package itself needs none of them.  The oracles read a weight
+``MultiPoly`` only through its ``nums`` and ``den`` (see ``weight_value``)
+and import nothing from ``evenzeta.enumeration``.
 
 Each sum walks every composition of k into n parts.  The multiple zeta
 values at even arguments are expanded over set partitions: the symmetric
@@ -12,9 +15,10 @@ compositions and partitions of the signed block products.  The cost is
 C(k-1, n-1) compositions times Bell(n) partitions, so keep n and k small.
 
 ``poly_add``, ``poly_neg``, ``poly_scale``, ``poly_mul`` and ``poly_pow``
-are the oracle of ``MultiPoly`` arithmetic: they work on plain dicts from
-exponent tuple to ``Fraction`` and import nothing from
-``evenzeta.polynomials``.
+are the polynomial arithmetic the package leaves out: they work on plain
+dicts from key (an exponent tuple or a word) to ``Fraction`` and import
+nothing from ``evenzeta.polynomials``.  The tests build expected weights and
+word combinations with them, and check the parser against them.
 
 ``f_triangle`` and ``g_triangle`` run the recursions documented in
 ``f_table`` and ``g_table`` on plain lists of ``Fraction`` coefficients (low
@@ -49,30 +53,33 @@ words: it sums over lattice paths and calls nothing in
 partition-by-partition oracle of the word
 expansion of the same name in ``evenzeta.quasi_shuffle``: it multiplies each
 partition's block letters out on its own through the public ``star`` or
-``sbar`` and adds the weighted results.
+``sbar`` and adds the weighted results' ``terms`` dicts.
 """
 
 import itertools
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
 from evenzeta import (
     NCPoly,
-    SetPartition,
     UniPoly,
     a_coeffs,
     bernoulli,
     f_table,
     factorial,
     g_table,
-    partition_weight,
     sbar,
-    set_partitions,
     star,
     truncation_depth,
     zeta_even,
     zeta_identity_monomial,
 )
+
+#: A set partition of {1, ..., n}: each block is a sorted tuple of indices,
+#: and blocks are ordered by their smallest element.
+SetPartition = tuple[tuple[int, ...], ...]
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -92,6 +99,46 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+def set_partitions(n: int) -> list[SetPartition]:
+    """All partitions of {1, ..., n} into nonempty blocks, in a fixed order.
+
+    Built by inserting elements 1, 2, ..., n one at a time: each existing
+    partition spawns one child per block (element joins the block) plus one
+    child with a new singleton block.  The result has Bell(n) entries and the
+    order is reproducible across runs.
+    """
+    if n < 1:
+        raise ValueError(f"set partitions need n >= 1, got {n}")
+    parts: list[SetPartition] = [((1,),)]
+    for element in range(2, n + 1):
+        grown: list[SetPartition] = []
+        for partition in parts:
+            for i, block in enumerate(partition):
+                grown.append(partition[:i] + (block + (element,),) + partition[i + 1 :])
+            grown.append(partition + ((element,),))
+        parts = grown
+    return parts
+
+
+@dataclass(frozen=True)
+class PartitionWeight:
+    """Multiplicities a set partition carries in symmetric-sum expansions.
+
+    ``c`` is the product over blocks of (size - 1)!; ``c_tilde`` attaches the
+    sign (-1)**(n - number of blocks).
+    """
+
+    c: int
+    c_tilde: int
+
+
+def partition_weight(partition: SetPartition) -> PartitionWeight:
+    n = sum(len(block) for block in partition)
+    c = math.prod(math.factorial(len(block) - 1) for block in partition)
+    sign = -1 if (n - len(partition)) % 2 else 1
+    return PartitionWeight(c=c, c_tilde=sign * c)
+
+
 def partition_shape(partition: SetPartition) -> tuple[int, ...]:
     """Block sizes of a set partition, sorted nonincreasing."""
     return tuple(sorted((len(block) for block in partition), reverse=True))
@@ -108,12 +155,19 @@ def bernoulli_lhs(mvec, k):
     return total
 
 
+def weight_value(F, point):
+    """The weight polynomial F at ``point``, from its integer numerators
+    ``F.nums`` over ``F.den``."""
+    total = sum(c * math.prod(x**e for x, e in zip(point, expts)) for expts, c in F.nums.items())
+    return Fraction(total, F.den)
+
+
 def zeta_lhs(F, n, k):
     """sum over compositions of F(k_1..k_n) zeta(2k_1) ... zeta(2k_n), as
     its coefficient of pi^(2k)."""
     total = Fraction(0)
     for comp in compositions(k, n):
-        value = F.evaluate(comp)
+        value = weight_value(F, comp)
         if not value:
             continue
         product = Fraction(value)
@@ -131,7 +185,7 @@ def mzv_lhs(F, n, k, star=False):
     weights = [partition_weight(p) for p in parts]
     total = Fraction(0)
     for comp in compositions(k, n):
-        value = F.evaluate(comp)
+        value = weight_value(F, comp)
         if not value:
             continue
         comp_total = Fraction(0)
@@ -146,15 +200,16 @@ def mzv_lhs(F, n, k, star=False):
 
 def partition_word_sum(kvec, mode):
     """sum over set partitions of the weighted product, in block order, of
-    the block letters: star with signed weights, sbar with plain ones."""
+    the block letters: star with signed weights, sbar with plain ones.  The
+    result is a dict from word to nonzero ``Fraction``, like ``.terms``."""
     product = star if mode == "star" else sbar
-    total = NCPoly.zero()
+    total = {}
     for partition in set_partitions(len(kvec)):
         weight = partition_weight(partition)
         acc = NCPoly.unit()
         for block in partition:
             acc = product(acc, (sum(kvec[index - 1] for index in block),))
-        total = total + (weight.c_tilde if mode == "star" else weight.c) * acc
+        total = poly_add(total, poly_scale(acc.terms, weight.c_tilde if mode == "star" else weight.c))
     return total
 
 
@@ -211,7 +266,7 @@ def _nonzero(terms):
 
 
 def poly_add(a, b):
-    """Sum of two dicts from exponent tuple to Fraction, zeros dropped."""
+    """Sum of two dicts from key to Fraction, zeros dropped."""
     total = dict(a)
     for expts, c in b.items():
         total[expts] = total.get(expts, Fraction(0)) + c

@@ -12,7 +12,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 from evenzeta import (
-    MultiPoly,
     UniPoly,
     bernoulli_identity,
     check_gallery_identity,
@@ -100,7 +99,7 @@ def test_criterion_03_mzv_gallery():
         for entry in entries:
             result = check_gallery_identity(entry)
             assert result.ok, result.describe()
-        star = mzsv_identity(MultiPoly.constant(4, 1), 4)
+        star = mzsv_identity(parse_poly("1", 4), 4)
         assert star.terms[0] == (4 * K - 5) * (8 * K**2 - 20 * K + 3) / 192
 
 
@@ -138,11 +137,11 @@ def test_criterion_05_mzv_cross_path():
 
 def test_criterion_06_two_fold_baseline():
     with criterion(6, "two-fold sum equals (3/4) zeta(2k)", budget=5.0):
-        identity = mzv_identity(MultiPoly.constant(2, 1), 2)
+        identity = mzv_identity(parse_poly("1", 2), 2)
         assert identity.T == 0
         assert identity.terms[0] == UniPoly.constant(Fraction(3, 4))
         for k in range(2, 11):
-            lhs = mzv_lhs_exact(MultiPoly.constant(2, 1), 2, k)
+            lhs = mzv_lhs_exact(parse_poly("1", 2), 2, k)
             assert lhs == Fraction(3, 4) * zeta_even(k)
 
 

@@ -253,6 +253,68 @@ class TestTablesCommand:
         assert "0..16" in err
 
 
+def exit_code(capsys, *argv):
+    """Like ``run``, with argparse's usage exit taken as the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestIntegerArguments:
+    """Integer flags and the parts of --m take ASCII digits only: ``int``
+    alone would read other scripts' digits and underscores between digits."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("identity", "--kind", "bernoulli", "--n", "2", "--m", "\u0662,1_0"),
+            ("identity", "--kind", "bernoulli", "--n", "2", "--m", "2,1_0"),
+            ("identity", "--kind", "zeta", "--n", "1", "--m", "\uff13"),
+            ("identity", "--kind", "bernoulli", "--n", "\u0662", "--m", "2,1"),
+            ("identity", "--kind", "mzv", "--n", "1_0", "--poly", "1"),
+            ("verify", "--suite", "words", "--max-n", "\u0663"),
+            ("verify", "--suite", "words", "--max-k", "1_0"),
+            ("tables", "--depth", " 1_0"),
+            ("tables", "--depth", "\uff13"),
+        ],
+        ids=["m-arabic-indic", "m-underscore", "m-fullwidth", "n-arabic-indic", "n-underscore",
+             "max-n", "max-k", "depth-underscore", "depth-fullwidth"],
+    )
+    def test_refused_with_exit_2(self, capsys, argv):
+        code, out, err = exit_code(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "integer" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("identity", "--kind", "bernoulli", "--n", "-1", "--m", "1"), "--n must be >= 1, got -1"),
+            (
+                ("identity", "--kind", "bernoulli", "--n", "2", "--m", "2,-1"),
+                "must list integers >= 0, got [2, -1]",
+            ),
+            (("verify", "--suite", "words", "--max-n", "-3"), "--max-n must be in 1..5, got -3"),
+            (("verify", "--suite", "words", "--max-k", "17"), "--max-k must be in 1..16, got 17"),
+            (("tables", "--depth", "-1"), "--depth must be in 0..16, got -1"),
+        ],
+        ids=["n", "m", "max-n", "max-k", "depth"],
+    )
+    def test_range_messages_unchanged(self, capsys, argv, message):
+        code, out, err = exit_code(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_signs_and_surrounding_space_read(self, capsys):
+        assert exit_code(capsys, "tables", "--depth", " +2 ")[:2] == run(capsys, "tables", "--depth", "2")[:2]
+        doc = exit_code(capsys, "identity", "--kind", "bernoulli", "--n", "2", "--m", " 1, +0")
+        assert doc == run(capsys, "identity", "--kind", "bernoulli", "--n", "2", "--m", "1,0")
+
+
 class Admitted(Exception):
     """Raised by a stubbed builder: the guard let the input through."""
 

@@ -20,10 +20,7 @@ from evenzeta import (
     parse_poly,
     zeta_identity_monomial,
 )
-from evenzeta.suites import _MAX_WEIGHT, _exponent_tuples, _weight_family
-
-#: The largest bounds of ``verify --suite all``.
-MAX_N, MAX_K = 5, 16
+from evenzeta.suites import _MAX_WEIGHT, MAX_K, MAX_N, _exponent_tuples, _weight_family
 
 #: The degree-3 weight at depth 10 that CI builds as an mzv and mzsv identity.
 DEPTH_TEN_WEIGHT = (
@@ -43,7 +40,8 @@ def check_zeta(identity, ks):
 
 
 class TestSuiteIdentities:
-    """Every identity of ``verify --suite all --max-n 5 --max-k 16``."""
+    """Every identity of ``verify --suite all`` at its largest bounds,
+    ``suites.MAX_N`` and ``suites.MAX_K``."""
 
     @pytest.mark.parametrize("n", range(1, MAX_N + 1))
     def test_bernoulli_and_zeta(self, n):

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from evenzeta import (
-    MultiPoly,
     UniPoly,
     bernoulli_identity,
     document_from_identity,
@@ -27,7 +26,7 @@ K = UniPoly.x()
 
 
 def sample_documents():
-    F4 = MultiPoly.constant(4, 1)
+    F4 = parse_poly("1", 4)
     sq = parse_poly("x1^2 + x2^2 + x3^2 + x4^2", 4)
     return [
         document_from_identity(bernoulli_identity((0, 0, 0, 0))),
@@ -44,7 +43,7 @@ class TestJsonRoundTrip:
             assert from_json(to_json(doc)) == doc
 
     def test_payload_shape(self):
-        doc = document_from_identity(mzv_identity(MultiPoly.constant(4, 1), 4))
+        doc = document_from_identity(mzv_identity(parse_poly("1", 4), 4))
         payload = json.loads(to_json(doc))
         assert payload["schema"] == 1
         assert payload["kind"] == "mzv"
@@ -193,7 +192,7 @@ class TestFromJsonValidation:
         if kind == "bernoulli":
             payload = self.good_payload()
         else:
-            weight = MultiPoly.constant(2, 1)
+            weight = parse_poly("1", 2)
             build = {"zeta": zeta_identity_poly, "mzv": mzv_identity, "mzsv": mzsv_identity}[kind]
             payload = json.loads(to_json(document_from_identity(build(weight, 2))))
         from_json(json.dumps(payload))  # the unchanged payload loads
@@ -226,7 +225,7 @@ class TestPolyText:
 
 class TestTextRendering:
     def test_header_and_signs(self):
-        doc = document_from_identity(mzv_identity(MultiPoly.constant(4, 1), 4))
+        doc = document_from_identity(mzv_identity(parse_poly("1", 4), 4))
         text = to_text(doc)
         assert "kind   : mzv" in text
         assert "rhs    = 35/64 * zeta(2k)" in text
@@ -241,7 +240,7 @@ class TestTextRendering:
 
 class TestLatexRendering:
     def test_printed_display(self):
-        doc = document_from_identity(mzv_identity(MultiPoly.constant(4, 1), 4))
+        doc = document_from_identity(mzv_identity(parse_poly("1", 4), 4))
         latex = to_latex(doc)
         assert "\\frac{35}{64}\\zeta(2k)" in latex
         assert "-\\frac{5}{16}\\zeta(2)\\zeta(2k-2)" in latex

@@ -1,4 +1,5 @@
-"""Compositions, set partitions, and block shapes."""
+"""Compositions, set partitions and their weights (the oracles of
+`brute_force.py`), and block shapes."""
 
 import math
 
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from brute_force import compositions, partition_shape
-from evenzeta import block_shapes, partition_weight, set_partitions
+from brute_force import compositions, partition_shape, partition_weight, set_partitions
+from evenzeta import block_shapes
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 

@@ -252,37 +252,16 @@ class TestUniPolyRingLaws:
 
 
 class TestMultiPoly:
-    def test_variables(self):
-        x1 = MultiPoly.variable(3, 1)
-        x3 = MultiPoly.variable(3, 3)
-        p = x1 * x3 + 2 * x1
-        assert p.coefficient((1, 0, 1)) == 1
-        assert p.coefficient((1, 0, 0)) == 2
-        assert p.coefficient((0, 1, 0)) == 0
-
     def test_degree(self):
-        p = MultiPoly.monomial((2, 3)) + MultiPoly.monomial((4, 0))
-        assert p.degree() == 5
-        assert MultiPoly.zero(2).degree() == float("-inf")
-
-    def test_monomials_ordered(self):
-        p = MultiPoly.monomial((0, 1)) + MultiPoly.monomial((1, 0))
-        expts = [e for _, e in p.monomials()]
-        assert expts == sorted(expts)
-
-    def test_evaluate(self):
-        p = parse_poly("x1^2*x2 + 3", 2)
-        assert p.evaluate((2, 5)) == 23
+        assert MultiPoly(2, {(2, 3): 1, (4, 0): 1}).degree() == 5
+        assert MultiPoly.monomial((2, 3), Fraction(1, 2)).degree() == 5
+        assert MultiPoly(2).degree() == float("-inf")
 
     def test_is_symmetric(self):
         assert parse_poly("x1^2 + x2^2", 2).is_symmetric()
         assert parse_poly("x1*x2", 2).is_symmetric()
         assert not parse_poly("x1^2*x2", 2).is_symmetric()
-        assert MultiPoly.constant(4, Fraction(1, 3)).is_symmetric()
-
-    def test_arity_mismatch(self):
-        with pytest.raises(ValueError):
-            MultiPoly.variable(2, 1) + MultiPoly.variable(3, 1)
+        assert MultiPoly(4, {(0, 0, 0, 0): Fraction(1, 3)}).is_symmetric()
 
     @pytest.mark.parametrize("exponent", [1.5, "1", Fraction(1)])
     def test_non_integral_exponents_rejected(self, exponent):
@@ -291,32 +270,19 @@ class TestMultiPoly:
         with pytest.raises(TypeError):
             MultiPoly(2, {(0, exponent): Fraction(1, 2)})
 
-    def test_pow(self):
-        p = parse_poly("x1 + x2", 2) ** 2
-        assert p == parse_poly("x1^2 + 2*x1*x2 + x2^2", 2)
-
-    def test_scalar_minus_poly(self):
-        p = parse_poly("x1 + x2", 2)
-        assert 1 - p == parse_poly("1 - x1 - x2", 2)
-        assert Fraction(1, 2) - p == -(p - Fraction(1, 2))
-        with pytest.raises(TypeError):
-            1.5 - p
-
     def test_render_is_canonical(self):
         p = parse_poly("3/2*x1 - x2", 2)
         assert p.render() == "3/2*x1 - x2"
         assert parse_poly("x2 + x1^2", 2).render() == "x1^2 + x2"
-        assert MultiPoly.zero(2).render() == "0"
+        assert MultiPoly(2).render() == "0"
 
 
 class TestParser:
     def test_rational_literals(self):
-        assert parse_poly("3/4", 1) == MultiPoly.constant(1, Fraction(3, 4))
+        assert parse_poly("3/4", 1) == MultiPoly(1, {(0,): Fraction(3, 4)})
 
     def test_precedence(self):
-        p = parse_poly("x1 + 2*x1^2", 1)
-        assert p.coefficient((1,)) == 1
-        assert p.coefficient((2,)) == 2
+        assert parse_poly("x1 + 2*x1^2", 1).terms == {(1,): 1, (2,): 2}
 
     def test_parentheses(self):
         assert parse_poly("(x1 + x2)^2", 2) == parse_poly(
@@ -325,8 +291,8 @@ class TestParser:
 
     def test_unary_minus(self):
         assert parse_poly("-x1 + 1", 1) == parse_poly("1 - x1", 1)
-        assert parse_poly("-x1^2", 1) == -parse_poly("x1^2", 1)
-        assert parse_poly("x1*(-x2)", 2) == -parse_poly("x1*x2", 2)
+        assert parse_poly("-x1^2", 1) == MultiPoly(1, {(2,): -1})
+        assert parse_poly("x1*(-x2)", 2) == MultiPoly(2, {(1, 1): -1})
 
     @pytest.mark.parametrize("text, position", [("x1*-x2", 3), ("x1 - -x2", 5), ("--x1", 1)])
     def test_sign_only_where_an_expression_opens(self, text, position):
@@ -426,6 +392,13 @@ class TestParser:
             parse_poly(text, arity)
         assert info.value.position == position
 
+    @pytest.mark.parametrize("text, position", [("x001+x2", 0), ("x1+x02", 3), ("x1*x010", 3), ("x0", 0)])
+    def test_variable_index_has_no_leading_zero(self, text, position):
+        # The variables are x1..xn as written: x01 is not x1, nor x010 x10.
+        with pytest.raises(ParseError, match="unknown variable") as info:
+            parse_poly(text, 10)
+        assert info.value.position == position
+
     def test_dense_weight_at_the_degree_limit(self):
         text, coeffs = brute_force.dense_weight(3, max_parse_degree(3))
         assert len(coeffs) == 969
@@ -494,27 +467,34 @@ def tree_text(tree, level=0):
     return text if own >= level else f"({text})"
 
 
+def dict_degree(terms):
+    return max(map(sum, terms), default=float("-inf"))
+
+
 def tree_value(tree, arity):
-    """The tree through ``MultiPoly`` arithmetic; ``OverLimit`` where a
-    product or power would pass ``max_parse_degree(arity)``."""
+    """The tree through the ``brute_force.poly_*`` dict arithmetic;
+    ``OverLimit`` where a product or power would pass
+    ``max_parse_degree(arity)``."""
     kind = tree[0]
     if kind == "const":
-        return MultiPoly.constant(arity, tree[1])
+        return {(0,) * arity: tree[1]} if tree[1] else {}
     if kind == "var":
-        return MultiPoly.variable(arity, tree[1])
+        return {tuple(int(i == tree[1]) for i in range(1, arity + 1)): Fraction(1)}
     if kind == "neg":
-        return -tree_value(tree[1], arity)
+        return brute_force.poly_neg(tree_value(tree[1], arity))
     if kind == "^":
         base = tree_value(tree[1], arity)
-        if tree[2] and base.degree() * tree[2] > max_parse_degree(arity):
+        if tree[2] and dict_degree(base) * tree[2] > max_parse_degree(arity):
             raise OverLimit
-        return base ** tree[2]
+        return brute_force.poly_pow(base, arity, tree[2])
     left, right = tree_value(tree[1], arity), tree_value(tree[2], arity)
     if kind == "*":
-        if left.degree() + right.degree() > max_parse_degree(arity):
+        if dict_degree(left) + dict_degree(right) > max_parse_degree(arity):
             raise OverLimit
-        return left * right
-    return left + right if kind == "+" else left - right
+        return brute_force.poly_mul(left, right)
+    if kind == "-":
+        right = brute_force.poly_neg(right)
+    return brute_force.poly_add(left, right)
 
 
 class TestParserOracle:
@@ -529,13 +509,15 @@ class TestParserOracle:
             with pytest.raises(ParseError, match="total degree"):
                 parse_poly(text, arity)
         else:
-            assert parse_poly(text, arity) == expected, text
+            assert parse_poly(text, arity).terms == expected, text
 
 
 class TestRenderRoundTrip:
     @given(multipolys())
     def test_parse_of_render(self, p):
-        assert parse_poly(p.render(), p.arity) == p
+        parsed = parse_poly(p.render(), p.arity)
+        assert parsed == p
+        assert is_canonical_multi(p) and is_canonical_multi(parsed)
 
 
 class TestMultiPolyRepresentation:
@@ -547,7 +529,7 @@ class TestMultiPolyRepresentation:
     def test_zero_is_empty_over_one(self):
         p = MultiPoly(1, [((1,), Fraction(1, 3)), ((1,), Fraction(-1, 3))])
         assert (dict(p.nums), p.den) == ({}, 1)
-        assert p == MultiPoly.zero(1) and p.is_zero()
+        assert p == MultiPoly(1) and p.is_zero()
 
     @pytest.mark.parametrize(
         "arity, terms, error",
@@ -573,7 +555,7 @@ class TestMultiPolyRepresentation:
         p = MultiPoly(2, {(1, 0): 1})
         p.terms[(1, 0)] = Fraction(0)
         assert repr(p) == "MultiPoly(2, 'x1')"
-        assert not p.is_zero() and p == MultiPoly.variable(2, 1)
+        assert not p.is_zero() and p == MultiPoly.monomial((1, 0))
 
     def test_numerators_are_read_only(self):
         p = parse_poly("x1 + 1/2", 1)
@@ -586,16 +568,6 @@ class TestMultiPolyRepresentation:
         with pytest.raises(TypeError):
             p.nums[(1,)] = 5
         assert p.render() == "x1 + 1/2"
-
-
-@st.composite
-def multipoly_pairs(draw):
-    """An arity and two nonzero-coefficient dicts from exponent tuple to
-    Fraction over it."""
-    arity = draw(st.integers(1, 3))
-    expts = st.tuples(*[st.integers(0, 3)] * arity)
-    dicts = st.dictionaries(expts, coeffs.filter(bool), max_size=4)
-    return arity, draw(dicts), draw(dicts)
 
 
 def is_canonical_multi(p):
@@ -613,30 +585,3 @@ def is_canonical_multi(p):
         and all(type(c) is Fraction and c != 0 for c in p.terms.values())
     )
 
-
-class TestMultiPolyCanonicalResults:
-    @settings(deadline=None, max_examples=80)
-    @given(multipoly_pairs(), coeffs, st.integers(0, 3))
-    def test_results_are_canonical_and_match_oracle(self, pair, scale, exponent):
-        arity, a, b = pair
-        p, q = MultiPoly(arity, a), MultiPoly(arity, b)
-        assert p.terms == a and q.terms == b
-        halved = Fraction(1, 2) * (2 * p)
-        constant = {(0,) * arity: scale} if scale else {}
-        cases = [
-            (p + q, brute_force.poly_add(a, b)),
-            (p - q, brute_force.poly_add(a, brute_force.poly_neg(b))),
-            (-p, brute_force.poly_neg(a)),
-            (p * q, brute_force.poly_mul(a, b)),
-            (scale * p, brute_force.poly_scale(a, scale)),
-            (p * scale, brute_force.poly_scale(a, scale)),
-            (p + scale, brute_force.poly_add(a, constant)),
-            (halved, a),
-            (p - p, {}),
-            (p**exponent, brute_force.poly_pow(a, arity, exponent)),
-        ]
-        for result, expected in cases:
-            assert is_canonical_multi(result)
-            assert result.terms == expected
-        assert halved == p and hash(halved) == hash(p)
-        assert p - p == MultiPoly.zero(arity) and (p - p).den == 1

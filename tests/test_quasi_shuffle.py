@@ -37,45 +37,29 @@ from evenzeta.suites import words_suite
 
 class TestNCPoly:
     def test_zero_and_unit(self):
-        assert not NCPoly.zero()
+        assert not NCPoly()
         assert NCPoly.unit().items() == [((), Fraction(1))]
 
-    def test_from_word(self):
-        p = NCPoly.from_word((2, 3), Fraction(1, 2))
-        assert p.items() == [((2, 3), Fraction(1, 2))]
-
     def test_zero_coefficients_dropped(self):
-        assert NCPoly({(2,): Fraction(0)}) == NCPoly.zero()
-        assert NCPoly.from_word((2,)) - NCPoly.from_word((2,)) == NCPoly.zero()
-
-    def test_linear_algebra(self):
-        a = NCPoly.from_word((2,))
-        b = NCPoly.from_word((3,))
-        assert 2 * a + b - a == a + b
-        assert -(a - b) == b - a
-        assert Fraction(1, 2) * (2 * a) == a
+        assert NCPoly({(2,): Fraction(0)}) == NCPoly()
+        assert NCPoly([((2,), 1), ((2,), -1)]) == NCPoly()
 
     def test_items_sorted(self):
-        p = NCPoly.from_word((3, 2)) + NCPoly.from_word((2, 3)) + NCPoly.from_word((2,))
+        p = NCPoly({(3, 2): 1, (2, 3): 1, (2,): 1})
         assert [w for w, _ in p.items()] == [(2,), (2, 3), (3, 2)]
 
     def test_str(self):
         assert str(star((2,), (3,))) == "z2z3 + z3z2 + z5"
         assert str(sbar((2,), (2,))) == "2*z2z2 - z4"
-        assert str(NCPoly.zero()) == "0"
+        assert str(NCPoly()) == "0"
 
     def test_repr(self):
         assert repr(sbar((2,), (2,))) == "NCPoly('2*z2z2 - z4')"
-        assert repr(NCPoly.from_word((3, 2), Fraction(-1, 2))) == "NCPoly('-1/2*z3z2')"
+        assert repr(NCPoly({(3, 2): Fraction(-1, 2)})) == "NCPoly('-1/2*z3z2')"
         assert repr(NCPoly.unit()) == "NCPoly('1')"
 
-    def test_scalar_minus_word_rejected(self):
-        # Only MultiPoly reads a scalar as a constant; a word sum has none.
-        with pytest.raises(TypeError):
-            1 - NCPoly.from_word((2,))
-
     def test_immutable_and_hashable(self):
-        p = NCPoly.from_word((2,))
+        p = NCPoly({(2,): 1})
         for name, value in (("terms", {}), ("nums", {}), ("den", 2)):
             with pytest.raises(AttributeError):
                 setattr(p, name, value)
@@ -83,27 +67,24 @@ class TestNCPoly:
         with pytest.raises(TypeError):
             p.nums[(3,)] = 1
         assert p.items() == [((2,), Fraction(1))]
-        assert len({p, NCPoly.from_word((2,)), NCPoly.zero()}) == 2
-        # One value built by the constructor, by arithmetic and by products.
+        assert len({p, NCPoly({(2,): 1}), NCPoly()}) == 2
+        # One value built by the constructor and by products.
         third = Fraction(1, 3)
         built = [
             NCPoly({(1, 1): Fraction(2, 3), (2,): third}),
             NCPoly([((1, 1), third), ((2,), third), ((1, 1), third)]),
-            third * (2 * NCPoly.from_word((1, 1)) + NCPoly.from_word((2,))),
-            NCPoly.from_word((1, 1), third) + NCPoly.from_word((1, 1), third) + NCPoly.from_word((2,), third),
-            third * star((1,), (1,)),
-            star(NCPoly.from_word((1,), third), (1,)),
-            star(NCPoly.from_word((1,), Fraction(2, 3)), NCPoly.from_word((1,), Fraction(1, 2))),
+            star(NCPoly({(1,): third}), (1,)),
+            star(NCPoly({(1,): Fraction(2, 3)}), NCPoly({(1,): Fraction(1, 2)})),
         ]
         assert len(set(built)) == 1
         assert all(is_canonical(p) and p == built[0] for p in built)
         # Equal numerators never make different types or arities equal.
         assert MultiPoly(1, {(2,): 1}) != NCPoly({(2,): 1})
-        assert MultiPoly.zero(2) != MultiPoly.zero(3)
+        assert MultiPoly(2) != MultiPoly(3)
 
     def test_letters_validated(self):
         with pytest.raises(ValueError):
-            NCPoly.from_word((0, 2))
+            NCPoly({(0, 2): 1})
 
     @pytest.mark.parametrize("letters", [(2.7,), ("2", 1), (Fraction(2),)])
     def test_non_integral_letters_rejected(self, letters):
@@ -113,14 +94,14 @@ class TestNCPoly:
         with pytest.raises(TypeError):
             symmetric_word_sum(letters)
         with pytest.raises(TypeError):
-            NCPoly.from_word(letters)
+            NCPoly({letters: 1})
 
     @pytest.mark.parametrize("coeff", [0.1, "1/3"])
     def test_inexact_coefficients_rejected(self, coeff):
         with pytest.raises(TypeError, match="expected an int or Fraction"):
             NCPoly({(2,): coeff})
         with pytest.raises(TypeError, match="expected an int or Fraction"):
-            NCPoly.from_word((2,), coeff)
+            NCPoly([((2,), coeff)])
 
 
 #: Every word of length at most 3 over the letters 1..3.
@@ -131,19 +112,13 @@ short_letter_words = [
 
 class TestProducts:
     def test_star_of_single_letters(self):
-        assert star((2,), (3,)) == (
-            NCPoly.from_word((2, 3))
-            + NCPoly.from_word((3, 2))
-            + NCPoly.from_word((5,))
-        )
+        assert star((2,), (3,)) == NCPoly({(2, 3): 1, (3, 2): 1, (5,): 1})
 
     def test_sbar_of_single_letters(self):
-        assert sbar((2,), (2,)) == 2 * NCPoly.from_word((2, 2)) - NCPoly.from_word(
-            (4,)
-        )
+        assert sbar((2,), (2,)) == NCPoly({(2, 2): 2, (4,): -1})
 
     def test_empty_word_is_unit(self):
-        w = NCPoly.from_word((2, 1, 3))
+        w = NCPoly({(2, 1, 3): 1})
         assert star(w, ()) == w
         assert star((), w) == w
         assert sbar(w, ()) == w
@@ -151,21 +126,11 @@ class TestProducts:
     def test_star_recursion_case(self):
         # z1 * z1z2 by hand: 2 z1z1z2 + z1z2z1 + z2z2 + z1z3.
         result = star((1,), (1, 2))
-        assert result == (
-            2 * NCPoly.from_word((1, 1, 2))
-            + NCPoly.from_word((1, 2, 1))
-            + NCPoly.from_word((2, 2))
-            + NCPoly.from_word((1, 3))
-        )
+        assert result == NCPoly({(1, 1, 2): 2, (1, 2, 1): 1, (2, 2): 1, (1, 3): 1})
 
     def test_sbar_recursion_case(self):
         result = sbar((1,), (1, 2))
-        assert result == (
-            2 * NCPoly.from_word((1, 1, 2))
-            + NCPoly.from_word((1, 2, 1))
-            - NCPoly.from_word((2, 2))
-            - NCPoly.from_word((1, 3))
-        )
+        assert result == NCPoly({(1, 1, 2): 2, (1, 2, 1): 1, (2, 2): -1, (1, 3): -1})
 
     def test_products_preserve_letter_weight(self):
         # Every word in the product carries the same total letter sum.
@@ -180,10 +145,10 @@ class TestProducts:
             assert dict(product(u, v).items()) == brute_force.word_product(u, v, sign), (u, v)
 
     def test_bilinearity(self):
-        a = NCPoly.from_word((2,)) + 2 * NCPoly.from_word((3,))
-        b = NCPoly.from_word((1, 1))
-        expected = star((2,), b) + 2 * star((3,), b)
-        assert star(a, b) == expected
+        a = NCPoly({(2,): 1, (3,): 2})
+        b = NCPoly({(1, 1): 1})
+        expected = brute_force.poly_add(star((2,), b).terms, brute_force.poly_scale(star((3,), b).terms, 2))
+        assert star(a, b).terms == expected
 
 
 words = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
@@ -219,40 +184,31 @@ def is_canonical(p):
 
 class TestCanonicalResults:
     @settings(deadline=None, max_examples=60)
-    @given(ncpolys, ncpolys, coefficients)
-    def test_results_are_canonical(self, u, v, scale):
-        halved = Fraction(1, 2) * (2 * u)
-        for result in (star(u, v), sbar(u, v), u + v, u - v, -u, scale * u, u - u, halved):
+    @given(ncpolys, ncpolys)
+    def test_results_are_canonical(self, u, v):
+        for result in (u, v, star(u, v), sbar(u, v)):
             assert is_canonical(result)
-        a, b = u.terms, v.terms
-        for result, expected in (
-            (u + v, brute_force.poly_add(a, b)),
-            (u - v, brute_force.poly_add(a, brute_force.poly_neg(b))),
-            (-u, brute_force.poly_neg(a)),
-            (scale * u, brute_force.poly_scale(a, scale)),
-        ):
-            assert result.terms == expected
-        assert halved == u and hash(halved) == hash(u)
-        assert u - u == NCPoly.zero() and (u - u).den == 1
 
     def test_cancelled_words_are_dropped(self):
         # The mixed products z2*z1 and z1*z2 cancel term by term.
-        u = NCPoly.from_word((2,)) - NCPoly.from_word((1,))
-        v = NCPoly.from_word((1,)) + NCPoly.from_word((2,))
+        u = NCPoly({(2,): 1, (1,): -1})
+        v = NCPoly({(1,): 1, (2,): 1})
         for product in (star, sbar):
             result = product(u, v)
             assert is_canonical(result)
-            assert result.terms.keys() == (product((2,), (2,)) - product((1,), (1,))).terms.keys()
+            high, low = product((2,), (2,)).terms, product((1,), (1,)).terms
+            assert result.terms.keys() == brute_force.poly_add(high, brute_force.poly_neg(low)).keys()
 
     @settings(deadline=None, max_examples=60)
     @given(ncpolys, ncpolys)
     def test_rational_coefficients_expand_termwise(self, u, v):
         for product in (star, sbar):
-            expected = NCPoly.zero()
+            expected = {}
             for w1, c1 in u.items():
                 for w2, c2 in v.items():
-                    expected = expected + (c1 * c2) * product(w1, w2)
-            assert product(u, v) == expected
+                    term = brute_force.poly_scale(product(w1, w2).terms, c1 * c2)
+                    expected = brute_force.poly_add(expected, term)
+            assert product(u, v).terms == expected
 
 
 def _package_caches():
@@ -330,10 +286,10 @@ class TestAlgebraLaws:
 class TestSymmetricSums:
     def test_multiplicities(self):
         p = symmetric_word_sum((2, 2))
-        assert p == 2 * NCPoly.from_word((2, 2))
+        assert p == NCPoly({(2, 2): 2})
 
         q = symmetric_word_sum((1, 2))
-        assert q == NCPoly.from_word((1, 2)) + NCPoly.from_word((2, 1))
+        assert q == NCPoly({(1, 2): 1, (2, 1): 1})
 
     def test_partition_expansion_depth_two(self):
         # Two positions: the pair block merges the letters.
@@ -381,7 +337,7 @@ class TestPartitionExpansion:
     def test_matches_partition_by_partition_oracle(self, mode):
         for kvec in _multisets(range(1, 5), range(1, 6)):
             expected = brute_force.partition_word_sum(kvec, mode)
-            assert partition_word_sum(kvec, mode) == expected, kvec
+            assert partition_word_sum(kvec, mode).terms == expected, kvec
 
     @pytest.mark.parametrize("fault", ["drop", "flip", "parity"])
     def test_kernel_fault_fails_the_check(self, monkeypatch, fault):

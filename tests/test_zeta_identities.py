@@ -53,7 +53,7 @@ class TestEulerBaseline:
         assert identity.T == 0
         assert identity.terms[0] == K + HALF
         for k in range(2, 12):
-            assert eval_zeta_lhs(MultiPoly.constant(2, 1), 2, k) == (
+            assert eval_zeta_lhs(parse_poly("1", 2), 2, k) == (
                 Fraction(2 * k + 1, 2) * zeta_even(k)
             )
 
@@ -109,18 +109,18 @@ class TestPolynomialAssembly:
             zeta_identity_poly(parse_poly("x1", 1), 2)
 
     def test_constant_weight(self):
-        identity = zeta_identity_poly(MultiPoly.constant(2, Fraction(5)), 2)
+        identity = zeta_identity_poly(parse_poly("5", 2), 2)
         assert identity.terms[0] == 5 * (K + HALF)
 
 
 class TestEvaluation:
     def test_lhs_spot_value(self):
         # F = 1, n = 2, k = 2: the only composition is (1, 1).
-        assert eval_zeta_lhs(MultiPoly.constant(2, 1), 2, 2) == Fraction(1, 36)
+        assert eval_zeta_lhs(parse_poly("1", 2), 2, 2) == Fraction(1, 36)
 
     def test_lhs_domain(self):
         with pytest.raises(ValueError):
-            eval_zeta_lhs(MultiPoly.constant(2, 1), 2, 1)
+            eval_zeta_lhs(parse_poly("1", 2), 2, 1)
 
     def test_sides_are_pi_power_coefficients(self):
         # Both sides at k are the Fraction coefficients of pi^(2k).
@@ -174,7 +174,7 @@ class TestVerification:
     def test_failure_carries_values(self):
         # terms[0] + 1 adds zeta(2k) to the collapsed side: at n = k = 2 it
         # reads (5/2 + 1)/90 = 7/180 against zeta(2)^2/pi^4 = 1/36.
-        one = MultiPoly.constant(2, 1)
+        one = parse_poly("1", 2)
         identity = zeta_identity_poly(one, 2)
         bad = replace(identity, terms=(identity.terms[0] + 1, *identity.terms[1:]))
         result = verify_zeta(one, 2, 2, identity=bad)
