@@ -234,15 +234,17 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
 def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:
     """Exact composition sum on the left side, for k >= n.
 
-    Read as [t^k] of the product of the series sum_a a^{m_j} B_{2a}/(2a)! t^a
-    (``series.composition_sum``), whose Bernoulli values come from the sinc
-    product: it shares no code with the tables or the Bernoulli recurrence.
+    As B_{2a}/(2a)! = (-1)^(a+1) * 2 * zeta(2a) / (pi^(2a) 4^a) and the k_j
+    add up to k, it is (-1)^(k+n) 2^n 4^(-k) times the zeta(2a)/pi^(2a)
+    composition sum (``series.composition_sum``), whose values come from the
+    sinc product: it shares no code with the tables or the Bernoulli
+    recurrence.
     """
     mvec = _validated_mvec(mvec)
     n = len(mvec)
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
-    return composition_sum("bernoulli", mvec, k)
+    return (-1) ** (k + n) * Fraction(2**n, 4**k) * composition_sum(mvec, k)
 
 
 def verify_bernoulli(

@@ -5,7 +5,9 @@ The JSON layout (schema 1) is flat and fully exact: every polynomial
 coefficient is a "numerator/denominator" string, terms are listed by the
 index l of the basis element zeta(2l)*zeta(2k-2l) (or B_{2k-2l}/(2k-2l)! for
 the Bernoulli kind), and the weight is either an exponent list ``mvec`` or
-parseable polynomial text ``poly``.  ``from_json(to_json(doc)) == doc``.
+parseable polynomial text ``poly``.  The renderers take a
+``BernoulliIdentity`` or ``WeightedSumIdentity``, ``from_json`` returns one,
+and ``from_json(to_json(identity)) == identity``.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from .zeta_identities import WeightedSumIdentity, zeta_identity_monomial, zeta_i
 
 __all__ = [
     "SCHEMA_VERSION",
-    "IdentityDocument",
-    "document_from_identity",
     "from_json",
     "poly_latex",
     "poly_text",
@@ -36,7 +36,19 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+#: Admission limits of every weight check, so of ``identity`` and
+#: ``from_json`` alike.  The derivative tables behind every kind reach depth
+#: deg(F) + n - 1 (sum(m) + n - 1 for a monomial weight); the assembly of a
+#: kind with a symmetric weight (mzv, mzsv) walks every block shape of n.
+#: Larger inputs are refused before any table is built or any polynomial is
+#: expanded, and ``parse_poly`` caps the degree of ``poly`` itself (see
+#: ``max_parse_degree``).
+MAX_TABLE_DEPTH = 48
+MAX_MZV_DEPTH = 10
+
 _Identity = BernoulliIdentity | WeightedSumIdentity
+
+_TOOL = f"evenzeta {__version__}"
 
 
 @dataclass(frozen=True)
@@ -89,13 +101,29 @@ _KINDS: dict[str, _Kind] = {
 }
 
 
+def _admit_table_depth(degree: int | float, n: int) -> None:
+    degree = max(degree, 0)  # the zero weight has degree -inf
+    if degree + n - 1 > MAX_TABLE_DEPTH:
+        raise ValueError(
+            f"weight degree {degree} at --n {n} needs table depth {degree + n - 1}, "
+            f"above the limit {MAX_TABLE_DEPTH}"
+        )
+
+
 def _check_weight(
     kind: str, n: int, mvec: Sequence[int] | None, poly: str | None
 ) -> tuple[int, ...] | MultiPoly:
-    """The weight of a ``kind`` identity at depth n: exactly one of n
-    exponents >= 0 and text that ``parse_poly`` accepts, in the form the
-    kind takes and symmetric where it must be.  Raises ValueError."""
+    """The weight of a ``kind`` identity at an admitted depth n: exactly one
+    of n exponents >= 0 and text that ``parse_poly`` accepts, in the form
+    the kind takes, symmetric where it must be, and within the table depth.
+    The limits on n alone come first, so they refuse before ``poly`` is
+    parsed.  Raises ValueError."""
     record = _KINDS[kind]
+    if n < 1:
+        raise ValueError(f"--n must be >= 1, got {n}")
+    if record.symmetric and n > MAX_MZV_DEPTH:
+        raise ValueError(f"--n {n} exceeds the limit {MAX_MZV_DEPTH} for {kind}")
+    _admit_table_depth(0, n)
     if (mvec is None) == (poly is None):
         raise ValueError("provide exactly one of mvec (--m) and poly (--poly)")
     if mvec is not None:
@@ -106,6 +134,7 @@ def _check_weight(
             raise ValueError(f"mvec (--m) must list integers >= 0, got {mvec!r}")
         if len(mvec) != n:
             raise ValueError(f"mvec (--m) lists {len(mvec)} exponents but --n is {n}")
+        _admit_table_depth(sum(mvec), n)
         return tuple(mvec)
     if record.poly is None:
         raise ValueError(f"kind {kind} takes mvec (--m), not poly (--poly)")
@@ -117,71 +146,42 @@ def _check_weight(
         raise ValueError(f"poly {poly!r} does not parse in x1..x{n}: {exc}") from exc
     if record.symmetric and not weight.is_symmetric():
         raise ValueError(f"kind {kind} needs a symmetric poly, got {poly!r}")
+    _admit_table_depth(weight.degree(), n)
     return weight
 
 
 _COEFF_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
-@dataclass(frozen=True)
-class IdentityDocument:
-    """Serializable form of one identity.
-
-    ``terms[l]`` is the coefficient polynomial of basis element l as a tuple
-    of "numerator/denominator" strings, constant coefficient first; an empty
-    tuple is the zero polynomial.
-    """
-
-    kind: str
-    n: int
-    T: int
-    terms: tuple[tuple[str, ...], ...]
-    mvec: tuple[int, ...] | None = None
-    poly: str | None = None
-    tool: str = f"evenzeta {__version__}"
-
-    def term_polys(self) -> tuple[UniPoly, ...]:
-        return tuple(
-            UniPoly([Fraction(part) for part in coeffs]) for coeffs in self.terms
-        )
+def _coeff_strings(poly: UniPoly) -> list[str]:
+    return [f"{c.numerator}/{c.denominator}" for c in poly.coeffs]
 
 
-def _coeff_strings(poly: UniPoly) -> tuple[str, ...]:
-    return tuple(f"{c.numerator}/{c.denominator}" for c in poly.coeffs)
+def _terms(identity: _Identity) -> tuple[UniPoly, ...]:
+    """The coefficient polynomials p_0, ..., p_T of either identity type."""
+    return identity.rhs if isinstance(identity, BernoulliIdentity) else identity.terms
 
 
-def document_from_identity(identity: _Identity) -> IdentityDocument:
-    if isinstance(identity, BernoulliIdentity):
-        terms, poly = identity.rhs, None
-    elif isinstance(identity, WeightedSumIdentity):
-        terms, poly = identity.terms, identity.poly
-    else:
-        raise TypeError(f"cannot document a {type(identity).__name__}")
-    return IdentityDocument(
-        kind=identity.kind,
-        n=identity.n,
-        T=identity.T,
-        terms=tuple(_coeff_strings(p) for p in terms),
-        mvec=identity.mvec,
-        poly=poly.render() if poly is not None else None,
-    )
-
-
-def to_json(doc: IdentityDocument) -> str:
+def to_json(identity: _Identity) -> str:
+    poly = getattr(identity, "poly", None)
     payload = {
         "schema": SCHEMA_VERSION,
-        "kind": doc.kind,
-        "n": doc.n,
-        "T": doc.T,
-        "mvec": list(doc.mvec) if doc.mvec is not None else None,
-        "poly": doc.poly,
-        "terms": [{"l": l, "coeffs": list(coeffs)} for l, coeffs in enumerate(doc.terms)],
-        "tool": doc.tool,
+        "kind": identity.kind,
+        "n": identity.n,
+        "T": identity.T,
+        "mvec": list(identity.mvec) if identity.mvec is not None else None,
+        "poly": poly.render() if poly is not None else None,
+        "terms": [{"l": l, "coeffs": _coeff_strings(p)} for l, p in enumerate(_terms(identity))],
+        "tool": _TOOL,
     }
     return json.dumps(payload, indent=2)
 
 
-def from_json(text: str) -> IdentityDocument:
+def from_json(text: str) -> _Identity:
+    """The identity a schema-1 document holds, its weight checked as
+    ``identity`` checks ``--m``/``--poly``.  Any ``tool`` value is accepted;
+    the weight polynomial is parsed, so ``to_json`` writes it back in
+    canonical form.  Raises ValueError."""
     payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError("document must be a JSON object")
@@ -193,7 +193,6 @@ def from_json(text: str) -> IdentityDocument:
     raw_terms = payload.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValueError("terms must be a non-empty list")
-    terms: list[tuple[str, ...]] = []
     for index, entry in enumerate(raw_terms):
         if not isinstance(entry, dict) or entry.get("l") != index:
             raise ValueError(f"terms must be listed with l = 0..T in order, bad entry {index}")
@@ -204,24 +203,19 @@ def from_json(text: str) -> IdentityDocument:
             # Only integer or p/q forms cross the wire, never decimals.
             if not _COEFF_PATTERN.fullmatch(c):
                 raise ValueError(f"coefficient {c!r} is not an integer or p/q string")
-        terms.append(tuple(coeffs))
-    n, T, mvec = payload.get("n"), payload.get("T"), payload.get("mvec")
+    n, T = payload.get("n"), payload.get("T")
     # type() rather than isinstance(): JSON true/false must not pass as 1/0.
-    if type(n) is not int or n < 1:
+    if type(n) is not int:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
-    if type(T) is not int or T != len(terms) - 1:
-        raise ValueError(f"T must be one less than the {len(terms)} terms, got {T!r}")
-    poly = payload.get("poly")
-    _check_weight(kind, n, mvec, poly)
-    return IdentityDocument(
-        kind=kind,
-        n=n,
-        T=T,
-        terms=tuple(terms),
-        mvec=tuple(mvec) if mvec is not None else None,
-        poly=poly,
-        tool=str(payload.get("tool", "")),
-    )
+    if type(T) is not int or T != len(raw_terms) - 1:
+        raise ValueError(f"T must be one less than the {len(raw_terms)} terms, got {T!r}")
+    weight = _check_weight(kind, n, payload.get("mvec"), payload.get("poly"))
+    terms = tuple(UniPoly([Fraction(c) for c in entry["coeffs"]]) for entry in raw_terms)
+    if kind == "bernoulli":
+        return BernoulliIdentity(mvec=weight, T=T, rhs=terms)
+    if isinstance(weight, MultiPoly):
+        return WeightedSumIdentity(kind=kind, n=n, T=T, terms=terms, poly=weight)
+    return WeightedSumIdentity(kind=kind, n=n, T=T, terms=terms, mvec=weight)
 
 
 def _int_body(coeffs: tuple[int, ...], var: str, power_format: str) -> str:
@@ -266,10 +260,10 @@ def poly_latex(poly: UniPoly, var: str = "k") -> str:
 
 
 def _signed_terms(
-    doc: IdentityDocument, basis: tuple[str, str]
+    identity: _Identity, basis: tuple[str, str]
 ) -> Iterator[tuple[bool, UniPoly, str]]:
     """(negative, |p_l|, basis element l) of each nonzero term, by l."""
-    for l, poly in enumerate(doc.term_polys()):
+    for l, poly in enumerate(_terms(identity)):
         if poly.is_zero():
             continue
         element = basis[0] if l == 0 else basis[1].format(j=2 * l)
@@ -277,14 +271,16 @@ def _signed_terms(
         yield negative, (-poly if negative else poly), element
 
 
-def to_text(doc: IdentityDocument) -> str:
-    lines = [f"kind   : {doc.kind}", f"n      : {doc.n}", f"T      : {doc.T}"]
-    if doc.mvec is not None:
-        lines.append(f"weight : m = {tuple(doc.mvec)}")
-    if doc.poly is not None:
-        lines.append(f"weight : F = {doc.poly}")
-    lines.append(f"lhs    : sum over k1+...+k{doc.n} = k (kj >= 1) of {_KINDS[doc.kind].lhs_text}")
-    terms = list(_signed_terms(doc, _KINDS[doc.kind].basis_text))
+def to_text(identity: _Identity) -> str:
+    record = _KINDS[identity.kind]
+    lines = [f"kind   : {identity.kind}", f"n      : {identity.n}", f"T      : {identity.T}"]
+    if identity.mvec is not None:
+        lines.append(f"weight : m = {tuple(identity.mvec)}")
+    weight = getattr(identity, "poly", None)
+    if weight is not None:
+        lines.append(f"weight : F = {weight.render()}")
+    lines.append(f"lhs    : sum over k1+...+k{identity.n} = k (kj >= 1) of {record.lhs_text}")
+    terms = list(_signed_terms(identity, record.basis_text))
     if not terms:
         lines.append("rhs    : 0")
     for i, (negative, poly, basis) in enumerate(terms):
@@ -293,13 +289,13 @@ def to_text(doc: IdentityDocument) -> str:
             lines.append(f"rhs    = {'-' if negative else ''}{body}")
         else:
             lines.append(f"       {'-' if negative else '+'} {body}")
-    lines.append(f"tool   : {doc.tool}")
+    lines.append(f"tool   : {_TOOL}")
     return "\n".join(lines)
 
 
-def to_latex(doc: IdentityDocument) -> str:
+def to_latex(identity: _Identity) -> str:
     pieces: list[str] = []
-    for negative, poly, basis in _signed_terms(doc, _KINDS[doc.kind].basis_latex):
+    for negative, poly, basis in _signed_terms(identity, _KINDS[identity.kind].basis_latex):
         rendered = poly_latex(poly)
         sign = "-" if negative else ("+" if pieces else "")
         pieces.append(f"{sign}{'' if rendered == '1' else rendered}{basis}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .checks import CheckResult
-from .documents import _KINDS, _check_weight, document_from_identity, poly_text
+from .documents import _KINDS, _check_weight, _terms, poly_text
 from .polynomials import UniPoly
 
 __all__ = ["GalleryIdentity", "check_gallery_identity", "gallery", "sections"]
@@ -197,7 +197,7 @@ def gallery(section: int) -> tuple[GalleryIdentity, ...]:
 
 def _pipeline_terms(entry: GalleryIdentity) -> tuple[UniPoly, ...]:
     weight = _check_weight(entry.kind, entry.n, entry.mvec, entry.poly_text)
-    return document_from_identity(_KINDS[entry.kind].build(weight, entry.n)).term_polys()
+    return _terms(_KINDS[entry.kind].build(weight, entry.n))
 
 
 def check_gallery_identity(entry: GalleryIdentity) -> CheckResult:

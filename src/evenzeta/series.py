@@ -13,10 +13,12 @@ from factorials alone, and every composition sum is read off a product.
   elementary symmetric functions of the numbers 1/(pi^2 m^2) are
   e_j = 1/(2j+1)!.  Their power sums are zeta(2j)/pi^(2j), which Newton's
   identities j e_j = sum_{i=1}^{j} (-1)^(i-1) e_{j-i} p_i recover one j at a
-  time.  Then B_{2j}/(2j)! = (-1)^(j+1) * 2 * zeta(2j) / (pi^(2j) 4^j).
-* Products of single values.  With c_a one of those two families,
+  time.
+* Products of single values.  With c_a = zeta(2a)/pi^(2a),
   sum_{k_1+...+k_n=k} k_1^{m_1} ... k_n^{m_n} c_{k_1} ... c_{k_n} is [t^k]
-  of the product of the series sum_a a^{m_j} c_a t^a.
+  of the product of the series sum_a a^{m_j} c_a t^a.  As
+  B_{2a}/(2a)! = (-1)^(a+1) * 2 * c_a / 4^a and k_1 + ... + k_n = k, the
+  same sum over Bernoulli values is (-1)^(k+n) 2^n 4^(-k) times this one.
 * Multiple zeta(-star) values.  For a partition mu = (mu_0, ..., mu_{l-1}),
   put phi(x) = sum_{a>=1} (1 + sum_r eps_r a^{mu_r}) x^a and x_m = t/m^2.
   The power sums P_j = sum_m phi(x_m)^j = sum_a [x^a] phi^j * zeta(2a) t^a
@@ -44,18 +46,15 @@ from typing import Iterable, Sequence
 
 from .rationals import GrowableTable
 
-__all__ = ["FAMILIES", "Series", "composition_sum", "symmetric_sum", "zeta_over_pi"]
-
-#: Single-value families: zeta(2a)/pi^(2a) and B_{2a}/(2a)!.
-FAMILIES = ("zeta", "bernoulli")
+__all__ = ["Series", "composition_sum", "symmetric_sum", "zeta_over_pi"]
 
 #: Smallest horizon a series is built to.
 MIN_HORIZON = 16
 
-#: Weight series kept, one per (family, horizon).
+#: Weight series kept, one per horizon.
 _WEIGHTS_CACHE_SIZE = 64
 
-#: Products kept, one per (family, sorted exponents, horizon) and every
+#: Products kept, one per (sorted exponents, horizon) and every
 #: prefix of the exponents.
 _PRODUCT_CACHE_SIZE = 1 << 10
 
@@ -147,40 +146,31 @@ def zeta_over_pi(j: int) -> Fraction:
     return _ZETA_TABLE.value(j)
 
 
-def _weight(family: str, a: int) -> Fraction:
-    if family == "zeta":
-        return zeta_over_pi(a)
-    return (-1) ** (a + 1) * 2 * zeta_over_pi(a) / 4**a
-
-
 @lru_cache(maxsize=_WEIGHTS_CACHE_SIZE)
-def _weights(family: str, horizon: int) -> Series:
-    """sum_{a=1}^{horizon} c_a t^a for the family's c_a."""
-    if family not in FAMILIES:
-        raise ValueError(f"family must be one of {FAMILIES}, got {family!r}")
-    values = [Fraction(0)] + [_weight(family, a) for a in range(1, horizon + 1)]
+def _weights(horizon: int) -> Series:
+    """sum_{a=1}^{horizon} zeta(2a)/pi^(2a) t^a."""
+    values = [Fraction(0)] + [zeta_over_pi(a) for a in range(1, horizon + 1)]
     den = math.lcm(*(v.denominator for v in values))
     return Series([(v.numerator * (den // v.denominator),) for v in values], den)
 
 
 @lru_cache(maxsize=_PRODUCT_CACHE_SIZE)
-def _product(family: str, mvec: tuple[int, ...], horizon: int) -> Series:
+def _product(mvec: tuple[int, ...], horizon: int) -> Series:
     # Called with sorted exponents, so each prefix is itself a cached key.
-    weights = _weights(family, horizon)
+    weights = _weights(horizon)
     factor = Series([(a ** mvec[-1] * row[0],) for a, row in enumerate(weights.nums)], weights.den)
-    return factor if len(mvec) == 1 else _product(family, mvec[:-1], horizon) * factor
+    return factor if len(mvec) == 1 else _product(mvec[:-1], horizon) * factor
 
 
-def composition_sum(family: str, mvec: Sequence[int], k: int) -> Fraction:
+def composition_sum(mvec: Sequence[int], k: int) -> Fraction:
     """sum over k_1 + ... + k_n = k, k_j >= 1, of k_1^{m_1} ... k_n^{m_n}
-    c_{k_1} ... c_{k_n}, with c_a = zeta(2a)/pi^(2a) for the family "zeta"
-    and B_{2a}/(2a)! for "bernoulli"."""
+    c_{k_1} ... c_{k_n}, with c_a = zeta(2a)/pi^(2a)."""
     mvec = tuple(sorted(operator.index(m) for m in mvec))
     if not mvec or mvec[0] < 0:
         raise ValueError(f"need at least one exponent, all >= 0, got {mvec}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _product(family, mvec, max(k, MIN_HORIZON)).coefficient(k)
+    return _product(mvec, max(k, MIN_HORIZON)).coefficient(k)
 
 
 @lru_cache(maxsize=_POWER_CACHE_SIZE)
@@ -193,7 +183,7 @@ def _phi_power(mu: tuple[int, ...], j: int, horizon: int) -> tuple[Series, Serie
         for r, part in enumerate(mu):
             rows[a][1 << r] = a**part
     power = Series(rows) if j == 1 else _phi_power(mu, j - 1, horizon)[0] * Series(rows)
-    zeta = _weights("zeta", horizon)
+    zeta = _weights(horizon)
     power_sum = Series(
         ([x * z for x in row] for row, (z,) in zip(power.nums, zeta.nums)), power.den * zeta.den
     )

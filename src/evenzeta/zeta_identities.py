@@ -177,7 +177,7 @@ def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> Fraction:
     if k < n:
         raise ValueError(f"need k >= n = {n}, got {k}")
     total = sum(
-        (c * composition_sum("zeta", expts, k) for expts, c in F.nums.items()), Fraction(0)
+        (c * composition_sum(expts, k) for expts, c in F.nums.items()), Fraction(0)
     )
     return total / F.den
 

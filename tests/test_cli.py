@@ -398,6 +398,11 @@ _WEIGHT_FORMS = [
     pytest.param("zeta", 2, [0, -1], None, False, id="mvec-negative"),
     pytest.param("mzv", 2, None, "x1^2*x2", False, id="mzv-not-symmetric"),
     pytest.param("mzsv", 2, None, "x1", False, id="mzsv-not-symmetric"),
+    pytest.param("mzv", 0, None, "1", False, id="n-zero"),
+    pytest.param("mzsv", 11, None, "1", False, id="mzsv-too-deep"),
+    pytest.param("zeta", 50, None, "1", False, id="n-beyond-table-depth"),
+    pytest.param("bernoulli", 2, [48, 0], None, False, id="mvec-beyond-table-depth"),
+    pytest.param("zeta", 1, None, "x1^49", False, id="poly-beyond-table-depth"),
 ]
 
 

@@ -1,17 +1,24 @@
 """Serialization of identity documents: JSON round-trip, text, LaTeX."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from evenzeta import (
+    MultiPoly,
+    documents,
+    __version__,
     UniPoly,
     bernoulli_identity,
-    document_from_identity,
+    bernoulli_lhs,
+    eval_identity_rhs,
+    eval_zeta_lhs,
     from_json,
     mzsv_identity,
     mzv_identity,
+    mzv_lhs_exact,
     parse_poly,
     poly_latex,
     poly_text,
@@ -29,12 +36,26 @@ def sample_documents():
     F4 = parse_poly("1", 4)
     sq = parse_poly("x1^2 + x2^2 + x3^2 + x4^2", 4)
     return [
-        document_from_identity(bernoulli_identity((0, 0, 0, 0))),
-        document_from_identity(bernoulli_identity((2, 0))),
-        document_from_identity(zeta_identity_monomial((3, 0, 0, 0))),
-        document_from_identity(mzv_identity(F4, 4)),
-        document_from_identity(mzsv_identity(sq, 4)),
+        bernoulli_identity((0, 0, 0, 0)),
+        bernoulli_identity((2, 0)),
+        zeta_identity_monomial((3, 0, 0, 0)),
+        mzv_identity(F4, 4),
+        mzsv_identity(sq, 4),
     ]
+
+
+#: One small identity of each kind and weight form.
+PER_KIND = pytest.mark.parametrize(
+    "identity",
+    [
+        bernoulli_identity((2, 0, 1)),
+        zeta_identity_monomial((2, 0, 1)),
+        zeta_identity_poly(parse_poly("x1^2*x2 - 1/3", 2), 2),
+        mzv_identity(parse_poly("x1*x2 + x1 + x2", 2), 2),
+        mzsv_identity(parse_poly("x1^2 + x2^2 + x3^2", 3), 3),
+    ],
+    ids=["bernoulli", "zeta-mvec", "zeta-poly", "mzv", "mzsv"],
+)
 
 
 class TestJsonRoundTrip:
@@ -43,7 +64,7 @@ class TestJsonRoundTrip:
             assert from_json(to_json(doc)) == doc
 
     def test_payload_shape(self):
-        doc = document_from_identity(mzv_identity(parse_poly("1", 4), 4))
+        doc = mzv_identity(parse_poly("1", 4), 4)
         payload = json.loads(to_json(doc))
         assert payload["schema"] == 1
         assert payload["kind"] == "mzv"
@@ -63,29 +84,52 @@ class TestJsonRoundTrip:
                     Fraction(coeff)  # parses exactly
 
     def test_deterministic(self):
-        doc = document_from_identity(bernoulli_identity((1, 0)))
+        doc = bernoulli_identity((1, 0))
         assert to_json(doc) == to_json(doc)
 
-    @pytest.mark.parametrize(
-        "identity",
-        [
-            bernoulli_identity((2, 0, 1)),
-            zeta_identity_monomial((2, 0, 1)),
-            zeta_identity_poly(parse_poly("x1^2*x2 - 1/3", 2), 2),
-            mzv_identity(parse_poly("x1*x2 + x1 + x2", 2), 2),
-            mzsv_identity(parse_poly("x1^2 + x2^2 + x3^2", 3), 3),
-        ],
-        ids=["bernoulli", "zeta-mvec", "zeta-poly", "mzv", "mzsv"],
-    )
+    @PER_KIND
     def test_round_trip_per_kind(self, identity):
-        doc = document_from_identity(identity)
-        assert from_json(to_json(doc)) == doc
-        assert to_json(from_json(to_json(doc))) == to_json(doc)
+        assert from_json(to_json(identity)) == identity
+        assert to_json(from_json(to_json(identity))) == to_json(identity)
+
+
+class TestLoadedIdentity:
+    """``from_json`` returns the identity itself: it renders and evaluates
+    as the built one does."""
+
+    @PER_KIND
+    def test_same_type_and_renderings(self, identity):
+        loaded = from_json(to_json(identity))
+        assert type(loaded) is type(identity)
+        assert to_text(loaded) == to_text(identity)
+        assert to_latex(loaded) == to_latex(identity)
+
+    @PER_KIND
+    def test_passes_its_oracle(self, identity):
+        # The check CI runs on every document it builds, at small sizes.
+        loaded = from_json(to_json(identity))
+        for k in (loaded.n, loaded.n + 1, loaded.n + 2):
+            if loaded.kind == "bernoulli":
+                assert loaded.rhs_value(k) == bernoulli_lhs(loaded.mvec, k)
+                continue
+            if loaded.kind == "zeta":
+                weight = MultiPoly.monomial(loaded.mvec) if loaded.mvec is not None else loaded.poly
+                left = eval_zeta_lhs(weight, loaded.n, k)
+            else:
+                left = mzv_lhs_exact(loaded.poly, loaded.n, k, star=loaded.kind == "mzsv")
+            assert eval_identity_rhs(loaded, k) == left
+
+    def test_poly_and_tool_written_back_in_canonical_form(self):
+        payload = json.loads(to_json(mzv_identity(parse_poly("x1 + x2", 2), 2)))
+        payload.update(poly="x2 + 1*x1", tool="another tool")
+        loaded = from_json(json.dumps(payload))
+        assert loaded.poly == parse_poly("x1 + x2", 2)
+        assert json.loads(to_json(loaded)) == {**payload, "poly": "x1 + x2", "tool": f"evenzeta {__version__}"}
 
 
 class TestFromJsonValidation:
     def good_payload(self):
-        doc = document_from_identity(bernoulli_identity((1, 0)))
+        doc = bernoulli_identity((1, 0))
         return json.loads(to_json(doc))
 
     def test_wrong_schema(self):
@@ -194,11 +238,23 @@ class TestFromJsonValidation:
         else:
             weight = parse_poly("1", 2)
             build = {"zeta": zeta_identity_poly, "mzv": mzv_identity, "mzsv": mzsv_identity}[kind]
-            payload = json.loads(to_json(document_from_identity(build(weight, 2))))
+            payload = json.loads(to_json(build(weight, 2)))
         from_json(json.dumps(payload))  # the unchanged payload loads
         payload.update(change)
         with pytest.raises(ValueError):
             from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize("n", [11, 100_000])
+    def test_deep_mzv_refused_before_the_weight_is_parsed(self, monkeypatch, n):
+        # The symmetry test costs O(n^2), minutes at n = 100,000: the depth
+        # limit that the CLI applies must refuse first.
+        payload = json.loads(to_json(mzv_identity(parse_poly("1", 2), 2)))
+        payload["n"] = n
+        monkeypatch.setattr(documents, "parse_poly", None)  # calling it would raise TypeError
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"--n {n} exceeds the limit 10 for mzv"):
+            from_json(json.dumps(payload))
+        assert time.perf_counter() - start < 0.5
 
     def test_term_order_enforced(self):
         payload = self.good_payload()
@@ -225,14 +281,14 @@ class TestPolyText:
 
 class TestTextRendering:
     def test_header_and_signs(self):
-        doc = document_from_identity(mzv_identity(parse_poly("1", 4), 4))
+        doc = mzv_identity(parse_poly("1", 4), 4)
         text = to_text(doc)
         assert "kind   : mzv" in text
         assert "rhs    = 35/64 * zeta(2k)" in text
         assert "- 5/16 * zeta(2)*zeta(2k-2)" in text
 
     def test_bernoulli_basis_labels(self):
-        doc = document_from_identity(bernoulli_identity((0, 0, 0, 0)))
+        doc = bernoulli_identity((0, 0, 0, 0))
         text = to_text(doc)
         assert "B(2k)/(2k)!" in text
         assert "B(2k-2)/(2k-2)!" in text
@@ -240,14 +296,14 @@ class TestTextRendering:
 
 class TestLatexRendering:
     def test_printed_display(self):
-        doc = document_from_identity(mzv_identity(parse_poly("1", 4), 4))
+        doc = mzv_identity(parse_poly("1", 4), 4)
         latex = to_latex(doc)
         assert "\\frac{35}{64}\\zeta(2k)" in latex
         assert "-\\frac{5}{16}\\zeta(2)\\zeta(2k-2)" in latex
 
     def test_unit_coefficient_suppressed(self):
         # zeta kind, n = 1, m = 0: single term with coefficient 1.
-        doc = document_from_identity(zeta_identity_monomial((0,)))
+        doc = zeta_identity_monomial((0,))
         latex = to_latex(doc)
         assert "1\\zeta" not in latex
 

@@ -22,6 +22,12 @@ LIMITS = (
         "test_collapsed_sum.py::TestDeepIdentities::test_bernoulli",
     ),
     (
+        "cli.MAX_DUMP_DEPTH",
+        cli.MAX_DUMP_DEPTH,
+        16,
+        "test_derivative_tables.py::TestRecursionOracle::test_matches_fraction_recursion_at_depth_32",
+    ),
+    (
         "cli.MAX_MZV_DEPTH",
         cli.MAX_MZV_DEPTH,
         10,

@@ -67,8 +67,19 @@ class TestIndependence:
             assert zeta_over_pi(j) == zeta_even(j)
 
     def test_bernoulli_weights_match_the_recurrence(self):
+        # The zeta series, through bernoulli_lhs's prefactor -2 (-1/4)^k.
         for k in range(1, 25):
-            assert composition_sum("bernoulli", (0,), k) == bernoulli(2 * k) / factorial(2 * k)
+            assert bernoulli_lhs((0,), k) == bernoulli(2 * k) / factorial(2 * k)
+
+
+    def test_one_product_serves_both_left_sides(self):
+        # The Bernoulli left side rescales the zeta product, so the zeta
+        # side of the same exponents is a cache hit.
+        series._product.cache_clear()
+        bernoulli_lhs((2, 1), 5)
+        misses = series._product.cache_info().misses
+        assert eval_zeta_lhs(MultiPoly.monomial((1, 2)), 2, 5) == composition_sum((2, 1), 5)
+        assert series._product.cache_info().misses == misses
 
 
 class TestSeries:
@@ -97,11 +108,9 @@ class TestSeries:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            composition_sum("gamma", (1,), 3)
+            composition_sum((), 3)
         with pytest.raises(ValueError):
-            composition_sum("zeta", (), 3)
-        with pytest.raises(ValueError):
-            composition_sum("zeta", (1, -1), 3)
+            composition_sum((1, -1), 3)
         with pytest.raises(ValueError):
             symmetric_sum((1, 0), 2, 3)
         with pytest.raises(ValueError):
@@ -113,9 +122,9 @@ class TestSeries:
     def test_non_integral_exponents_rejected(self, part):
         # Exponents are never truncated or parsed into integers.
         with pytest.raises(TypeError):
-            composition_sum("zeta", (part,), 3)
+            composition_sum((part,), 3)
         with pytest.raises(TypeError):
-            composition_sum("bernoulli", (2, part), 3)
+            composition_sum((2, part), 3)
         with pytest.raises(TypeError):
             symmetric_sum((part,), 2, 3)
 
