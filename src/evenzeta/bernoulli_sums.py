@@ -26,12 +26,11 @@ from typing import Callable, ClassVar, Sequence
 from .checks import CheckResult
 from .derivative_tables import f_table, g_table
 from .polynomials import UniPoly
-from .rationals import bernoulli, factorial
+from .rationals import bernoulli
 from .series import composition_sum
 
 __all__ = [
     "BernoulliIdentity",
-    "a_coeffs",
     "bernoulli_identity",
     "bernoulli_lhs",
     "big_F",
@@ -116,7 +115,7 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
         for k, x in enumerate(fs[i].nums, i):
             head[k] += scale * x
     out = [UniPoly._normalised(head, 2 * den)]
-    top = factorial(total - 1)
+    top = math.factorial(total - 1)
     for j in range(1, total + 1):
         # acc[e] is the numerator of t^(2e) over den * (N-1)!; only the
         # products of f_i's t^c and g's t^d with c = d mod 2 reach it.
@@ -132,23 +131,6 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
                         acc[e] += x * y
         out.append(UniPoly._normalised([v for a in acc for v in (a, 0)], den * top))
     return tuple(out)
-
-
-def a_coeffs(mvec: Sequence[int]) -> dict[tuple[int, int], Fraction]:
-    """Even Taylor coefficients of the collapsed polynomials.
-
-    Maps (j, l) to the coefficient of t^(2l) in entry j of ``big_F``, for
-    1 <= j <= sum(m) + n and 0 <= 2l <= sum(m) + n - j (the a priori degree
-    bound); zeros inside that range are included.
-    """
-    mvec = _validated_mvec(mvec)
-    collapsed = big_F(mvec)
-    total = len(collapsed) - 1
-    out: dict[tuple[int, int], Fraction] = {}
-    for j in range(1, total + 1):
-        for l in range((total - j) // 2 + 1):
-            out[(j, l)] = collapsed[j].coefficient(2 * l)
-    return out
 
 
 @dataclass(frozen=True)
@@ -180,7 +162,7 @@ class BernoulliIdentity:
 def _bernoulli_basis(k: int, l: int) -> tuple[int, int]:
     """B_{2k-2l}/(2k-2l)! as an unreduced (numerator, denominator) pair."""
     value = bernoulli(2 * k - 2 * l)
-    return value.numerator, value.denominator * factorial(2 * k - 2 * l)
+    return value.numerator, value.denominator * math.factorial(2 * k - 2 * l)
 
 
 def _collapsed_sum(
@@ -213,20 +195,24 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
 
     The coefficient of B_{2k-2l}/(2k-2l)! is the polynomial
 
-        p_l(k) = sum_{j=1}^{sum(m)+n-2l} a_{j,l} * 2^(j-1-sum(m)) * (k-l)^(j-1).
+        p_l(k) = sum_{j=1}^{sum(m)+n-2l} a_{j,l} * 2^(j-1-sum(m)) * (k-l)^(j-1),
 
-    Each p_l is assembled on integers: the numerators of a_{j,l} over their
-    lcm, shifted left by j - 1, over lcm * 2^sum(m), then one integer shift
-    of the variable by l.
+    where a_{j,l} = [t^(2l)] F_j is an even Taylor coefficient of entry j of
+    ``big_F``.  Each p_l is assembled on integers: the numerators of a_{j,l}
+    over the lcm of their F_j's denominators, shifted left by j - 1, over
+    lcm * 2^sum(m), then one integer shift of the variable by l.
     """
     mvec = _validated_mvec(mvec)
-    coeffs = a_coeffs(mvec)
+    collapsed = big_F(mvec)
     n, s = len(mvec), sum(mvec)
     rhs = []
-    for l in range(truncation_depth(mvec) + 1):
-        row = [coeffs[(j, l)] for j in range(1, s + n - 2 * l + 1)]
-        lcm = math.lcm(*(a.denominator for a in row))
-        nums = [a.numerator * (lcm // a.denominator) << (j - 1) for j, a in enumerate(row, 1)]
+    for l in range(_depth(mvec) + 1):
+        row = collapsed[1 : s + n - 2 * l + 1]
+        lcm = math.lcm(*(F.den for F in row))
+        nums = [
+            (F.nums[2 * l] * (lcm // F.den) if 2 * l < len(F.nums) else 0) << (j - 1)
+            for j, F in enumerate(row, 1)
+        ]
         rhs.append(UniPoly._normalised(nums, lcm << s).shift(l))
     return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=tuple(rhs))
 

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=_cmd_verify)
 
     examples = sub.add_parser("examples", help="check the built-in gallery")
-    examples.add_argument("--section", required=True, type=int, choices=sections())
+    examples.add_argument("--section", required=True, type=_integer, choices=sections())
     examples.add_argument("--out", help="also write the output to this file")
     examples.set_defaults(handler=_cmd_examples)
 

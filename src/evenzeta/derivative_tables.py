@@ -34,14 +34,15 @@ coefficients; the transcendental functions themselves are never evaluated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import UniPoly
-from .rationals import GrowableTable, factorial
+from .rationals import GrowableTable
 
-__all__ = ["FTable", "GTable", "c_coeffs", "d_coeffs", "f_table", "g_table"]
+__all__ = ["Triangle", "c_coeffs", "d_coeffs", "f_table", "g_table"]
 
 #: Depths kept by the ``f_table``/``g_table`` wrappers.  Each entry holds only
 #: references to shared rows; the CLI admits depths up to 48.
@@ -51,13 +52,12 @@ Row = tuple[UniPoly, ...]
 
 
 @dataclass(frozen=True)
-class _TriangleRows:
-    """Rows 0..depth of a triangle; row m holds entries i = _first..m+1."""
+class Triangle:
+    """Rows 0..depth of a triangle; row m holds entries i = first..m+1."""
 
     depth: int
+    first: int
     rows: tuple[Row, ...]
-
-    _first = 0  # index of the first column; not a dataclass field
 
     def row(self, m: int) -> Row:
         if not 0 <= m <= self.depth:
@@ -66,19 +66,9 @@ class _TriangleRows:
 
     def entry(self, m: int, i: int) -> UniPoly:
         row = self.row(m)
-        if not self._first <= i <= m + 1:
-            raise ValueError(f"column index must be in {self._first}..{m + 1}, got {i}")
-        return row[i - self._first]
-
-
-class FTable(_TriangleRows):
-    """Rows 0..depth of the triangle f_{m,i}; row m holds entries i = 0..m+1."""
-
-
-class GTable(_TriangleRows):
-    """Rows 0..depth of the inverse triangle g_{m,i}; row m holds i = 1..m+1."""
-
-    _first = 1
+        if not self.first <= i <= m + 1:
+            raise ValueError(f"column index must be in {self.first}..{m + 1}, got {i}")
+        return row[i - self.first]
 
 
 def _f_step(rows: list[Row]) -> Row:
@@ -102,7 +92,7 @@ def _g_step(rows: list[Row]) -> Row:
     # Row r - 1 as G_{r-1}, padded with zero entries j = 0, r + 1:
     # [t^k] G_{r,j} = (r - k)*a_k - r*a_{k-1} - b_k, (a, b) = G_{r-1,(j,j-1)}.
     r = len(rows)
-    scale = factorial(r - 1)
+    scale = math.factorial(r - 1)
     prev = [[]] + [[x * (scale // p.den) for x in p.nums] for p in rows[-1]] + [[]]
     out = []
     for j in range(1, r + 2):
@@ -122,8 +112,8 @@ _G_ROWS = GrowableTable((UniPoly.one(),), _g_step)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def f_table(depth: int) -> FTable:
-    """Rows 0..depth of the forward triangle.
+def f_table(depth: int) -> Triangle:
+    """Rows 0..depth of the forward triangle, columns i = 0..m+1 in row m.
 
     Row 0 is (t/2 - 1, 1); each later row follows from
 
@@ -135,12 +125,12 @@ def f_table(depth: int) -> FTable:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return FTable(depth=depth, rows=_F_ROWS.prefix(depth))
+    return Triangle(depth=depth, first=0, rows=_F_ROWS.prefix(depth))
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def g_table(depth: int) -> GTable:
-    """Rows 0..depth of the inverse triangle.
+def g_table(depth: int) -> Triangle:
+    """Rows 0..depth of the inverse triangle, columns j = 1..r+1 in row r.
 
     Row 0 is (1,).  Writing h^(i+1) = (1 - t)*h^i - D(h^i)/i (from
     t*h' = (1 - t)*h - h^2) and expanding each side in D^j g gives
@@ -155,7 +145,7 @@ def g_table(depth: int) -> GTable:
     """
     if depth < 0:
         raise ValueError(f"depth must be >= 0, got {depth}")
-    return GTable(depth=depth, rows=_G_ROWS.prefix(depth))
+    return Triangle(depth=depth, first=1, rows=_G_ROWS.prefix(depth))
 
 
 def c_coeffs(depth: int) -> tuple[tuple[Fraction, ...], ...]:
@@ -174,7 +164,7 @@ def c_coeffs(depth: int) -> tuple[tuple[Fraction, ...], ...]:
         row = [Fraction(1, 2)]
         for i in range(1, m + 1):
             row.append(-i * prev[i] - (i - 1) * prev[i - 1])
-        row.append(Fraction((-1) ** m * factorial(m)))
+        row.append(Fraction((-1) ** m * math.factorial(m)))
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -198,10 +188,10 @@ def d_coeffs(depth: int) -> tuple[tuple[Fraction, ...], ...]:
     cs = c_coeffs(depth)
     rows: list[tuple[Fraction, ...]] = [(Fraction(1),)]
     for m in range(1, depth + 1):
-        scale = Fraction((-1) ** (m + 1), factorial(m))
+        scale = Fraction((-1) ** (m + 1), math.factorial(m))
         row = []
         for i in range(1, m + 1):
             row.append(scale * sum(cs[m][j] * rows[j - 1][i - 1] for j in range(i, m + 1)))
-        row.append(Fraction((-1) ** m, factorial(m)))
+        row.append(Fraction((-1) ** m, math.factorial(m)))
         rows.append(tuple(row))
     return tuple(rows)

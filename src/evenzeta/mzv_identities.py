@@ -54,7 +54,7 @@ from typing import Sequence
 from .checks import CheckResult
 from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
-from .rationals import GrowableTable, factorial
+from .rationals import GrowableTable
 from .series import symmetric_sum
 from .zeta_identities import (
     WeightedSumIdentity,
@@ -173,7 +173,7 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
 
 def _shape_weight(shape: tuple[int, ...], signed: bool) -> Fraction:
     """eps_lambda / z_lambda for the block shape lambda (module docstring)."""
-    centraliser = math.prod(shape) * math.prod(map(factorial, Counter(shape).values()))
+    centraliser = math.prod(shape) * math.prod(map(math.factorial, Counter(shape).values()))
     return Fraction(-1 if signed and (sum(shape) - len(shape)) % 2 else 1, centraliser)
 
 

@@ -108,10 +108,10 @@ class UniPoly:
         return UniPoly((0, 1))
 
     @staticmethod
-    def monomial(power: int, coeff: Scalar = 1) -> "UniPoly":
+    def monomial(power: int) -> "UniPoly":
         if power < 0:
             raise ValueError(f"monomial power must be >= 0, got {power}")
-        return UniPoly((0,) * power + (coeff,))
+        return UniPoly((0,) * power + (1,))
 
     # -- inspection --------------------------------------------------------
 

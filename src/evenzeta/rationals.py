@@ -1,4 +1,4 @@
-"""Exact factorials, binomial coefficients, and Bernoulli numbers.
+"""Exact Bernoulli numbers.
 
 Every quantity in this package is an exact ``fractions.Fraction``; nothing is
 ever rounded.  This module also owns the append-only table class shared
@@ -12,21 +12,7 @@ import threading
 from fractions import Fraction
 from typing import Callable
 
-__all__ = ["BernoulliTable", "bernoulli", "binomial", "factorial"]
-
-
-def factorial(n: int) -> int:
-    """Exact n! for n >= 0."""
-    if n < 0:
-        raise ValueError(f"factorial undefined for negative argument {n}")
-    return math.factorial(n)
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); requires 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial undefined for n={n}, k={k}")
-    return math.comb(n, k)
+__all__ = ["bernoulli"]
 
 
 class GrowableTable:
@@ -59,7 +45,8 @@ class GrowableTable:
 
 
 def _next_bernoulli(values: list[Fraction]) -> Fraction:
-    # sum_{j=0}^{n} C(n+1, j) B_j = 0 solved for B_n
+    # sum_{j=0}^{n} C(n+1, j) B_j = 0 (n >= 1) solved for B_n; from B_0 = 1
+    # alone it gives B_1 = -1/2.
     n = len(values)
     acc = Fraction(0)
     for j, b in enumerate(values):
@@ -68,22 +55,11 @@ def _next_bernoulli(values: list[Fraction]) -> Fraction:
     return -acc / (n + 1)
 
 
-class BernoulliTable(GrowableTable):
-    """Growable cache of Bernoulli numbers B_0, B_1, B_2, ...
-
-    Uses the convention B_1 = -1/2, i.e. B_i is i! times the i-th Taylor
-    coefficient of t/(e^t - 1).  Entries are produced by the classical
-    recurrence sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1, seeded only with
-    B_0 = 1, in a ``GrowableTable`` that threads can share.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(Fraction(1), _next_bernoulli)
-
-
-_SHARED_TABLE = BernoulliTable()
+_SHARED_TABLE = GrowableTable(Fraction(1), _next_bernoulli)
 
 
 def bernoulli(i: int) -> Fraction:
-    """Exact Bernoulli number B_i, with B_1 = -1/2."""
+    """Exact Bernoulli number B_i, i! times the i-th Taylor coefficient of
+    t/(e^t - 1), so B_1 = -1/2.  Entries come from the classical recurrence,
+    seeded only with B_0 = 1, in a ``GrowableTable`` that threads share."""
     return _SHARED_TABLE.value(i)

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .bernoulli_sums import _collapsed_sum, _depth, _validated_mvec, bernoulli_identity
 from .checks import CheckResult
 from .polynomials import MultiPoly, UniPoly
-from .rationals import bernoulli, factorial
+from .rationals import bernoulli
 from .series import composition_sum
 
 __all__ = [
@@ -59,7 +59,7 @@ def zeta_even(j: int) -> Fraction:
         raise ValueError(f"argument index must be >= 0, got {j}")
     if j == 0:
         return Fraction(-1, 2)
-    return (-1) ** (j + 1) * bernoulli(2 * j) * Fraction(2 ** (2 * j), 2 * factorial(2 * j))
+    return (-1) ** (j + 1) * bernoulli(2 * j) * Fraction(2 ** (2 * j), 2 * math.factorial(2 * j))
 
 
 @dataclass(frozen=True)
@@ -94,7 +94,7 @@ def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
     sign = Fraction((-1) ** n) * Fraction(2) ** (2 - n)
     terms = []
     for l, poly in enumerate(base.rhs):
-        scale = sign * factorial(2 * l) / bernoulli(2 * l)
+        scale = sign * math.factorial(2 * l) / bernoulli(2 * l)
         if l == 0:
             scale = scale * Fraction(-1, 2)
         terms.append(poly * scale)

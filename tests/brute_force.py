@@ -34,7 +34,7 @@ table rows, odd coefficients included.
 p_l(k) * basis is formed as a ``Fraction`` product (``UniPoly.__call__``
 times the basis value) and added on its own.  ``bernoulli_rhs_polys`` is the
 oracle of the p_l assembly in ``bernoulli_identity``: ``UniPoly`` arithmetic
-on the ``a_coeffs`` Fractions.
+on the even coefficients of ``big_F`` as Fractions.
 
 ``combined_identity`` is the oracle of ``zeta_identities._combined_identity``,
 the orbit combination behind every zeta, mzv and mzsv identity of a weight
@@ -65,10 +65,9 @@ from typing import Iterator
 from evenzeta import (
     NCPoly,
     UniPoly,
-    a_coeffs,
     bernoulli,
+    big_F,
     f_table,
-    factorial,
     g_table,
     sbar,
     star,
@@ -150,7 +149,7 @@ def bernoulli_lhs(mvec, k):
     for comp in compositions(k, len(mvec)):
         term = Fraction(1)
         for kj, mj in zip(comp, mvec):
-            term *= kj**mj * bernoulli(2 * kj) / factorial(2 * kj)
+            term *= kj**mj * bernoulli(2 * kj) / math.factorial(2 * kj)
         total += term
     return total
 
@@ -195,7 +194,7 @@ def mzv_lhs(F, n, k, star=False):
                 product *= zeta_even(sum(comp[index - 1] for index in block))
             comp_total += (weight.c if star else weight.c_tilde) * product
         total += value * comp_total
-    return total / factorial(n)
+    return total / math.factorial(n)
 
 
 def partition_word_sum(kvec, mode):
@@ -378,8 +377,9 @@ def collapsed_sums(mvec):
 def bernoulli_rhs_polys(mvec):
     """p_0, ..., p_T of the Bernoulli identity, as
     p_l(k) = sum_j a_{j,l} 2^(j-1) (k-l)^(j-1) / 2^sum(m) in ``UniPoly``
-    arithmetic on Fractions, T = max((s + n - 2) // 2, (n - 1) // 2)."""
-    coeffs = a_coeffs(mvec)
+    arithmetic on Fractions, a_{j,l} = [t^(2l)] F_j of ``big_F`` and
+    T = max((s + n - 2) // 2, (n - 1) // 2)."""
+    collapsed = big_F(mvec)
     n, s = len(mvec), sum(mvec)
     depth = max((s + n - 2) // 2, (n - 1) // 2)
     shift = UniPoly.x()
@@ -387,7 +387,8 @@ def bernoulli_rhs_polys(mvec):
     for l in range(depth + 1):
         acc = UniPoly.zero()
         for j in range(1, s + n - 2 * l + 1):
-            acc = acc + UniPoly.constant(coeffs[(j, l)] * 2 ** (j - 1)) * (shift - l) ** (j - 1)
+            a = collapsed[j].coefficient(2 * l)
+            acc = acc + UniPoly.constant(a * 2 ** (j - 1)) * (shift - l) ** (j - 1)
         polys.append(acc / 2**s)
     return polys
 
@@ -398,7 +399,7 @@ def bernoulli_rhs(identity, k):
     for l in range(min(identity.T, k) + 1):
         value = identity.rhs[l](k)
         if value:
-            total += value * bernoulli(2 * k - 2 * l) / factorial(2 * k - 2 * l)
+            total += value * bernoulli(2 * k - 2 * l) / math.factorial(2 * k - 2 * l)
     return total
 
 

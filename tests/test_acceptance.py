@@ -6,6 +6,7 @@ a criterion that produces the right values too slowly fails.
 """
 
 import decimal
+import math
 import time
 from contextlib import contextmanager
 from decimal import Decimal
@@ -161,14 +162,12 @@ def test_criterion_07_word_sweep():
 
 def test_criterion_08_power_sum_closed_form():
     with criterion(8, "two-part composition power sums", budget=5.0):
-        from evenzeta import factorial
-
         for p1 in range(6):
             for p2 in range(6):
                 poly = composition_power_sum((p1, p2))
                 assert poly.degree() == p1 + p2 + 1
                 assert poly.leading() == Fraction(
-                    factorial(p1) * factorial(p2), factorial(p1 + p2 + 1)
+                    math.factorial(p1) * math.factorial(p2), math.factorial(p1 + p2 + 1)
                 )
                 for k in range(2, 31):
                     brute = sum(

@@ -6,6 +6,7 @@ table machinery; `tests/test_series.py` checks it against the composition
 loop of `brute_force.py`.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from brute_force import collapsed_sums, f_product
 
 from evenzeta import (
     UniPoly,
-    a_coeffs,
     bernoulli_identity,
     bernoulli_lhs,
     big_F,
@@ -141,23 +141,15 @@ class TestBigF:
 
 
 class TestACoeffs:
+    """a_{j,l} = [t^(2l)] F_j, read off ``big_F``."""
+
     def test_single_zero(self):
-        table = a_coeffs((0,))
-        assert table[(1, 0)] == 1
+        assert big_F((0,))[1].coefficient(0) == 1
 
     def test_single_one(self):
-        table = a_coeffs((1,))
-        assert table[(2, 0)] == 1
-        assert table[(1, 0)] == 0
-
-    def test_rectangle_filled(self):
-        # Keys cover 1 <= j <= sum(m) + n, 0 <= 2l <= sum(m) + n - j.
-        mvec = (2, 0, 0, 0)
-        total = 6
-        table = a_coeffs(mvec)
-        for j in range(1, total + 1):
-            for l in range(0, (total - j) // 2 + 1):
-                assert (j, l) in table
+        F = big_F((1,))
+        assert F[2].coefficient(0) == 1
+        assert F[1].coefficient(0) == 0
 
 
 class TestBruteForceLhs:
@@ -168,12 +160,12 @@ class TestBruteForceLhs:
 
     def test_single_term_sum(self):
         # n = 1: the sum has one composition, k itself, weighted k^m.
-        from evenzeta import bernoulli, factorial
+        from evenzeta import bernoulli
 
         for k in range(1, 8):
-            assert bernoulli_lhs((0,), k) == bernoulli(2 * k) / factorial(2 * k)
+            assert bernoulli_lhs((0,), k) == bernoulli(2 * k) / math.factorial(2 * k)
             assert bernoulli_lhs((2,), k) == (
-                Fraction(k) ** 2 * bernoulli(2 * k) / factorial(2 * k)
+                Fraction(k) ** 2 * bernoulli(2 * k) / math.factorial(2 * k)
             )
 
     def test_k_below_n_rejected(self):
@@ -191,13 +183,13 @@ class TestIdentity:
 
     def test_rhs_value_matches_polys(self):
         identity = bernoulli_identity((2, 0, 0, 0))
-        from evenzeta import bernoulli, factorial
+        from evenzeta import bernoulli
 
         for k in range(4, 10):
             expected = sum(
                 identity.rhs[l](k)
                 * bernoulli(2 * k - 2 * l)
-                / factorial(2 * k - 2 * l)
+                / math.factorial(2 * k - 2 * l)
                 for l in range(min(identity.T, k) + 1)
             )
             assert identity.rhs_value(k) == expected

@@ -279,9 +279,12 @@ class TestIntegerArguments:
             ("verify", "--suite", "words", "--max-k", "1_0"),
             ("tables", "--depth", " 1_0"),
             ("tables", "--depth", "\uff13"),
+            ("examples", "--section", "\u0662"),
+            ("examples", "--section", "0_2"),
         ],
         ids=["m-arabic-indic", "m-underscore", "m-fullwidth", "n-arabic-indic", "n-underscore",
-             "max-n", "max-k", "depth-underscore", "depth-fullwidth"],
+             "max-n", "max-k", "depth-underscore", "depth-fullwidth", "section-arabic-indic",
+             "section-underscore"],
     )
     def test_refused_with_exit_2(self, capsys, argv):
         code, out, err = exit_code(capsys, *argv)

@@ -20,7 +20,6 @@ from evenzeta import (
     c_coeffs,
     d_coeffs,
     f_table,
-    factorial,
     g_table,
 )
 
@@ -63,7 +62,7 @@ class TestFTable:
     def test_diagonal_is_signed_factorial(self):
         f = f_table(DEPTH)
         for m in range(DEPTH + 1):
-            expected = Fraction((-1) ** m * factorial(m))
+            expected = Fraction((-1) ** m * math.factorial(m))
             assert f.entry(m, m + 1) == UniPoly.constant(expected)
 
     def test_degrees(self):
@@ -109,7 +108,7 @@ class TestGTable:
     def test_diagonal(self):
         g = g_table(DEPTH)
         for m in range(DEPTH + 1):
-            expected = Fraction((-1) ** m, factorial(m))
+            expected = Fraction((-1) ** m, math.factorial(m))
             assert g.entry(m, m + 1) == UniPoly.constant(expected)
 
     def test_degree_bound(self):
@@ -189,7 +188,7 @@ class TestLeadingCoefficientTables:
         for m in range(7):
             assert c[m][0] == Fraction(1, 2)
             assert c[m][1] == (-1) ** m
-            assert c[m][m + 1] == (-1) ** m * factorial(m)
+            assert c[m][m + 1] == (-1) ** m * math.factorial(m)
 
     def test_c_sign_pattern(self):
         # sign(c_{m,i}) = (-1)^m for 1 <= i <= m+1.
@@ -218,4 +217,4 @@ class TestLeadingCoefficientTables:
         d = d_coeffs(6)
         for m in range(7):
             assert d[m][0] == (-1) ** m
-            assert d[m][m] == Fraction((-1) ** m, factorial(m))
+            assert d[m][m] == Fraction((-1) ** m, math.factorial(m))

@@ -31,7 +31,6 @@ from evenzeta import (
     block_shapes,
     composition_power_sum,
     eval_identity_rhs,
-    factorial,
     max_parse_degree,
     mzsv_identity,
     mzv_identity,
@@ -58,7 +57,7 @@ class TestShapeWeights:
         totals = {}
         for partition in set_partitions(n):
             shape = partition_shape(partition)
-            share = Fraction(math.prod(factorial(len(b) - 1) for b in partition), factorial(n))
+            share = Fraction(math.prod(math.factorial(len(b) - 1) for b in partition), math.factorial(n))
             totals[shape] = totals.get(shape, 0) + share
         assert sorted(totals) == sorted(block_shapes(n))
         for shape, total in totals.items():
@@ -101,7 +100,7 @@ class TestPowerSum2:
                 poly = composition_power_sum((p1, p2))
                 assert poly.degree() == p1 + p2 + 1
                 expected = Fraction(
-                    factorial(p1) * factorial(p2), factorial(p1 + p2 + 1)
+                    math.factorial(p1) * math.factorial(p2), math.factorial(p1 + p2 + 1)
                 )
                 assert poly.leading() == expected
 
@@ -157,7 +156,7 @@ class TestCompositionPowerSum:
             poly = composition_power_sum(pvec)
             degree = sum(pvec) + n - 1
             assert poly.degree() == degree, pvec
-            assert poly.leading() == Fraction(math.prod(map(factorial, pvec)), factorial(degree))
+            assert poly.leading() == Fraction(math.prod(map(math.factorial, pvec)), math.factorial(degree))
             for k in range(n, n + degree + 1):
                 assert poly(k) == split_sum(pvec, k), (pvec, k)
 

@@ -1,5 +1,6 @@
-"""The package root re-exports exactly the names its modules declare, and its
-value types survive copy, deepcopy and pickle."""
+"""The package root re-exports exactly the names its modules declare, the
+public names are pinned, and its value types survive copy, deepcopy and
+pickle."""
 
 import copy
 import importlib
@@ -25,6 +26,24 @@ _REEXPORTED = (
     "zeta_identities",
 )
 
+#: The public API.  A change to it is a deliberate edit of these lists.
+PUBLIC_NAMES = [
+    "BernoulliIdentity", "CheckResult", "GalleryIdentity", "MultiPoly", "NCPoly", "NEG_INFINITY",
+    "ParseError", "SCHEMA_VERSION", "SUITE_NAMES", "SuiteReport", "Triangle", "UniPoly",
+    "WeightedSumIdentity", "Word", "bernoulli", "bernoulli_identity", "bernoulli_lhs",
+    "bernoulli_suite", "big_F", "block_reduce", "block_shapes", "c_coeffs",
+    "check_gallery_identity", "composition_power_sum", "d_coeffs", "eval_identity_rhs",
+    "eval_zeta_lhs", "f_prod", "f_table", "from_json", "g_table", "gallery", "is_admissible",
+    "max_parse_degree", "mzsv_identity", "mzv_identity", "mzv_lhs_exact", "mzv_numeric",
+    "mzv_suite", "parse_poly", "partition_word_sum", "poly_latex", "poly_text", "run_suites",
+    "sbar", "sections", "star", "symmetric_word_sum", "tables_suite", "to_json", "to_latex",
+    "to_text", "truncation_depth", "verify_bernoulli", "verify_mzv", "verify_symmetric_sum",
+    "verify_zeta", "words_suite", "zeta_even", "zeta_identity_monomial", "zeta_identity_poly",
+    "zeta_suite",
+]
+SERIES_NAMES = ["Series", "composition_sum", "symmetric_sum", "zeta_over_pi"]
+CLI_NAMES = ["MAX_DUMP_DEPTH", "MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
+
 
 def test_root_exports_the_union_of_module_lists():
     names = evenzeta.__all__
@@ -37,6 +56,12 @@ def test_root_exports_the_union_of_module_lists():
     for private in ("series", "cli"):
         module = importlib.import_module(f"evenzeta.{private}")
         assert not set(module.__all__) & set(names), private
+
+
+def test_public_names_are_pinned():
+    assert evenzeta.__all__ == PUBLIC_NAMES
+    assert importlib.import_module("evenzeta.series").__all__ == SERIES_NAMES
+    assert importlib.import_module("evenzeta.cli").__all__ == CLI_NAMES
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ The recurrence implementation is checked against an independent oracle:
 the coefficients of t/(e^t - 1) computed by long division of power series.
 """
 
+import math
 import sys
 import threading
 from fractions import Fraction
@@ -12,9 +13,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evenzeta import BernoulliTable, bernoulli, binomial, f_table, factorial, g_table
+from evenzeta import bernoulli, f_table, g_table
 from evenzeta import derivative_tables
-from evenzeta.rationals import GrowableTable
+from evenzeta.rationals import GrowableTable, _next_bernoulli
 
 
 def series_quotient_coeffs(count):
@@ -23,7 +24,7 @@ def series_quotient_coeffs(count):
     The denominator (e^t - 1)/t has coefficients 1/(j+1)!; divide 1 by it
     term by term.  Independent of the recurrence used in the package.
     """
-    den = [Fraction(1, factorial(j + 1)) for j in range(count)]
+    den = [Fraction(1, math.factorial(j + 1)) for j in range(count)]
     out = []
     for i in range(count):
         acc = Fraction(1) if i == 0 else Fraction(0)
@@ -61,12 +62,12 @@ class TestBernoulliValues:
         # t/(e^t - 1) = sum B_i t^i / i!, so coefficient i equals B_i/i!.
         coeffs = series_quotient_coeffs(31)
         for i in range(31):
-            assert coeffs[i] == bernoulli(i) / factorial(i)
+            assert coeffs[i] == bernoulli(i) / math.factorial(i)
 
     def test_recurrence_invariant(self):
         # sum_{j=0}^{n} C(n+1, j) B_j = 0 for n >= 1.
         for n in range(1, 41):
-            total = sum(binomial(n + 1, j) * bernoulli(j) for j in range(n + 1))
+            total = sum(math.comb(n + 1, j) * bernoulli(j) for j in range(n + 1))
             assert total == 0
 
     def test_negative_index_rejected(self):
@@ -76,7 +77,7 @@ class TestBernoulliValues:
 
 class TestBernoulliTable:
     def test_fresh_table_matches_shared(self):
-        table = BernoulliTable()
+        table = GrowableTable(Fraction(1), _next_bernoulli)
         for i in range(25):
             assert table.value(i) == bernoulli(i)
 
@@ -89,7 +90,7 @@ class TestGrowableTable:
         "fresh, reference, depths",
         [
             (
-                BernoulliTable,
+                lambda: GrowableTable(Fraction(1), _next_bernoulli),
                 lambda d: [bernoulli(i) for i in range(d + 1)],
                 [80, 64, 40, 80, 72, 20],
             ),
@@ -134,35 +135,6 @@ class TestGrowableTable:
             assert entries == expected[: depth + 1]
             for i, entry in enumerate(entries):
                 assert entry is results[deepest][i]
-
-
-class TestCombinatorialHelpers:
-    def test_factorial_values(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-
-    def test_factorial_domain(self):
-        with pytest.raises(ValueError):
-            factorial(-1)
-
-    def test_binomial_values(self):
-        assert binomial(5, 2) == 10
-        assert binomial(7, 0) == 1
-        assert binomial(7, 7) == 1
-
-    def test_binomial_domain(self):
-        # The contract is strict: 0 <= k <= n, nothing silently zero.
-        with pytest.raises(ValueError):
-            binomial(3, 5)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-        with pytest.raises(ValueError):
-            binomial(-2, 1)
-
-    @given(st.integers(1, 30), st.integers(0, 29))
-    def test_pascal_rule(self, n, k_raw):
-        k = k_raw % n
-        assert binomial(n + 1, k + 1) == binomial(n, k) + binomial(n, k + 1)
 
 
 rationals = st.fractions(

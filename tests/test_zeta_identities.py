@@ -6,6 +6,7 @@ product, independent of the collapsed form; `tests/test_series.py` checks
 it against the composition loop of `brute_force.py`.
 """
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -79,7 +80,7 @@ class TestMonomialIdentities:
     def test_conversion_from_bernoulli_form(self):
         # terms[l] = (-1)^n 2^(2-n) (2l)!/B_{2l} rhs[l], with the l = 0
         # term additionally folded through zeta(0) = -1/2.
-        from evenzeta import bernoulli, factorial
+        from evenzeta import bernoulli
 
         for mvec in [(0, 0), (1, 0), (0, 0, 0), (2, 0, 0, 0)]:
             n = len(mvec)
@@ -88,7 +89,7 @@ class TestMonomialIdentities:
             assert zident.T == bident.T
             for l in range(bident.T + 1):
                 scale = Fraction((-1) ** n * 4, 2**n)
-                scale *= Fraction(factorial(2 * l)) / bernoulli(2 * l)
+                scale *= Fraction(math.factorial(2 * l)) / bernoulli(2 * l)
                 if l == 0:
                     scale *= -HALF
                 assert zident.terms[l] == scale * bident.rhs[l]
