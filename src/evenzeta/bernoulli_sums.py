@@ -10,9 +10,9 @@ collapses, for every k >= n, to a short combination
     sum_{l=0}^{min(T, k)}  p_l(k) * B_{2k-2l}/(2k-2l)!
 
 whose coefficient polynomials p_l are produced exactly here from the
-derivative tables: multiply the rows for m_1, ..., m_n (a convolution in the
-power of h(t) = t/(e^t - 1)), rewrite the powers of h through the inverse
-triangle, and read off even Taylor coefficients.
+forward derivative triangle: multiply the rows for m_1, ..., m_n (a
+convolution in the power of h(t) = t/(e^t - 1)), eliminate the powers of h
+from the top, and read off even Taylor coefficients.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
 from .checks import CheckResult
-from .derivative_tables import f_table, g_table
+# g_table is not called here; the benchmark's tracer rebinds it in this module.
+from .derivative_tables import f_table, g_table  # noqa: F401
 from .polynomials import UniPoly
 from .rationals import bernoulli
 from .series import composition_sum
@@ -88,24 +89,32 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
 
 
 def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
-    """Collapse ``f_prod`` through the inverse triangle.
+    """Collapse ``f_prod`` onto the derivatives of g.
 
     Writing N = sum(m) + n and (f_0, ..., f_N) = f_prod(mvec), the product of
     derivatives equals F_0(t) + sum_{j=1}^{N} F_j(t) * D^{j-1} g(t) with
 
-        F_0 = f_0 + (1/2) * sum_{i>=1} (-1)^i f_i t^i
-        F_j = sum_{i=j}^{N} f_i * g_{i-1,j}
+        F_0 = f_0 + (1/2) * sum_{i>=1} (-1)^i f_i t^i.
 
-    All entries are even polynomials; entry 0 collects the polynomial part
-    left over when each h^i is replaced by its derivative expression.  As
-    deg f_i <= N - i and deg g_{i-1,j} <= i - j, each term of F_j has degree
-    at most N - j; F_j is summed on its even coefficients alone, over the one
-    denominator lcm(f dens) * (N-1)! (g_{i-1,j} reads over (i-1)!).
+    The other entries come from eliminating the powers of h from the top.
+    By t*h' = (1 - t)*h - h^2,
+
+        c * h^i = ((1 - t)*c + D c/(i-1)) * h^(i-1) - D(c * h^(i-1))/(i-1),
+
+    so sweeping i = N, ..., 2 rewrites sum_{i>=1} f_i h^i, level by level,
+    as sum_j D^j(A_j h): the first part stays at level j and the second
+    moves to level j + 1.  Then h = g - t/2 and Leibniz give
+
+        F_{b+1} = sum_{j>=b} C(j, b) * D^(j-b) A_j,
+
+    where D scales t^k by k.  Every entry is an even polynomial, so only the
+    even coefficients of the A_j are read.  The F_j equal
+    sum_{i>=j} f_i * g_{i-1,j} over the inverse triangle, which the tests
+    form as the oracle.
     """
     mvec = _validated_mvec(mvec)
     fs = f_prod(mvec)
     total = len(fs) - 1
-    inverse = g_table(total - 1)
     # 2*F_0 = 2*f_0 + sum_{i>=1} (-1)^i t^i f_i, on numerators over 2*lcm.
     den = math.lcm(*(f.den for f in fs))
     head = [2 * (den // fs[0].den) * x for x in fs[0].nums]
@@ -115,21 +124,38 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
         for k, x in enumerate(fs[i].nums, i):
             head[k] += scale * x
     out = [UniPoly._normalised(head, 2 * den)]
-    top = math.factorial(total - 1)
-    for j in range(1, total + 1):
-        # acc[e] is the numerator of t^(2e) over den * (N-1)!; only the
-        # products of f_i's t^c and g's t^d with c = d mod 2 reach it.
-        acc = [0] * ((total - j) // 2 + 1)
-        for i in range(j, total + 1):
-            g = inverse.entry(i - 1, j)
-            scale = (den // fs[i].den) * (top // g.den)
-            halves = (g.nums[0::2], g.nums[1::2])
-            for c, x in enumerate(fs[i].nums):
-                if x:
-                    x *= scale
-                    for e, y in enumerate(halves[c & 1], (c + 1) >> 1):
-                        acc[e] += x * y
-        out.append(UniPoly._normalised([v for a in acc for v in (a, 0)], den * top))
+    # At power i, levels[j] holds the numerators of the coefficient of h^i
+    # under D^j over den * scale, scale = (N-1)!/(i-1)!, padded to its degree
+    # bound N - i - j.  Stepping to i - 1 multiplies scale by i - 1, so the
+    # division by i - 1 needs none.
+    levels = [[x * (den // fs[total].den) for x in fs[total].nums]]
+    scale = 1
+    for i in range(total, 1, -1):
+        d = i - 1
+        scale *= d
+        # Level j at power i - 1 keeps level j's terms and loses the part
+        # moved up from level j - 1; level 0 gains f_{i-1} instead.
+        f = fs[i - 1]
+        below = [-x * (den // f.den) * scale for x in f.nums]
+        below.extend([0] * (total - d + 1 - len(below)))
+        lower = []
+        for c in levels:
+            steps = zip(c + [0], [0] + c, below)
+            lower.append([(d + k) * x - d * y - z for k, (x, y, z) in enumerate(steps)])
+            below = c
+        lower.append([-z for z in below])
+        levels = lower
+    # F_{b+1}[t^k] = sum_{j>=b} C(j, b) k^(j-b) A_j[t^k] are the coefficients
+    # of sum_j A_j[t^k] (x + k)^j, summed by Horner in x + k.
+    rows = [[0] * total for _ in range(total)]
+    for k in range(0, total, 2):
+        acc: list[int] = []
+        for c in reversed(levels):
+            if k < len(c):
+                acc = [k * y + x for x, y in zip([c[k]] + acc, acc + [0])]
+        for b, v in enumerate(acc):
+            rows[b][k] = v
+    out.extend(UniPoly._normalised(row, den * scale) for row in rows)
     return tuple(out)
 
 

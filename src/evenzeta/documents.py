@@ -182,7 +182,10 @@ def from_json(text: str) -> _Identity:
     ``identity`` checks ``--m``/``--poly``.  Any ``tool`` value is accepted;
     the weight polynomial is parsed, so ``to_json`` writes it back in
     canonical form.  Raises ValueError."""
-    payload = json.loads(text)
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("document nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError("document must be a JSON object")
     if payload.get("schema") != SCHEMA_VERSION:

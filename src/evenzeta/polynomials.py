@@ -39,6 +39,10 @@ _MAX_EXPONENT = 64
 #: parser caps the total degree (see ``max_parse_degree``).
 _MAX_PARSE_TERMS = 1_000
 
+#: Most parentheses the parser lets nest.  Each level recurses four frames
+#: deep, so this keeps the parser far from the interpreter's recursion limit.
+_MAX_NESTING = 64
+
 
 def _as_rational(value: Scalar) -> Fraction:
     if isinstance(value, Fraction):
@@ -507,6 +511,7 @@ class _Parser:
             raise ValueError(f"arity must be >= 1, got {arity}")
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.nesting = 0
         self.arity = arity
         self.max_degree = max_parse_degree(arity)
 
@@ -589,7 +594,11 @@ class _Parser:
                 return {tuple(int(i == index) for i in range(1, self.arity + 1)): 1}
             raise ParseError(f"unknown variable {value!r} (expected x1..x{self.arity})", position)
         if kind == "(":
+            if self.nesting == _MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than the limit {_MAX_NESTING}", position)
+            self.nesting += 1
             terms = self._expr()
+            self.nesting -= 1
             ckind, _, cposition = self._next()
             if ckind != ")":
                 raise ParseError("expected ')'", cposition)
@@ -618,5 +627,6 @@ def parse_poly(text: str, arity: int) -> MultiPoly:
     explicit.  Malformed input raises ``ParseError`` with the offset of the
     offending token.  So does a product or power whose total degree would
     exceed ``max_parse_degree(arity)``; it is refused before it is expanded.
+    So does a parenthesis nested more than 64 deep, before it is read.
     """
     return _Parser(text, arity).parse()

@@ -27,7 +27,11 @@ no code with ``UniPoly``.
 
 ``f_product`` and ``collapsed_sums`` are the oracle of ``f_prod`` and of
 the j >= 1 entries of ``big_F``: plain ``UniPoly`` ``+`` and ``*`` over the
-table rows, odd coefficients included.
+table rows, odd coefficients included.  ``collapsed_sums`` keeps the former
+formula of ``big_F``, F_j = sum_{i>=j} f_i * g_{i-1,j} over the inverse
+triangle, O(N^4) in N = sum(m) + n: ``big_F`` now eliminates the powers of
+h from the top and never reads ``g_table``, so the two derivations share
+no code past the forward rows.
 
 ``bernoulli_rhs`` and ``zeta_rhs`` are the oracle of the collapsed sides
 ``BernoulliIdentity.rhs_value`` and ``eval_identity_rhs``: each term

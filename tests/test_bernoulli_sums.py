@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import pytest
 from brute_force import collapsed_sums, f_product
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenzeta import (
     UniPoly,
@@ -18,6 +20,7 @@ from evenzeta import (
     bernoulli_lhs,
     big_F,
     f_prod,
+    g_table,
     truncation_depth,
     verify_bernoulli,
     zeta_identity_monomial,
@@ -128,6 +131,24 @@ class TestBigF:
         F = big_F(mvec)
         assert len(F) == sum(mvec) + len(mvec) + 1
         assert list(F[1:]) == collapsed_sums(mvec)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_plain_polynomial_sum_on_random_tuples(self, data):
+        # Up to four exponents with sum(m) <= 12, against the inverse-triangle sum.
+        mvec = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            mvec.append(data.draw(st.integers(0, 12 - sum(mvec))))
+        assert list(big_F(mvec)[1:]) == collapsed_sums(mvec)
+
+    def test_reads_no_inverse_triangle(self):
+        # The elimination needs only the forward rows: big_F names no
+        # g_table, and building an entry calls none.
+        assert "g_table" not in big_F.__code__.co_names
+        before = g_table.cache_info()
+        big_F((9, 7, 5))
+        after = g_table.cache_info()
+        assert after.hits + after.misses == before.hits + before.misses
 
     def test_all_entries_even(self):
         # The full sums, odd coefficients formed, have none and stay within

@@ -95,6 +95,14 @@ class TestIdentityCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_deep_nesting_is_a_parse_error(self, capsys):
+        # 250 nested levels once overflowed the recursive parser's stack.
+        poly = "(" * 250 + "x1" + ")" * 250
+        code, out, err = run(capsys, "identity", "--kind", "zeta", "--n", "2", "--poly", poly)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "nest deeper than the limit 64" in err
+
     def test_exactly_one_weight_flag(self, capsys):
         code, _, err = run(capsys, "identity", "--kind", "zeta", "--n", "2")
         assert code == 2

@@ -192,6 +192,17 @@ class TestFromJsonValidation:
         with pytest.raises(ValueError):
             from_json(json.dumps(payload))
 
+    def test_deeply_nested_json_rejected(self):
+        # json.loads recurses once per open bracket.
+        with pytest.raises(ValueError, match="nests too deeply"):
+            from_json("[" * 100000)
+
+    def test_deeply_nested_poly_rejected(self):
+        payload = json.loads(to_json(mzv_identity(parse_poly("x1 + x2", 2), 2)))
+        payload["poly"] = "(" * 300 + "x1 + x2" + ")" * 300
+        with pytest.raises(ValueError, match="nest deeper"):
+            from_json(json.dumps(payload))
+
     @pytest.mark.parametrize("field", ["n", "T"])
     def test_missing_field_rejected(self, field):
         payload = self.good_payload()

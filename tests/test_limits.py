@@ -10,7 +10,7 @@ import importlib
 
 import pytest
 
-from evenzeta import cli, max_parse_degree, quasi_shuffle, suites
+from evenzeta import cli, max_parse_degree, polynomials, quasi_shuffle, suites
 
 #: (limit, its value now, the value pinned here, the test that verifies an
 #: input at the limit, as file::class::function).
@@ -44,6 +44,12 @@ LIMITS = (
         max_parse_degree(4),
         9,
         "test_mzv_identities.py::TestOrbitCombination::test_dense_weights_at_the_degree_limit",
+    ),
+    (
+        "polynomials._MAX_NESTING",
+        polynomials._MAX_NESTING,
+        64,
+        "test_polynomials.py::TestParser::test_nesting_at_the_limit",
     ),
     (
         "quasi_shuffle._MAX_SYMMETRIC_DEPTH",

@@ -441,6 +441,97 @@ class TestAdmittedDepths:
                     assert result.ok, (label, result.describe())
 
 
+class TestTrivialWeightClosedForm:
+    """The weight F = 1 at every admitted depth, against closed forms that
+    use no pipeline or series code.
+
+    Write S_n(k) = sum_{k_1+...+k_n=k} zeta(2k_1, ..., 2k_n).  Its generating
+    function sum_k S_n(k) t^k is [x^n] prod_m (1 + x*u_m) with
+    u_m = sum_{a>=1} (t/m^2)^a = t/(m^2 - t).  Each factor is
+    (1 - (1-x)t/m^2)/(1 - t/m^2), so the sinc product
+    sin(pi z)/(pi z) = prod_m (1 - z^2/m^2) gives, with y = pi*sqrt(t) and
+    s = sqrt(1 - x),
+
+        prod_m (1 + x*u_m) = sin(s*y)/(s*sin y)
+                           = cos((1-s)y)/s - cot y * sin((1-s)y)/s.
+
+    As 1 - s = O(x), [x^n] of the first part is a polynomial in t of degree
+    at most n/2, which no k >= n sees.  In the second, the Catalan series
+    gives [x^n] (1-s)^(2j+1)/s = C(2n-2j-1, n)/(2 * 4^(n-j-1)), and
+    y*cot y = 1 - 2 sum_{a>=1} zeta(2a) t^a, whose constant again leaves a
+    polynomial of degree below n.  So for k >= n
+
+        S_n(k) = sum_j (-1)^j C(2n-2j-1, n)/(4^(n-j-1) (2j+1)!)
+                 * pi^(2j) zeta(2k-2j),
+
+    with j <= (n-1)/2, where the binomial is nonzero.  In the package's basis
+    ``terms[0]`` is the j = 0 constant and ``terms[l]`` for l >= 1 is the
+    j = l constant over zeta(2l)/pi^(2l).  Each zeta* expands into the zeta
+    of its coarsenings, and a composition of k into j parts refines into
+    C(k-j, n-j) compositions into n parts (Vandermonde), so
+
+        S*_n(k) = sum_{j=1}^{n} C(k-j, n-j) S_j(k),
+
+    whose terms are polynomials in k.
+    """
+
+    @staticmethod
+    def zeta_ratio(l):
+        """zeta(2l)/pi^(2l) = -(1/2) [y^(2l)] y*cot y, the quotient of the
+        cos and sinc series inverted term by term."""
+        cos = [Fraction((-1) ** r, math.factorial(2 * r)) for r in range(l + 1)]
+        sinc = [Fraction((-1) ** r, math.factorial(2 * r + 1)) for r in range(l + 1)]
+        quotient = []
+        for j in range(l + 1):
+            quotient.append(cos[j] - sum(sinc[i] * quotient[j - i] for i in range(1, j + 1)))
+        return -quotient[l] / 2
+
+    def mzv_terms(self, n):
+        """The constants of S_n(k), ``terms[l]`` for l = 0..(n-1)//2."""
+        terms = []
+        for l in range((n - 1) // 2 + 1):
+            c = Fraction(
+                (-1) ** l * math.comb(2 * n - 2 * l - 1, n),
+                4 ** (n - l - 1) * math.factorial(2 * l + 1),
+            )
+            terms.append(c if l == 0 else c / self.zeta_ratio(l))
+        return terms
+
+    def mzsv_terms(self, n):
+        """Coefficient lists, lowest power of k first, of the terms of S*_n(k)."""
+        terms = [[Fraction(0)] * n for _ in range((n - 1) // 2 + 1)]
+        for j in range(1, n + 1):
+            # C(k-j, n-j) = prod_{i<n-j} (k - j - i) / (n-j)! as a polynomial in k.
+            binomial = [Fraction(1, math.factorial(n - j))]
+            for i in range(n - j):
+                shifted = zip([Fraction(0)] + binomial, binomial + [0])
+                binomial = [a - (j + i) * b for a, b in shifted]
+            for l, c in enumerate(self.mzv_terms(j)):
+                for power, b in enumerate(binomial):
+                    terms[l][power] += c * b
+        return terms
+
+    @staticmethod
+    def trimmed(coeffs):
+        coeffs = list(coeffs)
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        return tuple(coeffs)
+
+    def test_two_fold_baseline(self):
+        # n = 2 is the two-fold sum (3/4) zeta(2k); n = 3 adds a zeta(2) zeta(2k-2) term.
+        assert self.mzv_terms(2) == [Fraction(3, 4)]
+        assert self.mzv_terms(3) == [Fraction(5, 8), Fraction(-1, 4)]
+
+    @pytest.mark.parametrize("n", range(1, MAX_MZV_DEPTH + 1))
+    def test_every_coefficient(self, n):
+        one = parse_poly("1", n)
+        mzv = tuple(p.coeffs for p in mzv_identity(one, n).terms)
+        assert mzv == tuple(self.trimmed([c]) for c in self.mzv_terms(n))
+        mzsv = tuple(p.coeffs for p in mzsv_identity(one, n).terms)
+        assert mzsv == tuple(self.trimmed(row) for row in self.mzsv_terms(n))
+
+
 def to_dec40(value):
     import decimal
 

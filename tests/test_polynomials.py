@@ -404,6 +404,20 @@ class TestParser:
         assert len(coeffs) == 969
         assert parse_poly(text, 3) == MultiPoly(3, coeffs)
 
+    def test_nesting_at_the_limit(self):
+        # 64 nested levels parse; the 65th opening parenthesis is refused at
+        # its own offset, before the parser recurses into it.
+        limit = polynomials._MAX_NESTING
+        text = "2*(" * limit + "x1 + 1" + ")" * limit
+        assert parse_poly(text, 1) == MultiPoly(1, {(0,): 2**limit, (1,): 2**limit})
+        with pytest.raises(ParseError, match="nest deeper") as info:
+            parse_poly("2*(" * (limit + 1) + "x1" + ")" * (limit + 1), 1)
+        assert info.value.position == 3 * limit + 2
+
+    def test_nesting_counts_open_parentheses_only(self):
+        # Parentheses side by side do not add up towards the limit.
+        assert parse_poly(" + ".join(["((x1))"] * 200), 1) == MultiPoly(1, {(1,): 200})
+
     def test_zero_denominator(self):
         with pytest.raises(ParseError):
             parse_poly("1/0", 1)
