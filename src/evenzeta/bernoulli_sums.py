@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, ClassVar, Sequence
 
-from .checks import CheckResult
 # g_table is not called here; the benchmark's tracer rebinds it in this module.
 from .derivative_tables import f_table, g_table  # noqa: F401
 from .polynomials import UniPoly
@@ -37,7 +36,6 @@ __all__ = [
     "big_F",
     "f_prod",
     "truncation_depth",
-    "verify_bernoulli",
 ]
 
 
@@ -258,25 +256,3 @@ def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:
         raise ValueError(f"need k >= n = {n}, got {k}")
     return (-1) ** (k + n) * Fraction(2**n, 4**k) * composition_sum(mvec, k)
 
-
-def verify_bernoulli(
-    mvec: Sequence[int], k: int, identity: BernoulliIdentity | None = None
-) -> CheckResult:
-    """Compare the series left side against the collapsed side at one k.
-
-    A given ``identity`` must be the Bernoulli identity of ``mvec``;
-    otherwise ``ValueError`` is raised before anything is evaluated.
-    """
-    mvec = _validated_mvec(mvec)
-    if identity is None:
-        identity = bernoulli_identity(mvec)
-    elif identity.kind != "bernoulli" or identity.mvec != mvec:
-        raise ValueError(f"identity is for {identity.kind} m={identity.mvec}, not m={mvec}")
-    left = bernoulli_lhs(mvec, k)
-    right = identity.rhs_value(k)
-    return CheckResult(
-        ok=left == right,
-        label=f"bernoulli weighted sum m={mvec} k={k}",
-        lhs=str(left),
-        rhs=str(right),
-    )

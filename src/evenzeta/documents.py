@@ -1,5 +1,6 @@
 """Loss-free JSON documents and text/LaTeX rendering for generated identities,
-and the table of identity kinds (``_KINDS``) with its one weight check.
+and the table of identity kinds (``_KINDS``) with its one weight check and
+its one checker, ``verify_identity``.
 
 The JSON layout (schema 1) is flat and fully exact: every polynomial
 coefficient is a "numerator/denominator" string, terms are listed by the
@@ -19,10 +20,17 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .bernoulli_sums import BernoulliIdentity, bernoulli_identity
-from .mzv_identities import mzsv_identity, mzv_identity
+from .bernoulli_sums import BernoulliIdentity, _validated_mvec, bernoulli_identity, bernoulli_lhs
+from .checks import CheckResult
+from .mzv_identities import mzsv_identity, mzv_identity, mzv_lhs_exact
 from .polynomials import MultiPoly, ParseError, UniPoly, parse_poly
-from .zeta_identities import WeightedSumIdentity, zeta_identity_monomial, zeta_identity_poly
+from .zeta_identities import (
+    WeightedSumIdentity,
+    eval_identity_rhs,
+    eval_zeta_lhs,
+    zeta_identity_monomial,
+    zeta_identity_poly,
+)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -32,6 +40,10 @@ __all__ = [
     "to_json",
     "to_latex",
     "to_text",
+    "verify_bernoulli",
+    "verify_identity",
+    "verify_mzv",
+    "verify_zeta",
 ]
 
 SCHEMA_VERSION = 1
@@ -47,6 +59,7 @@ MAX_TABLE_DEPTH = 48
 MAX_MZV_DEPTH = 10
 
 _Identity = BernoulliIdentity | WeightedSumIdentity
+_Weight = tuple[int, ...] | MultiPoly
 
 _TOOL = f"evenzeta {__version__}"
 
@@ -54,28 +67,34 @@ _TOOL = f"evenzeta {__version__}"
 @dataclass(frozen=True)
 class _Kind:
     """One identity kind.  A builder is None when the kind does not take
-    that weight form; each basis pair is (l = 0, l > 0), the second a
-    template formatted with j = 2l."""
+    that weight form; ``lhs``, the left side of a weight at n and k from
+    code no builder uses, takes the poly form if the kind has one.  ``rhs``
+    is an identity's collapsed side at k.  Each basis pair is (l = 0,
+    l > 0), the second a template formatted with j = 2l."""
 
     section: int
     lhs_text: str
+    lhs: Callable[[_Weight, int, int], Fraction]
+    rhs: Callable[[_Identity, int], Fraction] = lambda identity, k: eval_identity_rhs(identity, k)
     monomial: Callable[[tuple[int, ...]], _Identity] | None = None
     poly: Callable[[MultiPoly, int], _Identity] | None = None
     symmetric: bool = False
     basis_text: tuple[str, str] = ("zeta(2k)", "zeta({j})*zeta(2k-{j})")
     basis_latex: tuple[str, str] = (r"\zeta(2k)", r"\zeta({j})\zeta(2k-{j})")
 
-    def build(self, weight: tuple[int, ...] | MultiPoly, n: int) -> _Identity:
+    def build(self, weight: _Weight, n: int) -> _Identity:
         """The identity of a weight returned by ``_check_weight``."""
         return self.poly(weight, n) if isinstance(weight, MultiPoly) else self.monomial(weight)
 
 
-# The builders look their function up when called, so a rebound module
+# The columns look their function up when called, so a rebound module
 # global (a tracer's wrapper, a test's stub) is the one that runs.
 _KINDS: dict[str, _Kind] = {
     "bernoulli": _Kind(
         section=2,
         lhs_text="k1^m1*...*kn^mn * B(2k1)/(2k1)! * ... * B(2kn)/(2kn)!",
+        lhs=lambda mvec, n, k: bernoulli_lhs(mvec, k),
+        rhs=lambda identity, k: identity.rhs_value(k),
         monomial=lambda mvec: bernoulli_identity(mvec),
         basis_text=("B(2k)/(2k)!", "B(2k-{j})/(2k-{j})!"),
         basis_latex=(r"\frac{B_{2k}}{(2k)!}", r"\frac{{B_{{2k-{j}}}}}{{(2k-{j})!}}"),
@@ -83,18 +102,21 @@ _KINDS: dict[str, _Kind] = {
     "zeta": _Kind(
         section=3,
         lhs_text="F(k1,...,kn) * zeta(2k1)*...*zeta(2kn)",
+        lhs=lambda F, n, k: eval_zeta_lhs(F, n, k),
         monomial=lambda mvec: zeta_identity_monomial(mvec),
         poly=lambda weight, n: zeta_identity_poly(weight, n),
     ),
     "mzv": _Kind(
         section=4,
         lhs_text="F(k1,...,kn) * zeta(2k1, ..., 2kn)",
+        lhs=lambda F, n, k: mzv_lhs_exact(F, n, k),
         poly=lambda weight, n: mzv_identity(weight, n),
         symmetric=True,
     ),
     "mzsv": _Kind(
         section=4,
         lhs_text="F(k1,...,kn) * zetastar(2k1, ..., 2kn)",
+        lhs=lambda F, n, k: mzv_lhs_exact(F, n, k, star=True),
         poly=lambda weight, n: mzsv_identity(weight, n),
         symmetric=True,
     ),
@@ -150,6 +172,81 @@ def _check_weight(
     return weight
 
 
+def _weight(identity: _Identity) -> _Weight:
+    """The weight an identity was built for, in the form its kind's ``lhs``
+    takes: ``poly``, ``mvec``, or the monomial of ``mvec`` when the kind
+    has a poly builder (its exponents were checked at the build)."""
+    poly = getattr(identity, "poly", None)
+    if poly is not None:
+        return poly
+    if _KINDS[identity.kind].poly is None:
+        return identity.mvec
+    return MultiPoly._normalised({identity.mvec: 1}, 1, identity.n)
+
+
+def _weight_text(weight: _Weight, n: int) -> str:
+    return f"m={weight}" if isinstance(weight, tuple) else f"F={weight.render()} n={n}"
+
+
+def verify_identity(identity: _Identity, k: int) -> CheckResult:
+    """Compare the independent left side of the identity's own weight with
+    its collapsed side at one k.  Both are exact: coefficients of pi^(2k),
+    or for the Bernoulli kind the values themselves."""
+    record = _KINDS[identity.kind]
+    weight = _weight(identity)
+    left = record.lhs(weight, identity.n, k)
+    right = record.rhs(identity, k)
+    label = f"{identity.kind} weighted sum {_weight_text(weight, identity.n)} k={k}"
+    return CheckResult(ok=left == right, label=label, lhs=str(left), rhs=str(right))
+
+
+def _given(identity: _Identity, kind: str, n: int, weight: _Weight) -> _Identity:
+    """``identity``, if it is the ``kind`` identity of ``weight`` at depth n;
+    otherwise ValueError, since a mismatch is the caller's error and not a
+    failed check."""
+    if identity.kind != kind or identity.n != n:
+        raise ValueError(f"identity is for {identity.kind} n={identity.n}, not {kind} n={n}")
+    if (own := _weight(identity)) != weight:
+        mismatch = f"{_weight_text(own, n)}, not {_weight_text(weight, n)}"
+        raise ValueError(f"identity is for {kind} {mismatch}")
+    return identity
+
+
+def verify_bernoulli(
+    mvec: Sequence[int], k: int, identity: BernoulliIdentity | None = None
+) -> CheckResult:
+    """``verify_identity`` at one k on the Bernoulli identity of ``mvec``.
+    A given ``identity`` of another kind, depth or weight raises
+    ``ValueError`` before anything is evaluated."""
+    mvec = _validated_mvec(mvec)
+    if identity is None:
+        return verify_identity(bernoulli_identity(mvec), k)
+    return verify_identity(_given(identity, "bernoulli", len(mvec), mvec), k)
+
+
+def verify_zeta(
+    F: MultiPoly, n: int, k: int, identity: WeightedSumIdentity | None = None
+) -> CheckResult:
+    """``verify_identity`` at one k on the zeta identity of F at depth n.
+    A given ``identity`` of another kind, depth or weight raises
+    ``ValueError`` before anything is evaluated."""
+    if identity is None:
+        return verify_identity(zeta_identity_poly(F, n), k)
+    return verify_identity(_given(identity, "zeta", n, F), k)
+
+
+def verify_mzv(
+    F: MultiPoly, n: int, k: int, star: bool = False, identity: WeightedSumIdentity | None = None
+) -> CheckResult:
+    """``verify_identity`` at one k on the mzv identity of the symmetric F
+    at depth n, or the mzsv one when ``star``.  A given ``identity`` of
+    another kind, depth or weight raises ``ValueError`` before anything is
+    evaluated."""
+    if identity is None:
+        return verify_identity((mzsv_identity if star else mzv_identity)(F, n), k)
+    return verify_identity(_given(identity, "mzsv" if star else "mzv", n, F), k)
+
+
 _COEFF_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
@@ -188,16 +285,18 @@ def from_json(text: str) -> _Identity:
         raise ValueError("document nests too deeply to read") from None
     if not isinstance(payload, dict):
         raise ValueError("document must be a JSON object")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema {payload.get('schema')!r}")
+    # type() rather than isinstance() or ==: JSON true and 1.0 are not 1.
+    schema = payload.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema {schema!r}")
     kind = payload.get("kind")
-    if kind not in _KINDS:
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValueError(f"unknown kind {kind!r}")
     raw_terms = payload.get("terms")
     if not isinstance(raw_terms, list) or not raw_terms:
         raise ValueError("terms must be a non-empty list")
     for index, entry in enumerate(raw_terms):
-        if not isinstance(entry, dict) or entry.get("l") != index:
+        if not isinstance(entry, dict) or type(entry.get("l")) is not int or entry["l"] != index:
             raise ValueError(f"terms must be listed with l = 0..T in order, bad entry {index}")
         coeffs = entry.get("coeffs")
         if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
@@ -207,7 +306,6 @@ def from_json(text: str) -> _Identity:
             if not _COEFF_PATTERN.fullmatch(c):
                 raise ValueError(f"coefficient {c!r} is not an integer or p/q string")
     n, T = payload.get("n"), payload.get("T")
-    # type() rather than isinstance(): JSON true/false must not pass as 1/0.
     if type(n) is not int:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     if type(T) is not int or T != len(raw_terms) - 1:

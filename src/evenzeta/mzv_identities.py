@@ -51,26 +51,18 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .checks import CheckResult
 from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
 from .rationals import GrowableTable
 from .series import symmetric_sum
-from .zeta_identities import (
-    WeightedSumIdentity,
-    _check_identity,
-    _combined_identity,
-    eval_identity_rhs,
-)
+from .zeta_identities import WeightedSumIdentity, _combined_identity
 
 __all__ = [
     "block_reduce",
-    "composition_power_sum",
     "mzsv_identity",
     "mzv_identity",
     "mzv_lhs_exact",
     "mzv_numeric",
-    "verify_mzv",
 ]
 
 #: Composition power sums kept, one per sorted exponent tuple.
@@ -96,27 +88,16 @@ _BINOMIALS = GrowableTable(
 )
 
 
-def composition_power_sum(pvec: Sequence[int]) -> UniPoly:
+@lru_cache(maxsize=_COMPOSITION_CACHE_SIZE)
+def _sorted_power_sum(pvec: tuple[int, ...]) -> UniPoly:
     """The polynomial in k equal, for every integer k >= 1, to
 
         sum_{k_1+...+k_n = k, k_j >= 1} k_1^{p_1} ... k_n^{p_n}
 
-    (zero when k < n).  It is sum_m c_m C(k-1, m-1), with c_m the
-    coefficients of the product of the theta-power polynomials E_{p_j}(u)
-    (see the module docstring).  Permuting the exponents permutes the
-    compositions, so the sum depends only on the orbit of ``pvec``: it is
-    built once per sorted exponent tuple and cached on that key.
+    (zero when k < n), for a nonempty sorted tuple of exponents >= 0.  It
+    is sum_m c_m C(k-1, m-1), with c_m the coefficients of the product of
+    the E_{p_j}(u) (see the module docstring).
     """
-    pvec = tuple(operator.index(p) for p in pvec)
-    if not pvec:
-        raise ValueError("need at least one exponent")
-    if any(p < 0 for p in pvec):
-        raise ValueError(f"exponents must be >= 0, got {pvec}")
-    return _sorted_power_sum(tuple(sorted(pvec)))
-
-
-@lru_cache(maxsize=_COMPOSITION_CACHE_SIZE)
-def _sorted_power_sum(pvec: tuple[int, ...]) -> UniPoly:
     counts = math.prod((_THETA_POWERS.value(p) for p in pvec), start=UniPoly.one())
     return UniPoly.dot(
         (UniPoly.constant(c), _BINOMIALS.value(m - 1)) for m, c in enumerate(counts.nums) if c
@@ -234,34 +215,6 @@ def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> Fraction:
         if all(a >= b for a, b in zip(expts, expts[1:])):
             total += c * symmetric_sum([e for e in expts if e], n, k, star)
     return total / F.den
-
-
-def verify_mzv(
-    F: MultiPoly,
-    n: int,
-    k: int,
-    star: bool = False,
-    identity: WeightedSumIdentity | None = None,
-) -> CheckResult:
-    """Cross-check the identity pipeline against the independent evaluator,
-    as their coefficients of pi^(2k).
-
-    A given ``identity`` must be an mzsv (``star``) or mzv identity at depth
-    n; otherwise ``ValueError`` is raised before anything is evaluated.
-    """
-    if identity is None:
-        identity = mzsv_identity(F, n) if star else mzv_identity(F, n)
-    else:
-        _check_identity(identity, "mzsv" if star else "mzv", n)
-    left = mzv_lhs_exact(F, n, k, star=star)
-    right = eval_identity_rhs(identity, k)
-    name = "mzsv" if star else "mzv"
-    return CheckResult(
-        ok=left == right,
-        label=f"{name} weighted sum F={F.render()} n={n} k={k}",
-        lhs=str(left),
-        rhs=str(right),
-    )
 
 
 def _to_decimal(value: Fraction) -> Decimal:

@@ -15,18 +15,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .bernoulli_sums import bernoulli_identity, truncation_depth, verify_bernoulli
+from .bernoulli_sums import bernoulli_identity, truncation_depth
 from .checks import CheckResult
 from .derivative_tables import c_coeffs, d_coeffs, f_table, g_table
-from .mzv_identities import mzsv_identity, mzv_identity, verify_mzv
+from .documents import _Identity, verify_identity
+from .mzv_identities import mzsv_identity, mzv_identity
 from .polynomials import MultiPoly, UniPoly, parse_poly
 from .quasi_shuffle import is_admissible, sbar, star, verify_symmetric_sum
-from .zeta_identities import (
-    WeightedSumIdentity,
-    verify_zeta,
-    zeta_identity_monomial,
-    zeta_identity_poly,
-)
+from .zeta_identities import WeightedSumIdentity, zeta_identity_monomial, zeta_identity_poly
 
 __all__ = [
     "SUITE_NAMES",
@@ -191,6 +187,15 @@ def tables_suite() -> SuiteReport:
     return report
 
 
+def _check_k_grid(report: SuiteReport, identity: _Identity, max_k: int) -> None:
+    """``verify_identity`` at every k <= max_k; k < n is reported as skipped."""
+    for k in range(1, max_k + 1):
+        if k < identity.n:
+            report.skip()
+        else:
+            report.add(verify_identity(identity, k))
+
+
 def _identity_degree_ok(terms: Sequence[UniPoly], r: int, n: int) -> bool:
     return all(
         poly.degree() <= r + n - 2 * l - 1 for l, poly in enumerate(terms) if not poly.is_zero()
@@ -216,11 +221,7 @@ def bernoulli_suite(max_n: int, max_k: int) -> SuiteReport:
                 _identity_degree_ok(identity.rhs, sum(mvec), n),
                 f"degree bounds for m={mvec}",
             )
-            for k in range(1, max_k + 1):
-                if k < n:
-                    report.skip()
-                    continue
-                report.add(verify_bernoulli(mvec, k, identity=identity))
+            _check_k_grid(report, identity, max_k)
     return report
 
 
@@ -258,12 +259,7 @@ def zeta_suite(max_n: int, max_k: int) -> SuiteReport:
                 _identity_degree_ok(identity.terms, sum(mvec), n),
                 f"degree bounds for m={mvec}",
             )
-            weight = MultiPoly.monomial(mvec)
-            for k in range(1, max_k + 1):
-                if k < n:
-                    report.skip()
-                    continue
-                report.add(verify_zeta(weight, n, k, identity=identity))
+            _check_k_grid(report, identity, max_k)
     return report
 
 
@@ -292,18 +288,13 @@ def mzv_suite(max_n: int, max_k: int) -> SuiteReport:
     report = SuiteReport("mzv")
     for n in range(1, max_n + 1):
         for label, weight in _weight_family(n):
-            for star_flag, build in ((False, mzv_identity), (True, mzsv_identity)):
-                identity: WeightedSumIdentity = build(weight, n)
-                kind = identity.kind
+            for build in (mzv_identity, mzsv_identity):
+                identity = build(weight, n)
                 report.check(
                     _identity_degree_ok(identity.terms, int(max(weight.degree(), 0)), n),
-                    f"degree bounds for {kind} F={label} n={n}",
+                    f"degree bounds for {identity.kind} F={label} n={n}",
                 )
-                for k in range(1, max_k + 1):
-                    if k < n:
-                        report.skip()
-                        continue
-                    report.add(verify_mzv(weight, n, k, star=star_flag, identity=identity))
+                _check_k_grid(report, identity, max_k)
     return report
 
 

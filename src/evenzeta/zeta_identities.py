@@ -25,7 +25,6 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .bernoulli_sums import _collapsed_sum, _depth, _validated_mvec, bernoulli_identity
-from .checks import CheckResult
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli
 from .series import composition_sum
@@ -34,7 +33,6 @@ __all__ = [
     "WeightedSumIdentity",
     "eval_identity_rhs",
     "eval_zeta_lhs",
-    "verify_zeta",
     "zeta_even",
     "zeta_identity_monomial",
     "zeta_identity_poly",
@@ -200,31 +198,3 @@ def _zeta_basis(k: int, l: int) -> tuple[int, int]:
     left, right = zeta_even(l), zeta_even(k - l)
     return left.numerator * right.numerator, left.denominator * right.denominator
 
-
-def _check_identity(identity: WeightedSumIdentity, kind: str, n: int) -> None:
-    """Raise ``ValueError`` unless ``identity`` is of ``kind`` at depth n."""
-    if identity.kind != kind or identity.n != n:
-        raise ValueError(f"identity is for {identity.kind} n={identity.n}, not {kind} n={n}")
-
-
-def verify_zeta(
-    F: MultiPoly, n: int, k: int, identity: WeightedSumIdentity | None = None
-) -> CheckResult:
-    """Compare the series zeta-product sum against the collapsed side, as
-    their coefficients of pi^(2k).
-
-    A given ``identity`` must be a zeta identity at depth n; otherwise
-    ``ValueError`` is raised before anything is evaluated.
-    """
-    if identity is None:
-        identity = zeta_identity_poly(F, n)
-    else:
-        _check_identity(identity, "zeta", n)
-    left = eval_zeta_lhs(F, n, k)
-    right = eval_identity_rhs(identity, k)
-    return CheckResult(
-        ok=left == right,
-        label=f"zeta weighted sum F={F.render()} n={n} k={k}",
-        lhs=str(left),
-        rhs=str(right),
-    )

@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,10 @@ from evenzeta import (
     to_json,
     to_latex,
     to_text,
+    verify_bernoulli,
+    verify_identity,
+    verify_mzv,
+    verify_zeta,
     zeta_identity_monomial,
     zeta_identity_poly,
 )
@@ -127,6 +132,74 @@ class TestLoadedIdentity:
         assert json.loads(to_json(loaded)) == {**payload, "poly": "x1 + x2", "tool": f"evenzeta {__version__}"}
 
 
+def corrupted(identity):
+    """``identity`` with 1 added to its deepest nonzero term, which enters
+    the collapsed side at every k >= n here."""
+    field = "rhs" if identity.kind == "bernoulli" else "terms"
+    terms = list(getattr(identity, field))
+    deepest = max(l for l, term in enumerate(terms) if not term.is_zero())
+    assert deepest <= identity.n
+    terms[deepest] = terms[deepest] + 1
+    return replace(identity, **{field: tuple(terms)})
+
+
+def weight_of(identity):
+    """The weight a zeta, mzv or mzsv identity was built for."""
+    return identity.poly if identity.poly is not None else MultiPoly.monomial(identity.mvec)
+
+
+def kind_checker(identity, k):
+    """The public checker of the identity's kind, given the identity."""
+    if identity.kind == "bernoulli":
+        return verify_bernoulli(identity.mvec, k, identity=identity)
+    if identity.kind == "zeta":
+        return verify_zeta(weight_of(identity), identity.n, k, identity=identity)
+    star = identity.kind == "mzsv"
+    return verify_mzv(weight_of(identity), identity.n, k, star=star, identity=identity)
+
+
+class TestCheckers:
+    """``verify_identity`` is the one checker, and each kind's checker
+    returns its result: the kind's label and both sides as exact strings."""
+
+    @PER_KIND
+    def test_kind_checkers_agree_with_verify_identity(self, identity):
+        n = identity.n
+        for checked, ok in ((identity, True), (corrupted(identity), False)):
+            for k in (n, n + 1, n + 2):
+                if checked.kind == "bernoulli":
+                    label = f"bernoulli weighted sum m={checked.mvec} k={k}"
+                    left, right = bernoulli_lhs(checked.mvec, k), checked.rhs_value(k)
+                else:
+                    weight = weight_of(checked)
+                    label = f"{checked.kind} weighted sum F={weight.render()} n={n} k={k}"
+                    if checked.kind == "zeta":
+                        left = eval_zeta_lhs(weight, n, k)
+                    else:
+                        left = mzv_lhs_exact(weight, n, k, star=checked.kind == "mzsv")
+                    right = eval_identity_rhs(checked, k)
+                result = verify_identity(checked, k)
+                assert result == kind_checker(checked, k)
+                assert (result.ok, result.label) == (ok, label)
+                assert (result.lhs, result.rhs) == (str(left), str(right))
+
+    @pytest.mark.parametrize(
+        "check, other",
+        [
+            (lambda F, identity: verify_zeta(F, 2, 4, identity=identity), zeta_identity_poly),
+            (lambda F, identity: verify_mzv(F, 2, 4, identity=identity), mzv_identity),
+            (lambda F, identity: verify_mzv(F, 2, 4, star=True, identity=identity), mzsv_identity),
+        ],
+        ids=["zeta", "mzv", "mzsv"],
+    )
+    def test_identity_of_another_weight_rejected(self, check, other):
+        # Right kind and depth, another weight: the caller's error, not a
+        # failed check.
+        identity = other(parse_poly("x1*x2", 2), 2)
+        with pytest.raises(ValueError, match=r"F=x1\*x2 n=2, not F=x1 \+ x2 n=2"):
+            check(parse_poly("x1 + x2", 2), identity)
+
+
 class TestFromJsonValidation:
     def good_payload(self):
         doc = bernoulli_identity((1, 0))
@@ -190,6 +263,23 @@ class TestFromJsonValidation:
         payload = self.good_payload()
         payload.update(change)
         with pytest.raises(ValueError):
+            from_json(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"kind": ["bernoulli"]}, {"kind": {"bernoulli": 1}}, {"schema": True}, {"schema": 1.0}],
+        ids=["kind-list", "kind-object", "schema-true", "schema-float"],
+    )
+    def test_mistyped_schema_or_kind_rejected(self, change):
+        payload = self.good_payload()
+        payload.update(change)
+        with pytest.raises(ValueError):
+            from_json(json.dumps(payload))
+
+    def test_boolean_term_index_rejected(self):
+        payload = self.good_payload()
+        payload["terms"][0]["l"] = False
+        with pytest.raises(ValueError, match="bad entry 0"):
             from_json(json.dumps(payload))
 
     def test_deeply_nested_json_rejected(self):

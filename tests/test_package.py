@@ -32,14 +32,13 @@ PUBLIC_NAMES = [
     "ParseError", "SCHEMA_VERSION", "SUITE_NAMES", "SuiteReport", "Triangle", "UniPoly",
     "WeightedSumIdentity", "Word", "bernoulli", "bernoulli_identity", "bernoulli_lhs",
     "bernoulli_suite", "big_F", "block_reduce", "block_shapes", "c_coeffs",
-    "check_gallery_identity", "composition_power_sum", "d_coeffs", "eval_identity_rhs",
-    "eval_zeta_lhs", "f_prod", "f_table", "from_json", "g_table", "gallery", "is_admissible",
-    "max_parse_degree", "mzsv_identity", "mzv_identity", "mzv_lhs_exact", "mzv_numeric",
-    "mzv_suite", "parse_poly", "partition_word_sum", "poly_latex", "poly_text", "run_suites",
-    "sbar", "sections", "star", "symmetric_word_sum", "tables_suite", "to_json", "to_latex",
-    "to_text", "truncation_depth", "verify_bernoulli", "verify_mzv", "verify_symmetric_sum",
-    "verify_zeta", "words_suite", "zeta_even", "zeta_identity_monomial", "zeta_identity_poly",
-    "zeta_suite",
+    "check_gallery_identity", "d_coeffs", "eval_identity_rhs", "eval_zeta_lhs", "f_prod",
+    "f_table", "from_json", "g_table", "gallery", "is_admissible", "max_parse_degree",
+    "mzsv_identity", "mzv_identity", "mzv_lhs_exact", "mzv_numeric", "mzv_suite", "parse_poly",
+    "partition_word_sum", "poly_latex", "poly_text", "run_suites", "sbar", "sections", "star",
+    "symmetric_word_sum", "tables_suite", "to_json", "to_latex", "to_text", "truncation_depth",
+    "verify_bernoulli", "verify_identity", "verify_mzv", "verify_symmetric_sum", "verify_zeta",
+    "words_suite", "zeta_even", "zeta_identity_monomial", "zeta_identity_poly", "zeta_suite",
 ]
 SERIES_NAMES = ["Series", "composition_sum", "symmetric_sum", "zeta_over_pi"]
 CLI_NAMES = ["MAX_DUMP_DEPTH", "MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
