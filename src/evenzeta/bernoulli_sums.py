@@ -11,8 +11,12 @@ collapses, for every k >= n, to a short combination
 
 whose coefficient polynomials p_l are produced exactly here from the
 forward derivative triangle: multiply the rows for m_1, ..., m_n (a
-convolution in the power of h(t) = t/(e^t - 1)), eliminate the powers of h
-from the top, and read off even Taylor coefficients.
+convolution in the power of h(t) = t/(e^t - 1), one integer product per
+pair of entries by Kronecker substitution), eliminate the powers of h from
+the top, and read each p_l straight off the even Taylor coefficients of
+the eliminated rows.  ``big_F``, the collapse onto the derivatives of
+g(t) = h(t) + t/2, applies Leibniz to the same rows; the identity does not
+need it.
 """
 
 from __future__ import annotations
@@ -68,60 +72,60 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     Entry i of the result convolves the forward-triangle rows m_1, ..., m_n
     over all splittings i_1 + ... + i_n = i; there are sum(m) + n + 1 entries.
     Every f entry reads over 2, so the product runs on numerators over 2^n.
+
+    The convolution in t is one integer product per pair of entries
+    (Kronecker substitution): each entry is packed as its value at t = 2^(8w),
+    and the signed coefficients are read back as w-byte digits.  Every entry
+    has t-degree at most top = sum(m) + n, and each coefficient of the
+    product sums at most prod(len(row) * (top + 1)) terms, each at most
+    prod(max |row|) in magnitude; 8w exceeds the bits of those two products
+    plus one, so every digit lies in (-2^(8w-1), 2^(8w-1)).
     """
     mvec = _validated_mvec(mvec)
     table = f_table(max(mvec))
-    product, *rows = ([[x * (2 // p.den) for x in p.nums] for p in table.row(m)] for m in mvec)
-    for row in rows:
-        merged: list[list[int]] = [[] for _ in range(len(product) + len(row) - 1)]
-        for a, left in enumerate(product):
-            for b, right in enumerate(row):
-                acc = merged[a + b]
-                acc.extend([0] * (len(left) + len(right) - 1 - len(acc)))
-                for c, x in enumerate(left):
-                    if x:
-                        for d, y in enumerate(right, c):
-                            acc[d] += x * y
+    rows = [[[x * (2 // p.den) for x in p.nums] for p in table.row(m)] for m in mvec]
+    top = sum(mvec) + len(mvec)
+    bound = sum(
+        max(abs(x) for entry in row for x in entry).bit_length()
+        + (len(row) * (top + 1)).bit_length()
+        for row in rows
+    )
+    width = (bound + 1) // 8 + 1
+    shift, half = 8 * width, 1 << (8 * width - 1)
+    product, *rest = ([sum(x << (shift * c) for c, x in enumerate(e)) for e in row] for row in rows)
+    for row in rest:
+        merged = [0] * (len(product) + len(row) - 1)
+        for a, x in enumerate(product):
+            if x:
+                for b, y in enumerate(row, a):
+                    merged[b] += x * y
         product = merged
-    return tuple(UniPoly._normalised(nums, 2 ** len(mvec)) for nums in product)
+    # Adding half to every digit makes each one nonnegative, so the bytes
+    # of the sum are the digits plus half, lowest first.
+    size = (top + 1) * width
+    bias = int.from_bytes(half.to_bytes(width, "little") * (top + 1), "little")
+    out = []
+    for packed in product:
+        data = (packed + bias).to_bytes(size, "little")
+        nums = [int.from_bytes(data[c : c + width], "little") for c in range(0, size, width)]
+        out.append(UniPoly._normalised([x - half for x in nums], 2 ** len(mvec)))
+    return tuple(out)
 
 
-def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
-    """Collapse ``f_prod`` onto the derivatives of g.
+def _eliminate(fs: Sequence[UniPoly]) -> tuple[list[list[int]], int]:
+    """Rows A_0, ..., A_{N-1} with sum_{i>=1} f_i h^i = sum_j D^j(A_j h).
 
-    Writing N = sum(m) + n and (f_0, ..., f_N) = f_prod(mvec), the product of
-    derivatives equals F_0(t) + sum_{j=1}^{N} F_j(t) * D^{j-1} g(t) with
-
-        F_0 = f_0 + (1/2) * sum_{i>=1} (-1)^i f_i t^i.
-
-    The other entries come from eliminating the powers of h from the top.
-    By t*h' = (1 - t)*h - h^2,
+    ``fs`` is (f_0, ..., f_N) from ``f_prod``.  By t*h' = (1 - t)*h - h^2,
 
         c * h^i = ((1 - t)*c + D c/(i-1)) * h^(i-1) - D(c * h^(i-1))/(i-1),
 
-    so sweeping i = N, ..., 2 rewrites sum_{i>=1} f_i h^i, level by level,
-    as sum_j D^j(A_j h): the first part stays at level j and the second
-    moves to level j + 1.  Then h = g - t/2 and Leibniz give
-
-        F_{b+1} = sum_{j>=b} C(j, b) * D^(j-b) A_j,
-
-    where D scales t^k by k.  Every entry is an even polynomial, so only the
-    even coefficients of the A_j are read.  The F_j equal
-    sum_{i>=j} f_i * g_{i-1,j} over the inverse triangle, which the tests
-    form as the oracle.
+    so sweeping i = N, ..., 2 rewrites the sum, level by level: the first
+    part stays at level j and the second moves to level j + 1.  Returns the
+    integer numerators of the A_j (A_j padded to its degree bound N - 1 - j)
+    and their one denominator lcm(f dens) * (N-1)!.
     """
-    mvec = _validated_mvec(mvec)
-    fs = f_prod(mvec)
     total = len(fs) - 1
-    # 2*F_0 = 2*f_0 + sum_{i>=1} (-1)^i t^i f_i, on numerators over 2*lcm.
     den = math.lcm(*(f.den for f in fs))
-    head = [2 * (den // fs[0].den) * x for x in fs[0].nums]
-    for i in range(1, total + 1):
-        scale = (-1) ** i * (den // fs[i].den)
-        head.extend([0] * (i + len(fs[i].nums) - len(head)))
-        for k, x in enumerate(fs[i].nums, i):
-            head[k] += scale * x
-    out = [UniPoly._normalised(head, 2 * den)]
     # At power i, levels[j] holds the numerators of the coefficient of h^i
     # under D^j over den * scale, scale = (N-1)!/(i-1)!, padded to its degree
     # bound N - i - j.  Stepping to i - 1 multiplies scale by i - 1, so the
@@ -143,6 +147,42 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
             below = c
         lower.append([-z for z in below])
         levels = lower
+    return levels, den * scale
+
+
+def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
+    """Collapse ``f_prod`` onto the derivatives of g.
+
+    Writing N = sum(m) + n and (f_0, ..., f_N) = f_prod(mvec), the product of
+    derivatives equals F_0(t) + sum_{j=1}^{N} F_j(t) * D^{j-1} g(t) with
+
+        F_0 = f_0 + (1/2) * sum_{i>=1} (-1)^i f_i t^i.
+
+    The other entries come from eliminating the powers of h from the top
+    (``_eliminate``), which writes sum_{i>=1} f_i h^i as sum_j D^j(A_j h).
+    Then h = g - t/2 and Leibniz give
+
+        F_{b+1} = sum_{j>=b} C(j, b) * D^(j-b) A_j,
+
+    where D scales t^k by k.  Every entry is an even polynomial, so only the
+    even coefficients of the A_j are read.  The F_j equal
+    sum_{i>=j} f_i * g_{i-1,j} over the inverse triangle, which the tests
+    form as the oracle.  ``bernoulli_identity`` reads its p_l off the A_j
+    directly, so it does not call this function.
+    """
+    mvec = _validated_mvec(mvec)
+    fs = f_prod(mvec)
+    total = len(fs) - 1
+    # 2*F_0 = 2*f_0 + sum_{i>=1} (-1)^i t^i f_i, on numerators over 2*lcm.
+    den = math.lcm(*(f.den for f in fs))
+    head = [2 * (den // fs[0].den) * x for x in fs[0].nums]
+    for i in range(1, total + 1):
+        scale = (-1) ** i * (den // fs[i].den)
+        head.extend([0] * (i + len(fs[i].nums) - len(head)))
+        for k, x in enumerate(fs[i].nums, i):
+            head[k] += scale * x
+    out = [UniPoly._normalised(head, 2 * den)]
+    levels, den = _eliminate(fs)
     # F_{b+1}[t^k] = sum_{j>=b} C(j, b) k^(j-b) A_j[t^k] are the coefficients
     # of sum_j A_j[t^k] (x + k)^j, summed by Horner in x + k.
     rows = [[0] * total for _ in range(total)]
@@ -153,7 +193,7 @@ def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
                 acc = [k * y + x for x, y in zip([c[k]] + acc, acc + [0])]
         for b, v in enumerate(acc):
             rows[b][k] = v
-    out.extend(UniPoly._normalised(row, den * scale) for row in rows)
+    out.extend(UniPoly._normalised(row, den) for row in rows)
     return tuple(out)
 
 
@@ -219,25 +259,24 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
 
     The coefficient of B_{2k-2l}/(2k-2l)! is the polynomial
 
-        p_l(k) = sum_{j=1}^{sum(m)+n-2l} a_{j,l} * 2^(j-1-sum(m)) * (k-l)^(j-1),
+        p_l(k) = 2^(-sum(m)) * sum_{b>=0} F_{b+1}[t^(2l)] * (2(k - l))^b,
 
-    where a_{j,l} = [t^(2l)] F_j is an even Taylor coefficient of entry j of
-    ``big_F``.  Each p_l is assembled on integers: the numerators of a_{j,l}
-    over the lcm of their F_j's denominators, shifted left by j - 1, over
-    lcm * 2^sum(m), then one integer shift of the variable by l.
+    with F_j the entries of ``big_F``.  Their Leibniz step gives
+    sum_b F_{b+1}[t^(2l)] y^b = sum_j A_j[t^(2l)] (y + 2l)^j for the rows A_j
+    of ``_eliminate``, and at y = 2(k - l) the shift cancels:
+
+        p_l(k) = 2^(-sum(m)) * sum_j A_j[t^(2l)] * 2^j * k^j.
+
+    So each p_l is read straight off the integer rows, over their one
+    denominator times 2^sum(m), with one normalisation.
     """
     mvec = _validated_mvec(mvec)
-    collapsed = big_F(mvec)
-    n, s = len(mvec), sum(mvec)
+    levels, den = _eliminate(f_prod(mvec))
+    den <<= sum(mvec)
     rhs = []
     for l in range(_depth(mvec) + 1):
-        row = collapsed[1 : s + n - 2 * l + 1]
-        lcm = math.lcm(*(F.den for F in row))
-        nums = [
-            (F.nums[2 * l] * (lcm // F.den) if 2 * l < len(F.nums) else 0) << (j - 1)
-            for j, F in enumerate(row, 1)
-        ]
-        rhs.append(UniPoly._normalised(nums, lcm << s).shift(l))
+        nums = [c[2 * l] << j if 2 * l < len(c) else 0 for j, c in enumerate(levels)]
+        rhs.append(UniPoly._normalised(nums, den))
     return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=tuple(rhs))
 
 

@@ -30,10 +30,11 @@ is stepped on integer numerators (f over 2, g scaled by r!), with one
 normalisation per new entry.
 Downstream modules consume only these triangles and their extreme
 coefficients; the transcendental functions themselves are never evaluated.
-The Bernoulli pipeline reads the forward triangle alone: ``big_F`` applies
-the same equation to the product of f rows directly.  The inverse triangle
-feeds the ``tables`` output, the tables suite and the tests' oracle of
-``big_F``.
+The Bernoulli pipeline reads the forward triangle alone: ``bernoulli_sums``
+applies the same equation to the product of f rows directly, and
+``bernoulli_identity`` reads its p_l off the eliminated rows.  The inverse
+triangle feeds the ``tables`` output, the tables suite and the tests'
+oracle of ``big_F``.
 """
 
 from __future__ import annotations

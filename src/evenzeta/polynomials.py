@@ -39,6 +39,13 @@ _MAX_EXPONENT = 64
 #: parser caps the total degree (see ``max_parse_degree``).
 _MAX_PARSE_TERMS = 1_000
 
+#: Most bits the parser lets the coefficients of one product or power, and of
+#: the whole weight, take: numerators and common denominator alike (see
+#: ``_coefficient_bits``).  It keeps every rendered coefficient of an
+#: admitted weight's identity below Python's 4,300-digit limit on int-to-str
+#: conversion.
+_MAX_COEFFICIENT_BITS = 8192
+
 #: Most parentheses the parser lets nest.  Each level recurses four frames
 #: deep, so this keeps the parser far from the interpreter's recursion limit.
 _MAX_NESTING = 64
@@ -234,16 +241,6 @@ class UniPoly:
             acc = acc * x.numerator + c * scale
             scale *= x.denominator
         return Fraction(acc * x.denominator, self.den * scale)
-
-    def shift(self, offset: int) -> "UniPoly":
-        """Return q with q(x) = p(x - offset), by repeated synthetic division."""
-        if not isinstance(offset, int):
-            raise TypeError(f"shift offset must be an int, got {type(offset).__name__}")
-        nums = list(self.nums)
-        for low in range(len(nums) - 1):
-            for j in range(len(nums) - 2, low - 1, -1):
-                nums[j] -= offset * nums[j + 1]
-        return UniPoly._normalised(nums, self.den)
 
     # -- protocol ----------------------------------------------------------
 
@@ -492,6 +489,31 @@ def _product(left: dict, right: dict) -> dict:
     return {key: c for key, c in out.items() if c}
 
 
+def _coefficient_bits(terms: dict) -> int:
+    """Bits that bound a factor's share of a product's coefficients.
+
+    Over its common denominator D a factor has integer numerators below
+    2^(bits of the largest numerator + bits of D), and a product of factors
+    sums at most the product of their term counts, so the numerators and the
+    denominator of every coefficient of the product have at most the sum of
+    this value over the factors in bits.
+    """
+    values = terms.values()
+    den = math.lcm(*(c.denominator for c in values))
+    top = max((abs(c.numerator).bit_length() for c in values), default=0)
+    return top + den.bit_length() + len(terms).bit_length()
+
+
+def _admit_bits(position: int, *factors: dict) -> None:
+    """Refuse a product of ``factors`` whose coefficients could pass the limit."""
+    bits = sum(map(_coefficient_bits, factors))
+    if bits > _MAX_COEFFICIENT_BITS:
+        raise ParseError(
+            f"coefficients of up to {bits} bits exceed the limit {_MAX_COEFFICIENT_BITS}",
+            position,
+        )
+
+
 class _Parser:
     """Recursive descent over the grammar
 
@@ -529,6 +551,9 @@ class _Parser:
         kind, value, position = self._next()
         if kind != "end":
             raise ParseError(f"unexpected {value!r}", position)
+        # A sum is not a product, but its terms' denominators can still
+        # multiply into one common denominator past the limit.
+        _admit_bits(self.tokens[0][2], terms)
         return MultiPoly(self.arity, terms)
 
     def _expr(self) -> dict:
@@ -543,7 +568,8 @@ class _Parser:
                 return {key: c for key, c in acc.items() if c}
 
     def _admit(self, position: int, *factors: dict) -> None:
-        """Refuse a product of ``factors`` whose total degree exceeds the limit."""
+        """Refuse a product of ``factors`` whose total degree or coefficient
+        bits exceed their limits."""
         degree = sum(max(map(sum, f), default=NEG_INFINITY) for f in factors)
         if degree > self.max_degree:
             raise ParseError(
@@ -551,6 +577,7 @@ class _Parser:
                 f"with arity {self.arity}",
                 position,
             )
+        _admit_bits(position, *factors)
 
     def _term(self) -> dict:
         terms = self._factor()
@@ -626,7 +653,10 @@ def parse_poly(text: str, arity: int) -> MultiPoly:
     the operators + - * ^, and parentheses.  Multiplication is always
     explicit.  Malformed input raises ``ParseError`` with the offset of the
     offending token.  So does a product or power whose total degree would
-    exceed ``max_parse_degree(arity)``; it is refused before it is expanded.
+    exceed ``max_parse_degree(arity)``, or whose coefficients could take
+    more than 8,192 bits; it is refused before it is expanded.  So is a
+    weight whose own coefficients, bounded the same way, could pass 8,192
+    bits, as a sum of terms with large coprime denominators can.
     So does a parenthesis nested more than 64 deep, before it is read.
     """
     return _Parser(text, arity).parse()

@@ -84,11 +84,29 @@ class TestFProd:
         assert len(f_prod((2, 0, 0, 0))) == 7
 
     @pytest.mark.parametrize(
-        "mvec", [(1, 2), (4, 1), (3, 0, 2), (2, 2, 1, 0), (24, 23), (17, 3, 4), (0, 24, 0)]
+        "mvec",
+        [
+            (1, 2), (4, 1), (3, 0, 2), (2, 2, 1, 0), (24, 23), (17, 3, 4), (0, 24, 0),
+            (16, 16, 14), (47, 0), (1, 46), (0,) * 49, (4,),
+        ],
     )
     def test_matches_plain_convolution(self, mvec):
-        # The integer-numerator product equals the UniPoly convolution of the
-        # table rows, entry by entry.
+        # The packed product equals the UniPoly convolution of the table rows,
+        # entry by entry.  (16, 16, 14) to (0,) * 49 reach table depth 48, the
+        # deepest the CLI admits: three long rows, the deepest row times the
+        # shortest, a short row times a long one, and 49 rows of two entries.
+        # Row 4 is packed in 2-byte digits, and its numerator 240 would not
+        # fit a signed digit one byte narrower.
+        assert f_prod(mvec) == tuple(f_product(mvec))
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_plain_convolution_on_random_tuples(self, data):
+        # Up to eight exponents at table depth sum(m) + n - 1 <= 48.
+        mvec = [data.draw(st.integers(0, 48))]
+        while len(mvec) < 8 and sum(mvec) + len(mvec) <= 48 and data.draw(st.booleans()):
+            mvec.append(data.draw(st.integers(0, 48 - sum(mvec) - len(mvec))))
+        assert sum(mvec) + len(mvec) - 1 <= 48
         assert f_prod(mvec) == tuple(f_product(mvec))
 
 

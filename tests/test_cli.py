@@ -103,6 +103,29 @@ class TestIdentityCommand:
         assert out == ""
         assert err.startswith("error:") and "nest deeper than the limit 64" in err
 
+    def test_weight_at_the_coefficient_limit(self, capsys):
+        # The largest coefficient the parser admits, at the deepest table:
+        # the identity renders, reads back and checks against its left side.
+        poly = f"({2**125 + 3})^64*x1^48"
+        code, out, _ = run(
+            capsys, "identity", "--kind", "zeta", "--n", "1", "--poly", poly, "--format", "json"
+        )
+        assert code == 0
+        identity = from_json(out)
+        assert to_json(identity) == out.rstrip("\n")
+        for k in (1, 2, 49):
+            assert documents.verify_identity(identity, k).ok
+
+    def test_coefficient_past_the_limit_is_a_parse_error(self, capsys):
+        # 2^16384 was once built, and then its digits overflowed Python's
+        # int-to-str limit, in a message that named no argument.
+        code, out, err = run(
+            capsys, "identity", "--kind", "zeta", "--n", "1", "--poly", "((2^64)^64)^4"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: poly") and "exceed the limit 8192 (at position 12)" in err
+
     def test_exactly_one_weight_flag(self, capsys):
         code, _, err = run(capsys, "identity", "--kind", "zeta", "--n", "2")
         assert code == 2

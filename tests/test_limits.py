@@ -52,6 +52,12 @@ LIMITS = (
         "test_polynomials.py::TestParser::test_nesting_at_the_limit",
     ),
     (
+        "polynomials._MAX_COEFFICIENT_BITS",
+        polynomials._MAX_COEFFICIENT_BITS,
+        8192,
+        "test_cli.py::TestIdentityCommand::test_weight_at_the_coefficient_limit",
+    ),
+    (
         "quasi_shuffle._MAX_SYMMETRIC_DEPTH",
         quasi_shuffle._MAX_SYMMETRIC_DEPTH,
         8,

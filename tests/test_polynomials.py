@@ -53,15 +53,6 @@ class TestUniPolyBasics:
         assert p.derivative() == 4 * X**3 + 3
         assert UniPoly.constant(7).derivative().is_zero()
 
-    def test_shift(self):
-        # shift(a) sends p(x) to p(x - a).
-        p = X**2
-        assert p.shift(1) == X**2 - 2 * X + 1
-        assert p.shift(0) == p
-        q = 3 * X**3 - X + 5
-        for point in range(-3, 4):
-            assert q.shift(2)(point) == q(point - 2)
-
     def test_float_coefficients_rejected(self):
         with pytest.raises(TypeError):
             UniPoly([0.5])
@@ -125,15 +116,6 @@ def ref_mul(a, b):
     return trimmed(out)
 
 
-def ref_shift(a, offset):
-    # p(x - offset) = sum_i a_i sum_j C(i, j) x^j (-offset)^(i - j)
-    out = [Fraction(0)] * len(a)
-    for i, x in enumerate(a):
-        for j in range(i + 1):
-            out[j] += x * math.comb(i, j) * (-offset) ** (i - j)
-    return trimmed(out)
-
-
 def ref_eval(a, point):
     return sum((x * point**i for i, x in enumerate(a)), Fraction(0))
 
@@ -189,10 +171,6 @@ class TestIntegerRepresentation:
         total = UniPoly.dot([(UniPoly.zero(), X), (X + 1, UniPoly.zero())])
         assert (total.nums, total.den) == ((), 1)
 
-    def test_shift_takes_an_int(self):
-        with pytest.raises(TypeError):
-            X.shift(Fraction(1, 2))
-
     @given(coeff_lists, coeff_lists)
     def test_add_and_mul_match_oracle(self, a, b):
         p, q = UniPoly(a), UniPoly(b)
@@ -214,11 +192,9 @@ class TestIntegerRepresentation:
         if scale:
             assert_matches(UniPoly(a) / scale, [x / scale for x in a])
 
-    @given(coeff_lists, st.integers(-4, 4))
-    def test_shift_and_derivative_match_oracle(self, a, offset):
-        p = UniPoly(a)
-        assert_matches(p.shift(offset), ref_shift(a, offset))
-        assert_matches(p.derivative(), [i * x for i, x in enumerate(a)][1:])
+    @given(coeff_lists)
+    def test_derivative_matches_oracle(self, a):
+        assert_matches(UniPoly(a).derivative(), [i * x for i, x in enumerate(a)][1:])
 
     @given(coeff_lists, coeffs)
     def test_call_matches_oracle(self, a, point):
@@ -413,6 +389,36 @@ class TestParser:
         with pytest.raises(ParseError, match="nest deeper") as info:
             parse_poly("2*(" * (limit + 1) + "x1" + ")" * (limit + 1), 1)
         assert info.value.position == 3 * limit + 2
+
+    def test_coefficient_bits_at_the_limit(self, monkeypatch):
+        # A 126-bit constant counts 126 + 1 (its denominator 1) + 1 (one
+        # term) bits per factor, so its 64th power sits at the limit of
+        # 8,192; one bit more is refused at the exponent, before expanding.
+        limit = polynomials._MAX_COEFFICIENT_BITS
+        assert limit == 64 * 128
+        base = 2**125 + 3
+        assert parse_poly(f"({base})^64*x1^48", 1) == MultiPoly(1, {(48,): base**64})
+        monkeypatch.setattr(polynomials, "_product", lambda left, right: pytest.fail("expanded"))
+        text = f"({2 * base})^64"
+        with pytest.raises(ParseError, match="8256 bits exceed the limit 8192") as info:
+            parse_poly(text, 1)
+        assert info.value.position == text.rindex("64")
+
+    @pytest.mark.parametrize(
+        "text, position",
+        [
+            # The third power of the tower would have 2^(64^3) as coefficient.
+            ("(((((2)^64)^64)^64)^64)^64", 16),
+            ("((2^64)^64)^4", 12),
+            ("(2^64)^64*(2^64)^64", 9),
+            # Two terms whose denominators multiply past the limit.
+            (f"({3**39}/{7**22})^64*x1 + ({3**39}/{11**18})^64*x1^2", 0),
+        ],
+    )
+    def test_coefficient_bits_past_the_limit(self, text, position):
+        with pytest.raises(ParseError, match="exceed the limit 8192") as info:
+            parse_poly(text, 1)
+        assert info.value.position == position
 
     def test_nesting_counts_open_parentheses_only(self):
         # Parentheses side by side do not add up towards the limit.

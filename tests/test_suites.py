@@ -114,28 +114,30 @@ class TestIndividualSuites:
         assert first.ok and second.ok
 
     def test_k_weighted_relation_catches_a_table_fault(self, monkeypatch):
-        # Perturb one even coefficient of F_2 in big_F for every tuple of
-        # length >= 2 and weight 2.  With max_k = 1 every per-k check of those
-        # tuples is skipped (k < n), so only the k-weighted relation can see
-        # the fault: it compares identities of weights 1 and 2 with those of
+        # Perturb the constant (even) coefficient of entry 1 of f_prod, which
+        # bernoulli_identity collapses, for every tuple of length >= 2 and
+        # weight 2.  With max_k = 1 every per-k check of those tuples is
+        # skipped (k < n), so only the k-weighted relation can see the
+        # fault: it compares identities of weights 1 and 2 with those of
         # weights 2 and 3.
-        original = bernoulli_sums.big_F
+        original = bernoulli_sums.f_prod
 
         def perturbed(mvec):
-            collapsed = list(original(mvec))
+            product = list(original(mvec))
             if len(mvec) >= 2 and sum(mvec) == 2:
-                collapsed[2] = collapsed[2] + Fraction(1, 7)
-            return tuple(collapsed)
+                product[1] = product[1] + Fraction(1, 7)
+            return tuple(product)
 
+        # The monomial identities are the only cache above f_prod; the
+        # f_table rows below it are left unperturbed.
         zeta_identities._monomial_identity.cache_clear()
         try:
             with monkeypatch.context() as patch:
                 for name, module in list(sys.modules.items()):
-                    if name.startswith("evenzeta") and vars(module).get("big_F") is original:
-                        patch.setattr(module, "big_F", perturbed)
+                    if name.startswith("evenzeta") and vars(module).get("f_prod") is original:
+                        patch.setattr(module, "f_prod", perturbed)
                 report = zeta_suite(max_n=3, max_k=1)
         finally:
             zeta_identities._monomial_identity.cache_clear()
-        # n = 2: 2 tuples of weight 1 and 3 of weight 2; n = 3: 3 and 6.
         assert report.failed == 14
         assert report.first_failure.label.startswith("k-weighted relation")
