@@ -31,7 +31,7 @@ from typing import Callable, ClassVar, Sequence
 from .derivative_tables import f_table, g_table  # noqa: F401
 from .polynomials import UniPoly
 from .rationals import bernoulli
-from .series import composition_sum
+from .series import _composition_sums
 
 __all__ = [
     "BernoulliIdentity",
@@ -289,9 +289,14 @@ def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:
     sinc product: it shares no code with the tables or the Bernoulli
     recurrence.
     """
+    return _bernoulli_lhs_grid(mvec, (k,))[0]
+
+
+def _bernoulli_lhs_grid(mvec: Sequence[int], ks: Sequence[int]) -> list[Fraction]:
+    """``bernoulli_lhs`` at each k of ``ks``, read off one product series."""
     mvec = _validated_mvec(mvec)
     n = len(mvec)
-    if k < n:
-        raise ValueError(f"need k >= n = {n}, got {k}")
-    return (-1) ** (k + n) * Fraction(2**n, 4**k) * composition_sum(mvec, k)
-
+    if min(ks, default=n) < n:
+        raise ValueError(f"need k >= n = {n}, got {min(ks)}")
+    nums, den = _composition_sums(mvec, ks)
+    return [Fraction((-num if (k + n) % 2 else num) << n, den << 2 * k) for k, num in zip(ks, nums)]

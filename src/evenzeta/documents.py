@@ -1,6 +1,6 @@
 """Loss-free JSON documents and text/LaTeX rendering for generated identities,
 and the table of identity kinds (``_KINDS``) with its one weight check and
-its one checker, ``verify_identity``.
+its one checker: ``verify_identity``, the grid core ``_sides`` at one k.
 
 The JSON layout (schema 1) is flat and fully exact: every polynomial
 coefficient is a "numerator/denominator" string, terms are listed by the
@@ -20,14 +20,14 @@ from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
-from .bernoulli_sums import BernoulliIdentity, _validated_mvec, bernoulli_identity, bernoulli_lhs
+from .bernoulli_sums import BernoulliIdentity, _bernoulli_lhs_grid, _validated_mvec, bernoulli_identity
 from .checks import CheckResult
-from .mzv_identities import mzsv_identity, mzv_identity, mzv_lhs_exact
+from .mzv_identities import _mzv_lhs_grid, mzsv_identity, mzv_identity
 from .polynomials import MultiPoly, ParseError, UniPoly, parse_poly
 from .zeta_identities import (
     WeightedSumIdentity,
+    _zeta_lhs_grid,
     eval_identity_rhs,
-    eval_zeta_lhs,
     zeta_identity_monomial,
     zeta_identity_poly,
 )
@@ -67,14 +67,14 @@ _TOOL = f"evenzeta {__version__}"
 @dataclass(frozen=True)
 class _Kind:
     """One identity kind.  A builder is None when the kind does not take
-    that weight form; ``lhs``, the left side of a weight at n and k from
-    code no builder uses, takes the poly form if the kind has one.  ``rhs``
-    is an identity's collapsed side at k.  Each basis pair is (l = 0,
-    l > 0), the second a template formatted with j = 2l."""
+    that weight form; ``lhs``, the left sides of a weight at n and each k of
+    a sequence from code no builder uses, takes the poly form if the kind
+    has one.  ``rhs`` is an identity's collapsed side at k.  Each basis pair
+    is (l = 0, l > 0), the second a template formatted with j = 2l."""
 
     section: int
     lhs_text: str
-    lhs: Callable[[_Weight, int, int], Fraction]
+    lhs: Callable[[_Weight, int, Sequence[int]], list[Fraction]]
     rhs: Callable[[_Identity, int], Fraction] = lambda identity, k: eval_identity_rhs(identity, k)
     monomial: Callable[[tuple[int, ...]], _Identity] | None = None
     poly: Callable[[MultiPoly, int], _Identity] | None = None
@@ -93,7 +93,7 @@ _KINDS: dict[str, _Kind] = {
     "bernoulli": _Kind(
         section=2,
         lhs_text="k1^m1*...*kn^mn * B(2k1)/(2k1)! * ... * B(2kn)/(2kn)!",
-        lhs=lambda mvec, n, k: bernoulli_lhs(mvec, k),
+        lhs=lambda mvec, n, ks: _bernoulli_lhs_grid(mvec, ks),
         rhs=lambda identity, k: identity.rhs_value(k),
         monomial=lambda mvec: bernoulli_identity(mvec),
         basis_text=("B(2k)/(2k)!", "B(2k-{j})/(2k-{j})!"),
@@ -102,21 +102,21 @@ _KINDS: dict[str, _Kind] = {
     "zeta": _Kind(
         section=3,
         lhs_text="F(k1,...,kn) * zeta(2k1)*...*zeta(2kn)",
-        lhs=lambda F, n, k: eval_zeta_lhs(F, n, k),
+        lhs=lambda F, n, ks: _zeta_lhs_grid(F, n, ks),
         monomial=lambda mvec: zeta_identity_monomial(mvec),
         poly=lambda weight, n: zeta_identity_poly(weight, n),
     ),
     "mzv": _Kind(
         section=4,
         lhs_text="F(k1,...,kn) * zeta(2k1, ..., 2kn)",
-        lhs=lambda F, n, k: mzv_lhs_exact(F, n, k),
+        lhs=lambda F, n, ks: _mzv_lhs_grid(F, n, ks),
         poly=lambda weight, n: mzv_identity(weight, n),
         symmetric=True,
     ),
     "mzsv": _Kind(
         section=4,
         lhs_text="F(k1,...,kn) * zetastar(2k1, ..., 2kn)",
-        lhs=lambda F, n, k: mzv_lhs_exact(F, n, k, star=True),
+        lhs=lambda F, n, ks: _mzv_lhs_grid(F, n, ks, star=True),
         poly=lambda weight, n: mzsv_identity(weight, n),
         symmetric=True,
     ),
@@ -188,15 +188,20 @@ def _weight_text(weight: _Weight, n: int) -> str:
     return f"m={weight}" if isinstance(weight, tuple) else f"F={weight.render()} n={n}"
 
 
+def _sides(identity: _Identity, ks: Sequence[int]) -> list[tuple[int, Fraction, Fraction]]:
+    """(k, left, right) at each k of ``ks``: the independent left side of the
+    identity's own weight, all k in one pass, and its collapsed side."""
+    record = _KINDS[identity.kind]
+    lefts = record.lhs(_weight(identity), identity.n, ks)
+    return [(k, left, record.rhs(identity, k)) for k, left in zip(ks, lefts)]
+
+
 def verify_identity(identity: _Identity, k: int) -> CheckResult:
     """Compare the independent left side of the identity's own weight with
-    its collapsed side at one k.  Both are exact: coefficients of pi^(2k),
-    or for the Bernoulli kind the values themselves."""
-    record = _KINDS[identity.kind]
-    weight = _weight(identity)
-    left = record.lhs(weight, identity.n, k)
-    right = record.rhs(identity, k)
-    label = f"{identity.kind} weighted sum {_weight_text(weight, identity.n)} k={k}"
+    its collapsed side at one k (``_sides`` at (k,)).  Both are exact:
+    coefficients of pi^(2k), or for the Bernoulli kind the values themselves."""
+    ((k, left, right),) = _sides(identity, (k,))
+    label = f"{identity.kind} weighted sum {_weight_text(_weight(identity), identity.n)} k={k}"
     return CheckResult(ok=left == right, label=label, lhs=str(left), rhs=str(right))
 
 

@@ -54,7 +54,7 @@ from typing import Sequence
 from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
 from .rationals import GrowableTable
-from .series import symmetric_sum
+from .series import _combine, _symmetric_sums
 from .zeta_identities import WeightedSumIdentity, _combined_identity
 
 __all__ = [
@@ -204,17 +204,20 @@ def mzv_lhs_exact(F: MultiPoly, n: int, k: int, star: bool = False) -> Fraction:
     ``series.symmetric_sum``, which never touches the identity pipeline, so
     this serves as an independent cross-check of it.
     """
+    return _mzv_lhs_grid(F, n, (k,), star)[0]
+
+
+def _mzv_lhs_grid(F: MultiPoly, n: int, ks: Sequence[int], star: bool = False) -> list[Fraction]:
+    """``mzv_lhs_exact`` at each k of ``ks``: F checked and split into c_mu once."""
     if F.arity != n:
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
     if not F.is_symmetric():
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
-    if k < n:
-        raise ValueError(f"need k >= n = {n}, got {k}")
-    total = Fraction(0)
-    for expts, c in F.nums.items():
-        if all(a >= b for a, b in zip(expts, expts[1:])):
-            total += c * symmetric_sum([e for e in expts if e], n, k, star)
-    return total / F.den
+    if min(ks, default=n) < n:
+        raise ValueError(f"need k >= n = {n}, got {min(ks)}")
+    ordered = ((e, c) for e, c in F.nums.items() if all(a >= b for a, b in zip(e, e[1:])))
+    parts = ((c, _symmetric_sums([p for p in e if p], n, ks, star)) for e, c in ordered)
+    return _combine(parts, len(ks), F.den)
 
 
 def _to_decimal(value: Fraction) -> Decimal:

@@ -580,7 +580,9 @@ class _Parser:
         _admit_bits(position, *factors)
 
     def _term(self) -> dict:
-        terms = self._factor()
+        position, terms = self.tokens[self.pos][2], self._factor()
+        if self.tokens[self.pos][0] != "*":  # a lone factor: no product admits it
+            self._admit(position, terms)
         while star := self._accept("*"):
             rhs = self._factor()
             self._admit(star[2], terms, rhs)
@@ -652,9 +654,9 @@ def parse_poly(text: str, arity: int) -> MultiPoly:
     Accepted syntax: integer and a/b rational literals, variables x1..xn,
     the operators + - * ^, and parentheses.  Multiplication is always
     explicit.  Malformed input raises ``ParseError`` with the offset of the
-    offending token.  So does a product or power whose total degree would
-    exceed ``max_parse_degree(arity)``, or whose coefficients could take
-    more than 8,192 bits; it is refused before it is expanded.  So is a
+    offending token.  So does a term, product or power whose total degree
+    would exceed ``max_parse_degree(arity)``, or whose coefficients could
+    take more than 8,192 bits; it is refused before it is expanded.  So is a
     weight whose own coefficients, bounded the same way, could pass 8,192
     bits, as a sum of terms with large coprime denominators can.
     So does a parenthesis nested more than 64 deep, before it is read.

@@ -30,8 +30,8 @@ from factorials alone, and every composition sum is read off a product.
   m_mu(k_1, ..., k_n) zeta(2k_1, ..., 2k_n) (zeta* for h_n) times the
   product of the factorials of the multiplicities of mu's parts.
 
-Every series is built to max(k, 16) and cached on that horizon, so the k of
-a verification grid are lookups into one product.
+Every series is built to the largest k asked for, at least 16, and cached
+on that horizon, so a verification grid reads all its k off one series.
 """
 
 from __future__ import annotations
@@ -90,9 +90,6 @@ class Series:
     @property
     def horizon(self) -> int:
         return len(self.nums) - 1
-
-    def coefficient(self, k: int, mask: int = 0) -> Fraction:
-        return Fraction(self.nums[k][mask], self.den)
 
     def __neg__(self) -> "Series":
         return Series(([-x for x in row] for row in self.nums), self.den)
@@ -162,15 +159,33 @@ def _product(mvec: tuple[int, ...], horizon: int) -> Series:
     return factor if len(mvec) == 1 else _product(mvec[:-1], horizon) * factor
 
 
-def composition_sum(mvec: Sequence[int], k: int) -> Fraction:
-    """sum over k_1 + ... + k_n = k, k_j >= 1, of k_1^{m_1} ... k_n^{m_n}
-    c_{k_1} ... c_{k_n}, with c_a = zeta(2a)/pi^(2a)."""
+def _composition_sums(mvec: Sequence[int], ks: Sequence[int]) -> tuple[list[int], int]:
+    """``composition_sum`` at each k of ``ks``: numerators over one denominator."""
     mvec = tuple(sorted(operator.index(m) for m in mvec))
     if not mvec or mvec[0] < 0:
         raise ValueError(f"need at least one exponent, all >= 0, got {mvec}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    return _product(mvec, max(k, MIN_HORIZON)).coefficient(k)
+    if min(ks, default=0) < 0:
+        raise ValueError(f"need k >= 0, got {min(ks)}")
+    product = _product(mvec, max((MIN_HORIZON, *ks)))
+    return [product.nums[k][0] for k in ks], product.den
+
+
+def _combine(parts: Iterable[tuple[int, tuple[list[int], int]]], size: int, divisor: int) -> list:
+    """The sums over ``parts`` (c, (nums, den)) of c * nums[i] / den / divisor
+    for i < size, on integers over a running lcm: one ``Fraction`` each."""
+    totals, den = [0] * size, 1
+    for c, (nums, bottom) in parts:
+        common = math.gcd(den, bottom)
+        totals = [t * (bottom // common) + c * x * (den // common) for t, x in zip(totals, nums)]
+        den *= bottom // common
+    return [Fraction(t, den * divisor) for t in totals]
+
+
+def composition_sum(mvec: Sequence[int], k: int) -> Fraction:
+    """sum over k_1 + ... + k_n = k, k_j >= 1, of k_1^{m_1} ... k_n^{m_n}
+    c_{k_1} ... c_{k_n}, with c_a = zeta(2a)/pi^(2a)."""
+    (num,), den = _composition_sums(mvec, (k,))
+    return Fraction(num, den)
 
 
 @lru_cache(maxsize=_POWER_CACHE_SIZE)
@@ -205,6 +220,21 @@ def _symmetric(mu: tuple[int, ...], n: int, star: bool, horizon: int) -> Series:
     return Series.dot(pairs, divisor=n)
 
 
+def _symmetric_sums(mu: Sequence[int], n: int, ks: Sequence[int], star: bool) -> tuple[list, int]:
+    """``symmetric_sum`` at each k of ``ks``: numerators over one denominator."""
+    mu = tuple(sorted((operator.index(p) for p in mu), reverse=True))
+    if mu and mu[-1] < 1:
+        raise ValueError(f"parts must be positive, got {mu}")
+    if n < 1 or len(mu) > n:
+        raise ValueError(f"need n >= 1 and at most n parts, got n = {n}, mu = {mu}")
+    if min(ks, default=0) < 0:
+        raise ValueError(f"need k >= 0, got {min(ks)}")
+    series = _symmetric(mu, n, star, max((MIN_HORIZON, *ks)))
+    mask = (1 << len(mu)) - 1
+    multiplicities = math.prod(math.factorial(c) for c in Counter(mu).values())
+    return [series.nums[k][mask] for k in ks], series.den * multiplicities
+
+
 def symmetric_sum(mu: Sequence[int], n: int, k: int, star: bool = False) -> Fraction:
     """sum over k_1 + ... + k_n = k, k_j >= 1, of m_mu(k_1, ..., k_n) times
     zeta(2k_1, ..., 2k_n)/pi^(2k), or zeta*(...)/pi^(2k) when ``star``.
@@ -213,12 +243,5 @@ def symmetric_sum(mu: Sequence[int], n: int, k: int, star: bool = False) -> Frac
     m_mu, the sum of the distinct monomials whose exponents permute
     (mu, 0, ..., 0); it needs len(mu) <= n.
     """
-    mu = tuple(sorted((operator.index(p) for p in mu), reverse=True))
-    if mu and mu[-1] < 1:
-        raise ValueError(f"parts must be positive, got {mu}")
-    if n < 1 or len(mu) > n:
-        raise ValueError(f"need n >= 1 and at most n parts, got n = {n}, mu = {mu}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    value = _symmetric(mu, n, star, max(k, MIN_HORIZON)).coefficient(k, (1 << len(mu)) - 1)
-    return value / math.prod(math.factorial(c) for c in Counter(mu).values())
+    (num,), den = _symmetric_sums(mu, n, (k,), star)
+    return Fraction(num, den)

@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 from .bernoulli_sums import _collapsed_sum, _depth, _validated_mvec, bernoulli_identity
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli
-from .series import composition_sum
+from .series import _combine, _composition_sums
 
 __all__ = [
     "WeightedSumIdentity",
@@ -170,14 +170,16 @@ def eval_zeta_lhs(F: MultiPoly, n: int, k: int) -> Fraction:
     zeta values from the sinc product rather than ``zeta_even``.  No
     symmetry is required.
     """
+    return _zeta_lhs_grid(F, n, (k,))[0]
+
+
+def _zeta_lhs_grid(F: MultiPoly, n: int, ks: Sequence[int]) -> list[Fraction]:
+    """``eval_zeta_lhs`` at each k of ``ks``, summed on integers."""
     if F.arity != n:
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
-    if k < n:
-        raise ValueError(f"need k >= n = {n}, got {k}")
-    total = sum(
-        (c * composition_sum(expts, k) for expts, c in F.nums.items()), Fraction(0)
-    )
-    return total / F.den
+    if min(ks, default=n) < n:
+        raise ValueError(f"need k >= n = {n}, got {min(ks)}")
+    return _combine(((c, _composition_sums(e, ks)) for e, c in F.nums.items()), len(ks), F.den)
 
 
 def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> Fraction:

@@ -1,9 +1,11 @@
 """Byte identity of CLI output.
 
 Each argv below is pinned to the sha256 of its stdout, so any change to a
-rendered or serialised identity, to the derivative tables or to the gallery
-report shows up here.  The digests were recorded before polynomials moved to
-integer numerators over one denominator, and a refactor must keep them.
+rendered or serialised identity, to the derivative tables, to the gallery
+report or to the counts of the verification suites shows up here.  The
+identity digests were recorded before polynomials moved to integer
+numerators over one denominator, the ``verify`` digests before the suites
+checked each identity's k-grid in one pass, and a refactor must keep them.
 """
 
 import hashlib
@@ -74,6 +76,15 @@ GOLDEN = [
     (("examples", "--section", "2"), "e7e6ed26c0241ad81e524ff8a98b7a0048f003ad6e054612af43dfe15eb40d33"),
     (("examples", "--section", "3"), "ee0646545c3915ce5e0ec8c9ef74c90d2d378b3b870708868805b6b538f38236"),
     (("examples", "--section", "4"), "a4a78d3fa8322bfa1487810923d57959c3cb3958e1ceb0c1065b19e59f4111cd"),
+    (("verify", "--suite", "all"), "e17f63fdbc0a28e93916313885c31e2950ff3cbd80eb9da403afca5f2bc0cf86"),
+    (
+        ("verify", "--suite", "all", "--format", "json"),
+        "050e0475bb2bd8d25e308300fe98208076d81ce8fdd9358789ab991c64a43ff1",
+    ),
+    (
+        ("verify", "--suite", "all", "--max-n", "5", "--max-k", "16", "--format", "json"),
+        "4a19bbe0b839bbce29a974129027ad2e45d1f68e4f87e3634136d900b5663b62",
+    ),
 ]
 
 

@@ -362,6 +362,14 @@ class TestParser:
         with pytest.raises(ParseError, match="total degree 1 exceeds"):
             parse_poly("2*x1", 1000)
 
+    @pytest.mark.parametrize("text, position", [("x1", 0), ("x1+x2", 0), ("3 - x2", 4)])
+    def test_a_lone_variable_is_held_to_the_limit(self, text, position):
+        # A term of one variable is no product or power; at arity 1000 it
+        # was admitted at degree 1, past the limit 0.
+        with pytest.raises(ParseError, match="total degree 1 exceeds the limit 0 with arity 1000") as info:
+            parse_poly(text, 1000)
+        assert info.value.position == position
+
     @pytest.mark.parametrize("text, arity, position", [("٣*x1", 2, 0), ("x١", 2, 0), ("x1^²", 1, 3)])
     def test_only_ascii_digits(self, text, arity, position):
         with pytest.raises(ParseError) as info:

@@ -6,6 +6,7 @@ the kernel imports none of the code it is compared with.
 """
 
 import ast
+import functools
 import itertools
 import math
 import pathlib
@@ -26,8 +27,11 @@ from evenzeta import (
     series,
     zeta_even,
 )
+from evenzeta.bernoulli_sums import _bernoulli_lhs_grid
+from evenzeta.mzv_identities import _mzv_lhs_grid
 from evenzeta.series import Series, composition_sum, symmetric_sum, zeta_over_pi
 from evenzeta.suites import _exponent_tuples as exponent_tuples
+from evenzeta.zeta_identities import _zeta_lhs_grid
 
 SERIES_PATH = pathlib.Path(series.__file__)
 
@@ -40,6 +44,57 @@ PIPELINE_MODULES = {
     "mzv_identities",
     "zeta_identities",
 }
+
+
+#: What the left-side grids must never reach: the collapsed-side sum, the
+#: derivative tables and their product, and the Bernoulli recurrence.
+PIPELINE_DEFINITIONS = {
+    ("bernoulli_sums", "_collapsed_sum"),
+    ("bernoulli_sums", "f_prod"),
+    ("rationals", "bernoulli"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _definitions(module):
+    """The top-level definitions of an evenzeta module by name, and the
+    names it imports from sibling modules as (module, name)."""
+    tree = ast.parse((SERIES_PATH.parent / f"{module}.py").read_text(encoding="utf-8"))
+    defined, imported = {}, {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+        elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+            for alias in node.names:
+                imported[alias.asname or alias.name] = (node.module, alias.name)
+    return defined, imported
+
+
+def reachable(module, name):
+    """Every (module, name) of evenzeta that the definition of ``name``
+    reaches through the names its code loads, transitively: definitions of
+    its own module and names imported from a sibling module."""
+    seen, stack = set(), [(module, name)]
+    while stack:
+        key = stack.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        defined, imported = _definitions(key[0])
+        node = defined.get(key[1])
+        if node is None:
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                if sub.id in defined:
+                    stack.append((key[0], sub.id))
+                elif sub.id in imported:
+                    stack.append(imported[sub.id])
+    return seen
 
 
 def monomial_symmetric(mu, n):
@@ -61,6 +116,28 @@ class TestIndependence:
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     assert alias.name.split(".")[-1] not in PIPELINE_MODULES | {"rationals"}
+
+    @pytest.mark.parametrize(
+        "module, helper",
+        [
+            ("bernoulli_sums", "_bernoulli_lhs_grid"),
+            ("zeta_identities", "_zeta_lhs_grid"),
+            ("mzv_identities", "_mzv_lhs_grid"),
+        ],
+    )
+    def test_left_side_grids_reach_nothing_of_the_pipeline(self, module, helper):
+        reached = reachable(module, helper)
+        assert ("series", "_product") in reached or ("series", "_symmetric") in reached
+        assert not reached & PIPELINE_DEFINITIONS
+        assert not {m for m, _ in reached} & {"derivative_tables", "enumeration"}
+
+    def test_the_reach_sees_the_pipeline(self):
+        # The walk itself is not blind: the collapsed side reaches its sum,
+        # and the Bernoulli identity the tables and their product.
+        assert ("bernoulli_sums", "_collapsed_sum") in reachable("zeta_identities", "eval_identity_rhs")
+        reached = reachable("bernoulli_sums", "bernoulli_identity")
+        assert ("bernoulli_sums", "f_prod") in reached
+        assert ("derivative_tables", "f_table") in reached
 
     def test_zeta_values_match_the_bernoulli_table(self):
         for j in range(25):
@@ -104,7 +181,8 @@ class TestSeries:
 
     def test_dot_divides(self):
         a = Series([(1,), (1,)])
-        assert Series.dot([(a, a)], divisor=4).coefficient(1) == Fraction(1, 2)
+        product = Series.dot([(a, a)], divisor=4)
+        assert Fraction(product.nums[1][0], product.den) == Fraction(1, 2)
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -198,3 +276,54 @@ class TestAgainstBruteForce:
         star = data.draw(st.booleans(), label="star")
         assert mzv_lhs_exact(F, n, k, star=star) == brute_force.mzv_lhs(F, n, k, star=star)
         assert eval_zeta_lhs(F, n, k) == brute_force.zeta_lhs(F, n, k)
+
+
+def _weights(data, n, kind):
+    """A weight of ``kind`` at depth n with degree <= 3: exponents for the
+    Bernoulli kind, small integer combinations of monomials over a small
+    denominator for zeta, and of monomial symmetric functions for mzv and
+    mzsv."""
+    if kind == "bernoulli":
+        return data.draw(st.sampled_from(list(exponent_tuples(n, 3))), label="mvec")
+    if kind == "zeta":
+        monomials = st.sampled_from(list(exponent_tuples(n, 3)))
+        terms = data.draw(st.dictionaries(monomials, st.integers(-3, 3), max_size=4), label="terms")
+        den = data.draw(st.integers(1, 5), label="den")
+        return MultiPoly(n, {e: Fraction(c, den) for e, c in terms.items()})
+    shapes = [mu for mu in [(), (1,), (2,), (3,), (1, 1), (2, 1), (1, 1, 1)] if len(mu) <= n]
+    coeffs = data.draw(st.dictionaries(st.sampled_from(shapes), st.integers(-3, 3)), label="coeffs")
+    terms = {}
+    for mu, coeff in coeffs.items():
+        terms = brute_force.poly_add(terms, brute_force.poly_scale(monomial_symmetric(mu, n).terms, coeff))
+    return MultiPoly(n, terms)
+
+
+class TestGridOracles:
+    """Each left-side grid reads every k of a sequence off one series; at
+    each k it must agree with the one-k oracle, which builds its series to
+    its own horizon."""
+
+    @settings(deadline=None, max_examples=60, derandomize=True)
+    @given(st.data())
+    def test_grid_matches_the_one_k_oracle(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        kind = data.draw(st.sampled_from(["bernoulli", "zeta", "mzv", "mzsv"]), label="kind")
+        weight = _weights(data, n, kind)
+        ks = data.draw(st.lists(st.integers(n, 20), min_size=1, max_size=6), label="ks")
+        if kind == "bernoulli":
+            assert _bernoulli_lhs_grid(weight, ks) == [bernoulli_lhs(weight, k) for k in ks]
+        elif kind == "zeta":
+            assert _zeta_lhs_grid(weight, n, ks) == [eval_zeta_lhs(weight, n, k) for k in ks]
+        else:
+            star = kind == "mzsv"
+            expected = [mzv_lhs_exact(weight, n, k, star=star) for k in ks]
+            assert _mzv_lhs_grid(weight, n, ks, star) == expected
+
+    def test_a_k_below_n_is_refused_by_every_grid(self):
+        F = parse_poly("x1 + x2 + x3", 3)
+        with pytest.raises(ValueError, match="need k >= n = 3, got 2"):
+            _bernoulli_lhs_grid((1, 0, 0), [5, 2])
+        with pytest.raises(ValueError, match="need k >= n = 3, got 2"):
+            _zeta_lhs_grid(F, 3, [5, 2])
+        with pytest.raises(ValueError, match="need k >= n = 3, got 2"):
+            _mzv_lhs_grid(F, 3, [5, 2])

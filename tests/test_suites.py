@@ -1,5 +1,6 @@
 """Verification suite runner and report bookkeeping."""
 
+import dataclasses
 import sys
 from fractions import Fraction
 
@@ -9,8 +10,13 @@ from evenzeta import (
     CheckResult,
     SUITE_NAMES,
     SuiteReport,
+    bernoulli_suite,
     bernoulli_sums,
+    mzv_suite,
+    parse_poly,
     run_suites,
+    suites,
+    verify_identity,
     words_suite,
     zeta_identities,
     zeta_suite,
@@ -141,3 +147,76 @@ class TestIndividualSuites:
             zeta_identities._monomial_identity.cache_clear()
         assert report.failed == 14
         assert report.first_failure.label.startswith("k-weighted relation")
+
+
+class TestGridFailures:
+    """A suite renders a failing k only, by ``verify_identity``: one
+    identity's constant term is shifted by 1/7, so its collapsed side is
+    wrong at every k, and the report must count each and hold exactly what
+    ``verify_identity`` says of the shifted identity at k = n."""
+
+    MAX_N, MAX_K = 3, 6
+
+    @staticmethod
+    def _shifted(identity, field):
+        polys = getattr(identity, field)
+        return dataclasses.replace(identity, **{field: (polys[0] + Fraction(1, 7), *polys[1:])})
+
+    def _run(self, monkeypatch, builder, field, target, run):
+        original = getattr(suites, builder)
+        shifted = []
+
+        def wrapper(*args):
+            identity = original(*args)
+            if args == target:
+                shifted.append(self._shifted(identity, field))
+                return shifted[-1]
+            return identity
+
+        zeta_identities._monomial_identity.cache_clear()
+        try:
+            with monkeypatch.context() as patch:
+                patch.setattr(suites, builder, wrapper)
+                report = run(self.MAX_N, self.MAX_K)
+        finally:
+            zeta_identities._monomial_identity.cache_clear()
+        (identity,) = shifted
+        return report, identity
+
+    @staticmethod
+    def _assert_rendered_as_verify_identity(failure, identity):
+        expected = verify_identity(identity, identity.n)
+        assert not expected.ok
+        assert (failure.ok, failure.label, failure.lhs, failure.rhs) == (
+            expected.ok,
+            expected.label,
+            expected.lhs,
+            expected.rhs,
+        )
+
+    def test_bernoulli(self, monkeypatch):
+        report, identity = self._run(
+            monkeypatch, "bernoulli_identity", "rhs", ((1, 0, 1),), bernoulli_suite
+        )
+        assert report.failed == self.MAX_K - 3 + 1
+        self._assert_rendered_as_verify_identity(report.first_failure, identity)
+
+    def test_zeta(self, monkeypatch):
+        # The k-weighted relation of the shifted identity fails too, and it
+        # is checked before the identity's grid; the grid's own first
+        # failure is read off a fresh report.
+        report, identity = self._run(
+            monkeypatch, "zeta_identity_monomial", "terms", ((2, 1),), zeta_suite
+        )
+        assert report.failed == self.MAX_K - 2 + 1 + 1
+        assert report.first_failure.label == "k-weighted relation for m=(2, 1)"
+        grid = SuiteReport("zeta")
+        suites._check_k_grid(grid, identity, self.MAX_K)
+        assert (grid.passed, grid.failed, grid.skipped) == (0, self.MAX_K - 2 + 1, 1)
+        self._assert_rendered_as_verify_identity(grid.first_failure, identity)
+
+    def test_mzv(self, monkeypatch):
+        target = (parse_poly("x1^2 + x2^2 + x3^2", 3), 3)
+        report, identity = self._run(monkeypatch, "mzv_identity", "terms", target, mzv_suite)
+        assert report.failed == self.MAX_K - 3 + 1
+        self._assert_rendered_as_verify_identity(report.first_failure, identity)
