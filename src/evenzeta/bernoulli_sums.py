@@ -271,13 +271,22 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
     denominator times 2^sum(m), with one normalisation.
     """
     mvec = _validated_mvec(mvec)
+    rows, den = _identity_rows(mvec)
+    rhs = tuple(UniPoly._normalised(nums, den) for nums in rows)
+    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)
+
+
+def _identity_rows(mvec: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """The integer numerators of p_0, ..., p_T of ``bernoulli_identity``
+    (low degree first) and their one denominator, for a validated tuple:
+    ``f_prod``, then ``_eliminate``, then the rows' denominator times
+    2^sum(m).  ``zeta_identities`` rescales the same rows."""
     levels, den = _eliminate(f_prod(mvec))
-    den <<= sum(mvec)
-    rhs = []
-    for l in range(_depth(mvec) + 1):
-        nums = [c[2 * l] << j if 2 * l < len(c) else 0 for j, c in enumerate(levels)]
-        rhs.append(UniPoly._normalised(nums, den))
-    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=tuple(rhs))
+    rows = [
+        [c[2 * l] << j if 2 * l < len(c) else 0 for j, c in enumerate(levels)]
+        for l in range(_depth(mvec) + 1)
+    ]
+    return rows, den << sum(mvec)
 
 
 def bernoulli_lhs(mvec: Sequence[int], k: int) -> Fraction:

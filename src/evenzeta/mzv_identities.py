@@ -24,10 +24,25 @@ k_1 + ... + k_n = k of k_1^{p_1} ... k_n^{p_n} is sum_m c_m C(k-1, m-1), with
 c_m the coefficients of E_{p_1}(u) ... E_{p_n}(u).
 
 Every piece of that work is symmetric in its exponents, so it is done once
-per permutation orbit, keyed on the sorted exponent tuple: the composition
-power sums are cached on it, ``block_reduce`` merges the monomials of F
-whose block exponents agree up to order, and the combination step builds
-one monomial identity per orbit.
+per permutation orbit, keyed on the sorted exponent tuple, and the
+composition power sums are cached on it.  ``_symmetric_sum_identity`` goes
+from F straight to orbit sums in one pass per block shape: it merges the
+monomials of F on their sorted blocks, with blocks of equal size unordered,
+expands each merged key's power sums straight into sorted exponent tuples
+(both in ``_collapse``), and adds every shape, scaled by its weight, into
+one dict of orbit numerators over one lcm.  The
+combination step builds one monomial identity per orbit of that dict.
+``block_reduce`` runs the same merge and expansion with the blocks in order.
+
+The depth T of the result is the largest truncation depth over the orbits
+present, those whose sums cancel included, and equals
+max((deg F + n - 2) // 2, (n - 1) // 2).  The shape (1, ..., 1) reproduces F
+itself, so the orbit of F's top degree is present, with a nonzero sum
+because F is symmetric (every monomial of the orbit has one coefficient).
+A shape with i blocks gives orbits of length i and degree at most
+deg F + n - i, whose depth is at most (deg F + n - 2) // 2 or
+(i - 1) // 2 <= (n - 1) // 2.  A zero weight has no orbits and takes
+(n - 1) // 2.
 
 The symbolic pipeline (``mzv_identity``, ``mzsv_identity``) is checked
 against ``mzv_lhs_exact``, which splits F into monomial symmetric functions
@@ -114,22 +129,40 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
     of which positions form each block, so consecutive blocks lose no
     generality.  Degree can only grow: deg G <= deg F + n - i.
 
-    Each block of a monomial collapses to the composition power sum of its
-    exponents, which depends only on their orbit.  So the numerators of F
-    are first merged on the tuple of their sorted block exponents, and each
-    merged monomial is expanded once, on the integer numerators of the power
-    sums over the lcm of their denominators, into one dict of numerators.
+    The work is that of ``_collapse``, with the blocks kept in order.
     """
     shape = tuple(operator.index(l) for l in shape)
     if not shape or any(l < 1 for l in shape):
         raise ValueError(f"shape must consist of positive integers, got {shape}")
     if sum(shape) != F.arity:
         raise ValueError(f"shape {shape} does not cover arity {F.arity}")
+    acc, den = _collapse(F, shape, orbits=False)
+    return MultiPoly._normalised(acc, F.den * den, len(shape))
+
+
+def _collapse(
+    F: MultiPoly, shape: tuple[int, ...], orbits: bool
+) -> tuple[dict[tuple[int, ...], int], int]:
+    """The numerators of F collapsed onto the blocks of ``shape``, over
+    F.den times the returned denominator: keyed on the exponents of the
+    block totals, or, when ``orbits``, on their sorted tuple.
+
+    Each block of a monomial collapses to the composition power sum of its
+    exponents, which depends only on their orbit.  So the numerators of F
+    are first merged on the tuple of their sorted blocks; for ``orbits`` the
+    blocks are sorted too, which merges blocks of equal size up to order
+    (blocks of different sizes never compare equal).  Each merged key is
+    expanded once, on the integer numerators of its power sums over the lcm
+    of their denominators.
+    """
     ends = list(itertools.accumulate(shape))
     spans = list(zip([0, *ends], ends))
     merged: dict[tuple[tuple[int, ...], ...], int] = {}
     for expts, c in F.nums.items():
-        key = tuple(tuple(sorted(expts[a:b])) for a, b in spans)
+        blocks = [tuple(sorted(expts[a:b])) for a, b in spans]
+        if orbits:
+            blocks.sort()
+        key = tuple(blocks)
         merged[key] = merged.get(key, 0) + c
     factors = [
         (c, [_sorted_power_sum(block) for block in key]) for key, c in merged.items() if c
@@ -148,8 +181,10 @@ def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
                 if x
             }
         for powers, y in expansion.items():
+            if orbits:
+                powers = tuple(sorted(powers))
             acc[powers] = acc.get(powers, 0) + y
-    return MultiPoly._normalised(acc, F.den * den, len(shape))
+    return acc, den
 
 
 def _shape_weight(shape: tuple[int, ...], signed: bool) -> Fraction:
@@ -165,17 +200,17 @@ def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdent
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
     if not F.is_symmetric():
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
-    reduced = [
-        (_shape_weight(shape, signed=kind == "mzv"), block_reduce(F, shape))
+    collapsed = [
+        (_shape_weight(shape, signed=kind == "mzv"), *_collapse(F, shape, orbits=True))
         for shape in block_shapes(n)
     ]
-    den = math.lcm(*(weight.denominator * G.den for weight, G in reduced))
-    parts = [
-        (expts, c * weight.numerator * (den // (weight.denominator * G.den)))
-        for weight, G in reduced
-        for expts, c in G.nums.items()
-    ]
-    return _combined_identity(kind, n, parts, den, F)
+    den = math.lcm(*(weight.denominator * shape_den for weight, _, shape_den in collapsed))
+    orbits: dict[tuple[int, ...], int] = {}
+    for weight, acc, shape_den in collapsed:
+        scale = weight.numerator * (den // (weight.denominator * shape_den))
+        for key, c in acc.items():
+            orbits[key] = orbits.get(key, 0) + c * scale
+    return _combined_identity(kind, n, orbits.items(), F.den * den, F)
 
 
 def mzv_identity(F: MultiPoly, n: int) -> WeightedSumIdentity:

@@ -12,7 +12,9 @@ zeta(0) = -1/2 extends the composition sums to index value 0 and is what
 that normalisation folds in.
 
 The identity for a monomial weight is the rescaled Bernoulli identity of
-``bernoulli_sums``; every other zeta, mzv or mzsv identity is a linear
+``bernoulli_sums``: ``_monomial_identity`` reads its terms off the integer
+rows of the elimination, as ``bernoulli_identity`` does, and scales each by
+an integer pair.  Every other zeta, mzv or mzsv identity is a linear
 combination of monomial identities, formed by ``_combined_identity``.
 """
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .bernoulli_sums import _collapsed_sum, _depth, _validated_mvec, bernoulli_identity
+from .bernoulli_sums import _collapsed_sum, _depth, _identity_rows, _validated_mvec
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli
 from .series import _combine, _composition_sums
@@ -86,17 +88,22 @@ def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
     # compositions, so every ordering has the identity of its sorted form.
     # Substituting B_{2j}/(2j)! = (-1)^(j+1) * 2 * zeta(2j) / (2 pi)^(2j) into
     # the Bernoulli identity rescales p_l by (-1)^n 2^(2-n) (2l)!/B_{2l}; the
-    # l = 0 entry also takes zeta(0) = -1/2 to multiply plain zeta(2k).
-    base = bernoulli_identity(mvec)
+    # l = 0 entry also takes zeta(0) = -1/2 to multiply plain zeta(2k).  Each
+    # factor is an integer pair applied to the rows of p_l, with one
+    # normalisation per term.
+    rows, den = _identity_rows(mvec)
     n = len(mvec)
-    sign = Fraction((-1) ** n) * Fraction(2) ** (2 - n)
+    sign = -1 if n % 2 else 1
+    up, down = (2, 1) if n == 1 else (1, 1 << (n - 2))
     terms = []
-    for l, poly in enumerate(base.rhs):
-        scale = sign * math.factorial(2 * l) / bernoulli(2 * l)
-        if l == 0:
-            scale = scale * Fraction(-1, 2)
-        terms.append(poly * scale)
-    return WeightedSumIdentity(kind="zeta", n=n, T=base.T, terms=tuple(terms), mvec=mvec)
+    for l, nums in enumerate(rows):
+        b = bernoulli(2 * l)
+        top = sign * up * math.factorial(2 * l) * b.denominator
+        bottom = down * b.numerator * (-2 if l == 0 else 1)
+        if bottom < 0:
+            top, bottom = -top, -bottom
+        terms.append(UniPoly._normalised([x * top for x in nums], den * bottom))
+    return WeightedSumIdentity(kind="zeta", n=n, T=len(terms) - 1, terms=tuple(terms), mvec=mvec)
 
 
 def _combined_identity(

@@ -705,3 +705,77 @@ class TestOrbitCombination:
         mzv_identity(weight, n)
         zeta_identity_poly(weight, n)
         assert compared == ["mzv", "zeta"]
+
+
+def shape_by_shape_identity(F, n, kind):
+    """The identity assembled shape by shape, as the package once did: each
+    shape's ``block_reduce`` polynomial scaled by ``_shape_weight``, every
+    monomial of every shape handed on unsorted to ``_combined_identity``."""
+    from evenzeta import zeta_identities
+
+    reduced = [
+        (_shape_weight(shape, kind == "mzv"), block_reduce(F, shape)) for shape in block_shapes(n)
+    ]
+    den = math.lcm(*(weight.denominator * G.den for weight, G in reduced))
+    parts = [
+        (expts, c * weight.numerator * (den // (weight.denominator * G.den)))
+        for weight, G in reduced
+        for expts, c in G.nums.items()
+    ]
+    return zeta_identities._combined_identity(kind, n, parts, den, F)
+
+
+def expected_depth(F, n):
+    """max((deg F + n - 2) // 2, (n - 1) // 2); (n - 1) // 2 for F = 0."""
+    if not F.nums:
+        return (n - 1) // 2
+    return max((F.degree() + n - 2) // 2, (n - 1) // 2)
+
+
+@st.composite
+def symmetric_weights(draw):
+    """(F, n): a sum of monomial symmetric functions m_lambda of degree <= 3
+    in x1..xn, n <= 6, each with a rational coefficient (possibly zero)."""
+    n = draw(st.integers(1, 6))
+    lams = [lam for lam in ((), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)) if len(lam) <= n]
+    chosen = draw(st.lists(st.sampled_from(lams), max_size=4, unique=True))
+    coeffs = {}
+    for lam in chosen:
+        c = Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 5))))
+        for expts in set(itertools.permutations(lam + (0,) * (n - len(lam)))):
+            coeffs[expts] = c
+    return MultiPoly(n, coeffs), n
+
+
+class TestOrbitPath:
+    """``mzv_identity`` and ``mzsv_identity``, built straight from orbit
+    sums, against the shape-by-shape assembly through the public
+    ``block_reduce``; and the depth T against its closed form."""
+
+    @staticmethod
+    def check(F, n):
+        for kind, build in (("mzv", mzv_identity), ("mzsv", mzsv_identity)):
+            identity = build(F, n)
+            expected = shape_by_shape_identity(F, n, kind)
+            assert (identity.T, identity.terms) == (expected.T, expected.terms), kind
+            assert identity.T == expected_depth(F, n)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(symmetric_weights())
+    def test_random_symmetric_weights(self, weight):
+        self.check(*weight)
+
+    def test_cancelling_top_degree(self):
+        # Over the splits of t, x1^2 + x2^2 sums to 2t^3/3 + ... and
+        # -4*x1*x2 to -2t^3/3 + ..., so the top degree of G_(2) cancels; the
+        # shape (1, 1) keeps the degree-2 orbit, so T = 1.
+        F = parse_poly("x1^2 + x2^2 - 4*x1*x2", 2)
+        assert block_reduce(F, (2,)).degree() < F.degree() + 1
+        self.check(F, 2)
+        assert mzv_identity(F, 2).T == 1
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_zero_weight(self, n):
+        F = MultiPoly(n)
+        self.check(F, n)
+        assert all(term.is_zero() for term in mzv_identity(F, n).terms)

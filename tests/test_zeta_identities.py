@@ -6,6 +6,7 @@ product, independent of the collapsed form; `tests/test_series.py` checks
 it against the composition loop of `brute_force.py`.
 """
 
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -25,6 +26,8 @@ from evenzeta import (
     zeta_identity_monomial,
     zeta_identity_poly,
 )
+from evenzeta.rationals import bernoulli
+from evenzeta.zeta_identities import _monomial_identity
 
 K = UniPoly.x()
 HALF = Fraction(1, 2)
@@ -221,3 +224,45 @@ class TestOrbits:
             for k in range(n, n + 4):
                 result = verify_zeta(F, n, k, identity=identity)
                 assert result.ok, result.describe()
+
+
+def fraction_rescale(mvec):
+    """(T, terms) of the zeta identity as the Bernoulli identity with each
+    p_l multiplied by the ``Fraction`` (-1)^n 2^(2-n) (2l)!/B_{2l}, and by
+    zeta(0) = -1/2 more at l = 0."""
+    base = bernoulli_identity(mvec)
+    n = len(mvec)
+    sign = Fraction((-1) ** n) * Fraction(2) ** (2 - n)
+    terms = []
+    for l, poly in enumerate(base.rhs):
+        scale = sign * math.factorial(2 * l) / bernoulli(2 * l)
+        if l == 0:
+            scale *= Fraction(-1, 2)
+        terms.append(poly * scale)
+    return base.T, tuple(terms)
+
+
+class TestIntegerRescale:
+    """``_monomial_identity`` rescales the rows of the Bernoulli identity by
+    integer pairs; the ``Fraction`` rescale of ``bernoulli_identity`` is its
+    oracle."""
+
+    SMALL = [
+        mvec for n in range(1, 5) for mvec in itertools.combinations_with_replacement(range(7), n)
+    ]
+
+    def test_every_small_sorted_tuple(self):
+        assert len(self.SMALL) == 329
+        for mvec in self.SMALL:
+            identity = _monomial_identity(mvec)
+            assert (identity.T, identity.terms) == fraction_rescale(mvec), mvec
+
+    @pytest.mark.parametrize(
+        "mvec",
+        [(24, 23), (16, 16, 14), (47, 0), (0,) * 49],
+        ids=["24-23", "16-16-14", "47-0", "0x49"],
+    )
+    def test_deep_tuples(self, mvec):
+        mvec = tuple(sorted(mvec))
+        identity = _monomial_identity(mvec)
+        assert (identity.T, identity.terms) == fraction_rescale(mvec)
