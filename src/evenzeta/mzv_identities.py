@@ -273,8 +273,8 @@ def _nested_sum_bracket(kvec: tuple[int, ...], bound: int, scale: int) -> tuple[
     """
     lo = [scale] * bound  # the empty inner sum is 1
     for exponent in reversed(kvec):
-        quotients = (prev // m**exponent for m, prev in zip(range(1, bound + 1), lo))
-        lo = [0, *itertools.accumulate(quotients)]
+        powers = [m**exponent for m in range(1, bound + 1)]
+        lo = [0, *itertools.accumulate(map(operator.floordiv, lo, powers))]
     return lo[bound], lo[bound] + len(kvec) * bound
 
 

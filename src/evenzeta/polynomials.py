@@ -272,8 +272,8 @@ class _Combination:
     mapping) and ``den`` cannot be changed; ``terms`` gives the
     coefficients as Fractions.
 
-    A subclass checks each key in ``_validated_key`` and holds in its own
-    slots the shape its keys share (the arity of a ``MultiPoly``), which
+    A subclass checks each key in ``_validated_key`` and holds in its first
+    own slots the shape its keys share (the arity of a ``MultiPoly``), which
     ``_shape`` returns.  Values of different types or shapes are never
     equal.
     """
@@ -295,7 +295,7 @@ class _Combination:
     @classmethod
     def _normalised(cls, nums: dict, den: int, *shape: object) -> "_Combination":
         """The combination sum_key nums[key]/den key, for den > 0 and valid
-        keys; ``shape`` fills the subclass's own slots in order."""
+        keys; ``shape`` fills the subclass's first slots in order."""
         combo = object.__new__(cls)
         for name, value in zip(cls.__slots__, shape):
             object.__setattr__(combo, name, value)
@@ -354,7 +354,7 @@ class MultiPoly(_Combination):
     entries >= 0) is ``nums[e] / den``.
     """
 
-    __slots__ = ("arity",)
+    __slots__ = ("arity", "_symmetric")
 
     arity: int
     nums: Mapping[tuple[int, ...], int]
@@ -398,15 +398,20 @@ class MultiPoly(_Combination):
         """True when invariant under every permutation of the variables.
 
         It suffices to test the adjacent transpositions, which generate the
-        whole symmetric group.
+        whole symmetric group.  The polynomial is immutable, so the answer
+        is kept on it: a weight that the ``identity`` command admits and the
+        mzv or mzsv builder checks again is tested once.
         """
-        nums = self.nums
-        for pos in range(self.arity - 1):
-            for expts, c in nums.items():
-                swapped = (*expts[:pos], expts[pos + 1], expts[pos], *expts[pos + 2 :])
-                if nums.get(swapped) != c:
-                    return False
-        return True
+        symmetric = getattr(self, "_symmetric", None)
+        if symmetric is None:
+            nums = self.nums
+            symmetric = all(
+                nums.get((*expts[:pos], expts[pos + 1], expts[pos], *expts[pos + 2 :])) == c
+                for pos in range(self.arity - 1)
+                for expts, c in nums.items()
+            )
+            object.__setattr__(self, "_symmetric", symmetric)
+        return symmetric
 
     # -- rendering ---------------------------------------------------------
 

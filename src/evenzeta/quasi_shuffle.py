@@ -10,7 +10,8 @@ with + for the ``star`` product and - for the ``sbar`` variant; the empty
 word is the unit of both.  ``NCPoly`` keeps integer numerators over one
 denominator, and both products run on one cached kernel: the ``star``
 product of two words split by the parity of the number of merged letters,
-so that ``sbar`` is the even part minus the odd part.  Each cached part is a
+so that ``sbar`` is the even part minus the odd part, cached once per
+unordered pair of words because the product commutes.  Each cached part is a
 pair of parallel tuples, its words and their coefficients, and the words are
 taken from a bounded table that holds one object per distinct word, so the
 many entries that contain a word share it.  The symmetric sum of
@@ -57,11 +58,12 @@ _MAX_SYMMETRIC_DEPTH = 8
 #: Depth cap for the full symmetric-sum verification sweep.
 _MAX_VERIFY_DEPTH = 6
 
-#: Entries kept by the word-product cache, one per ordered pair of words for
-#: both products.  ``verify --suite words --max-n 5`` forms 3,889 of them (a
-#: ``spot-checks`` benchmark repetition 3,893-3,896), which hold 84,528
-#: words, 19,870 of them distinct; the bound keeps a long-lived process from
-#: holding every product it ever formed.
+#: Entries kept by the word-product cache, one per unordered pair of words
+#: for both products (``_ordered_product`` puts the smaller word first).
+#: ``verify --suite words --max-n 5`` forms 3,434 of them (a ``spot-checks``
+#: benchmark repetition 3,437-3,439), which hold 81,826 words, 19,870 of
+#: them distinct; the bound keeps a long-lived process from holding every
+#: product it ever formed.
 _WORD_PRODUCT_CACHE_SIZE = 1 << 14
 
 #: Distinct words the word table keeps, over three times the 19,870 above.
@@ -160,9 +162,9 @@ def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
     # Otherwise each part is the three prefixed lists end to end.  Merging a
     # letter moves the tail product's terms to the other part.
     head_left, head_right, merged = left[:1], right[:1], (left[0] + right[0],)
-    tail_left = _word_product(left[1:], right)
-    tail_right = _word_product(left, right[1:])
-    tail_both = _word_product(left[1:], right[1:])
+    tail_left = _ordered_product(left[1:], right)
+    tail_right = _ordered_product(left, right[1:])
+    tail_both = _ordered_product(left[1:], right[1:])
     parts = []
     for parity in (0, 1):
         (lw, lc), (rw, rc) = tail_left[parity], tail_right[parity]
@@ -184,6 +186,12 @@ def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
     return parts[0], parts[1]
 
 
+def _ordered_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
+    """``_word_product`` with the smaller word first.  The product commutes,
+    so the cache holds one entry per unordered pair of words."""
+    return _word_product(left, right) if left <= right else _word_product(right, left)
+
+
 def _coerce(value: "NCPoly | Sequence[int]") -> NCPoly:
     if isinstance(value, NCPoly):
         return value
@@ -199,7 +207,7 @@ def _integer_product(
     for w1, a1 in left:
         for w2, a2 in right:
             scale = a1 * a2
-            even, odd = _word_product(w1, w2)
+            even, odd = _ordered_product(w1, w2)
             for word, c in zip(*even):
                 acc[word] = acc.get(word, 0) + scale * c
             scale *= merge_sign

@@ -88,6 +88,34 @@ class TestIdentityCommand:
         assert out == ""
         assert "symmetric" in err
 
+    def test_symmetry_tested_once_per_build(self, capsys, monkeypatch):
+        # The identity command admits the weight and the builder checks it
+        # again; the weight is tested for symmetry once all the same.
+        from evenzeta import MultiPoly
+
+        tested = []
+        is_symmetric = MultiPoly.is_symmetric
+
+        def counting(weight):
+            if getattr(weight, "_symmetric", None) is None:
+                tested.append(weight.arity)
+            return is_symmetric(weight)
+
+        monkeypatch.setattr(MultiPoly, "is_symmetric", counting)
+        for kind in ("mzv", "mzsv"):
+            tested.clear()
+            code, out, _ = run(
+                capsys, "identity", "--kind", kind, "--n", "3",
+                "--poly", "x1*x2 + x1*x3 + x2*x3", "--format", "json",
+            )
+            assert code == 0 and json.loads(out)["kind"] == kind
+            assert tested == [3]
+        tested.clear()
+        code, out, err = run(capsys, "identity", "--kind", "mzsv", "--n", "2", "--poly", "x1^2*x2")
+        assert (code, out) == (2, "")
+        assert err == "error: kind mzsv needs a symmetric poly, got 'x1^2*x2'\n"
+        assert tested == [2]
+
     def test_parse_error_reported(self, capsys):
         code, _, err = run(
             capsys, "identity", "--kind", "mzv", "--n", "2", "--poly", "x1 +",

@@ -599,6 +599,26 @@ class TestNumeric:
                     assert lo <= exact * scale < hi, (kvec, bound, scale)
                     assert hi - lo == depth * bound, (kvec, bound, scale)
 
+    def test_bracket_matches_the_chain_with_powers_recomputed(self):
+        # The floor chain divides by powers built once per level; the same
+        # chain with m**k recomputed at every step gives the same integers.
+        from evenzeta.mzv_identities import _nested_sum_bracket
+
+        def recomputed(kvec, bound, scale):
+            lo = [scale] * bound
+            for exponent in reversed(kvec):
+                quotients = (prev // m**exponent for m, prev in zip(range(1, bound + 1), lo))
+                lo = [0, *itertools.accumulate(quotients)]
+            return lo[bound], lo[bound] + len(kvec) * bound
+
+        for depth in range(1, 4):
+            for kvec in itertools.product(range(1, 5), repeat=depth):
+                for bound in (10, 11, 37, 100):
+                    for scale in (1, 10**5, 10**40):
+                        assert _nested_sum_bracket(kvec, bound, scale) == recomputed(
+                            kvec, bound, scale
+                        ), (kvec, bound, scale)
+
     def test_digits_match_the_floor_ceiling_bracket(self, monkeypatch):
         from evenzeta import mzv_identities
 
@@ -779,3 +799,104 @@ class TestOrbitPath:
         F = MultiPoly(n)
         self.check(F, n)
         assert all(term.is_zero() for term in mzv_identity(F, n).terms)
+
+
+def load_bench_workloads():
+    """``bench/workloads.py``, read as a module without importing the
+    package through it (it imports ``evenzeta`` only inside functions)."""
+    import importlib.util
+    import pathlib
+
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def monomial_symmetric_sum(coeffs, n):
+    """sum_lambda c_lambda * m_lambda(x1..xn) for integer c_lambda."""
+    terms = {}
+    for lam, c in coeffs.items():
+        for expts in set(itertools.permutations(lam + (0,) * (n - len(lam)))):
+            terms[expts] = c
+    return MultiPoly(n, terms)
+
+
+#: Partitions of degree <= 3, and the pairs of them of equal degree.
+LAMBDAS = ((), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1))
+EQUAL_DEGREE_PAIRS = tuple(
+    (lam, mu) for lam, mu in itertools.combinations(LAMBDAS, 2) if sum(lam) == sum(mu)
+)
+
+
+@st.composite
+def cancelling_weights(draw):
+    """(F, n): a sum of m_lambda of degree <= 3 in x1..xn, n <= 6, whose
+    top orbits cancel often: every coefficient is -1 or 1, and a pair of
+    m_lambda, m_mu of equal degree may be tied with c_lambda = -c_mu."""
+    n = draw(st.integers(1, 6))
+    lams = [lam for lam in LAMBDAS if len(lam) <= n]
+    chosen = draw(st.lists(st.sampled_from(lams), max_size=4, unique=True))
+    coeffs = {lam: draw(st.sampled_from((-1, 1))) for lam in chosen}
+    pairs = [(lam, mu) for lam, mu in EQUAL_DEGREE_PAIRS if len(mu) <= n]
+    if pairs and draw(st.booleans()):
+        lam, mu = draw(st.sampled_from(pairs))
+        coeffs[lam] = draw(st.sampled_from((-2, -1, 1, 2)))
+        coeffs[mu] = -coeffs[lam]
+    return monomial_symmetric_sum(coeffs, n), n
+
+
+class TestCancellingOrbits:
+    """Identities whose top orbits cancel, against the series left side
+    (``documents._sides``), which shares no combination code with the
+    pipeline: summing cancelling orbits, a kernel that trims or zips rows
+    to their shortest drops terms that no other oracle here sees."""
+
+    @staticmethod
+    def check(identity):
+        from evenzeta.documents import _sides
+
+        ks = range(identity.n, identity.n + identity.T + 6)
+        for k, left, right in _sides(identity, ks):
+            assert left == right, (identity.kind, identity.n, k)
+
+    def check_both_kinds(self, F, n):
+        self.check(mzv_identity(F, n))
+        self.check(mzsv_identity(F, n))
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(cancelling_weights())
+    def test_random_cancelling_weights(self, weight):
+        self.check_both_kinds(*weight)
+
+    def test_top_orbits_cancel_at_depth_four(self):
+        # c_(3) = -c_(2,1): the weights of the bench's wide pool on which a
+        # summed-row elimination once went wrong.
+        for c in (1, -2, 3):
+            self.check_both_kinds(monomial_symmetric_sum({(): 1, (3,): c, (2, 1): -c}, 4), 4)
+
+    def test_top_degree_cancels_in_the_shape_two(self):
+        self.check_both_kinds(parse_poly("x1^2 + x2^2 - 4*x1*x2", 2), 2)
+
+    @pytest.mark.parametrize(
+        "text, n",
+        [
+            # The composition sums of k1^2 and 2*k1*k2 share their top
+            # degree k^3/3, so the top orbits cancel.
+            ("x1^2 - 2*x1*x2", 2),
+            ("x1^2 - x2^2", 2),
+            ("x1^3 - 3*x1^2*x2 + x2", 2),
+            ("x1^2*x3 - x2^2*x3 + x1*x2*x3 - 1/6*x3^3", 3),
+        ],
+    )
+    def test_non_symmetric_zeta_weights(self, text, n):
+        F = parse_poly(text, n)
+        assert not F.is_symmetric()
+        self.check(zeta_identity_poly(F, n))
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_bench_wide_pool(self, n):
+        workloads = load_bench_workloads()
+        for text in workloads.wide_pool(n):
+            self.check_both_kinds(parse_poly(text, n), n)

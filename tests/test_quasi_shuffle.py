@@ -151,6 +151,19 @@ class TestProducts:
         assert star(a, b).terms == expected
 
 
+class TestUnorderedPairs:
+    @pytest.mark.parametrize("u, v", [((7, 1, 5), (2, 6)), ((3,), (1, 1, 2)), ((2, 2, 1), (2, 2))])
+    def test_swapped_product_adds_no_miss(self, u, v):
+        # The product commutes, so the cache keeps one entry per unordered
+        # pair of words: the swapped products are all hits.
+        product = star(u, v)
+        misses = quasi_shuffle._word_product.cache_info().misses
+        assert star(v, u) == product
+        assert dict(sbar(v, u).items()) == brute_force.word_product(u, v, -1)
+        assert dict(sbar(u, v).items()) == brute_force.word_product(u, v, -1)
+        assert quasi_shuffle._word_product.cache_info().misses == misses
+
+
 words = st.lists(st.integers(1, 4), min_size=0, max_size=4).map(tuple)
 short_words = st.lists(st.integers(1, 4), min_size=0, max_size=3).map(tuple)
 admissible_words = st.one_of(
@@ -227,11 +240,11 @@ def _package_caches():
 # Fewest entries each cache must keep so that no benchmark workload evicts:
 # the most distinct keys one workload or `verify --suite all --max-n 5
 # --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
-# 3,889 word products, holding 19,870 distinct words, and a spot-checks
-# repetition 3,893-3,896, under half the floor), or every table depth the
-# CLI admits.  The CLI keeps its one argument parser, and the expansion cache
-# the 258 expansions of the costliest admitted word, the letters 1..8, in
-# both modes.
+# 3,434 word products, one per unordered pair of words, holding 19,870
+# distinct words, and a spot-checks repetition 3,437-3,439, under half the
+# floor), or every table depth the CLI admits.  The CLI keeps its one
+# argument parser, and the expansion cache the 258 expansions of the
+# costliest admitted word, the letters 1..8, in both modes.
 CACHE_FLOORS = {
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,

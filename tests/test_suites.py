@@ -8,15 +8,19 @@ import pytest
 
 from evenzeta import (
     CheckResult,
+    NCPoly,
     SUITE_NAMES,
     SuiteReport,
     bernoulli_suite,
     bernoulli_sums,
     mzv_suite,
     parse_poly,
+    quasi_shuffle,
     run_suites,
     suites,
+    tables_suite,
     verify_identity,
+    verify_symmetric_sum,
     words_suite,
     zeta_identities,
     zeta_suite,
@@ -147,6 +151,52 @@ class TestIndividualSuites:
             zeta_identities._monomial_identity.cache_clear()
         assert report.failed == 14
         assert report.first_failure.label.startswith("k-weighted relation")
+
+
+class TestRenderOnlyFailures:
+    """The words and tables suites count a passing check without rendering
+    it; a failing one must still be counted and reported in full."""
+
+    def test_words_suite_renders_a_failing_multiset(self, monkeypatch):
+        # A wrong sbar expansion of one multiset: the star expansion stays
+        # right, so a suite that compared it alone would pass.
+        target = (1, 2, 2)
+        original = quasi_shuffle.partition_word_sum
+
+        def wrong(kvec, mode):
+            expansion = original(kvec, mode)
+            if tuple(kvec) == target and mode == "sbar":
+                return NCPoly({**expansion.terms, (9,): 1})
+            return expansion
+
+        clean = words_suite(3)
+        with monkeypatch.context() as patch:
+            for module in (suites, quasi_shuffle):
+                patch.setattr(module, "partition_word_sum", wrong)
+            report = words_suite(3)
+            expected = verify_symmetric_sum(target)
+        assert not expected.ok
+        assert (report.passed, report.failed) == (clean.passed - 1, 1)
+        assert report.first_failure == expected
+
+    def test_tables_suite_fails_the_inverse_relations_of_a_corrupted_g_entry(self, monkeypatch):
+        # g[5,3] + 1/7 keeps its degree and leading coefficient, so only the
+        # inverse relations sum_j f[m,j] g[j-1,3] with j - 1 = 5 see it:
+        # those at (m, 3) for m = 5..12.
+        original = suites.g_table
+
+        class Corrupted:
+            def __init__(self, table):
+                self.table = table
+
+            def entry(self, m, i):
+                value = self.table.entry(m, i)
+                return value + Fraction(1, 7) if (m, i) == (5, 3) else value
+
+        monkeypatch.setattr(suites, "g_table", lambda depth: Corrupted(original(depth)))
+        report = tables_suite()
+        assert (report.passed, report.failed) == (741 - 8, 8)
+        assert report.first_failure.label == "inverse relation at (5,3)"
 
 
 class TestGridFailures:
