@@ -7,17 +7,26 @@ bilinear rules defined recursively on first letters:
                         +- z_{k+l} (w_1 * w_2)
 
 with + for the ``star`` product and - for the ``sbar`` variant; the empty
-word is the unit of both.  ``NCPoly`` keeps integer numerators over one
-denominator, and both products run on one cached kernel: the ``star``
-product of two words split by the parity of the number of merged letters,
-so that ``sbar`` is the even part minus the odd part, cached once per
-unordered pair of words because the product commutes.  Each cached part is a
-pair of parallel tuples, its words and their coefficients, and the words are
-taken from a bounded table that holds one object per distinct word, so the
-many entries that contain a word share it.  The symmetric sum of
-all reorderings of a word factors over set partitions into iterated
-products of single letters, with signed weights for ``star`` and plain
-weights for ``sbar``; that expansion is what ``verify_symmetric_sum``
+word is the unit of both.  Unrolled, the rule sums over the lattice paths
+from (0, 0) to (m, n) for words of m and n letters: a step right writes the
+next letter of the left word, a step down the next letter of the right one,
+and a diagonal step their sum, merged, with the sign once per merged letter.
+The paths depend on the two lengths only.  ``NCPoly`` keeps integer
+numerators over one denominator, and both products run on one cached
+kernel: the ``star`` product of two words split by the parity of the number
+of merged letters, so that ``sbar`` is the even part minus the odd part,
+cached once per unordered pair of words because the product commutes.  The
+kernel reads each word off a path template of the pair's shape, an
+itemgetter over the pair's letters built once per shape, and counts equal
+words together.  A shape has D(m, n) templates, the Delannoy number, so a
+product costs D(m, n) word reads, and a pair longer than
+``_TEMPLATE_MAX_LENGTH`` builds its templates anew for each product.  Each
+cached part is a pair of parallel tuples, its words and their coefficients,
+and the words are taken from a bounded table that holds one object per
+distinct word, so the many entries that contain a word share it.  The
+symmetric sum of all reorderings of a word factors over set partitions into
+iterated products of single letters, with signed weights for ``star`` and
+plain weights for ``sbar``; that expansion is what ``verify_symmetric_sum``
 checks.  A partition's weight is a product of block weights and both
 products commute and associate, so ``partition_word_sum`` enumerates no
 partition: it splits off the block that holds the first letter, one
@@ -60,13 +69,13 @@ _MAX_VERIFY_DEPTH = 6
 
 #: Entries kept by the word-product cache, one per unordered pair of words
 #: for both products (``_ordered_product`` puts the smaller word first).
-#: ``verify --suite words --max-n 5`` forms 3,434 of them (a ``spot-checks``
-#: benchmark repetition 3,437-3,439), which hold 81,826 words, 19,870 of
-#: them distinct; the bound keeps a long-lived process from holding every
+#: ``verify --suite words --max-n 5`` forms 954 of them (a ``spot-checks``
+#: benchmark repetition 955-957), which hold 38,084 words, 11,683 of them
+#: distinct; the bound keeps a long-lived process from holding every
 #: product it ever formed.
 _WORD_PRODUCT_CACHE_SIZE = 1 << 14
 
-#: Distinct words the word table keeps, over three times the 19,870 above.
+#: Distinct words the word table keeps, over five times the 11,683 above.
 #: When a part would take the table past the bound, it is cleared: that
 #: only loses sharing with the words of older entries, never a value.
 _WORD_TABLE_SIZE = 1 << 16
@@ -76,6 +85,14 @@ _WORD_TABLE_SIZE = 1 << 16
 #: ``partition_word_sum`` admits, form 258 of them, and ``verify --suite
 #: words --max-n 5`` forms 112.
 _EXPANSION_CACHE_SIZE = 1 << 9
+
+#: Longest pair, in letters of both words, whose path templates are kept:
+#: the 49 shapes m <= n with m + n <= 14 hold 196,305 templates in all, the
+#: largest (7 x 7) 48,639 of them.  A longer pair builds its own.
+_TEMPLATE_MAX_LENGTH = 14
+
+#: Entries kept by the template cache, one per shape, over the 49 above.
+_TEMPLATE_CACHE_SIZE = 1 << 6
 
 #: The word table: each distinct word formed by the word-product kernel, as
 #: the first object equal to it, keyed by itself.
@@ -137,8 +154,49 @@ def _shared(words: Collection[Word]) -> tuple[Word, ...]:
         _words.clear()
         if len(words) > _WORD_TABLE_SIZE:
             return tuple(words)
-    share = _words.setdefault
-    return tuple([share(word, word) for word in words])
+    return tuple(map(_words.setdefault, words, words))
+
+
+#: The path templates of one shape, one itemgetter per path.
+_Templates = tuple[operator.itemgetter, ...]
+
+
+@lru_cache(maxsize=_TEMPLATE_CACHE_SIZE)
+def _path_templates(m: int, n: int) -> tuple[_Templates, _Templates]:
+    """Every quasi-shuffle path of an m-letter word with an n-letter word,
+    split as (even, odd) by the parity of its number of merged letters.
+
+    A path is an itemgetter over the letters ``left + right + merged``, where
+    ``merged[i * n + j]`` is ``left[i] + right[j]``: a step right takes
+    ``left[i]``, a step down ``right[j]`` and a diagonal step their sum.
+    """
+    # below[j] and row[j]: the index paths from the cells (i + 1, j) and
+    # (i, j) to the end cell (m, n), split as (even, odd).
+    below: list[tuple[list[Word], list[Word]]] = []
+    for i in range(m, -1, -1):
+        # Every cell but the end cell replaces its entry.
+        row: list[tuple[list[Word], list[Word]]] = [([()], [])] * (n + 1)
+        for j in range(n - (i == m), -1, -1):
+            steps = []
+            if i < m:
+                steps.append(((i,), below[j]))
+            if j < n:
+                steps.append(((m + j,), row[j + 1]))
+            if i < m and j < n:
+                # A merged letter moves the paths to the other part.
+                even, odd = below[j + 1]
+                steps.append(((m + n + i * n + j,), (odd, even)))
+            row[j] = tuple([step + path for step, parts in steps for path in parts[parity]] for parity in (0, 1))
+        below = row
+    # Only the 1 x 1 merge is a one-letter path; a slice keeps its word a
+    # tuple, where itemgetter of one index would return the bare letter.
+    return tuple(
+        tuple(
+            operator.itemgetter(*path) if len(path) > 1 else operator.itemgetter(slice(path[0], path[0] + 1))
+            for path in paths
+        )
+        for paths in below[0]
+    )
 
 
 @lru_cache(maxsize=_WORD_PRODUCT_CACHE_SIZE)
@@ -150,39 +208,27 @@ def _word_product(left: Word, right: Word) -> tuple[_WordTerms, _WordTerms]:
     word is in both parts, and ``sbar`` is even - odd.  Each part holds
     distinct words, each the word table's object (a product with the empty
     word holds the other argument).
+
+    Each path template of the pair's shape (``_path_templates``, shorter
+    word first) reads one word off the pair's letters, and equal words are
+    counted together.  An m- by n-letter shape has D(m, n) templates, the
+    Delannoy number (63 at 3 x 3, 48,639 at 7 x 7, 265,729 at 8 x 8), built
+    once per shape when m + n <= ``_TEMPLATE_MAX_LENGTH`` and on every call
+    for a longer pair, whose templates are not kept.
     """
     if not left:
         return ((right,), (1,)), ((), ())
     if not right:
         return ((left,), (1,)), ((), ())
-    # The heads are the first letters as one-letter words.  Words from the
-    # three terms start with head_left, head_right and the merged letter,
-    # which exceeds both heads, and each tail part holds distinct words; so
-    # only the first two terms can meet, and only when the heads are equal.
-    # Otherwise each part is the three prefixed lists end to end.  Merging a
-    # letter moves the tail product's terms to the other part.
-    head_left, head_right, merged = left[:1], right[:1], (left[0] + right[0],)
-    tail_left = _ordered_product(left[1:], right)
-    tail_right = _ordered_product(left, right[1:])
-    tail_both = _ordered_product(left[1:], right[1:])
+    if len(left) > len(right):
+        left, right = right, left
+    m, n = len(left), len(right)
+    letters = left + right + tuple([a + b for a in left for b in right])
+    templates = _path_templates if m + n <= _TEMPLATE_MAX_LENGTH else _path_templates.__wrapped__
     parts = []
-    for parity in (0, 1):
-        (lw, lc), (rw, rc) = tail_left[parity], tail_right[parity]
-        bw, bc = tail_both[1 - parity]
-        if head_left != head_right:
-            words = [head_left + word for word in lw]
-            words += [head_right + word for word in rw]
-            words += [merged + word for word in bw]
-            coeffs = lc + rc + bc
-        else:
-            acc = {head_left + word: c for word, c in zip(lw, lc)}
-            for word, c in zip(rw, rc):
-                key = head_right + word
-                acc[key] = acc.get(key, 0) + c
-            for word, c in zip(bw, bc):
-                acc[merged + word] = c
-            words, coeffs = acc, tuple(acc.values())
-        parts.append((_shared(words), coeffs))
+    for getters in templates(m, n):
+        counts = Counter([get(letters) for get in getters])
+        parts.append((_shared(counts), tuple(counts.values())))
     return parts[0], parts[1]
 
 

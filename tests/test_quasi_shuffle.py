@@ -12,6 +12,7 @@ import importlib
 import itertools
 import math
 import pkgutil
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -109,6 +110,27 @@ short_letter_words = [
     word for length in range(4) for word in itertools.product(range(1, 4), repeat=length)
 ]
 
+_sample = random.Random(32)
+
+#: Pairs for the lattice-path oracle: every pair of short words, a fixed
+#: sample of words of 4-6 letters 1..3 against every short word, and words
+#: of 4-7 letters against single letters, the shapes ``_expansion`` forms.
+oracle_pairs = [
+    *itertools.product(short_letter_words, repeat=2),
+    *(
+        (tuple(_sample.choices(range(1, 4), k=length)), v)
+        for length in (4, 5, 6)
+        for _ in range(6)
+        for v in short_letter_words
+    ),
+    *(
+        (tuple(_sample.choices(range(1, 4), k=length)), (letter,))
+        for length in (4, 5, 6, 7)
+        for _ in range(8)
+        for letter in (1, 2, 3)
+    ),
+]
+
 
 class TestProducts:
     def test_star_of_single_letters(self):
@@ -141,7 +163,7 @@ class TestProducts:
 
     @pytest.mark.parametrize("product, sign", [(star, 1), (sbar, -1)], ids=["star", "sbar"])
     def test_matches_lattice_path_oracle(self, product, sign):
-        for u, v in itertools.product(short_letter_words, repeat=2):
+        for u, v in oracle_pairs:
             assert dict(product(u, v).items()) == brute_force.word_product(u, v, sign), (u, v)
 
     def test_bilinearity(self):
@@ -240,17 +262,19 @@ def _package_caches():
 # Fewest entries each cache must keep so that no benchmark workload evicts:
 # the most distinct keys one workload or `verify --suite all --max-n 5
 # --max-k 16` forms in a fresh process (verify --suite words --max-n 5 forms
-# 3,434 word products, one per unordered pair of words, holding 19,870
-# distinct words, and a spot-checks repetition 3,437-3,439, under half the
+# 954 word products, one per unordered pair of words, holding 11,683
+# distinct words, and a spot-checks repetition 955-957, far under the
 # floor), or every table depth the CLI admits.  The CLI keeps its one
-# argument parser, and the expansion cache the 258 expansions of the
-# costliest admitted word, the letters 1..8, in both modes.
+# argument parser, the expansion cache the 258 expansions of the costliest
+# admitted word, the letters 1..8, in both modes, and the template cache
+# every shape whose templates are kept (the words suite forms 15).
 CACHE_FLOORS = {
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
     "mzv_identities._sorted_power_sum": 31,
     "quasi_shuffle._expansion": 258,
+    "quasi_shuffle._path_templates": 49,
     "quasi_shuffle._word_product": 8_400,
     "series._phi_power": 33,
     "series._product": 62,
@@ -354,10 +378,10 @@ class TestPartitionExpansion:
 
     @pytest.mark.parametrize("fault", ["drop", "flip", "parity"])
     def test_kernel_fault_fails_the_check(self, monkeypatch, fault):
-        # Drop, sign-flip or move into the wrong parity part the merged-letter
-        # terms of the word product at every level of its recursion; the
-        # expansion goes through that kernel, so the symmetric-sum check
-        # must fail at every depth from 2 on.
+        # Drop, sign-flip or move into the wrong parity part the terms of
+        # each word product whose words start with the two first letters
+        # merged; the expansion goes through that kernel, so the
+        # symmetric-sum check must fail at every depth from 2 on.
         kernel = quasi_shuffle._word_product.__wrapped__
 
         def faulty(left, right):
@@ -416,8 +440,21 @@ class TestPartitionExpansion:
             assert partition_word_sum(kvec, mode) == expected, mode
 
 
+class TestPathTemplates:
+    def test_templates_of_long_pairs_are_not_kept(self, monkeypatch):
+        # Past the bound a pair builds its templates for the call alone.
+        monkeypatch.setattr(quasi_shuffle, "_TEMPLATE_MAX_LENGTH", 4)
+        _clear_word_caches()
+        for u, v in [((1, 2), (2, 1)), ((1, 2, 3), (2, 1)), ((3, 1, 2, 1), (2,)), ((2,), (2, 2, 1, 3))]:
+            for product, sign in ((star, 1), (sbar, -1)):
+                assert dict(product(u, v).items()) == brute_force.word_product(u, v, sign), (u, v)
+        # Only the 2 x 2 shape is kept.
+        assert quasi_shuffle._path_templates.cache_info().currsize == 1
+
+
 def _clear_word_caches():
     quasi_shuffle._expansion.cache_clear()
+    quasi_shuffle._path_templates.cache_clear()
     quasi_shuffle._word_product.cache_clear()
     quasi_shuffle._words.clear()
 
@@ -441,15 +478,18 @@ class _WatchedTable(dict):
 
 #: Bytes the word-product cache may hold after ``words_suite(5)`` from cold
 #: caches.  It held 13.9 MB while each entry kept its own words as (word,
-#: coefficient) pairs, and holds 5.6 MB with shared words in parallel tuples.
-WORDS_SUITE_HELD_BYTES = 8 << 20
+#: coefficient) pairs, 5.3 MB with shared words in parallel tuples, and
+#: 3.0 MB, path templates included, since products are read off templates
+#: and keep no suffix-pair entries.
+WORDS_SUITE_HELD_BYTES = 7 << 19
 
 
 class TestWordTable:
     def test_entries_share_equal_words(self):
         _clear_word_caches()
         star((1, 2, 1), (2, 1))
-        # Entries formed by that product's recursion, read as cache hits.
+        # That product's entry, read as a cache hit, and entries of pairs it
+        # did not form, formed here.
         for left, right in [((1, 2, 1), (2, 1)), ((2, 1), (2, 1)), ((1, 2, 1), (1,)), ((2, 1), (1,))]:
             for words, coeffs in quasi_shuffle._word_product(left, right):
                 assert len(words) == len(coeffs)
@@ -458,8 +498,8 @@ class TestWordTable:
 
     def test_parts_are_disjoint_shared_and_exact(self, monkeypatch):
         # Every ordered pair of words of length <= 3 over the letters 1..4,
-        # so equal first letters meet at every depth, as in (2, 2, 1) x
-        # (2, 2, 3), besides the unequal ones whose parts are concatenated.
+        # so that many paths meet on one word, as in (2, 2, 1) x (2, 2, 3),
+        # besides the pairs whose paths all give distinct words.
         words = [w for length in range(4) for w in itertools.product(range(1, 5), repeat=length)]
         table = _WatchedTable()
         monkeypatch.setattr(quasi_shuffle, "_words", table)
