@@ -25,6 +25,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, ClassVar, Sequence
 
 # g_table is not called here; the benchmark's tracer rebinds it in this module.
@@ -41,6 +42,10 @@ __all__ = [
     "f_prod",
     "truncation_depth",
 ]
+
+#: Elimination rows kept by ``_identity_rows``, one per sorted exponent
+#: tuple, shared by the Bernoulli and the zeta identities.
+_ROWS_CACHE_SIZE = 1 << 10
 
 
 def _validated_mvec(mvec: Sequence[int]) -> tuple[int, ...]:
@@ -268,24 +273,36 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
         p_l(k) = 2^(-sum(m)) * sum_j A_j[t^(2l)] * 2^j * k^j.
 
     So each p_l is read straight off the integer rows, over their one
-    denominator times 2^sum(m), with one normalisation.
+    denominator times 2^sum(m), with one normalisation.  The rows are looked
+    up under the sorted exponents (see ``_identity_rows``); the record keeps
+    the caller's order.
     """
     mvec = _validated_mvec(mvec)
-    rows, den = _identity_rows(mvec)
-    rhs = tuple(UniPoly._normalised(nums, den) for nums in rows)
+    rows, den = _identity_rows(tuple(sorted(mvec)))
+    # _normalised drops trailing zeros from the list it is given in place,
+    # so each cached row is handed over as a fresh list.
+    rhs = tuple(UniPoly._normalised(list(nums), den) for nums in rows)
     return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)
 
 
-def _identity_rows(mvec: tuple[int, ...]) -> tuple[list[list[int]], int]:
+@lru_cache(maxsize=_ROWS_CACHE_SIZE)
+def _identity_rows(mvec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The integer numerators of p_0, ..., p_T of ``bernoulli_identity``
     (low degree first) and their one denominator, for a validated tuple:
     ``f_prod``, then ``_eliminate``, then the rows' denominator times
-    2^sum(m).  ``zeta_identities`` rescales the same rows."""
+    2^sum(m).  ``zeta_identities`` rescales the same rows.
+
+    The rows depend only on the multiset of exponents: the product
+    D^{m_1} f * ... * D^{m_n} f commutes, so every ordering gives the same
+    ``f_prod`` and the same elimination.  Both callers pass sorted tuples,
+    so each multiset is eliminated once for every ordering and both kinds.
+    The cached rows are tuples, so no caller can change them.
+    """
     levels, den = _eliminate(f_prod(mvec))
-    rows = [
-        [c[2 * l] << j if 2 * l < len(c) else 0 for j, c in enumerate(levels)]
+    rows = tuple(
+        tuple(c[2 * l] << j if 2 * l < len(c) else 0 for j, c in enumerate(levels))
         for l in range(_depth(mvec) + 1)
-    ]
+    )
     return rows, den << sum(mvec)
 
 

@@ -14,8 +14,10 @@ that normalisation folds in.
 The identity for a monomial weight is the rescaled Bernoulli identity of
 ``bernoulli_sums``: ``_monomial_identity`` reads its terms off the integer
 rows of the elimination, as ``bernoulli_identity`` does, and scales each by
-an integer pair.  Every other zeta, mzv or mzsv identity is a linear
-combination of monomial identities, formed by ``_combined_identity``.
+an integer pair.  Both look the rows up under the sorted exponents in one
+cache, so a multiset is eliminated once for every ordering and both kinds.
+Every other zeta, mzv or mzsv identity is a linear combination of monomial
+identities, formed by ``_combined_identity``.
 """
 
 from __future__ import annotations

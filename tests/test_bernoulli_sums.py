@@ -6,6 +6,7 @@ table machinery; `tests/test_series.py` checks it against the composition
 loop of `brute_force.py`.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evenzeta import (
+    BernoulliIdentity,
     UniPoly,
     bernoulli_identity,
     bernoulli_lhs,
@@ -23,8 +25,11 @@ from evenzeta import (
     g_table,
     truncation_depth,
     verify_bernoulli,
+    zeta_identities,
     zeta_identity_monomial,
 )
+from evenzeta.bernoulli_sums import _identity_rows
+from evenzeta.documents import to_json
 
 T = UniPoly.x()
 HALF = Fraction(1, 2)
@@ -247,6 +252,62 @@ class TestIdentity:
             for l, poly in enumerate(identity.rhs):
                 if not poly.is_zero():
                     assert poly.degree() <= r + n - 2 * l - 1
+
+
+def _uncached_identity(mvec):
+    """The identity of ``mvec`` from rows eliminated afresh in its own
+    order, bypassing the cache."""
+    rows, den = _identity_rows.__wrapped__(mvec)
+    rhs = tuple(UniPoly._normalised(list(nums), den) for nums in rows)
+    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)
+
+
+class TestSharedRows:
+    """The elimination rows are cached under the sorted exponents and shared
+    by every ordering and by the Bernoulli and zeta kinds."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_ordering_eliminates_to_the_same_rows(self, data):
+        # The product D^{m_1} f ... D^{m_n} f commutes, which is what keying
+        # the cache on the sorted tuple rests on.  Up to four exponents
+        # summing to at most 6.
+        mvec = [data.draw(st.integers(0, 6))]
+        while len(mvec) < 4 and data.draw(st.booleans()):
+            mvec.append(data.draw(st.integers(0, 6 - sum(mvec))))
+        expected = _identity_rows.__wrapped__(tuple(sorted(mvec)))
+        for perm in set(itertools.permutations(mvec)):
+            assert _identity_rows.__wrapped__(perm) == expected, perm
+
+    @pytest.mark.parametrize("mvec", [(2, 1, 0), (0, 3, 1, 1), (4, 0)])
+    def test_record_keeps_the_callers_order(self, mvec):
+        for perm in set(itertools.permutations(mvec)):
+            identity = bernoulli_identity(perm)
+            assert identity.mvec == perm
+            assert to_json(identity) == to_json(_uncached_identity(perm))
+
+    def test_all_orderings_and_both_kinds_eliminate_once(self):
+        _identity_rows.cache_clear()
+        zeta_identities._monomial_identity.cache_clear()
+        try:
+            for perm in itertools.permutations((2, 1, 0)):
+                bernoulli_identity(perm)
+                zeta_identity_monomial(perm)
+            assert _identity_rows.cache_info().misses == 1
+        finally:
+            _identity_rows.cache_clear()
+            zeta_identities._monomial_identity.cache_clear()
+
+    def test_trailing_zeros_stay_in_the_cached_rows(self):
+        # UniPoly._normalised drops trailing zeros in place, so building from
+        # a cached row must not touch it.
+        mvec = (0, 0, 0, 0)
+        cached = _identity_rows(mvec)
+        assert any(nums[-1] == 0 for nums in cached[0])
+        snapshot = (tuple(tuple(nums) for nums in cached[0]), cached[1])
+        first, second = bernoulli_identity(mvec), bernoulli_identity(mvec)
+        assert first.rhs == second.rhs
+        assert _identity_rows(mvec) == snapshot
 
 
 class TestVerification:

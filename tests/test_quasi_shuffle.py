@@ -267,8 +267,11 @@ def _package_caches():
 # floor), or every table depth the CLI admits.  The CLI keeps its one
 # argument parser, the expansion cache the 258 expansions of the costliest
 # admitted word, the letters 1..8, in both modes, and the template cache
-# every shape whose templates are kept (the words suite forms 15).
+# every shape whose templates are kept (the words suite forms 15).  Every
+# monomial-identity miss is also an elimination-rows miss, so the rows cache
+# keeps at least as many entries as the monomial identities.
 CACHE_FLOORS = {
+    "bernoulli_sums._identity_rows": 226,
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,

@@ -27,6 +27,13 @@ from evenzeta import (
 )
 
 
+def _clear_identity_caches():
+    """Empty the caches above ``f_prod``: the elimination rows, shared by
+    every kind, and the monomial identities built on them."""
+    bernoulli_sums._identity_rows.cache_clear()
+    zeta_identities._monomial_identity.cache_clear()
+
+
 class TestSuiteReport:
     def test_counts(self):
         report = SuiteReport("demo")
@@ -138,9 +145,9 @@ class TestIndividualSuites:
                 product[1] = product[1] + Fraction(1, 7)
             return tuple(product)
 
-        # The monomial identities are the only cache above f_prod; the
-        # f_table rows below it are left unperturbed.
-        zeta_identities._monomial_identity.cache_clear()
+        # The elimination rows and the monomial identities are the caches
+        # above f_prod; the f_table rows below it are left unperturbed.
+        _clear_identity_caches()
         try:
             with monkeypatch.context() as patch:
                 for name, module in list(sys.modules.items()):
@@ -148,7 +155,7 @@ class TestIndividualSuites:
                         patch.setattr(module, "f_prod", perturbed)
                 report = zeta_suite(max_n=3, max_k=1)
         finally:
-            zeta_identities._monomial_identity.cache_clear()
+            _clear_identity_caches()
         assert report.failed == 14
         assert report.first_failure.label.startswith("k-weighted relation")
 
@@ -223,13 +230,13 @@ class TestGridFailures:
                 return shifted[-1]
             return identity
 
-        zeta_identities._monomial_identity.cache_clear()
+        _clear_identity_caches()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(suites, builder, wrapper)
                 report = run(self.MAX_N, self.MAX_K)
         finally:
-            zeta_identities._monomial_identity.cache_clear()
+            _clear_identity_caches()
         (identity,) = shifted
         return report, identity
 
