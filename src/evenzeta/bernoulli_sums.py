@@ -14,9 +14,7 @@ forward derivative triangle: multiply the rows for m_1, ..., m_n (a
 convolution in the power of h(t) = t/(e^t - 1), one integer product per
 pair of entries by Kronecker substitution), eliminate the powers of h from
 the top, and read each p_l straight off the even Taylor coefficients of
-the eliminated rows.  ``big_F``, the collapse onto the derivatives of
-g(t) = h(t) + t/2, applies Leibniz to the same rows; the identity does not
-need it.
+the eliminated rows.
 """
 
 from __future__ import annotations
@@ -38,7 +36,6 @@ __all__ = [
     "BernoulliIdentity",
     "bernoulli_identity",
     "bernoulli_lhs",
-    "big_F",
     "f_prod",
     "truncation_depth",
 ]
@@ -155,53 +152,6 @@ def _eliminate(fs: Sequence[UniPoly]) -> tuple[list[list[int]], int]:
     return levels, den * scale
 
 
-def big_F(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
-    """Collapse ``f_prod`` onto the derivatives of g.
-
-    Writing N = sum(m) + n and (f_0, ..., f_N) = f_prod(mvec), the product of
-    derivatives equals F_0(t) + sum_{j=1}^{N} F_j(t) * D^{j-1} g(t) with
-
-        F_0 = f_0 + (1/2) * sum_{i>=1} (-1)^i f_i t^i.
-
-    The other entries come from eliminating the powers of h from the top
-    (``_eliminate``), which writes sum_{i>=1} f_i h^i as sum_j D^j(A_j h).
-    Then h = g - t/2 and Leibniz give
-
-        F_{b+1} = sum_{j>=b} C(j, b) * D^(j-b) A_j,
-
-    where D scales t^k by k.  Every entry is an even polynomial, so only the
-    even coefficients of the A_j are read.  The F_j equal
-    sum_{i>=j} f_i * g_{i-1,j} over the inverse triangle, which the tests
-    form as the oracle.  ``bernoulli_identity`` reads its p_l off the A_j
-    directly, so it does not call this function.
-    """
-    mvec = _validated_mvec(mvec)
-    fs = f_prod(mvec)
-    total = len(fs) - 1
-    # 2*F_0 = 2*f_0 + sum_{i>=1} (-1)^i t^i f_i, on numerators over 2*lcm.
-    den = math.lcm(*(f.den for f in fs))
-    head = [2 * (den // fs[0].den) * x for x in fs[0].nums]
-    for i in range(1, total + 1):
-        scale = (-1) ** i * (den // fs[i].den)
-        head.extend([0] * (i + len(fs[i].nums) - len(head)))
-        for k, x in enumerate(fs[i].nums, i):
-            head[k] += scale * x
-    out = [UniPoly._normalised(head, 2 * den)]
-    levels, den = _eliminate(fs)
-    # F_{b+1}[t^k] = sum_{j>=b} C(j, b) k^(j-b) A_j[t^k] are the coefficients
-    # of sum_j A_j[t^k] (x + k)^j, summed by Horner in x + k.
-    rows = [[0] * total for _ in range(total)]
-    for k in range(0, total, 2):
-        acc: list[int] = []
-        for c in reversed(levels):
-            if k < len(c):
-                acc = [k * y + x for x, y in zip([c[k]] + acc, acc + [0])]
-        for b, v in enumerate(acc):
-            rows[b][k] = v
-    out.extend(UniPoly._normalised(row, den) for row in rows)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class BernoulliIdentity:
     """Collapsed form of a weighted Bernoulli-product sum.
@@ -266,9 +216,13 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
 
         p_l(k) = 2^(-sum(m)) * sum_{b>=0} F_{b+1}[t^(2l)] * (2(k - l))^b,
 
-    with F_j the entries of ``big_F``.  Their Leibniz step gives
-    sum_b F_{b+1}[t^(2l)] y^b = sum_j A_j[t^(2l)] (y + 2l)^j for the rows A_j
-    of ``_eliminate``, and at y = 2(k - l) the shift cancels:
+    with F_j the even polynomials of the collapse onto the derivatives of
+    g(t) = h(t) + t/2, D^{m_1} f * ... * D^{m_n} f = F_0 + sum_{j>=1} F_j *
+    D^{j-1} g.  The rows A_j of ``_eliminate`` write sum_{i>=1} f_i h^i as
+    sum_j D^j(A_j h); then h = g - t/2 and Leibniz give
+    F_{b+1} = sum_{j>=b} C(j, b) * D^(j-b) A_j, where D scales t^k by k, so
+    sum_b F_{b+1}[t^(2l)] y^b = sum_j A_j[t^(2l)] (y + 2l)^j, and at
+    y = 2(k - l) the shift cancels:
 
         p_l(k) = 2^(-sum(m)) * sum_j A_j[t^(2l)] * 2^j * k^j.
 

@@ -34,7 +34,7 @@ The Bernoulli pipeline reads the forward triangle alone: ``bernoulli_sums``
 applies the same equation to the product of f rows directly, and
 ``bernoulli_identity`` reads its p_l off the eliminated rows.  The inverse
 triangle feeds the ``tables`` output, the tables suite and the tests'
-oracle of ``big_F``.
+inverse-triangle oracle of the collapsed identity.
 """
 
 from __future__ import annotations

@@ -32,7 +32,6 @@ expands each merged key's power sums straight into sorted exponent tuples
 (both in ``_collapse``), and adds every shape, scaled by its weight, into
 one dict of orbit numerators over one lcm.  The
 combination step builds one monomial identity per orbit of that dict.
-``block_reduce`` runs the same merge and expansion with the blocks in order.
 
 The depth T of the result is the largest truncation depth over the orbits
 present, those whose sums cancel included, and equals
@@ -73,7 +72,6 @@ from .series import _combine, _symmetric_sums
 from .zeta_identities import WeightedSumIdentity, _combined_identity
 
 __all__ = [
-    "block_reduce",
     "mzsv_identity",
     "mzv_identity",
     "mzv_lhs_exact",
@@ -119,50 +117,25 @@ def _sorted_power_sum(pvec: tuple[int, ...]) -> UniPoly:
     )
 
 
-def block_reduce(F: MultiPoly, shape: Sequence[int]) -> MultiPoly:
-    """Collapse an arity-n polynomial to one variable per block.
-
-    Blocks take consecutive positions: with shape (l_1, ..., l_i), variable j
-    of the result stands for the block total t_j, and the coefficient of the
-    result at (t_1, ..., t_i) is the sum of F over all ways of splitting each
-    t_j into l_j positive parts.  For symmetric F the outcome is independent
-    of which positions form each block, so consecutive blocks lose no
-    generality.  Degree can only grow: deg G <= deg F + n - i.
-
-    The work is that of ``_collapse``, with the blocks kept in order.
-    """
-    shape = tuple(operator.index(l) for l in shape)
-    if not shape or any(l < 1 for l in shape):
-        raise ValueError(f"shape must consist of positive integers, got {shape}")
-    if sum(shape) != F.arity:
-        raise ValueError(f"shape {shape} does not cover arity {F.arity}")
-    acc, den = _collapse(F, shape, orbits=False)
-    return MultiPoly._normalised(acc, F.den * den, len(shape))
-
-
-def _collapse(
-    F: MultiPoly, shape: tuple[int, ...], orbits: bool
-) -> tuple[dict[tuple[int, ...], int], int]:
+def _collapse(F: MultiPoly, shape: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], int]:
     """The numerators of F collapsed onto the blocks of ``shape``, over
-    F.den times the returned denominator: keyed on the exponents of the
-    block totals, or, when ``orbits``, on their sorted tuple.
+    F.den times the returned denominator, keyed on the sorted exponents of
+    the block totals: a block of l consecutive positions stands for its
+    total t, with F summed over every split of t into l positive parts.  For
+    symmetric F, which positions form each block does not matter.
 
     Each block of a monomial collapses to the composition power sum of its
     exponents, which depends only on their orbit.  So the numerators of F
-    are first merged on the tuple of their sorted blocks; for ``orbits`` the
-    blocks are sorted too, which merges blocks of equal size up to order
-    (blocks of different sizes never compare equal).  Each merged key is
-    expanded once, on the integer numerators of its power sums over the lcm
-    of their denominators.
+    are first merged on the sorted tuple of their sorted blocks, which
+    merges blocks of equal size up to order (blocks of different sizes never
+    compare equal).  Each merged key is expanded once, on the integer
+    numerators of its power sums over the lcm of their denominators.
     """
     ends = list(itertools.accumulate(shape))
     spans = list(zip([0, *ends], ends))
     merged: dict[tuple[tuple[int, ...], ...], int] = {}
     for expts, c in F.nums.items():
-        blocks = [tuple(sorted(expts[a:b])) for a, b in spans]
-        if orbits:
-            blocks.sort()
-        key = tuple(blocks)
+        key = tuple(sorted([tuple(sorted(expts[a:b])) for a, b in spans]))
         merged[key] = merged.get(key, 0) + c
     factors = [
         (c, [_sorted_power_sum(block) for block in key]) for key, c in merged.items() if c
@@ -181,8 +154,7 @@ def _collapse(
                 if x
             }
         for powers, y in expansion.items():
-            if orbits:
-                powers = tuple(sorted(powers))
+            powers = tuple(sorted(powers))
             acc[powers] = acc.get(powers, 0) + y
     return acc, den
 
@@ -201,7 +173,7 @@ def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdent
     if not F.is_symmetric():
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
     collapsed = [
-        (_shape_weight(shape, signed=kind == "mzv"), *_collapse(F, shape, orbits=True))
+        (_shape_weight(shape, signed=kind == "mzv"), *_collapse(F, shape))
         for shape in block_shapes(n)
     ]
     den = math.lcm(*(weight.denominator * shape_den for weight, _, shape_den in collapsed))
@@ -294,6 +266,7 @@ def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:
     The word must be admissible: k_1 >= 2.
     """
     kvec = tuple(operator.index(k) for k in kvec)
+    bound = operator.index(bound)
     if not kvec or any(k < 1 for k in kvec):
         raise ValueError(f"arguments must be positive integers, got {kvec}")
     if kvec[0] < 2:

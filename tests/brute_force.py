@@ -26,19 +26,21 @@ degree first): they are the oracle of the integer triangle steps and share
 no code with ``UniPoly``.
 
 ``f_product`` and ``collapsed_sums`` are the oracle of ``f_prod`` and of
-the j >= 1 entries of ``big_F``: plain ``UniPoly`` ``+`` and ``*`` over the
-table rows, odd coefficients included.  ``collapsed_sums`` keeps the former
-formula of ``big_F``, F_j = sum_{i>=j} f_i * g_{i-1,j} over the inverse
-triangle, O(N^4) in N = sum(m) + n: ``big_F`` now eliminates the powers of
-h from the top and never reads ``g_table``, so the two derivations share
-no code past the forward rows.
+the collapse behind ``bernoulli_identity``: plain ``UniPoly`` ``+`` and
+``*`` over the table rows, odd coefficients included.  ``collapsed_sums``
+forms the j >= 1 entries of D^{m_1} f * ... * D^{m_n} f = F_0 +
+sum_{j>=1} F_j * D^{j-1} g as F_j = sum_{i>=j} f_i * g_{i-1,j} over the
+inverse triangle, O(N^4) in N = sum(m) + n.  The package eliminates the
+powers of h from the top and never reads ``g_table`` there, so the two
+derivations share no code past the forward rows.
 
 ``bernoulli_rhs`` and ``zeta_rhs`` are the oracle of the collapsed sides
 ``BernoulliIdentity.rhs_value`` and ``eval_identity_rhs``: each term
 p_l(k) * basis is formed as a ``Fraction`` product (``UniPoly.__call__``
 times the basis value) and added on its own.  ``bernoulli_rhs_polys`` is the
 oracle of the p_l assembly in ``bernoulli_identity``: ``UniPoly`` arithmetic
-on the even coefficients of ``big_F`` as Fractions.
+on the even coefficients of ``collapsed_sums`` as Fractions, with no
+elimination.
 
 ``combined_identity`` is the oracle of ``zeta_identities._combined_identity``,
 the orbit combination behind every zeta, mzv and mzsv identity of a weight
@@ -70,7 +72,6 @@ from evenzeta import (
     NCPoly,
     UniPoly,
     bernoulli,
-    big_F,
     f_table,
     g_table,
     sbar,
@@ -381,9 +382,9 @@ def collapsed_sums(mvec):
 def bernoulli_rhs_polys(mvec):
     """p_0, ..., p_T of the Bernoulli identity, as
     p_l(k) = sum_j a_{j,l} 2^(j-1) (k-l)^(j-1) / 2^sum(m) in ``UniPoly``
-    arithmetic on Fractions, a_{j,l} = [t^(2l)] F_j of ``big_F`` and
-    T = max((s + n - 2) // 2, (n - 1) // 2)."""
-    collapsed = big_F(mvec)
+    arithmetic on Fractions, a_{j,l} = [t^(2l)] F_j of ``collapsed_sums``
+    and T = max((s + n - 2) // 2, (n - 1) // 2)."""
+    collapsed = collapsed_sums(mvec)
     n, s = len(mvec), sum(mvec)
     depth = max((s + n - 2) // 2, (n - 1) // 2)
     shift = UniPoly.x()
@@ -391,7 +392,7 @@ def bernoulli_rhs_polys(mvec):
     for l in range(depth + 1):
         acc = UniPoly.zero()
         for j in range(1, s + n - 2 * l + 1):
-            a = collapsed[j].coefficient(2 * l)
+            a = collapsed[j - 1].coefficient(2 * l)
             acc = acc + UniPoly.constant(a * 2 ** (j - 1)) * (shift - l) ** (j - 1)
         polys.append(acc / 2**s)
     return polys

@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from brute_force import collapsed_sums, f_product
+from brute_force import bernoulli_rhs_polys, collapsed_sums, f_product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,6 @@ from evenzeta import (
     UniPoly,
     bernoulli_identity,
     bernoulli_lhs,
-    big_F,
     f_prod,
     g_table,
     truncation_depth,
@@ -28,11 +27,10 @@ from evenzeta import (
     zeta_identities,
     zeta_identity_monomial,
 )
-from evenzeta.bernoulli_sums import _identity_rows
+from evenzeta.bernoulli_sums import _eliminate, _identity_rows
 from evenzeta.documents import to_json
 
 T = UniPoly.x()
-HALF = Fraction(1, 2)
 
 
 class TestTruncationDepth:
@@ -116,30 +114,20 @@ class TestFProd:
 
 
 class TestBigF:
+    """The collapse D^{m_1} f * ... * D^{m_n} f = F_0 + sum_{j>=1} F_j *
+    D^{j-1} g as the identity reads it: ``bernoulli_identity`` against
+    ``brute_force.bernoulli_rhs_polys``, which reads the F_j of the
+    inverse-triangle sum ``collapsed_sums`` and runs no elimination."""
+
     def test_single_zero(self):
-        F = big_F((0,))
-        assert F[1] == UniPoly.one()
+        # F_1 = 1, so p_0 = 1: the sum is B_{2k}/(2k)! itself.
+        assert collapsed_sums((0,)) == [UniPoly.one()]
+        assert bernoulli_identity((0,)).rhs == (UniPoly.one(),)
 
     def test_single_one(self):
-        F = big_F((1,))
-        assert F[1].is_zero()
-        assert F[2] == UniPoly.one()
-
-    def test_head_closed_form(self):
-        # F_0 = (1/2) prod(t/2 - [m_j = 0]) + (1/2)(-1)^n prod(t/2 + [m_j = 0]).
-        for mvec in [
-            (0,), (1,), (0, 0), (1, 0), (0, 0, 0, 0), (2, 0, 0, 0),
-            (20, 8), (17, 3, 4), (1, 11, 4), (0, 24, 0),
-        ]:
-            n = len(mvec)
-            low = UniPoly.one()
-            high = UniPoly.one()
-            for m in mvec:
-                delta = 1 if m == 0 else 0
-                low = low * (T / 2 - delta)
-                high = high * (T / 2 + delta)
-            expected = HALF * low + HALF * (-1) ** n * high
-            assert big_F(mvec)[0] == expected
+        # F_1 = 0 and F_2 = 1, so p_0 = k.
+        assert collapsed_sums((1,)) == [UniPoly.zero(), UniPoly.one()]
+        assert bernoulli_identity((1,)).rhs == (T,)
 
     @pytest.mark.parametrize(
         "mvec",
@@ -149,11 +137,8 @@ class TestBigF:
         ],
     )
     def test_matches_plain_polynomial_sum(self, mvec):
-        # F_j = sum_{i=j}^{N} f_i * g_{i-1,j}, summed term by term in UniPoly;
         # (24, 23) and (16, 16, 14) reach table depth 48, the deepest the CLI admits.
-        F = big_F(mvec)
-        assert len(F) == sum(mvec) + len(mvec) + 1
-        assert list(F[1:]) == collapsed_sums(mvec)
+        assert list(bernoulli_identity(mvec).rhs) == bernoulli_rhs_polys(mvec)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -162,38 +147,27 @@ class TestBigF:
         mvec = []
         for _ in range(data.draw(st.integers(1, 4))):
             mvec.append(data.draw(st.integers(0, 12 - sum(mvec))))
-        assert list(big_F(mvec)[1:]) == collapsed_sums(mvec)
+        assert list(bernoulli_identity(mvec).rhs) == bernoulli_rhs_polys(mvec)
 
     def test_reads_no_inverse_triangle(self):
-        # The elimination needs only the forward rows: big_F names no
-        # g_table, and building an entry calls none.
-        assert "g_table" not in big_F.__code__.co_names
+        # The identity needs only the forward rows: none of its steps names
+        # g_table, and eliminating afresh calls none.
+        for step in (_identity_rows.__wrapped__, f_prod, _eliminate):
+            assert "g_table" not in step.__code__.co_names, step.__name__
+        _identity_rows.cache_clear()
         before = g_table.cache_info()
-        big_F((9, 7, 5))
+        bernoulli_identity((9, 7, 5))
         after = g_table.cache_info()
         assert after.hits + after.misses == before.hits + before.misses
 
     def test_all_entries_even(self):
-        # The full sums, odd coefficients formed, have none and stay within
-        # degree N - j; big_F forms only the even ones.
+        # Every F_j, odd coefficients formed, is even and within degree
+        # N - j, which is why the identity reads its rows at even powers only.
         for mvec in [(0,), (1,), (2,), (0, 0), (1, 0), (0, 0, 0, 0), (3, 0, 0, 0), (24, 23), (16, 16, 14)]:
             N = sum(mvec) + len(mvec)
-            assert not any(big_F(mvec)[0].nums[1::2])
             for j, poly in enumerate(collapsed_sums(mvec), 1):
                 assert not any(poly.nums[1::2])
                 assert poly.degree() <= N - j
-
-
-class TestACoeffs:
-    """a_{j,l} = [t^(2l)] F_j, read off ``big_F``."""
-
-    def test_single_zero(self):
-        assert big_F((0,))[1].coefficient(0) == 1
-
-    def test_single_one(self):
-        F = big_F((1,))
-        assert F[2].coefficient(0) == 1
-        assert F[1].coefficient(0) == 0
 
 
 class TestBruteForceLhs:

@@ -4,11 +4,14 @@
 the basis value over one running denominator.  Their oracle is the
 term-by-term ``Fraction`` sum of ``brute_force.py``
 (``bernoulli_rhs``, ``zeta_rhs``), and the oracle of the integer p_l
-assembly in ``bernoulli_identity`` is ``brute_force.bernoulli_rhs_polys``.
+assembly in ``bernoulli_identity`` is ``brute_force.bernoulli_rhs_polys``,
+which runs none of the package's elimination.
 """
 
+import types
+
 import pytest
-from brute_force import bernoulli_rhs, bernoulli_rhs_polys, zeta_rhs
+from brute_force import bernoulli_rhs, bernoulli_rhs_polys, collapsed_sums, f_product, zeta_rhs
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,6 +29,24 @@ from evenzeta.suites import _MAX_WEIGHT, MAX_K, MAX_N, _exponent_tuples, _weight
 DEPTH_TEN_WEIGHT = (
     "(x1+x2+x3+x4+x5+x6+x7+x8+x9+x10)^3 + x1^2+x2^2+x3^2+x4^2+x5^2+x6^2+x7^2+x8^2+x9^2+x10^2"
 )
+
+
+def names_used(code):
+    """Every global or attribute name a code object and the code nested in
+    it (comprehensions, inner functions) refer to."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            names |= names_used(const)
+    return names
+
+
+@pytest.mark.parametrize("oracle", [bernoulli_rhs_polys, collapsed_sums, f_product])
+def test_bernoulli_oracle_runs_no_pipeline_step(oracle):
+    # The oracle of the p_l shares only the table rows with the package: it
+    # names none of the steps that build the identity.
+    steps = {"big_F", "f_prod", "_eliminate", "_identity_rows", "bernoulli_identity"}
+    assert not names_used(oracle.__code__) & steps
 
 
 def check_bernoulli(identity, ks):

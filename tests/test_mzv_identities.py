@@ -27,7 +27,6 @@ from brute_force import compositions, partition_shape, set_partitions, weight_va
 from evenzeta import (
     MultiPoly,
     UniPoly,
-    block_reduce,
     block_shapes,
     eval_identity_rhs,
     max_parse_degree,
@@ -42,7 +41,7 @@ from evenzeta import (
     zeta_identity_poly,
 )
 from evenzeta.cli import MAX_MZV_DEPTH
-from evenzeta.mzv_identities import _shape_weight, _sorted_power_sum
+from evenzeta.mzv_identities import _collapse, _shape_weight, _sorted_power_sum
 
 K = UniPoly.x()
 
@@ -170,9 +169,10 @@ class TestCompositionPowerSum:
                 assert poly(k) == brute
 
 
+@lru_cache(maxsize=None)
 def plain_power_sum(pvec):
     """Interpolated through the split sums at k = 1..sum(p) + n, enough for
-    its degree sum(p) + n - 1."""
+    its degree sum(p) + n - 1; cached on the exact, unsorted tuple."""
     points = range(1, sum(pvec) + len(pvec) + 1)
     result = UniPoly.zero()
     for i in points:
@@ -180,12 +180,14 @@ def plain_power_sum(pvec):
         for j in points:
             if j != i:
                 basis = basis * (K - j) / (i - j)
-        result = result + split_sum(tuple(pvec), i) * basis
+        result = result + split_sum(pvec, i) * basis
     return result
 
 
 def plain_block_reduce(F, shape):
-    """Monomial by monomial, block by block, with no merging or caching;
+    """F collapsed onto the blocks of ``shape``, each block of l
+    consecutive positions standing for its total, split every way into l
+    positive parts.  Monomial by monomial, block by block, with no merging;
     each block is the interpolated split sum of ``plain_power_sum``.  The
     result is a dict like ``.terms``, formed by the ``brute_force.poly_*``
     dict arithmetic."""
@@ -212,31 +214,40 @@ def prod_powers(comp, pvec):
     return out
 
 
+def terms_value(terms, point):
+    """A dict like ``.terms`` evaluated at ``point``."""
+    values = (c * math.prod(x**e for x, e in zip(point, expts)) for expts, c in terms.items())
+    return sum(values, Fraction(0))
+
+
 class TestBlockReduce:
+    """The split sums of ``plain_block_reduce``, and the per-shape orbit
+    sums of ``_collapse`` against it."""
+
     def test_constant_two_into_one(self):
         # Splitting t into two positive parts: t - 1 ways.
-        reduced = block_reduce(parse_poly("1", 2), (2,))
-        assert reduced == parse_poly("x1 - 1", 1)
+        reduced = plain_block_reduce(parse_poly("1", 2), (2,))
+        assert reduced == parse_poly("x1 - 1", 1).terms
 
     def test_linear_two_into_one(self):
         # sum over splits of (k_1 + k_2) = t per split: t(t-1).
-        reduced = block_reduce(parse_poly("x1 + x2", 2), (2,))
-        assert reduced == parse_poly("x1^2 - x1", 1)
+        reduced = plain_block_reduce(parse_poly("x1 + x2", 2), (2,))
+        assert reduced == parse_poly("x1^2 - x1", 1).terms
 
     def test_trivial_shape_is_identity(self):
         F = parse_poly("x1^2 + x2^2 + x1*x2", 2)
-        assert block_reduce(F, (1, 1)) == F
+        assert plain_block_reduce(F, (1, 1)) == F.terms
 
     def test_matches_direct_split_sum(self):
         # Independent check: sum F over explicit splits of each block total.
         F = parse_poly("x1^2 + x2^2 + x3^2", 3)
-        reduced = block_reduce(F, (2, 1))
+        reduced = plain_block_reduce(F, (2, 1))
         for t1 in range(2, 7):
             for t2 in range(1, 5):
                 direct = sum(
                     weight_value(F, (a, t1 - a, t2)) for a in range(1, t1)
                 )
-                assert weight_value(reduced, (t1, t2)) == direct
+                assert terms_value(reduced, (t1, t2)) == direct
 
     @pytest.mark.parametrize(
         "text, n",
@@ -250,14 +261,22 @@ class TestBlockReduce:
         ids=["power-sum", "square", "e3", "m31", "asymmetric"],
     )
     def test_matches_plain_expansion(self, text, n):
+        # _collapse merges blocks and sums over orbits; the plain expansion,
+        # summed on its sorted keys, must give the same values.
         F = parse_poly(text, n)
         for shape in block_shapes(n):
-            assert block_reduce(F, shape).terms == plain_block_reduce(F, shape), shape
+            acc, den = _collapse(F, shape)
+            expected = {}
+            for expts, c in plain_block_reduce(F, shape).items():
+                key = tuple(sorted(expts))
+                expected[key] = expected.get(key, 0) + c
+            collapsed = {key: Fraction(c, F.den * den) for key, c in acc.items() if c}
+            assert collapsed == {key: c for key, c in expected.items() if c}, shape
 
     def test_repeated_block_sizes(self):
         # Shape (2, 2, 1): each pair block takes its own split sum.
         F = parse_poly("x1^2 + x2^2 + x3^2 + x4^2 + x5^2 + x1*x2*x3*x4*x5", 5)
-        reduced = block_reduce(F, (2, 2, 1))
+        reduced = plain_block_reduce(F, (2, 2, 1))
         for t1 in range(2, 6):
             for t2 in range(2, 6):
                 for t3 in range(1, 4):
@@ -266,16 +285,7 @@ class TestBlockReduce:
                         for a in range(1, t1)
                         for b in range(1, t2)
                     )
-                    assert weight_value(reduced, (t1, t2, t3)) == direct
-
-    def test_shape_must_cover(self):
-        with pytest.raises(ValueError):
-            block_reduce(parse_poly("1", 3), (2,))
-
-    @pytest.mark.parametrize("length", [2.0, "2", Fraction(2)])
-    def test_non_integral_shape_rejected(self, length):
-        with pytest.raises(TypeError):
-            block_reduce(parse_poly("1", 3), (1, length))
+                    assert terms_value(reduced, (t1, t2, t3)) == direct
 
 
 class TestIdentityPipeline:
@@ -687,6 +697,12 @@ class TestNumeric:
         with pytest.raises(TypeError):
             mzv_numeric(kvec, 100)
 
+    @pytest.mark.parametrize("bound", [10.0, "10", Fraction(20)])
+    def test_non_integral_bound_rejected(self, bound):
+        # Refused up front, as the arguments are, not midway through the sum.
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            mzv_numeric((2,), bound)
+
 
 class TestOrbitCombination:
     """``_combined_identity`` against the ``UniPoly.constant``/``UniPoly.dot``
@@ -729,19 +745,17 @@ class TestOrbitCombination:
 
 def shape_by_shape_identity(F, n, kind):
     """The identity assembled shape by shape, as the package once did: each
-    shape's ``block_reduce`` polynomial scaled by ``_shape_weight``, every
+    shape's ``plain_block_reduce`` terms scaled by ``_shape_weight``, every
     monomial of every shape handed on unsorted to ``_combined_identity``."""
     from evenzeta import zeta_identities
 
-    reduced = [
-        (_shape_weight(shape, kind == "mzv"), block_reduce(F, shape)) for shape in block_shapes(n)
+    terms = [
+        (expts, _shape_weight(shape, kind == "mzv") * c)
+        for shape in block_shapes(n)
+        for expts, c in plain_block_reduce(F, shape).items()
     ]
-    den = math.lcm(*(weight.denominator * G.den for weight, G in reduced))
-    parts = [
-        (expts, c * weight.numerator * (den // (weight.denominator * G.den)))
-        for weight, G in reduced
-        for expts, c in G.nums.items()
-    ]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    parts = [(expts, c.numerator * (den // c.denominator)) for expts, c in terms]
     return zeta_identities._combined_identity(kind, n, parts, den, F)
 
 
@@ -769,8 +783,8 @@ def symmetric_weights(draw):
 
 class TestOrbitPath:
     """``mzv_identity`` and ``mzsv_identity``, built straight from orbit
-    sums, against the shape-by-shape assembly through the public
-    ``block_reduce``; and the depth T against its closed form."""
+    sums, against the shape-by-shape assembly through the dict-arithmetic
+    oracle ``plain_block_reduce``; and the depth T against its closed form."""
 
     @staticmethod
     def check(F, n):
@@ -790,7 +804,7 @@ class TestOrbitPath:
         # -4*x1*x2 to -2t^3/3 + ..., so the top degree of G_(2) cancels; the
         # shape (1, 1) keeps the degree-2 orbit, so T = 1.
         F = parse_poly("x1^2 + x2^2 - 4*x1*x2", 2)
-        assert block_reduce(F, (2,)).degree() < F.degree() + 1
+        assert max(map(sum, plain_block_reduce(F, (2,)))) < F.degree() + 1
         self.check(F, 2)
         assert mzv_identity(F, 2).T == 1
 

@@ -2,8 +2,8 @@
 coefficients.
 
 The benchmark pools and the golden argvs draw integer coefficients almost
-everywhere, so these argvs send denominators through the parser,
-``block_reduce``, the orbit sum and the series left sides.  Each is pinned
+everywhere, so these argvs send denominators through the parser, the
+per-shape collapse, the orbit sum and the series left sides.  Each is pinned
 to the sha256 of its stdout, recorded while ``MultiPoly`` still held a
 ``Fraction`` per term; the integer form must reproduce them exactly.
 """
