@@ -14,6 +14,7 @@ and ``from_json(to_json(identity)) == identity``.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -256,7 +257,12 @@ _COEFF_PATTERN = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
 
 def _coeff_strings(poly: UniPoly) -> list[str]:
-    return [f"{c.numerator}/{c.denominator}" for c in poly.coeffs]
+    """Each coefficient as "numerator/denominator" in lowest terms."""
+    strings = []
+    for x in poly.nums:
+        common = math.gcd(x, poly.den)
+        strings.append(f"{x // common}/{poly.den // common}")
+    return strings
 
 
 def _terms(identity: _Identity) -> tuple[UniPoly, ...]:
@@ -264,19 +270,39 @@ def _terms(identity: _Identity) -> tuple[UniPoly, ...]:
     return identity.rhs if isinstance(identity, BernoulliIdentity) else identity.terms
 
 
+def _json_list(items: Sequence[str], indent: str) -> str:
+    """A JSON list of already encoded ``items`` as ``json.dumps`` writes it
+    with ``indent=2`` at nesting ``indent``."""
+    if not items:
+        return "[]"
+    inner = ",\n".join(f"{indent}  {item}" for item in items)
+    return f"[\n{inner}\n{indent}]"
+
+
 def to_json(identity: _Identity) -> str:
+    """The schema-1 document, byte for byte what ``json.dumps(payload,
+    indent=2)`` writes for it, written directly: the layout is fixed, and
+    every value but ``kind``, ``poly`` and ``tool`` is an integer or a "p/q"
+    string, which needs no escaping."""
     poly = getattr(identity, "poly", None)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "kind": identity.kind,
-        "n": identity.n,
-        "T": identity.T,
-        "mvec": list(identity.mvec) if identity.mvec is not None else None,
-        "poly": poly.render() if poly is not None else None,
-        "terms": [{"l": l, "coeffs": _coeff_strings(p)} for l, p in enumerate(_terms(identity))],
-        "tool": _TOOL,
-    }
-    return json.dumps(payload, indent=2)
+    mvec = "null" if identity.mvec is None else _json_list([str(m) for m in identity.mvec], "  ")
+    terms = []
+    for l, p in enumerate(_terms(identity)):
+        coeffs = _json_list([f'"{c}"' for c in _coeff_strings(p)], "      ")
+        terms.append(f'{{\n      "l": {l},\n      "coeffs": {coeffs}\n    }}')
+    lines = [
+        "{",
+        f'  "schema": {SCHEMA_VERSION},',
+        f'  "kind": {json.dumps(identity.kind)},',
+        f'  "n": {identity.n},',
+        f'  "T": {identity.T},',
+        f'  "mvec": {mvec},',
+        f'  "poly": {"null" if poly is None else json.dumps(poly.render())},',
+        f'  "terms": {_json_list(terms, "  ")},',
+        f'  "tool": {json.dumps(_TOOL)}',
+        "}",
+    ]
+    return "\n".join(lines)
 
 
 def from_json(text: str) -> _Identity:

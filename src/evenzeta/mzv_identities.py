@@ -25,13 +25,15 @@ c_m the coefficients of E_{p_1}(u) ... E_{p_n}(u).
 
 Every piece of that work is symmetric in its exponents, so it is done once
 per permutation orbit, keyed on the sorted exponent tuple, and the
-composition power sums are cached on it.  ``_symmetric_sum_identity`` goes
-from F straight to orbit sums in one pass per block shape: it merges the
-monomials of F on their sorted blocks, with blocks of equal size unordered,
-expands each merged key's power sums straight into sorted exponent tuples
-(both in ``_collapse``), and adds every shape, scaled by its weight, into
-one dict of orbit numerators over one lcm.  The
-combination step builds one monomial identity per orbit of that dict.
+composition power sums are cached on it.  ``_orbit_split`` goes from F
+straight to orbit sums in one pass per block shape: it merges the monomials
+of F on their sorted blocks, with blocks of equal size unordered, expands
+each merged key's power sums straight into sorted exponent tuples (both in
+``_collapse``), and adds every shape, scaled by 1/z_lambda, into one of two
+dicts of orbit numerators over one lcm: E for the shapes with n - len(lambda)
+even, O for the odd ones.  The mzv sum is E - O and the mzsv sum E + O, so
+the pair is cached per weight and the two kinds of one weight share one
+collapse.  The combination step builds one monomial identity per orbit.
 
 The depth T of the result is the largest truncation depth over the orbits
 present, those whose sums cancel included, and equals
@@ -80,6 +82,10 @@ __all__ = [
 
 #: Composition power sums kept, one per sorted exponent tuple.
 _COMPOSITION_CACHE_SIZE = 1 << 12
+
+#: Orbit splits kept, one per symmetric weight, so that the mzv and mzsv
+#: identities of a weight share one collapse.
+_ORBIT_CACHE_SIZE = 1 << 8
 
 #: Significant digits of the decimals returned by ``mzv_numeric``.
 _DECIMAL_DIGITS = 40
@@ -165,6 +171,26 @@ def _shape_weight(shape: tuple[int, ...], signed: bool) -> Fraction:
     return Fraction(-1 if signed and (sum(shape) - len(shape)) % 2 else 1, centraliser)
 
 
+@lru_cache(maxsize=_ORBIT_CACHE_SIZE)
+def _orbit_split(F: MultiPoly) -> tuple[tuple, tuple, int]:
+    """(E, O, den) of a symmetric F of arity n: every block shape lambda's
+    ``_collapse``, scaled by 1/z_lambda, summed into orbit numerators over
+    F.den * den, in E when n - len(lambda) is even and in O when it is odd,
+    each as (exponents, numerator) pairs; a key whose sum cancels is kept."""
+    collapsed = [
+        (_shape_weight(shape, signed=True), *_collapse(F, shape)) for shape in block_shapes(F.arity)
+    ]
+    den = math.lcm(*(weight.denominator * shape_den for weight, _, shape_den in collapsed))
+    even: dict[tuple[int, ...], int] = {}
+    odd: dict[tuple[int, ...], int] = {}
+    for weight, acc, shape_den in collapsed:
+        orbits = odd if weight < 0 else even
+        scale = den // (weight.denominator * shape_den)
+        for key, c in acc.items():
+            orbits[key] = orbits.get(key, 0) + c * scale
+    return tuple(even.items()), tuple(odd.items()), den
+
+
 def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdentity:
     if not isinstance(F, MultiPoly):
         raise TypeError(f"expected a MultiPoly weight, got {type(F).__name__}")
@@ -172,17 +198,11 @@ def _symmetric_sum_identity(F: MultiPoly, n: int, kind: str) -> WeightedSumIdent
         raise ValueError(f"weight polynomial has arity {F.arity}, expected {n}")
     if not F.is_symmetric():
         raise ValueError(f"weight polynomial must be symmetric, got {F.render()}")
-    collapsed = [
-        (_shape_weight(shape, signed=kind == "mzv"), *_collapse(F, shape))
-        for shape in block_shapes(n)
-    ]
-    den = math.lcm(*(weight.denominator * shape_den for weight, _, shape_den in collapsed))
-    orbits: dict[tuple[int, ...], int] = {}
-    for weight, acc, shape_den in collapsed:
-        scale = weight.numerator * (den // (weight.denominator * shape_den))
-        for key, c in acc.items():
-            orbits[key] = orbits.get(key, 0) + c * scale
-    return _combined_identity(kind, n, orbits.items(), F.den * den, F)
+    even, odd, den = _orbit_split(F)
+    sign = -1 if kind == "mzv" else 1
+    # _combined_identity sums the pairs of one orbit, so E and O need no merge.
+    nums = itertools.chain(even, ((key, sign * c) for key, c in odd))
+    return _combined_identity(kind, n, nums, F.den * den, F)
 
 
 def mzv_identity(F: MultiPoly, n: int) -> WeightedSumIdentity:

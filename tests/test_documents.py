@@ -6,6 +6,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evenzeta import (
     MultiPoly,
@@ -96,6 +98,89 @@ class TestJsonRoundTrip:
     def test_round_trip_per_kind(self, identity):
         assert from_json(to_json(identity)) == identity
         assert to_json(from_json(to_json(identity))) == to_json(identity)
+
+
+def schema_one_payload(identity):
+    """The schema-1 payload of ``identity``, every coefficient written from
+    its ``Fraction``: ``json.dumps(payload, indent=2)`` is the layout that
+    ``to_json`` writes directly."""
+    poly = getattr(identity, "poly", None)
+    terms = identity.rhs if identity.kind == "bernoulli" else identity.terms
+    return {
+        "schema": 1,
+        "kind": identity.kind,
+        "n": identity.n,
+        "T": identity.T,
+        "mvec": list(identity.mvec) if identity.mvec is not None else None,
+        "poly": poly.render() if poly is not None else None,
+        "terms": [
+            {"l": l, "coeffs": [f"{c.numerator}/{c.denominator}" for c in p.coeffs]}
+            for l, p in enumerate(terms)
+        ],
+        "tool": f"evenzeta {__version__}",
+    }
+
+
+#: Each kind in each weight form it takes: a rational weight, the zero
+#: weight (every term without coefficients), a zero term between nonzero
+#: ones (T = 2, terms[2] = 0), and the weight whose top degree cancels.
+WRITER_CASES = [
+    bernoulli_identity((2, 0, 1)),
+    bernoulli_identity((0,)),
+    zeta_identity_monomial((3, 0, 0, 0)),
+    zeta_identity_poly(parse_poly("x1^2*x2 - 1/3", 2), 2),
+    mzv_identity(parse_poly("1/2*x1^2 + 1/2*x2^2 - 2/3", 2), 2),
+    mzv_identity(parse_poly("0", 3), 3),
+    mzsv_identity(parse_poly("0", 2), 2),
+    mzsv_identity(parse_poly("(x1+x2+x3)^3", 3), 3),
+    mzv_identity(parse_poly("x1^2+x2^2-4*x1*x2", 2), 2),
+    mzsv_identity(parse_poly("x1^2+x2^2-4*x1*x2", 2), 2),
+]
+
+
+class TestWriter:
+    """``to_json`` writes the schema-1 layout itself; it must stay byte for
+    byte what ``json.dumps(payload, indent=2)`` writes."""
+
+    def test_cases_cover_every_kind_form_and_an_empty_term(self):
+        forms = {(identity.kind, identity.mvec is None) for identity in WRITER_CASES}
+        assert forms == {("bernoulli", False), ("zeta", False), ("zeta", True), ("mzv", True), ("mzsv", True)}
+        assert '"coeffs": []' in to_json(WRITER_CASES[5])
+        assert WRITER_CASES[7].terms[2].is_zero() and not WRITER_CASES[7].terms[1].is_zero()
+
+    @pytest.mark.parametrize("identity", WRITER_CASES)
+    def test_matches_json_dumps(self, identity):
+        assert to_json(identity) == json.dumps(schema_one_payload(identity), indent=2)
+        assert from_json(to_json(identity)) == identity
+
+    def test_quotes_only_the_strings(self, monkeypatch):
+        original, encoded = json.dumps, []
+
+        def dumps(value, **options):
+            assert not options
+            encoded.append(value)
+            return original(value)
+
+        monkeypatch.setattr(json, "dumps", dumps)
+        identity = WRITER_CASES[4]
+        to_json(identity)
+        assert encoded == ["mzv", identity.poly.render(), f"evenzeta {__version__}"]
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.just(Fraction(0)), st.fractions(-(10**12), 10**12, max_denominator=10**9)),
+            max_size=10,
+        )
+    )
+    def test_coeff_strings_match_fractions(self, coeffs):
+        poly = UniPoly(coeffs)
+        expected = [f"{c.numerator}/{c.denominator}" for c in poly.coeffs]
+        assert documents._coeff_strings(poly) == expected
+
+    def test_coeff_strings_of_zero_and_negative_entries(self):
+        poly = UniPoly([Fraction(-3, 6), 0, Fraction(4, 2), Fraction(-5, 3)])
+        assert documents._coeff_strings(poly) == ["-1/2", "0/1", "2/1", "-5/3"]
 
 
 class TestLoadedIdentity:

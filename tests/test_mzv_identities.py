@@ -914,3 +914,73 @@ class TestCancellingOrbits:
         workloads = load_bench_workloads()
         for text in workloads.wide_pool(n):
             self.check_both_kinds(parse_poly(text, n), n)
+
+
+def shared_collapse_weights():
+    """(F, n): the fixed weights of ``TestCancellingOrbits``, the bench's
+    wide pool at n = 4..7 and the densest weights the parser admits at
+    n = 3 and n = 4."""
+    weights = [(monomial_symmetric_sum({(): 1, (3,): c, (2, 1): -c}, 4), 4) for c in (1, -2, 3)]
+    weights.append((parse_poly("x1^2 + x2^2 - 4*x1*x2", 2), 2))
+    workloads = load_bench_workloads()
+    weights += [(parse_poly(text, n), n) for n in range(4, 8) for text in workloads.wide_pool(n)]
+    for n in (3, 4):
+        text, _ = brute_force.dense_weight(n, max_parse_degree(n))
+        weights.append((parse_poly(text, n), n))
+    return weights
+
+
+class TestSharedCollapse:
+    """The mzv and mzsv identities of a weight share one cached orbit
+    split: the second kind built collapses nothing, and a warm build writes
+    the same document as a cold one, in either order."""
+
+    @pytest.fixture
+    def collapses(self, monkeypatch):
+        from evenzeta import mzv_identities
+
+        calls = []
+
+        def counted(F, shape):
+            calls.append(shape)
+            return _collapse(F, shape)
+
+        mzv_identities._orbit_split.cache_clear()
+        monkeypatch.setattr(mzv_identities, "_collapse", counted)
+        yield calls
+        mzv_identities._orbit_split.cache_clear()
+
+    @pytest.mark.parametrize("first, second", [(mzv_identity, mzsv_identity), (mzsv_identity, mzv_identity)])
+    def test_second_kind_collapses_nothing(self, collapses, first, second):
+        F = parse_poly("(x1+x2+x3+x4)^3 + x1*x2*x3*x4", 4)
+        first(F, 4)
+        assert collapses == list(block_shapes(4))
+        second(F, 4)
+        assert collapses == list(block_shapes(4))
+
+    def test_warm_builds_write_what_cold_builds_write(self):
+        from evenzeta import mzv_identities
+        from evenzeta.documents import to_json
+
+        def documents(order):
+            mzv_identities._orbit_split.cache_clear()
+            return {build.__name__: to_json(build(F, n)) for build in order}
+
+        for F, n in shared_collapse_weights():
+            mzv_first = documents((mzv_identity, mzsv_identity))
+            mzsv_first = documents((mzsv_identity, mzv_identity))
+            assert mzv_first == mzsv_first, F.render()
+        mzv_identities._orbit_split.cache_clear()
+
+    def test_errors_come_before_the_cache(self, collapses):
+        from evenzeta import mzv_identities
+
+        for build in (mzv_identity, mzsv_identity):
+            with pytest.raises(TypeError, match="expected a MultiPoly weight, got str"):
+                build("x1 + x2", 2)
+            with pytest.raises(ValueError, match="has arity 2, expected 3"):
+                build(parse_poly("x1 + x2", 2), 3)
+            with pytest.raises(ValueError, match="must be symmetric, got x1"):
+                build(parse_poly("x1", 2), 2)
+        info = mzv_identities._orbit_split.cache_info()
+        assert (info.hits, info.misses, collapses) == (0, 0, [])

@@ -269,12 +269,15 @@ def _package_caches():
 # admitted word, the letters 1..8, in both modes, and the template cache
 # every shape whose templates are kept (the words suite forms 15).  Every
 # monomial-identity miss is also an elimination-rows miss, so the rows cache
-# keeps at least as many entries as the monomial identities.
+# keeps at least as many entries as the monomial identities.  The orbit
+# splits are one per symmetric weight: the mzv suite at --max-n 5 builds 25
+# weights, a build-wide repetition 8.
 CACHE_FLOORS = {
     "bernoulli_sums._identity_rows": 226,
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
+    "mzv_identities._orbit_split": 25,
     "mzv_identities._sorted_power_sum": 31,
     "quasi_shuffle._expansion": 258,
     "quasi_shuffle._path_templates": 49,

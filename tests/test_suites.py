@@ -13,6 +13,7 @@ from evenzeta import (
     SuiteReport,
     bernoulli_suite,
     bernoulli_sums,
+    mzv_identities,
     mzv_suite,
     parse_poly,
     quasi_shuffle,
@@ -28,10 +29,12 @@ from evenzeta import (
 
 
 def _clear_identity_caches():
-    """Empty the caches above ``f_prod``: the elimination rows, shared by
-    every kind, and the monomial identities built on them."""
+    """Empty the identity caches: the elimination rows above ``f_prod``,
+    shared by every kind, the monomial identities built on them, and the
+    orbit splits shared by the mzv and mzsv identities of a weight."""
     bernoulli_sums._identity_rows.cache_clear()
     zeta_identities._monomial_identity.cache_clear()
+    mzv_identities._orbit_split.cache_clear()
 
 
 class TestSuiteReport:
