@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, ClassVar, Sequence
+from typing import Callable, Sequence
 
 # g_table is not called here; the benchmark's tracer rebinds it in this module.
+from ._records import Record
 from .derivative_tables import f_table, g_table  # noqa: F401
 from .polynomials import UniPoly
 from .rationals import bernoulli
@@ -152,19 +152,19 @@ def _eliminate(fs: Sequence[UniPoly]) -> tuple[list[list[int]], int]:
     return levels, den * scale
 
 
-@dataclass(frozen=True)
-class BernoulliIdentity:
+class BernoulliIdentity(Record):
     """Collapsed form of a weighted Bernoulli-product sum.
 
     For every integer k >= n the composition sum with exponents ``mvec``
     equals sum_{l=0}^{min(T, k)} rhs[l](k) * B_{2k-2l}/(2k-2l)!.
     """
 
-    kind: ClassVar[str] = "bernoulli"
+    __slots__ = ("mvec", "T", "rhs")
 
-    mvec: tuple[int, ...]
-    T: int
-    rhs: tuple[UniPoly, ...]
+    kind = "bernoulli"
+
+    def __init__(self, mvec: tuple[int, ...], T: int, rhs: tuple[UniPoly, ...]) -> None:
+        self._assign(mvec, T, rhs)
 
     @property
     def n(self) -> int:

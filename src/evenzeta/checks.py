@@ -2,19 +2,18 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._records import Record
 
 __all__ = ["CheckResult"]
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of one exact check; both sides are rendered for failure reports."""
 
-    ok: bool
-    label: str
-    lhs: str
-    rhs: str
+    __slots__ = ("ok", "label", "lhs", "rhs")
+
+    def __init__(self, ok: bool, label: str, lhs: str, rhs: str) -> None:
+        self._assign(ok, label, lhs, rhs)
 
     def __bool__(self) -> bool:
         return self.ok

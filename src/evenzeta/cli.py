@@ -18,13 +18,14 @@ import sys
 from functools import lru_cache
 from typing import Sequence
 
-from .derivative_tables import f_table, g_table
+from .derivative_tables import Triangle, f_table, g_table
 from .documents import (
     _KINDS,
     MAX_MZV_DEPTH,
     MAX_TABLE_DEPTH,
     _check_weight,
     _coeff_strings,
+    _json_list,
     poly_latex,
     poly_text,
     to_json,
@@ -168,18 +169,24 @@ def _cmd_examples(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _table_json(table: Triangle) -> str:
+    """The rows of ``table``, each entry its coefficient strings, as
+    ``json.dumps(..., indent=2)`` writes them under a top-level key, written
+    directly: the strings are "p/q" and need no escaping."""
+    rows = [
+        _json_list([_json_list([f'"{c}"' for c in _coeff_strings(entry)], "      ") for entry in row], "    ")
+        for row in table.rows
+    ]
+    return _json_list(rows, "  ")
+
+
 def _cmd_tables(args: argparse.Namespace) -> int:
     if not 0 <= args.depth <= MAX_DUMP_DEPTH:
         raise ValueError(f"--depth must be in 0..{MAX_DUMP_DEPTH}, got {args.depth}")
     fs = f_table(args.depth)
     gs = g_table(args.depth)
     if args.format == "json":
-        payload = {
-            "depth": args.depth,
-            "f": [[_coeff_strings(entry) for entry in row] for row in fs.rows],
-            "g": [[_coeff_strings(entry) for entry in row] for row in gs.rows],
-        }
-        text = json.dumps(payload, indent=2)
+        text = f'{{\n  "depth": {args.depth},\n  "f": {_table_json(fs)},\n  "g": {_table_json(gs)}\n}}'
     else:
         render = poly_latex if args.format == "latex" else poly_text
         lines = []

@@ -40,10 +40,10 @@ inverse-triangle oracle of the collapsed identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._records import Record
 from .polynomials import UniPoly
 from .rationals import GrowableTable
 
@@ -56,13 +56,13 @@ _TABLE_CACHE_SIZE = 64
 Row = tuple[UniPoly, ...]
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(Record):
     """Rows 0..depth of a triangle; row m holds entries i = first..m+1."""
 
-    depth: int
-    first: int
-    rows: tuple[Row, ...]
+    __slots__ = ("depth", "first", "rows")
+
+    def __init__(self, depth: int, first: int, rows: tuple[Row, ...]) -> None:
+        self._assign(depth, first, rows)
 
     def row(self, m: int) -> Row:
         if not 0 <= m <= self.depth:

@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
 from . import __version__
+from ._records import Record
 from .bernoulli_sums import BernoulliIdentity, _bernoulli_lhs_grid, _validated_mvec, bernoulli_identity
 from .checks import CheckResult
 from .mzv_identities import _mzv_lhs_grid, mzsv_identity, mzv_identity
@@ -65,23 +65,30 @@ _Weight = tuple[int, ...] | MultiPoly
 _TOOL = f"evenzeta {__version__}"
 
 
-@dataclass(frozen=True)
-class _Kind:
+class _Kind(Record):
     """One identity kind.  A builder is None when the kind does not take
     that weight form; ``lhs``, the left sides of a weight at n and each k of
     a sequence from code no builder uses, takes the poly form if the kind
     has one.  ``rhs`` is an identity's collapsed side at k.  Each basis pair
     is (l = 0, l > 0), the second a template formatted with j = 2l."""
 
-    section: int
-    lhs_text: str
-    lhs: Callable[[_Weight, int, Sequence[int]], list[Fraction]]
-    rhs: Callable[[_Identity, int], Fraction] = lambda identity, k: eval_identity_rhs(identity, k)
-    monomial: Callable[[tuple[int, ...]], _Identity] | None = None
-    poly: Callable[[MultiPoly, int], _Identity] | None = None
-    symmetric: bool = False
-    basis_text: tuple[str, str] = ("zeta(2k)", "zeta({j})*zeta(2k-{j})")
-    basis_latex: tuple[str, str] = (r"\zeta(2k)", r"\zeta({j})\zeta(2k-{j})")
+    __slots__ = (
+        "section", "lhs_text", "lhs", "rhs", "monomial", "poly", "symmetric", "basis_text", "basis_latex"
+    )
+
+    def __init__(
+        self,
+        section: int,
+        lhs_text: str,
+        lhs: Callable[[_Weight, int, Sequence[int]], list[Fraction]],
+        rhs: Callable[[_Identity, int], Fraction] = lambda identity, k: eval_identity_rhs(identity, k),
+        monomial: Callable[[tuple[int, ...]], _Identity] | None = None,
+        poly: Callable[[MultiPoly, int], _Identity] | None = None,
+        symmetric: bool = False,
+        basis_text: tuple[str, str] = ("zeta(2k)", "zeta({j})*zeta(2k-{j})"),
+        basis_latex: tuple[str, str] = (r"\zeta(2k)", r"\zeta({j})\zeta(2k-{j})"),
+    ) -> None:
+        self._assign(section, lhs_text, lhs, rhs, monomial, poly, symmetric, basis_text, basis_latex)
 
     def build(self, weight: _Weight, n: int) -> _Identity:
         """The identity of a weight returned by ``_check_weight``."""

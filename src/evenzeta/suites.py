@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -69,13 +68,24 @@ _MAX_LETTER = 3
 _TABLE_DEPTH = 12
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    passed: int = 0
-    failed: int = 0
-    skipped: int = 0
-    first_failure: CheckResult | None = None
+    """The running counts of one suite and its first failure."""
+
+    __slots__ = ("suite", "passed", "failed", "skipped", "first_failure")
+
+    def __init__(
+        self,
+        suite: str,
+        passed: int = 0,
+        failed: int = 0,
+        skipped: int = 0,
+        first_failure: CheckResult | None = None,
+    ) -> None:
+        self.suite = suite
+        self.passed = passed
+        self.failed = failed
+        self.skipped = skipped
+        self.first_failure = first_failure
 
     @property
     def ok(self) -> bool:
@@ -90,7 +100,10 @@ class SuiteReport:
                 self.first_failure = result
 
     def check(self, ok: bool, label: str) -> None:
-        self.add(CheckResult(ok=ok, label=label, lhs="", rhs=""))
+        if ok:
+            self.passed += 1
+        else:
+            self.add(CheckResult(ok=False, label=label, lhs="", rhs=""))
 
     def skip(self, count: int = 1) -> None:
         self.skipped += count

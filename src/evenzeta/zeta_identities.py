@@ -23,11 +23,11 @@ identities, formed by ``_combined_identity``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
+from ._records import Record
 from .bernoulli_sums import _collapsed_sum, _depth, _identity_rows, _validated_mvec
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli
@@ -64,8 +64,7 @@ def zeta_even(j: int) -> Fraction:
     return (-1) ** (j + 1) * bernoulli(2 * j) * Fraction(2 ** (2 * j), 2 * math.factorial(2 * j))
 
 
-@dataclass(frozen=True)
-class WeightedSumIdentity:
+class WeightedSumIdentity(Record):
     """Collapsed side of a weighted sum identity over zeta(2l) * zeta(2k-2l).
 
     ``terms[l]`` is the polynomial coefficient of zeta(2l) * zeta(2k-2l); the
@@ -76,12 +75,18 @@ class WeightedSumIdentity:
     polynomial) is set.
     """
 
-    kind: str
-    n: int
-    T: int
-    terms: tuple[UniPoly, ...]
-    mvec: tuple[int, ...] | None = None
-    poly: MultiPoly | None = None
+    __slots__ = ("kind", "n", "T", "terms", "mvec", "poly")
+
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        T: int,
+        terms: tuple[UniPoly, ...],
+        mvec: tuple[int, ...] | None = None,
+        poly: MultiPoly | None = None,
+    ) -> None:
+        self._assign(kind, n, T, terms, mvec, poly)
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
@@ -156,7 +161,7 @@ def zeta_identity_monomial(mvec: Sequence[int]) -> WeightedSumIdentity:
     """
     mvec = _validated_mvec(mvec)
     identity = _monomial_identity(tuple(sorted(mvec)))
-    return identity if identity.mvec == mvec else replace(identity, mvec=mvec)
+    return identity if identity.mvec == mvec else identity.replace(mvec=mvec)
 
 
 def zeta_identity_poly(F: MultiPoly, n: int) -> WeightedSumIdentity:

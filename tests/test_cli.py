@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from evenzeta import documents, f_table, from_json, suites, to_json
-from evenzeta.cli import MAX_MZV_DEPTH, MAX_TABLE_DEPTH, _build_parser, main
+from evenzeta import documents, f_table, from_json, g_table, suites, to_json
+from evenzeta.cli import MAX_DUMP_DEPTH, MAX_MZV_DEPTH, MAX_TABLE_DEPTH, _build_parser, main
 
 
 def run(capsys, *argv):
@@ -299,6 +299,23 @@ class TestTablesCommand:
                 assert recorded == [
                     f"{c.numerator}/{c.denominator}" for c in entry.coeffs
                 ]
+
+    @pytest.mark.parametrize("depth", range(MAX_DUMP_DEPTH + 1))
+    def test_json_is_what_json_dumps_writes(self, capsys, depth):
+        payload = {
+            "depth": depth,
+            **{
+                name: [
+                    [[f"{c.numerator}/{c.denominator}" for c in entry.coeffs] for entry in row]
+                    for row in table(depth).rows
+                ]
+                for name, table in (("f", f_table), ("g", g_table))
+            },
+        }
+        assert run(capsys, "tables", "--depth", str(depth), "--format", "json")[:2] == (
+            0,
+            json.dumps(payload, indent=2) + "\n",
+        )
 
     def test_text_format(self, capsys):
         code, out, _ = run(capsys, "tables", "--depth", "2")

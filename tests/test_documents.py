@@ -2,7 +2,6 @@
 
 import json
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -225,7 +224,7 @@ def corrupted(identity):
     deepest = max(l for l, term in enumerate(terms) if not term.is_zero())
     assert deepest <= identity.n
     terms[deepest] = terms[deepest] + 1
-    return replace(identity, **{field: tuple(terms)})
+    return identity.replace(**{field: tuple(terms)})
 
 
 def weight_of(identity):

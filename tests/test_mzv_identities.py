@@ -13,7 +13,6 @@ pipeline.
 import itertools
 import math
 import random
-from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -388,7 +387,7 @@ class TestCrossPath:
         # reads (3/4 + 1)/90 = 7/360 against zeta(2, 2)/pi^4 = 1/120.
         one = parse_poly("1", 2)
         identity = mzv_identity(one, 2)
-        bad = replace(identity, terms=(identity.terms[0] + 1, *identity.terms[1:]))
+        bad = identity.replace(terms=(identity.terms[0] + 1, *identity.terms[1:]))
         result = verify_mzv(one, 2, 2, identity=bad)
         assert not result.ok
         assert result.lhs == str(mzv_lhs_exact(one, 2, 2)) == "1/120"

@@ -267,7 +267,8 @@ def _package_caches():
 # floor), or every table depth the CLI admits.  The CLI keeps its one
 # argument parser, the expansion cache the 258 expansions of the costliest
 # admitted word, the letters 1..8, in both modes, and the template cache
-# every shape whose templates are kept (the words suite forms 15).  Every
+# every shape whose templates are kept (the words suite forms 15), and the
+# examples module its one gallery, built on first use.  Every
 # monomial-identity miss is also an elimination-rows miss, so the rows cache
 # keeps at least as many entries as the monomial identities.  The orbit
 # splits are one per symmetric weight: the mzv suite at --max-n 5 builds 25
@@ -277,6 +278,7 @@ CACHE_FLOORS = {
     "cli._build_parser": 1,
     "derivative_tables.f_table": 49,
     "derivative_tables.g_table": 49,
+    "examples._gallery": 1,
     "mzv_identities._orbit_split": 25,
     "mzv_identities._sorted_power_sum": 31,
     "quasi_shuffle._expansion": 258,

@@ -1,6 +1,5 @@
 """Verification suite runner and report bookkeeping."""
 
-import dataclasses
 import sys
 from fractions import Fraction
 
@@ -220,7 +219,7 @@ class TestGridFailures:
     @staticmethod
     def _shifted(identity, field):
         polys = getattr(identity, field)
-        return dataclasses.replace(identity, **{field: (polys[0] + Fraction(1, 7), *polys[1:])})
+        return identity.replace(**{field: (polys[0] + Fraction(1, 7), *polys[1:])})
 
     def _run(self, monkeypatch, builder, field, target, run):
         original = getattr(suites, builder)

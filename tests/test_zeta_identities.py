@@ -8,7 +8,6 @@ it against the composition loop of `brute_force.py`.
 
 import itertools
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -180,7 +179,7 @@ class TestVerification:
         # reads (5/2 + 1)/90 = 7/180 against zeta(2)^2/pi^4 = 1/36.
         one = parse_poly("1", 2)
         identity = zeta_identity_poly(one, 2)
-        bad = replace(identity, terms=(identity.terms[0] + 1, *identity.terms[1:]))
+        bad = identity.replace(terms=(identity.terms[0] + 1, *identity.terms[1:]))
         result = verify_zeta(one, 2, 2, identity=bad)
         assert not result.ok
         assert result.lhs == str(eval_zeta_lhs(one, 2, 2)) == "1/36"
