@@ -1,14 +1,14 @@
 """The base of the package's immutable value records.
 
-A record is a slotted subclass of ``Record`` whose ``__slots__`` name its
-fields in order and whose own ``__init__`` takes them in that order and
-stores them with ``_assign``.  The base gives each record what a frozen
+A record is a direct, slotted subclass of ``Record`` whose ``__slots__``
+name its fields in order and whose own ``__init__`` takes them in that order
+and stores them with ``_assign``.  The base gives each record what a frozen
 dataclass would, with nothing generated at import: assignment and deletion
 raise ``AttributeError``, ``==`` compares the fields of two records of one
 type (never a record with a tuple or a record of another type), equal
 records hash equal, ``repr`` lists the fields, ``copy``, ``deepcopy`` and
-``pickle`` rebuild through ``__init__``, and ``replace`` returns a copy
-with some fields changed.
+``pickle`` rebuild through ``__init__``, and ``replace`` returns a copy with
+some fields changed.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ class Record:
 
     def replace(self, **changes: object) -> Record:
         """A copy of the same type with the named fields changed."""
-        return type(self)(**{**dict(zip(self.__slots__, self._values())), **changes})
+        return type(self)(**({name: getattr(self, name) for name in self.__slots__} | changes))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -25,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Sequence
 
-# g_table is not called here; the benchmark's tracer rebinds it in this module.
 from ._records import Record
+# g_table is not called here; the benchmark's tracer rebinds it in this module.
 from .derivative_tables import f_table, g_table  # noqa: F401
 from .polynomials import UniPoly
 from .rationals import bernoulli

@@ -87,8 +87,9 @@ def test_equal_values_are_equal_and_hash_equal(value):
 def test_never_equal_to_a_tuple_or_another_type(value):
     assert value != fields(value)
     assert fields(value) != value
-    subclass = type("Twin", (type(value),), {"__slots__": ()})
-    other = subclass(*fields(value))
+    twin_type = type("Twin", (Record,), {"__slots__": type(value).__slots__, "__init__": Record._assign})
+    other = twin_type(*fields(value))
+    assert fields(other) == fields(value)
     assert other != value and value != other
 
 
