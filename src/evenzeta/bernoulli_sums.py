@@ -15,6 +15,12 @@ convolution in the power of h(t) = t/(e^t - 1), one integer product per
 pair of entries by Kronecker substitution), eliminate the powers of h from
 the top, and read each p_l straight off the even Taylor coefficients of
 the eliminated rows.
+
+Every identity kind of the package has this shape, sum_l p_l(k) *
+basis_l(k); the zeta, mzv and mzsv kinds only swap the basis for
+zeta(2l) * zeta(2k-2l).  So the one identity record,
+``WeightedSumIdentity``, lives here with both bases and the exact
+collapsed-side sum its ``rhs_value`` runs.
 """
 
 from __future__ import annotations
@@ -28,12 +34,13 @@ from typing import Callable, Sequence
 from ._records import Record
 # g_table is not called here; the benchmark's tracer rebinds it in this module.
 from .derivative_tables import f_table, g_table  # noqa: F401
-from .polynomials import UniPoly
-from .rationals import bernoulli
+from .polynomials import MultiPoly, UniPoly
+from .rationals import bernoulli, zeta_even
 from .series import _composition_sums
 
 __all__ = [
     "BernoulliIdentity",
+    "WeightedSumIdentity",
     "bernoulli_identity",
     "bernoulli_lhs",
     "f_prod",
@@ -152,36 +159,69 @@ def _eliminate(fs: Sequence[UniPoly]) -> tuple[list[list[int]], int]:
     return levels, den * scale
 
 
-class BernoulliIdentity(Record):
-    """Collapsed form of a weighted Bernoulli-product sum.
+class WeightedSumIdentity(Record):
+    """Collapsed side of a weighted sum identity of any kind.
 
-    For every integer k >= n the composition sum with exponents ``mvec``
-    equals sum_{l=0}^{min(T, k)} rhs[l](k) * B_{2k-2l}/(2k-2l)!.
+    For every admitted k the weighted composition sum equals
+    sum_{l=0}^{min(T, k)} terms[l](k) * basis_l(k), with basis_l(k) =
+    B_{2k-2l}/(2k-2l)! for the Bernoulli-product sums ("bernoulli") and
+    zeta(2l) * zeta(2k-2l) for products of single zeta values ("zeta"),
+    multiple zeta values ("mzv") and zeta-star values ("mzsv"); there the
+    l = 0 entry is normalised to multiply plain zeta(2k).  The identity
+    builders set exactly one of ``mvec`` (monomial weight) and ``poly``
+    (weight polynomial); a record built directly may carry neither.
     """
 
-    __slots__ = ("mvec", "T", "rhs")
+    __slots__ = ("kind", "n", "T", "terms", "mvec", "poly")
 
-    kind = "bernoulli"
-
-    def __init__(self, mvec: tuple[int, ...], T: int, rhs: tuple[UniPoly, ...]) -> None:
-        self._assign(mvec, T, rhs)
-
-    @property
-    def n(self) -> int:
-        return len(self.mvec)
+    def __init__(
+        self,
+        kind: str,
+        n: int,
+        T: int,
+        terms: tuple[UniPoly, ...],
+        mvec: tuple[int, ...] | None = None,
+        poly: MultiPoly | None = None,
+    ) -> None:
+        self._assign(kind, n, T, terms, mvec, poly)
 
     def rhs_value(self, k: int) -> Fraction:
-        """Exact value of the collapsed side at an integer k >= n, summed by
+        """Exact value of the collapsed side at an integer k, truncated at
+        l = min(T, k): the value itself at k >= n for the Bernoulli kind, the
+        coefficient of pi^(2k) at k >= 1 for the others.  Summed by
         ``_collapsed_sum`` over one running denominator."""
-        if k < self.n:
-            raise ValueError(f"need k >= n = {self.n}, got {k}")
-        return _collapsed_sum(self.rhs[: min(self.T, k) + 1], k, _bernoulli_basis)
+        if self.kind == "bernoulli":
+            if k < self.n:
+                raise ValueError(f"need k >= n = {self.n}, got {k}")
+            basis = _bernoulli_basis
+        elif k < 1:
+            raise ValueError(f"need k >= 1, got {k}")
+        else:
+            basis = _zeta_basis
+        return _collapsed_sum(self.terms[: min(self.T, k) + 1], k, basis)
+
+
+def BernoulliIdentity(mvec: tuple[int, ...], T: int, rhs: tuple[UniPoly, ...]) -> WeightedSumIdentity:
+    """The Bernoulli ``WeightedSumIdentity`` of ``mvec`` with terms ``rhs``.
+    Kept for the benchmark workloads (``bench/workloads.py``), which build
+    their Bernoulli records through it under these keywords."""
+    return WeightedSumIdentity(kind="bernoulli", n=len(mvec), T=T, terms=rhs, mvec=mvec)
 
 
 def _bernoulli_basis(k: int, l: int) -> tuple[int, int]:
     """B_{2k-2l}/(2k-2l)! as an unreduced (numerator, denominator) pair."""
     value = bernoulli(2 * k - 2 * l)
     return value.numerator, value.denominator * math.factorial(2 * k - 2 * l)
+
+
+def _zeta_basis(k: int, l: int) -> tuple[int, int]:
+    """The pi^(2k) coefficient of zeta(2l) zeta(2k-2l), or of zeta(2k) for
+    l = 0, as an unreduced (numerator, denominator) pair."""
+    if l == 0:
+        value = zeta_even(k)
+        return value.numerator, value.denominator
+    left, right = zeta_even(l), zeta_even(k - l)
+    return left.numerator * right.numerator, left.denominator * right.denominator
 
 
 def _collapsed_sum(
@@ -192,8 +232,7 @@ def _collapsed_sum(
     Each p_l(k) runs Horner on the integer numerators at the integer k; a
     zero value skips its basis.  The terms accumulate as one numerator over
     a running denominator, the lcm of theirs, and one ``Fraction`` is built
-    at the end.  Shared by the Bernoulli and the zeta collapsed sides; the
-    left-side evaluators never call it.
+    at the end.  The left-side evaluators never call it.
     """
     num, den = 0, 1
     for l, poly in enumerate(polys):
@@ -209,7 +248,7 @@ def _collapsed_sum(
     return Fraction(num, den)
 
 
-def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
+def bernoulli_identity(mvec: Sequence[int]) -> WeightedSumIdentity:
     """Construct the collapsed identity for the given exponent tuple.
 
     The coefficient of B_{2k-2l}/(2k-2l)! is the polynomial
@@ -235,8 +274,8 @@ def bernoulli_identity(mvec: Sequence[int]) -> BernoulliIdentity:
     rows, den = _identity_rows(tuple(sorted(mvec)))
     # _normalised drops trailing zeros from the list it is given in place,
     # so each cached row is handed over as a fresh list.
-    rhs = tuple(UniPoly._normalised(list(nums), den) for nums in rows)
-    return BernoulliIdentity(mvec=mvec, T=len(rhs) - 1, rhs=rhs)
+    terms = tuple(UniPoly._normalised(list(nums), den) for nums in rows)
+    return WeightedSumIdentity(kind="bernoulli", n=len(mvec), T=len(terms) - 1, terms=terms, mvec=mvec)
 
 
 @lru_cache(maxsize=_ROWS_CACHE_SIZE)

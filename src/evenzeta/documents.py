@@ -6,9 +6,9 @@ The JSON layout (schema 1) is flat and fully exact: every polynomial
 coefficient is a "numerator/denominator" string, terms are listed by the
 index l of the basis element zeta(2l)*zeta(2k-2l) (or B_{2k-2l}/(2k-2l)! for
 the Bernoulli kind), and the weight is either an exponent list ``mvec`` or
-parseable polynomial text ``poly``.  The renderers take a
-``BernoulliIdentity`` or ``WeightedSumIdentity``, ``from_json`` returns one,
-and ``from_json(to_json(identity)) == identity``.
+parseable polynomial text ``poly``.  Every kind is one record, a
+``WeightedSumIdentity``: the renderers take it, ``from_json`` returns it, and
+``from_json(to_json(identity)) == identity``.
 """
 
 from __future__ import annotations
@@ -21,17 +21,11 @@ from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from ._records import Record
-from .bernoulli_sums import BernoulliIdentity, _bernoulli_lhs_grid, _validated_mvec, bernoulli_identity
+from .bernoulli_sums import WeightedSumIdentity, _bernoulli_lhs_grid, _validated_mvec, bernoulli_identity
 from .checks import CheckResult
 from .mzv_identities import _mzv_lhs_grid, mzsv_identity, mzv_identity
 from .polynomials import MultiPoly, ParseError, UniPoly, parse_poly
-from .zeta_identities import (
-    WeightedSumIdentity,
-    _zeta_lhs_grid,
-    eval_identity_rhs,
-    zeta_identity_monomial,
-    zeta_identity_poly,
-)
+from .zeta_identities import _zeta_lhs_grid, zeta_identity_monomial, zeta_identity_poly
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -59,7 +53,6 @@ SCHEMA_VERSION = 1
 MAX_TABLE_DEPTH = 48
 MAX_MZV_DEPTH = 10
 
-_Identity = BernoulliIdentity | WeightedSumIdentity
 _Weight = tuple[int, ...] | MultiPoly
 
 _TOOL = f"evenzeta {__version__}"
@@ -69,28 +62,25 @@ class _Kind(Record):
     """One identity kind.  A builder is None when the kind does not take
     that weight form; ``lhs``, the left sides of a weight at n and each k of
     a sequence from code no builder uses, takes the poly form if the kind
-    has one.  ``rhs`` is an identity's collapsed side at k.  Each basis pair
-    is (l = 0, l > 0), the second a template formatted with j = 2l."""
+    has one.  Each basis pair is (l = 0, l > 0), the second a template
+    formatted with j = 2l."""
 
-    __slots__ = (
-        "section", "lhs_text", "lhs", "rhs", "monomial", "poly", "symmetric", "basis_text", "basis_latex"
-    )
+    __slots__ = ("section", "lhs_text", "lhs", "monomial", "poly", "symmetric", "basis_text", "basis_latex")
 
     def __init__(
         self,
         section: int,
         lhs_text: str,
         lhs: Callable[[_Weight, int, Sequence[int]], list[Fraction]],
-        rhs: Callable[[_Identity, int], Fraction] = lambda identity, k: eval_identity_rhs(identity, k),
-        monomial: Callable[[tuple[int, ...]], _Identity] | None = None,
-        poly: Callable[[MultiPoly, int], _Identity] | None = None,
+        monomial: Callable[[tuple[int, ...]], WeightedSumIdentity] | None = None,
+        poly: Callable[[MultiPoly, int], WeightedSumIdentity] | None = None,
         symmetric: bool = False,
         basis_text: tuple[str, str] = ("zeta(2k)", "zeta({j})*zeta(2k-{j})"),
         basis_latex: tuple[str, str] = (r"\zeta(2k)", r"\zeta({j})\zeta(2k-{j})"),
     ) -> None:
-        self._assign(section, lhs_text, lhs, rhs, monomial, poly, symmetric, basis_text, basis_latex)
+        self._assign(section, lhs_text, lhs, monomial, poly, symmetric, basis_text, basis_latex)
 
-    def build(self, weight: _Weight, n: int) -> _Identity:
+    def build(self, weight: _Weight, n: int) -> WeightedSumIdentity:
         """The identity of a weight returned by ``_check_weight``."""
         return self.poly(weight, n) if isinstance(weight, MultiPoly) else self.monomial(weight)
 
@@ -102,7 +92,6 @@ _KINDS: dict[str, _Kind] = {
         section=2,
         lhs_text="k1^m1*...*kn^mn * B(2k1)/(2k1)! * ... * B(2kn)/(2kn)!",
         lhs=lambda mvec, n, ks: _bernoulli_lhs_grid(mvec, ks),
-        rhs=lambda identity, k: identity.rhs_value(k),
         monomial=lambda mvec: bernoulli_identity(mvec),
         basis_text=("B(2k)/(2k)!", "B(2k-{j})/(2k-{j})!"),
         basis_latex=(r"\frac{B_{2k}}{(2k)!}", r"\frac{{B_{{2k-{j}}}}}{{(2k-{j})!}}"),
@@ -180,13 +169,15 @@ def _check_weight(
     return weight
 
 
-def _weight(identity: _Identity) -> _Weight:
+def _weight(identity: WeightedSumIdentity) -> _Weight:
     """The weight an identity was built for, in the form its kind's ``lhs``
     takes: ``poly``, ``mvec``, or the monomial of ``mvec`` when the kind
-    has a poly builder (its exponents were checked at the build)."""
-    poly = getattr(identity, "poly", None)
-    if poly is not None:
-        return poly
+    has a poly builder (its exponents were checked at the build).  A record
+    that carries neither raises ValueError."""
+    if identity.poly is not None:
+        return identity.poly
+    if identity.mvec is None:
+        raise ValueError(f"the {identity.kind} identity carries no weight: neither mvec nor poly is set")
     if _KINDS[identity.kind].poly is None:
         return identity.mvec
     return MultiPoly._normalised({identity.mvec: 1}, 1, identity.n)
@@ -196,15 +187,14 @@ def _weight_text(weight: _Weight, n: int) -> str:
     return f"m={weight}" if isinstance(weight, tuple) else f"F={weight.render()} n={n}"
 
 
-def _sides(identity: _Identity, ks: Sequence[int]) -> list[tuple[int, Fraction, Fraction]]:
+def _sides(identity: WeightedSumIdentity, ks: Sequence[int]) -> list[tuple[int, Fraction, Fraction]]:
     """(k, left, right) at each k of ``ks``: the independent left side of the
     identity's own weight, all k in one pass, and its collapsed side."""
-    record = _KINDS[identity.kind]
-    lefts = record.lhs(_weight(identity), identity.n, ks)
-    return [(k, left, record.rhs(identity, k)) for k, left in zip(ks, lefts)]
+    lefts = _KINDS[identity.kind].lhs(_weight(identity), identity.n, ks)
+    return [(k, left, identity.rhs_value(k)) for k, left in zip(ks, lefts)]
 
 
-def verify_identity(identity: _Identity, k: int) -> CheckResult:
+def verify_identity(identity: WeightedSumIdentity, k: int) -> CheckResult:
     """Compare the independent left side of the identity's own weight with
     its collapsed side at one k (``_sides`` at (k,)).  Both are exact:
     coefficients of pi^(2k), or for the Bernoulli kind the values themselves."""
@@ -213,7 +203,7 @@ def verify_identity(identity: _Identity, k: int) -> CheckResult:
     return CheckResult(ok=left == right, label=label, lhs=str(left), rhs=str(right))
 
 
-def _given(identity: _Identity, kind: str, n: int, weight: _Weight) -> _Identity:
+def _given(identity: WeightedSumIdentity, kind: str, n: int, weight: _Weight) -> WeightedSumIdentity:
     """``identity``, if it is the ``kind`` identity of ``weight`` at depth n;
     otherwise ValueError, since a mismatch is the caller's error and not a
     failed check."""
@@ -226,7 +216,7 @@ def _given(identity: _Identity, kind: str, n: int, weight: _Weight) -> _Identity
 
 
 def verify_bernoulli(
-    mvec: Sequence[int], k: int, identity: BernoulliIdentity | None = None
+    mvec: Sequence[int], k: int, identity: WeightedSumIdentity | None = None
 ) -> CheckResult:
     """``verify_identity`` at one k on the Bernoulli identity of ``mvec``.
     A given ``identity`` of another kind, depth or weight raises
@@ -272,11 +262,6 @@ def _coeff_strings(poly: UniPoly) -> list[str]:
     return strings
 
 
-def _terms(identity: _Identity) -> tuple[UniPoly, ...]:
-    """The coefficient polynomials p_0, ..., p_T of either identity type."""
-    return identity.rhs if isinstance(identity, BernoulliIdentity) else identity.terms
-
-
 def _json_list(items: Sequence[str], indent: str) -> str:
     """A JSON list of already encoded ``items`` as ``json.dumps`` writes it
     with ``indent=2`` at nesting ``indent``."""
@@ -286,15 +271,15 @@ def _json_list(items: Sequence[str], indent: str) -> str:
     return f"[\n{inner}\n{indent}]"
 
 
-def to_json(identity: _Identity) -> str:
+def to_json(identity: WeightedSumIdentity) -> str:
     """The schema-1 document, byte for byte what ``json.dumps(payload,
     indent=2)`` writes for it, written directly: the layout is fixed, and
     every value but ``kind``, ``poly`` and ``tool`` is an integer or a "p/q"
     string, which needs no escaping."""
-    poly = getattr(identity, "poly", None)
+    poly = identity.poly
     mvec = "null" if identity.mvec is None else _json_list([str(m) for m in identity.mvec], "  ")
     terms = []
-    for l, p in enumerate(_terms(identity)):
+    for l, p in enumerate(identity.terms):
         coeffs = _json_list([f'"{c}"' for c in _coeff_strings(p)], "      ")
         terms.append(f'{{\n      "l": {l},\n      "coeffs": {coeffs}\n    }}')
     lines = [
@@ -312,7 +297,7 @@ def to_json(identity: _Identity) -> str:
     return "\n".join(lines)
 
 
-def from_json(text: str) -> _Identity:
+def from_json(text: str) -> WeightedSumIdentity:
     """The identity a schema-1 document holds, its weight checked as
     ``identity`` checks ``--m``/``--poly``.  Any ``tool`` value is accepted;
     the weight polynomial is parsed, so ``to_json`` writes it back in
@@ -350,8 +335,6 @@ def from_json(text: str) -> _Identity:
         raise ValueError(f"T must be one less than the {len(raw_terms)} terms, got {T!r}")
     weight = _check_weight(kind, n, payload.get("mvec"), payload.get("poly"))
     terms = tuple(UniPoly([Fraction(c) for c in entry["coeffs"]]) for entry in raw_terms)
-    if kind == "bernoulli":
-        return BernoulliIdentity(mvec=weight, T=T, rhs=terms)
     if isinstance(weight, MultiPoly):
         return WeightedSumIdentity(kind=kind, n=n, T=T, terms=terms, poly=weight)
     return WeightedSumIdentity(kind=kind, n=n, T=T, terms=terms, mvec=weight)
@@ -399,10 +382,10 @@ def poly_latex(poly: UniPoly, var: str = "k") -> str:
 
 
 def _signed_terms(
-    identity: _Identity, basis: tuple[str, str]
+    identity: WeightedSumIdentity, basis: tuple[str, str]
 ) -> Iterator[tuple[bool, UniPoly, str]]:
     """(negative, |p_l|, basis element l) of each nonzero term, by l."""
-    for l, poly in enumerate(_terms(identity)):
+    for l, poly in enumerate(identity.terms):
         if poly.is_zero():
             continue
         element = basis[0] if l == 0 else basis[1].format(j=2 * l)
@@ -410,14 +393,13 @@ def _signed_terms(
         yield negative, (-poly if negative else poly), element
 
 
-def to_text(identity: _Identity) -> str:
+def to_text(identity: WeightedSumIdentity) -> str:
     record = _KINDS[identity.kind]
     lines = [f"kind   : {identity.kind}", f"n      : {identity.n}", f"T      : {identity.T}"]
     if identity.mvec is not None:
         lines.append(f"weight : m = {tuple(identity.mvec)}")
-    weight = getattr(identity, "poly", None)
-    if weight is not None:
-        lines.append(f"weight : F = {weight.render()}")
+    if identity.poly is not None:
+        lines.append(f"weight : F = {identity.poly.render()}")
     lines.append(f"lhs    : sum over k1+...+k{identity.n} = k (kj >= 1) of {record.lhs_text}")
     terms = list(_signed_terms(identity, record.basis_text))
     if not terms:
@@ -432,7 +414,7 @@ def to_text(identity: _Identity) -> str:
     return "\n".join(lines)
 
 
-def to_latex(identity: _Identity) -> str:
+def to_latex(identity: WeightedSumIdentity) -> str:
     pieces: list[str] = []
     for negative, poly, basis in _signed_terms(identity, _KINDS[identity.kind].basis_latex):
         rendered = poly_latex(poly)

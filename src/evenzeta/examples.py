@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from ._records import Record
 from .checks import CheckResult
-from .documents import _KINDS, _check_weight, _terms, poly_text
+from .documents import _KINDS, _check_weight, poly_text
 from .polynomials import UniPoly
 
 __all__ = ["GalleryIdentity", "check_gallery_identity", "gallery", "sections"]
@@ -205,7 +205,7 @@ def gallery(section: int) -> tuple[GalleryIdentity, ...]:
 
 def _pipeline_terms(entry: GalleryIdentity) -> tuple[UniPoly, ...]:
     weight = _check_weight(entry.kind, entry.n, entry.mvec, entry.poly_text)
-    return _terms(_KINDS[entry.kind].build(weight, entry.n))
+    return _KINDS[entry.kind].build(weight, entry.n).terms
 
 
 def check_gallery_identity(entry: GalleryIdentity) -> CheckResult:

@@ -67,11 +67,12 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
+from .bernoulli_sums import WeightedSumIdentity
 from .enumeration import block_shapes
 from .polynomials import MultiPoly, UniPoly
 from .rationals import GrowableTable
 from .series import _combine, _symmetric_sums
-from .zeta_identities import WeightedSumIdentity, _combined_identity
+from .zeta_identities import _combined_identity
 
 __all__ = [
     "mzsv_identity",

@@ -14,10 +14,10 @@ import random
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .bernoulli_sums import bernoulli_identity, truncation_depth
+from .bernoulli_sums import WeightedSumIdentity, bernoulli_identity, truncation_depth
 from .checks import CheckResult
 from .derivative_tables import c_coeffs, d_coeffs, f_table, g_table
-from .documents import _Identity, _sides, verify_identity
+from .documents import _sides, verify_identity
 from .mzv_identities import mzsv_identity, mzv_identity
 from .polynomials import MultiPoly, UniPoly, parse_poly
 from .quasi_shuffle import (
@@ -28,7 +28,7 @@ from .quasi_shuffle import (
     symmetric_word_sum,
     verify_symmetric_sum,
 )
-from .zeta_identities import WeightedSumIdentity, zeta_identity_monomial, zeta_identity_poly
+from .zeta_identities import zeta_identity_monomial, zeta_identity_poly
 
 __all__ = [
     "SUITE_NAMES",
@@ -211,7 +211,7 @@ def tables_suite() -> SuiteReport:
     return report
 
 
-def _check_k_grid(report: SuiteReport, identity: _Identity, max_k: int) -> None:
+def _check_k_grid(report: SuiteReport, identity: WeightedSumIdentity, max_k: int) -> None:
     """Both sides at every k <= max_k, in one pass; k < n is reported as
     skipped.  Only a failing k is rendered, by ``verify_identity``."""
     report.skip(min(identity.n - 1, max_k))
@@ -244,7 +244,7 @@ def bernoulli_suite(max_n: int, max_k: int) -> SuiteReport:
                 identity.T == truncation_depth(mvec), f"T formula for m={mvec}"
             )
             report.check(
-                _identity_degree_ok(identity.rhs, sum(mvec), n),
+                _identity_degree_ok(identity.terms, sum(mvec), n),
                 f"degree bounds for m={mvec}",
             )
             _check_k_grid(report, identity, max_k)

@@ -1,15 +1,16 @@
-"""Even-argument zeta values as exact multiples of powers of pi, and the
-weighted sum identities for products zeta(2k_1) ... zeta(2k_n).
+"""The weighted sum identities for products zeta(2k_1) ... zeta(2k_n) of
+even zeta values.
 
 A product of zeta values at even arguments with argument total 2k is an exact
 rational multiple of pi^(2k), so every evaluated side here is the
-``Fraction`` coefficient of pi^(2k): ``zeta_even(j)`` is zeta(2j)/pi^(2j),
-and both sides of an identity at k are compared as such coefficients.  The
-identities rewrite power-weighted composition sums of such products as short
-combinations over the basis zeta(2l) * zeta(2k-2l), with the l = 0
-coefficient normalised to multiply plain zeta(2k).  The formal value
-zeta(0) = -1/2 extends the composition sums to index value 0 and is what
-that normalisation folds in.
+``Fraction`` coefficient of pi^(2k) (``rationals.zeta_even(j)`` is
+zeta(2j)/pi^(2j)), and both sides of an identity at k are compared as such
+coefficients.  The identities rewrite power-weighted composition sums of
+such products as short combinations over the basis zeta(2l) * zeta(2k-2l),
+with the l = 0 coefficient normalised to multiply plain zeta(2k).  The
+formal value zeta(0) = -1/2 extends the composition sums to index value 0
+and is what that normalisation folds in.  Each is a ``WeightedSumIdentity``
+of kind "zeta", the record of ``bernoulli_sums``.
 
 The identity for a monomial weight is the rescaled Bernoulli identity of
 ``bernoulli_sums``: ``_monomial_identity`` reads its terms off the integer
@@ -27,66 +28,21 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from ._records import Record
-from .bernoulli_sums import _collapsed_sum, _depth, _identity_rows, _validated_mvec
+from .bernoulli_sums import WeightedSumIdentity, _depth, _identity_rows, _validated_mvec
 from .polynomials import MultiPoly, UniPoly
 from .rationals import bernoulli
 from .series import _combine, _composition_sums
 
 __all__ = [
-    "WeightedSumIdentity",
     "eval_identity_rhs",
     "eval_zeta_lhs",
-    "zeta_even",
     "zeta_identity_monomial",
     "zeta_identity_poly",
 ]
 
-#: Entries kept by the ``zeta_even`` cache: zeta(2j) for every j a run asks
-#: for.  The benchmark workloads ask for at most 16.
-_ZETA_EVEN_CACHE_SIZE = 256
-
 #: Monomial identities kept by the cache behind every zeta, mzv and mzsv
 #: identity, one per sorted exponent tuple.
 _MONOMIAL_CACHE_SIZE = 1 << 10
-
-
-@lru_cache(maxsize=_ZETA_EVEN_CACHE_SIZE)
-def zeta_even(j: int) -> Fraction:
-    """zeta(2j)/pi^(2j) as an exact rational; zeta(0) is the formal -1/2.
-
-    For j >= 1: zeta(2j) = (-1)^(j+1) * B_{2j} * 2^(2j) / (2 * (2j)!) * pi^(2j).
-    """
-    if j < 0:
-        raise ValueError(f"argument index must be >= 0, got {j}")
-    if j == 0:
-        return Fraction(-1, 2)
-    return (-1) ** (j + 1) * bernoulli(2 * j) * Fraction(2 ** (2 * j), 2 * math.factorial(2 * j))
-
-
-class WeightedSumIdentity(Record):
-    """Collapsed side of a weighted sum identity over zeta(2l) * zeta(2k-2l).
-
-    ``terms[l]`` is the polynomial coefficient of zeta(2l) * zeta(2k-2l); the
-    l = 0 entry is normalised to multiply plain zeta(2k).  ``kind`` states
-    which left side the identity collapses: products of single zeta values
-    ("zeta"), multiple zeta values ("mzv"), or zeta-star values ("mzsv").
-    Exactly one of ``mvec`` (monomial weight) and ``poly`` (weight
-    polynomial) is set.
-    """
-
-    __slots__ = ("kind", "n", "T", "terms", "mvec", "poly")
-
-    def __init__(
-        self,
-        kind: str,
-        n: int,
-        T: int,
-        terms: tuple[UniPoly, ...],
-        mvec: tuple[int, ...] | None = None,
-        poly: MultiPoly | None = None,
-    ) -> None:
-        self._assign(kind, n, T, terms, mvec, poly)
 
 
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
@@ -197,20 +153,6 @@ def _zeta_lhs_grid(F: MultiPoly, n: int, ks: Sequence[int]) -> list[Fraction]:
 
 
 def eval_identity_rhs(identity: WeightedSumIdentity, k: int) -> Fraction:
-    """Exact coefficient of pi^(2k) in the collapsed side at an integer
-    k >= 1, truncating the sum at l = min(T, k).  It is summed by
-    ``bernoulli_sums._collapsed_sum`` over one running denominator."""
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    return _collapsed_sum(identity.terms[: min(identity.T, k) + 1], k, _zeta_basis)
-
-
-def _zeta_basis(k: int, l: int) -> tuple[int, int]:
-    """The pi^(2k) coefficient of zeta(2l) zeta(2k-2l), or of zeta(2k) for
-    l = 0, as an unreduced (numerator, denominator) pair."""
-    if l == 0:
-        value = zeta_even(k)
-        return value.numerator, value.denominator
-    left, right = zeta_even(l), zeta_even(k - l)
-    return left.numerator * right.numerator, left.denominator * right.denominator
-
+    """``identity.rhs_value(k)``.  Kept for the benchmark workloads
+    (``bench/workloads.py``), which call it by this name."""
+    return identity.rhs_value(k)

@@ -34,8 +34,8 @@ inverse triangle, O(N^4) in N = sum(m) + n.  The package eliminates the
 powers of h from the top and never reads ``g_table`` there, so the two
 derivations share no code past the forward rows.
 
-``bernoulli_rhs`` and ``zeta_rhs`` are the oracle of the collapsed sides
-``BernoulliIdentity.rhs_value`` and ``eval_identity_rhs``: each term
+``bernoulli_rhs`` and ``zeta_rhs`` are the oracle of the collapsed side
+``WeightedSumIdentity.rhs_value`` over either basis: each term
 p_l(k) * basis is formed as a ``Fraction`` product (``UniPoly.__call__``
 times the basis value) and added on its own.  ``bernoulli_rhs_polys`` is the
 oracle of the p_l assembly in ``bernoulli_identity``: ``UniPoly`` arithmetic
@@ -402,7 +402,7 @@ def bernoulli_rhs(identity, k):
     """sum_{l=0}^{min(T, k)} p_l(k) * B_{2k-2l}/(2k-2l)!, term by term."""
     total = Fraction(0)
     for l in range(min(identity.T, k) + 1):
-        value = identity.rhs[l](k)
+        value = identity.terms[l](k)
         if value:
             total += value * bernoulli(2 * k - 2 * l) / math.factorial(2 * k - 2 * l)
     return total

@@ -70,8 +70,8 @@ def test_criterion_01_bernoulli_gallery():
             assert result.ok, result.describe()
         # Spot-check the flat display directly.
         identity = bernoulli_identity((0, 0, 0, 0))
-        assert identity.rhs[0] == -(K + 1) * (2 * K + 1) * (2 * K + 3) / 3
-        assert identity.rhs[1] == -2 * K / 3
+        assert identity.terms[0] == -(K + 1) * (2 * K + 1) * (2 * K + 3) / 3
+        assert identity.terms[1] == -2 * K / 3
 
 
 def test_criterion_02_zeta_gallery():
@@ -191,7 +191,7 @@ def test_criterion_09_structural_invariants():
         # Identities of criteria 1-4 (monomial weights).
         for n in range(1, 5):
             for mvec in exponent_tuples(n, 3):
-                degrees_ok(bernoulli_identity(mvec).rhs, sum(mvec), n)
+                degrees_ok(bernoulli_identity(mvec).terms, sum(mvec), n)
                 degrees_ok(zeta_identity_monomial(mvec).terms, sum(mvec), n)
         # Identities of criteria 5-6 (polynomial weights, both kinds).
         for n in range(1, 5):

@@ -122,12 +122,12 @@ class TestBigF:
     def test_single_zero(self):
         # F_1 = 1, so p_0 = 1: the sum is B_{2k}/(2k)! itself.
         assert collapsed_sums((0,)) == [UniPoly.one()]
-        assert bernoulli_identity((0,)).rhs == (UniPoly.one(),)
+        assert bernoulli_identity((0,)).terms == (UniPoly.one(),)
 
     def test_single_one(self):
         # F_1 = 0 and F_2 = 1, so p_0 = k.
         assert collapsed_sums((1,)) == [UniPoly.zero(), UniPoly.one()]
-        assert bernoulli_identity((1,)).rhs == (T,)
+        assert bernoulli_identity((1,)).terms == (T,)
 
     @pytest.mark.parametrize(
         "mvec",
@@ -138,7 +138,7 @@ class TestBigF:
     )
     def test_matches_plain_polynomial_sum(self, mvec):
         # (24, 23) and (16, 16, 14) reach table depth 48, the deepest the CLI admits.
-        assert list(bernoulli_identity(mvec).rhs) == bernoulli_rhs_polys(mvec)
+        assert list(bernoulli_identity(mvec).terms) == bernoulli_rhs_polys(mvec)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(st.data())
@@ -147,7 +147,7 @@ class TestBigF:
         mvec = []
         for _ in range(data.draw(st.integers(1, 4))):
             mvec.append(data.draw(st.integers(0, 12 - sum(mvec))))
-        assert list(bernoulli_identity(mvec).rhs) == bernoulli_rhs_polys(mvec)
+        assert list(bernoulli_identity(mvec).terms) == bernoulli_rhs_polys(mvec)
 
     def test_reads_no_inverse_triangle(self):
         # The identity needs only the forward rows: none of its steps names
@@ -196,8 +196,8 @@ class TestIdentity:
         identity = bernoulli_identity((0, 0, 0, 0))
         K = T
         assert identity.T == 1
-        assert identity.rhs[0] == -(K + 1) * (2 * K + 1) * (2 * K + 3) / 3
-        assert identity.rhs[1] == -2 * K / 3
+        assert identity.terms[0] == -(K + 1) * (2 * K + 1) * (2 * K + 3) / 3
+        assert identity.terms[1] == -2 * K / 3
 
     def test_rhs_value_matches_polys(self):
         identity = bernoulli_identity((2, 0, 0, 0))
@@ -205,7 +205,7 @@ class TestIdentity:
 
         for k in range(4, 10):
             expected = sum(
-                identity.rhs[l](k)
+                identity.terms[l](k)
                 * bernoulli(2 * k - 2 * l)
                 / math.factorial(2 * k - 2 * l)
                 for l in range(min(identity.T, k) + 1)
@@ -218,12 +218,12 @@ class TestIdentity:
             identity.rhs_value(1)
 
     def test_degree_bounds(self):
-        # deg rhs[l] <= sum(m) + n - 2l - 1.
+        # deg terms[l] <= sum(m) + n - 2l - 1.
         for mvec in [(0,), (1, 0), (0, 0, 0), (2, 0, 0, 0), (1, 1, 1)]:
             identity = bernoulli_identity(mvec)
             r = sum(mvec)
             n = len(mvec)
-            for l, poly in enumerate(identity.rhs):
+            for l, poly in enumerate(identity.terms):
                 if not poly.is_zero():
                     assert poly.degree() <= r + n - 2 * l - 1
 
@@ -280,7 +280,7 @@ class TestSharedRows:
         assert any(nums[-1] == 0 for nums in cached[0])
         snapshot = (tuple(tuple(nums) for nums in cached[0]), cached[1])
         first, second = bernoulli_identity(mvec), bernoulli_identity(mvec)
-        assert first.rhs == second.rhs
+        assert first.terms == second.terms
         assert _identity_rows(mvec) == snapshot
 
 

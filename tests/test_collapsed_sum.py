@@ -1,7 +1,7 @@
 """The collapsed sides on integers.
 
-``BernoulliIdentity.rhs_value`` and ``eval_identity_rhs`` sum p_l(k) times
-the basis value over one running denominator.  Their oracle is the
+``WeightedSumIdentity.rhs_value`` sums p_l(k) times the basis value of the
+identity's kind over one running denominator.  Their oracle is the
 term-by-term ``Fraction`` sum of ``brute_force.py``
 (``bernoulli_rhs``, ``zeta_rhs``), and the oracle of the integer p_l
 assembly in ``bernoulli_identity`` is ``brute_force.bernoulli_rhs_polys``,
@@ -72,7 +72,7 @@ class TestSuiteIdentities:
 
     def test_grid_has_zero_terms(self):
         # A zero p_l is skipped, so the grid must hold some: m = (3,) has one.
-        assert not bernoulli_identity((3,)).rhs[1]
+        assert not bernoulli_identity((3,)).terms[1]
         assert not zeta_identity_monomial((3,)).terms[1]
 
     @pytest.mark.parametrize("n", range(1, MAX_N + 1))
@@ -89,7 +89,7 @@ class TestDeepIdentities:
     @pytest.mark.parametrize("mvec", [(24, 23), (16, 16, 14)])
     def test_bernoulli(self, mvec):
         identity = bernoulli_identity(mvec)
-        assert list(identity.rhs) == bernoulli_rhs_polys(mvec)
+        assert list(identity.terms) == bernoulli_rhs_polys(mvec)
         n, N = len(mvec), sum(mvec) + len(mvec)
         assert n < identity.T < N
         check_bernoulli(identity, range(n, N + 3))
@@ -112,6 +112,6 @@ def test_random_exponents(mvec, data):
     n, N = len(mvec), sum(mvec) + len(mvec)
     k = data.draw(st.integers(n, N + 2), label="k")
     identity = bernoulli_identity(mvec)
-    assert list(identity.rhs) == bernoulli_rhs_polys(mvec)
+    assert list(identity.terms) == bernoulli_rhs_polys(mvec)
     check_bernoulli(identity, (k,))
     check_zeta(zeta_identity_monomial(mvec), (k,))

@@ -13,6 +13,7 @@ from evenzeta import (
     documents,
     __version__,
     UniPoly,
+    WeightedSumIdentity,
     bernoulli_identity,
     bernoulli_lhs,
     eval_identity_rhs,
@@ -103,8 +104,7 @@ def schema_one_payload(identity):
     """The schema-1 payload of ``identity``, every coefficient written from
     its ``Fraction``: ``json.dumps(payload, indent=2)`` is the layout that
     ``to_json`` writes directly."""
-    poly = getattr(identity, "poly", None)
-    terms = identity.rhs if identity.kind == "bernoulli" else identity.terms
+    poly = identity.poly
     return {
         "schema": 1,
         "kind": identity.kind,
@@ -114,7 +114,7 @@ def schema_one_payload(identity):
         "poly": poly.render() if poly is not None else None,
         "terms": [
             {"l": l, "coeffs": [f"{c.numerator}/{c.denominator}" for c in p.coeffs]}
-            for l, p in enumerate(terms)
+            for l, p in enumerate(identity.terms)
         ],
         "tool": f"evenzeta {__version__}",
     }
@@ -219,12 +219,11 @@ class TestLoadedIdentity:
 def corrupted(identity):
     """``identity`` with 1 added to its deepest nonzero term, which enters
     the collapsed side at every k >= n here."""
-    field = "rhs" if identity.kind == "bernoulli" else "terms"
-    terms = list(getattr(identity, field))
+    terms = list(identity.terms)
     deepest = max(l for l, term in enumerate(terms) if not term.is_zero())
     assert deepest <= identity.n
     terms[deepest] = terms[deepest] + 1
-    return identity.replace(**{field: tuple(terms)})
+    return identity.replace(terms=tuple(terms))
 
 
 def weight_of(identity):
@@ -266,6 +265,17 @@ class TestCheckers:
                 assert result == kind_checker(checked, k)
                 assert (result.ok, result.label) == (ok, label)
                 assert (result.lhs, result.rhs) == (str(left), str(right))
+
+    @PER_KIND
+    def test_a_record_without_a_weight_is_refused(self, identity):
+        # The constructor admits a record with neither mvec nor poly, but no
+        # left side can be formed for it.
+        weightless = identity.replace(mvec=None, poly=None)
+        assert weightless == WeightedSumIdentity(identity.kind, identity.n, identity.T, identity.terms)
+        with pytest.raises(ValueError, match=f"the {identity.kind} identity carries no weight"):
+            verify_identity(weightless, identity.n)
+        with pytest.raises(ValueError, match="carries no weight"):
+            documents._sides(weightless, (identity.n,))
 
     @pytest.mark.parametrize(
         "check, other",

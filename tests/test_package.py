@@ -55,9 +55,9 @@ CLI_NAMES = ["MAX_DUMP_DEPTH", "MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
 #: library callers.  A function that no longer serves the CLI and is not one
 #: of these is stranded, and goes.
 ENTRY_POINTS = [
-    "bernoulli_lhs", "composition_sum", "eval_zeta_lhs", "from_json", "mzv_lhs_exact",
-    "mzv_numeric", "symmetric_sum", "verify_bernoulli", "verify_identity", "verify_mzv",
-    "verify_symmetric_sum", "verify_zeta",
+    "BernoulliIdentity", "bernoulli_lhs", "composition_sum", "eval_identity_rhs", "eval_zeta_lhs",
+    "from_json", "mzv_lhs_exact", "mzv_numeric", "symmetric_sum", "verify_bernoulli",
+    "verify_identity", "verify_mzv", "verify_symmetric_sum", "verify_zeta",
 ]
 
 #: Cheap runs of every subcommand, in every format.
@@ -151,10 +151,10 @@ def test_every_public_function_is_reached_or_an_entry_point():
         evenzeta.UniPoly([Fraction(1, 3), 0, -2]),
         evenzeta.parse_poly("x1^2*x2 - 1/3", 2),
         evenzeta.NCPoly({(2, 4): Fraction(1, 2), (6,): 3}),
-        evenzeta.mzsv_identity(evenzeta.parse_poly("x1^2 + x2^2", 2), 2),
         evenzeta.bernoulli_identity((2, 0, 1)),
+        evenzeta.mzsv_identity(evenzeta.parse_poly("x1^2 + x2^2", 2), 2),
     ],
-    ids=["UniPoly", "MultiPoly", "NCPoly", "WeightedSumIdentity", "BernoulliIdentity"],
+    ids=["UniPoly", "MultiPoly", "NCPoly", "WeightedSumIdentity-mvec", "WeightedSumIdentity-poly"],
 )
 def test_values_survive_copy_deepcopy_and_pickle(value):
     for restored in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):

@@ -284,12 +284,12 @@ CACHE_FLOORS = {
     "quasi_shuffle._expansion": 258,
     "quasi_shuffle._path_templates": 49,
     "quasi_shuffle._word_product": 8_400,
+    "rationals.zeta_even": 17,
     "series._phi_power": 33,
     "series._product": 62,
     "series._symmetric": 78,
     "series._weights": 2,
     "zeta_identities._monomial_identity": 226,
-    "zeta_identities.zeta_even": 17,
 }
 
 

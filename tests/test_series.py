@@ -134,7 +134,7 @@ class TestIndependence:
     def test_the_reach_sees_the_pipeline(self):
         # The walk itself is not blind: the collapsed side reaches its sum,
         # and the Bernoulli identity the tables and their product.
-        assert ("bernoulli_sums", "_collapsed_sum") in reachable("zeta_identities", "eval_identity_rhs")
+        assert ("bernoulli_sums", "_collapsed_sum") in reachable("bernoulli_sums", "WeightedSumIdentity")
         reached = reachable("bernoulli_sums", "bernoulli_identity")
         assert ("bernoulli_sums", "f_prod") in reached
         assert ("derivative_tables", "f_table") in reached

@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from test_quasi_shuffle import _package_caches
 
 from evenzeta import (
     CheckResult,
@@ -12,7 +13,6 @@ from evenzeta import (
     SuiteReport,
     bernoulli_suite,
     bernoulli_sums,
-    mzv_identities,
     mzv_suite,
     parse_poly,
     quasi_shuffle,
@@ -22,18 +22,16 @@ from evenzeta import (
     verify_identity,
     verify_symmetric_sum,
     words_suite,
-    zeta_identities,
     zeta_suite,
 )
 
 
-def _clear_identity_caches():
-    """Empty the identity caches: the elimination rows above ``f_prod``,
-    shared by every kind, the monomial identities built on them, and the
-    orbit splits shared by the mzv and mzsv identities of a weight."""
-    bernoulli_sums._identity_rows.cache_clear()
-    zeta_identities._monomial_identity.cache_clear()
-    mzv_identities._orbit_split.cache_clear()
+def _clear_package_caches():
+    """Empty every cache the package defines, as ``_package_caches`` finds
+    them, so a fault injected between two calls reaches every result built
+    above it, wherever that result is cached."""
+    for cache in _package_caches().values():
+        cache.cache_clear()
 
 
 class TestSuiteReport:
@@ -147,9 +145,9 @@ class TestIndividualSuites:
                 product[1] = product[1] + Fraction(1, 7)
             return tuple(product)
 
-        # The elimination rows and the monomial identities are the caches
-        # above f_prod; the f_table rows below it are left unperturbed.
-        _clear_identity_caches()
+        # Every cache is emptied, those above f_prod among them: the
+        # elimination rows and the monomial identities.
+        _clear_package_caches()
         try:
             with monkeypatch.context() as patch:
                 for name, module in list(sys.modules.items()):
@@ -157,7 +155,7 @@ class TestIndividualSuites:
                         patch.setattr(module, "f_prod", perturbed)
                 report = zeta_suite(max_n=3, max_k=1)
         finally:
-            _clear_identity_caches()
+            _clear_package_caches()
         assert report.failed == 14
         assert report.first_failure.label.startswith("k-weighted relation")
 
@@ -217,28 +215,28 @@ class TestGridFailures:
     MAX_N, MAX_K = 3, 6
 
     @staticmethod
-    def _shifted(identity, field):
-        polys = getattr(identity, field)
-        return identity.replace(**{field: (polys[0] + Fraction(1, 7), *polys[1:])})
+    def _shifted(identity):
+        polys = identity.terms
+        return identity.replace(terms=(polys[0] + Fraction(1, 7), *polys[1:]))
 
-    def _run(self, monkeypatch, builder, field, target, run):
+    def _run(self, monkeypatch, builder, target, run):
         original = getattr(suites, builder)
         shifted = []
 
         def wrapper(*args):
             identity = original(*args)
             if args == target:
-                shifted.append(self._shifted(identity, field))
+                shifted.append(self._shifted(identity))
                 return shifted[-1]
             return identity
 
-        _clear_identity_caches()
+        _clear_package_caches()
         try:
             with monkeypatch.context() as patch:
                 patch.setattr(suites, builder, wrapper)
                 report = run(self.MAX_N, self.MAX_K)
         finally:
-            _clear_identity_caches()
+            _clear_package_caches()
         (identity,) = shifted
         return report, identity
 
@@ -255,7 +253,7 @@ class TestGridFailures:
 
     def test_bernoulli(self, monkeypatch):
         report, identity = self._run(
-            monkeypatch, "bernoulli_identity", "rhs", ((1, 0, 1),), bernoulli_suite
+            monkeypatch, "bernoulli_identity", ((1, 0, 1),), bernoulli_suite
         )
         assert report.failed == self.MAX_K - 3 + 1
         self._assert_rendered_as_verify_identity(report.first_failure, identity)
@@ -265,7 +263,7 @@ class TestGridFailures:
         # is checked before the identity's grid; the grid's own first
         # failure is read off a fresh report.
         report, identity = self._run(
-            monkeypatch, "zeta_identity_monomial", "terms", ((2, 1),), zeta_suite
+            monkeypatch, "zeta_identity_monomial", ((2, 1),), zeta_suite
         )
         assert report.failed == self.MAX_K - 2 + 1 + 1
         assert report.first_failure.label == "k-weighted relation for m=(2, 1)"
@@ -276,6 +274,6 @@ class TestGridFailures:
 
     def test_mzv(self, monkeypatch):
         target = (parse_poly("x1^2 + x2^2 + x3^2", 3), 3)
-        report, identity = self._run(monkeypatch, "mzv_identity", "terms", target, mzv_suite)
+        report, identity = self._run(monkeypatch, "mzv_identity", target, mzv_suite)
         assert report.failed == self.MAX_K - 3 + 1
         self._assert_rendered_as_verify_identity(report.first_failure, identity)

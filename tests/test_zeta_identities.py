@@ -80,7 +80,7 @@ class TestMonomialIdentities:
         assert cube.terms[2] == 3 * (2 * K - 5) * (13 * K - 9) / 16
 
     def test_conversion_from_bernoulli_form(self):
-        # terms[l] = (-1)^n 2^(2-n) (2l)!/B_{2l} rhs[l], with the l = 0
+        # zeta terms[l] = (-1)^n 2^(2-n) (2l)!/B_{2l} Bernoulli terms[l], with the l = 0
         # term additionally folded through zeta(0) = -1/2.
         from evenzeta import bernoulli
 
@@ -94,7 +94,7 @@ class TestMonomialIdentities:
                 scale *= Fraction(math.factorial(2 * l)) / bernoulli(2 * l)
                 if l == 0:
                     scale *= -HALF
-                assert zident.terms[l] == scale * bident.rhs[l]
+                assert zident.terms[l] == scale * bident.terms[l]
 
 
 class TestPolynomialAssembly:
@@ -233,7 +233,7 @@ def fraction_rescale(mvec):
     n = len(mvec)
     sign = Fraction((-1) ** n) * Fraction(2) ** (2 - n)
     terms = []
-    for l, poly in enumerate(base.rhs):
+    for l, poly in enumerate(base.terms):
         scale = sign * math.factorial(2 * l) / bernoulli(2 * l)
         if l == 0:
             scale *= Fraction(-1, 2)
