@@ -39,7 +39,9 @@ from evenzeta._records import Record
 
 RECORDS = {
     "CheckResult": CheckResult(ok=False, label="k=3", lhs="1/36", rhs="7/180"),
-    "WeightedSumIdentity-mvec": bernoulli_identity((2, 0, 1)),
+    # The BernoulliIdentity constructor builds a WeightedSumIdentity of kind "bernoulli".
+    "BernoulliIdentity": bernoulli_identity((2, 0, 1)),
+    "WeightedSumIdentity-mvec": zeta_identity_monomial((2, 1)),
     "WeightedSumIdentity-poly": mzsv_identity(parse_poly("x1^2 + x2^2", 2), 2),
     "Triangle": f_table(3),
     "_Kind": documents._KINDS["zeta"],
