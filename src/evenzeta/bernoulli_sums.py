@@ -80,7 +80,18 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
 
     Entry i of the result convolves the forward-triangle rows m_1, ..., m_n
     over all splittings i_1 + ... + i_n = i; there are sum(m) + n + 1 entries.
-    Every f entry reads over 2, so the product runs on numerators over 2^n.
+    The identities read the integer rows of ``_f_prod_rows`` straight into
+    the elimination; this normalises each entry of them.
+    """
+    mvec = _validated_mvec(mvec)
+    rows, den = _f_prod_rows(mvec)
+    return tuple(UniPoly._normalised(nums, den) for nums in rows)
+
+
+def _f_prod_rows(mvec: tuple[int, ...]) -> tuple[list[list[int]], int]:
+    """``f_prod`` of a validated tuple as integer numerators over one
+    denominator, 2^n: every f entry reads over 2.  Each of the sum(m) + n + 1
+    rows holds the t-coefficients 0..sum(m) + n, trailing zeros included.
 
     The convolution in t is one integer product per pair of entries
     (Kronecker substitution): each entry is packed as its value at t = 2^(8w),
@@ -90,7 +101,6 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     prod(max |row|) in magnitude; 8w exceeds the bits of those two products
     plus one, so every digit lies in (-2^(8w-1), 2^(8w-1)).
     """
-    mvec = _validated_mvec(mvec)
     table = f_table(max(mvec))
     rows = [[[x * (2 // p.den) for x in p.nums] for p in table.row(m)] for m in mvec]
     top = sum(mvec) + len(mvec)
@@ -116,39 +126,37 @@ def f_prod(mvec: Sequence[int]) -> tuple[UniPoly, ...]:
     out = []
     for packed in product:
         data = (packed + bias).to_bytes(size, "little")
-        nums = [int.from_bytes(data[c : c + width], "little") for c in range(0, size, width)]
-        out.append(UniPoly._normalised([x - half for x in nums], 2 ** len(mvec)))
-    return tuple(out)
+        out.append([int.from_bytes(data[c : c + width], "little") - half for c in range(0, size, width)])
+    return out, 1 << len(mvec)
 
 
-def _eliminate(fs: Sequence[UniPoly]) -> tuple[list[list[int]], int]:
+def _eliminate(fs: Sequence[Sequence[int]], den: int) -> tuple[list[list[int]], int]:
     """Rows A_0, ..., A_{N-1} with sum_{i>=1} f_i h^i = sum_j D^j(A_j h).
 
-    ``fs`` is (f_0, ..., f_N) from ``f_prod``.  By t*h' = (1 - t)*h - h^2,
+    ``fs`` holds the integer numerators of (f_0, ..., f_N) over ``den``, as
+    ``_f_prod_rows`` returns them; f_i has t-degree at most N - i, and
+    ``fs[i]`` has at least N - i + 1 entries.  By t*h' = (1 - t)*h - h^2,
 
         c * h^i = ((1 - t)*c + D c/(i-1)) * h^(i-1) - D(c * h^(i-1))/(i-1),
 
     so sweeping i = N, ..., 2 rewrites the sum, level by level: the first
     part stays at level j and the second moves to level j + 1.  Returns the
     integer numerators of the A_j (A_j padded to its degree bound N - 1 - j)
-    and their one denominator lcm(f dens) * (N-1)!.
+    and their one denominator den * (N-1)!.
     """
     total = len(fs) - 1
-    den = math.lcm(*(f.den for f in fs))
     # At power i, levels[j] holds the numerators of the coefficient of h^i
     # under D^j over den * scale, scale = (N-1)!/(i-1)!, padded to its degree
     # bound N - i - j.  Stepping to i - 1 multiplies scale by i - 1, so the
     # division by i - 1 needs none.
-    levels = [[x * (den // fs[total].den) for x in fs[total].nums]]
+    levels = [list(fs[total][:1])]
     scale = 1
     for i in range(total, 1, -1):
         d = i - 1
         scale *= d
         # Level j at power i - 1 keeps level j's terms and loses the part
         # moved up from level j - 1; level 0 gains f_{i-1} instead.
-        f = fs[i - 1]
-        below = [-x * (den // f.den) * scale for x in f.nums]
-        below.extend([0] * (total - d + 1 - len(below)))
+        below = [-x * scale for x in fs[d][: total - d + 1]]
         lower = []
         for c in levels:
             steps = zip(c + [0], [0] + c, below)
@@ -282,8 +290,8 @@ def bernoulli_identity(mvec: Sequence[int]) -> WeightedSumIdentity:
 def _identity_rows(mvec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The integer numerators of p_0, ..., p_T of ``bernoulli_identity``
     (low degree first) and their one denominator, for a validated tuple:
-    ``f_prod``, then ``_eliminate``, then the rows' denominator times
-    2^sum(m).  ``zeta_identities`` rescales the same rows.
+    ``_f_prod_rows``, then ``_eliminate``, then the rows' denominator times
+    2^sum(m), all on integers.  ``zeta_identities`` rescales the same rows.
 
     The rows depend only on the multiset of exponents: the product
     D^{m_1} f * ... * D^{m_n} f commutes, so every ordering gives the same
@@ -291,7 +299,7 @@ def _identity_rows(mvec: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], 
     so each multiset is eliminated once for every ordering and both kinds.
     The cached rows are tuples, so no caller can change them.
     """
-    levels, den = _eliminate(f_prod(mvec))
+    levels, den = _eliminate(*_f_prod_rows(mvec))
     rows = tuple(
         tuple(c[2 * l] << j if 2 * l < len(c) else 0 for j, c in enumerate(levels))
         for l in range(_depth(mvec) + 1)

@@ -61,11 +61,11 @@ import decimal
 import itertools
 import math
 import operator
-from collections import Counter
+from collections import Counter, deque
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .bernoulli_sums import WeightedSumIdentity
 from .enumeration import block_shapes
@@ -263,12 +263,17 @@ def _nested_sum_bracket(kvec: tuple[int, ...], bound: int, scale: int) -> tuple[
     so lo never exceeds the exact scaled sum.  Each floor loses less than one
     unit, and a deficit below (level - 1) * (j - 1) divided by j^k >= j stays
     below level - 1, so the deficit at level l and index m is below l * m.
+
+    The levels are chained iterators, so each prefix sum is made when the
+    level above reads it and no level is held as a list: memory stays
+    bounded by the depth, not by ``bound``.
     """
-    lo = [scale] * bound  # the empty inner sum is 1
+    lo: Iterator[int] = itertools.repeat(scale, bound)  # the empty inner sum is 1
     for exponent in reversed(kvec):
-        powers = [m**exponent for m in range(1, bound + 1)]
-        lo = [0, *itertools.accumulate(map(operator.floordiv, lo, powers))]
-    return lo[bound], lo[bound] + len(kvec) * bound
+        powers = map(pow, range(1, bound + 1), itertools.repeat(exponent))
+        lo = itertools.chain((0,), itertools.accumulate(map(operator.floordiv, lo, powers)))
+    (last,) = deque(lo, maxlen=1)
+    return last, last + len(kvec) * bound
 
 
 def mzv_numeric(kvec: Sequence[int], bound: int) -> tuple[Decimal, Decimal]:

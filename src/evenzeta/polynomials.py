@@ -485,7 +485,14 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 def _product(left: dict, right: dict) -> dict:
-    """The expanded product of two parsed polynomials, cancelled terms dropped."""
+    """The expanded product of two parsed polynomials, cancelled terms dropped.
+
+    Two monomials multiply by adding their exponents; their coefficients are
+    nonzero, so the product term is too.
+    """
+    if len(left) == 1 == len(right):
+        ((e1, c1),), ((e2, c2),) = left.items(), right.items()
+        return {tuple(map(operator.add, e1, e2)): c1 * c2}
     out: dict = {}
     for e1, c1 in left.items():
         for e2, c2 in right.items():
@@ -501,8 +508,14 @@ def _coefficient_bits(terms: dict) -> int:
     2^(bits of the largest numerator + bits of D), and a product of factors
     sums at most the product of their term counts, so the numerators and the
     denominator of every coefficient of the product have at most the sum of
-    this value over the factors in bits.
+    this value over the factors in bits.  A one-term integer factor c, the
+    commonest, takes c.bit_length() + 2: its denominator 1 and its one term
+    count one bit each.
     """
+    if len(terms) == 1:
+        (c,) = terms.values()
+        if type(c) is int:
+            return c.bit_length() + 2
     values = terms.values()
     den = math.lcm(*(c.denominator for c in values))
     top = max((abs(c.numerator).bit_length() for c in values), default=0)
@@ -530,7 +543,10 @@ class _Parser:
     with VARIABLE one of x1..xn, its index written without a leading zero.
     There is no implicit multiplication.
     Every production returns a dict from exponent tuple to nonzero int or
-    Fraction coefficient; ``parse`` makes the one ``MultiPoly``.
+    Fraction coefficient.  ``parse`` makes the one ``MultiPoly`` through
+    ``_normalised``, from integer numerators over the lcm of the
+    denominators: every key it builds is a valid exponent tuple of the
+    arity, so none is checked again.
     """
 
     def __init__(self, text: str, arity: int) -> None:
@@ -559,7 +575,9 @@ class _Parser:
         # A sum is not a product, but its terms' denominators can still
         # multiply into one common denominator past the limit.
         _admit_bits(self.tokens[0][2], terms)
-        return MultiPoly(self.arity, terms)
+        den = math.lcm(*(c.denominator for c in terms.values()))
+        nums = {key: c.numerator * (den // c.denominator) for key, c in terms.items()}
+        return MultiPoly._normalised(nums, den, self.arity)
 
     def _expr(self) -> dict:
         # Each term is added into one accumulator, in place.

@@ -15,10 +15,11 @@ of kind "zeta", the record of ``bernoulli_sums``.
 The identity for a monomial weight is the rescaled Bernoulli identity of
 ``bernoulli_sums``: ``_monomial_identity`` reads its terms off the integer
 rows of the elimination, as ``bernoulli_identity`` does, and scales each by
-an integer pair.  Both look the rows up under the sorted exponents in one
-cache, so a multiset is eliminated once for every ordering and both kinds.
-Every other zeta, mzv or mzsv identity is a linear combination of monomial
-identities, formed by ``_combined_identity``.
+an integer pair, ``_zeta_rescale``.  Both look the rows up under the sorted
+exponents in one cache, so a multiset is eliminated once for every ordering
+and both kinds.  Every other zeta, mzv or mzsv identity is a linear
+combination of monomial identities, formed by ``_combined_identity`` from
+the same rows on integers, rescaled once per orbit length and term.
 """
 
 from __future__ import annotations
@@ -45,26 +46,33 @@ __all__ = [
 _MONOMIAL_CACHE_SIZE = 1 << 10
 
 
+def _zeta_rescale(n: int, l: int) -> tuple[int, int]:
+    """(top, bottom), bottom > 0, with term l of the zeta identity of an
+    n-tuple equal to top/bottom times term l of its Bernoulli identity.
+
+    Substituting B_{2j}/(2j)! = (-1)^(j+1) * 2 * zeta(2j) / (2 pi)^(2j) into
+    the Bernoulli identity rescales p_l by (-1)^n 2^(2-n) (2l)!/B_{2l}; the
+    l = 0 entry also takes zeta(0) = -1/2 to multiply plain zeta(2k).  The
+    factor depends on n and l alone, not on the exponents.
+    """
+    b = bernoulli(2 * l)
+    up, down = (2, 1) if n == 1 else (1, 1 << (n - 2))
+    top = (-1 if n % 2 else 1) * up * math.factorial(2 * l) * b.denominator
+    bottom = down * b.numerator * (-2 if l == 0 else 1)
+    return (-top, -bottom) if bottom < 0 else (top, bottom)
+
+
 @lru_cache(maxsize=_MONOMIAL_CACHE_SIZE)
 def _monomial_identity(mvec: tuple[int, ...]) -> WeightedSumIdentity:
     # Called with sorted exponents only: permuting them permutes the
     # compositions, so every ordering has the identity of its sorted form.
-    # Substituting B_{2j}/(2j)! = (-1)^(j+1) * 2 * zeta(2j) / (2 pi)^(2j) into
-    # the Bernoulli identity rescales p_l by (-1)^n 2^(2-n) (2l)!/B_{2l}; the
-    # l = 0 entry also takes zeta(0) = -1/2 to multiply plain zeta(2k).  Each
-    # factor is an integer pair applied to the rows of p_l, with one
-    # normalisation per term.
+    # Each term is a row of the Bernoulli identity times its integer pair,
+    # with one normalisation.
     rows, den = _identity_rows(mvec)
     n = len(mvec)
-    sign = -1 if n % 2 else 1
-    up, down = (2, 1) if n == 1 else (1, 1 << (n - 2))
     terms = []
     for l, nums in enumerate(rows):
-        b = bernoulli(2 * l)
-        top = sign * up * math.factorial(2 * l) * b.denominator
-        bottom = down * b.numerator * (-2 if l == 0 else 1)
-        if bottom < 0:
-            top, bottom = -top, -bottom
+        top, bottom = _zeta_rescale(n, l)
         terms.append(UniPoly._normalised([x * top for x in nums], den * bottom))
     return WeightedSumIdentity(kind="zeta", n=n, T=len(terms) - 1, terms=tuple(terms), mvec=mvec)
 
@@ -78,29 +86,51 @@ def _combined_identity(
 
     A monomial identity depends only on the orbit of its exponents under
     permutation, so the numerators of pairs with equal sorted exponents are
-    summed first and one identity is built per orbit.  Each term l is then
-    summed over the orbits as integer numerators over the lcm of their
-    denominators, with one normalisation.  The depth T is the largest
-    truncation depth among the orbits, those whose coefficients cancel
-    included, or ``(n - 1) // 2`` when there are none; a term beyond an
-    orbit's depth counts as zero.
+    summed first.  The rescale from the Bernoulli rows to the zeta terms
+    depends only on the orbit's length i and on l (``_zeta_rescale``), so
+    the orbits are grouped by length: the elimination rows of each group
+    (``_identity_rows``) are summed, weighted by their numerators, over the
+    lcm of their denominators.  Each term l then rescales every group's sum
+    once and adds them over one lcm, with one normalisation.  The depth T
+    is the largest truncation depth among the orbits, those whose
+    coefficients cancel included, or ``(n - 1) // 2`` when there are none;
+    a term beyond an orbit's depth counts as zero.
     """
     orbits: dict[tuple[int, ...], int] = {}
     for expts, c in nums:
         key = tuple(sorted(expts))
         orbits[key] = orbits.get(key, 0) + c
     depth = max(map(_depth, orbits), default=(n - 1) // 2)
-    rows = [(c, _monomial_identity(key).terms) for key, c in orbits.items() if c]
+    groups: dict[int, list[tuple[int, tuple, int]]] = {}
+    for key, c in orbits.items():
+        if c:
+            groups.setdefault(len(key), []).append((c, *_identity_rows(key)))
+    # Per orbit length: the weighted sum of the rows, row l over lcm.
+    sums = []
+    for length, group in groups.items():
+        lcm = math.lcm(*(row_den for _, _, row_den in group))
+        acc: list[list[int]] = []
+        for c, rows, row_den in group:
+            scale = c * (lcm // row_den)
+            for l, row in enumerate(rows):
+                if l == len(acc):
+                    acc.append([])
+                out = acc[l]
+                out.extend([0] * (len(row) - len(out)))
+                for j, x in enumerate(row):
+                    if x:
+                        out[j] += scale * x
+        sums.append((length, acc, lcm))
     terms = []
     for l in range(depth + 1):
-        present = [(c, row[l]) for c, row in rows if l < len(row)]
-        lcm = math.lcm(*(p.den for _, p in present))
-        acc = [0] * max((len(p.nums) for _, p in present), default=0)
-        for c, p in present:
-            scale = c * (lcm // p.den)
-            for i, x in enumerate(p.nums):
-                acc[i] += scale * x
-        terms.append(UniPoly._normalised(acc, den * lcm))
+        present = [(_zeta_rescale(length, l), acc[l], lcm) for length, acc, lcm in sums if l < len(acc)]
+        common = math.lcm(*(bottom * lcm for (_, bottom), _, lcm in present))
+        total = [0] * max((len(row) for _, row, _ in present), default=0)
+        for (top, bottom), row, lcm in present:
+            scale = top * (common // (bottom * lcm))
+            for j, x in enumerate(row):
+                total[j] += scale * x
+        terms.append(UniPoly._normalised(total, den * common))
     return WeightedSumIdentity(kind=kind, n=n, T=depth, terms=tuple(terms), poly=poly)
 
 

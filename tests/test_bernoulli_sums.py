@@ -27,7 +27,7 @@ from evenzeta import (
     zeta_identities,
     zeta_identity_monomial,
 )
-from evenzeta.bernoulli_sums import _eliminate, _identity_rows
+from evenzeta.bernoulli_sums import _eliminate, _f_prod_rows, _identity_rows
 from evenzeta.documents import to_json
 
 T = UniPoly.x()
@@ -113,6 +113,18 @@ class TestFProd:
         assert f_prod(mvec) == tuple(f_product(mvec))
 
 
+    @pytest.mark.parametrize("mvec", [(1, 2), (3, 0, 2), (2, 2, 1, 0), (24, 23), (16, 16, 14), (0,) * 49])
+    def test_rows_hold_the_entries_over_one_denominator(self, mvec):
+        # The elimination reads these rows unnormalised and cuts row i at its
+        # degree bound N - i, so nothing may lie past that bound.
+        rows, den = _f_prod_rows(mvec)
+        N = sum(mvec) + len(mvec)
+        assert den == 2 ** len(mvec) and len(rows) == N + 1
+        for i, (row, entry) in enumerate(zip(rows, f_product(mvec))):
+            assert len(row) == N + 1 and not any(row[N - i + 1 :]), i
+            assert UniPoly([Fraction(x, den) for x in row]) == entry, i
+
+
 class TestBigF:
     """The collapse D^{m_1} f * ... * D^{m_n} f = F_0 + sum_{j>=1} F_j *
     D^{j-1} g as the identity reads it: ``bernoulli_identity`` against
@@ -152,7 +164,7 @@ class TestBigF:
     def test_reads_no_inverse_triangle(self):
         # The identity needs only the forward rows: none of its steps names
         # g_table, and eliminating afresh calls none.
-        for step in (_identity_rows.__wrapped__, f_prod, _eliminate):
+        for step in (_identity_rows.__wrapped__, f_prod, _f_prod_rows, _eliminate):
             assert "g_table" not in step.__code__.co_names, step.__name__
         _identity_rows.cache_clear()
         before = g_table.cache_info()

@@ -45,7 +45,7 @@ def names_used(code):
 def test_bernoulli_oracle_runs_no_pipeline_step(oracle):
     # The oracle of the p_l shares only the table rows with the package: it
     # names none of the steps that build the identity.
-    steps = {"big_F", "f_prod", "_eliminate", "_identity_rows", "bernoulli_identity"}
+    steps = {"big_F", "f_prod", "_f_prod_rows", "_eliminate", "_identity_rows", "bernoulli_identity"}
     assert not names_used(oracle.__code__) & steps
 
 

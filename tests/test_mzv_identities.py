@@ -13,6 +13,7 @@ pipeline.
 import itertools
 import math
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -659,6 +660,22 @@ class TestNumeric:
         monkeypatch.setattr(mzv_identities, "_nested_sum_bracket", recording)
         mzv_numeric(kvec, bound)
         assert len(scales) == 1
+
+    def test_bracket_holds_no_level_in_memory(self):
+        # The floor chain streams each level: a level held as a list of
+        # 10^4 integers of about 190 bits would take several hundred KB.
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mzv_numeric((2, 2), 10**4)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_partial_sum_is_exact_depth_one(self):
         approx, tail = mzv_numeric((2,), 50)

@@ -56,7 +56,7 @@ CLI_NAMES = ["MAX_DUMP_DEPTH", "MAX_MZV_DEPTH", "MAX_TABLE_DEPTH", "main"]
 #: of these is stranded, and goes.
 ENTRY_POINTS = [
     "BernoulliIdentity", "bernoulli_lhs", "composition_sum", "eval_identity_rhs", "eval_zeta_lhs",
-    "from_json", "mzv_lhs_exact", "mzv_numeric", "symmetric_sum", "verify_bernoulli",
+    "f_prod", "from_json", "mzv_lhs_exact", "mzv_numeric", "symmetric_sum", "verify_bernoulli",
     "verify_identity", "verify_mzv", "verify_symmetric_sum", "verify_zeta",
 ]
 

@@ -540,6 +540,105 @@ class TestParserOracle:
             assert parse_poly(text, arity).terms == expected, text
 
 
+def general_bits(terms):
+    """``_coefficient_bits``' bound for any factor: the bits of the largest
+    numerator and of the common denominator over it, and of the term count."""
+    values = [Fraction(c) for c in terms.values()]
+    den = math.lcm(*(c.denominator for c in values))
+    top = max((abs(c.numerator).bit_length() for c in values), default=0)
+    return top + den.bit_length() + len(terms).bit_length()
+
+
+def expanded_product(left, right):
+    """The product of two parsed polynomials by the double loop."""
+    out = {}
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return {key: c for key, c in out.items() if c}
+
+
+nonzero_scalars = st.one_of(
+    st.integers(-(2**200), 2**200).filter(bool),
+    st.fractions(max_denominator=2**64).filter(bool),
+)
+
+
+class TestParserFastPaths:
+    """A one-term integer factor's admission bits and the product of two
+    monomials skip the general formulas, and ``parse`` builds its result
+    through ``_normalised``; each must give what the general path gives."""
+
+    @given(nonzero_scalars, st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    def test_one_term_bits_match_the_general_formula(self, c, expts):
+        terms = {tuple(expts): c}
+        assert polynomials._coefficient_bits(terms) == general_bits(terms)
+
+    @given(st.dictionaries(st.tuples(*[st.integers(0, 5)] * 3), nonzero_scalars, max_size=4))
+    def test_many_term_bits_match_the_general_formula(self, terms):
+        assert polynomials._coefficient_bits(terms) == general_bits(terms)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda arity: st.tuples(
+                st.lists(st.integers(0, 5), min_size=arity, max_size=arity),
+                st.lists(st.integers(0, 5), min_size=arity, max_size=arity),
+            )
+        ),
+        nonzero_scalars,
+        nonzero_scalars,
+    )
+    def test_monomial_product_matches_the_double_loop(self, expts, c1, c2):
+        left, right = {tuple(expts[0]): c1}, {tuple(expts[1]): c2}
+        assert polynomials._product(left, right) == expanded_product(left, right)
+
+    @settings(deadline=None, max_examples=150)
+    @given(expression_trees())
+    def test_parse_matches_the_validating_constructor(self, case):
+        arity, tree = case
+        try:
+            terms = tree_value(tree, arity)
+        except OverLimit:
+            return
+        parsed, expected = parse_poly(tree_text(tree), arity), MultiPoly(arity, terms)
+        assert (dict(parsed.nums), parsed.den) == (dict(expected.nums), expected.den)
+        assert parsed == expected and hash(parsed) == hash(expected)
+        assert parsed.is_symmetric() == expected.is_symmetric()
+        assert parsed.render() == expected.render()
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_one_term_factor_at_the_bit_limit(self, sign):
+        # c*x1 counts c.bit_length() + 2 bits for c and 3 for x1, so it is
+        # admitted at 8,187 bits and refused at 8,188, at the '*'.
+        def text(c):
+            return f"{c}*x1" if c > 0 else f"({c})*x1"
+
+        accepted = sign * (2**8187 - 1)
+        assert parse_poly(text(accepted), 1) == MultiPoly(1, {(1,): accepted})
+        refused = text(sign * 2**8187)
+        with pytest.raises(ParseError) as info:
+            parse_poly(refused, 1)
+        position = refused.index("*")
+        assert str(info.value) == (
+            f"coefficients of up to 8193 bits exceed the limit 8192 (at position {position})"
+        )
+        assert info.value.position == position
+
+    def test_rational_factor_at_the_bit_limit(self):
+        # c/2*x1 counts c.bit_length() + 2 + 1 bits for c/2 and 3 for x1.
+        accepted = 2**8186 - 1
+        assert parse_poly(f"{accepted}/2*x1", 1) == MultiPoly(1, {(1,): Fraction(accepted, 2)})
+        refused = f"{2**8186 + 1}/2*x1"
+        with pytest.raises(ParseError) as info:
+            parse_poly(refused, 1)
+        position = refused.index("*")
+        assert str(info.value) == (
+            f"coefficients of up to 8193 bits exceed the limit 8192 (at position {position})"
+        )
+        assert info.value.position == position
+
+
 class TestRenderRoundTrip:
     @given(multipolys())
     def test_parse_of_render(self, p):

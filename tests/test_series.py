@@ -50,6 +50,7 @@ PIPELINE_MODULES = {
 #: derivative tables and their product, and the Bernoulli recurrence.
 PIPELINE_DEFINITIONS = {
     ("bernoulli_sums", "_collapsed_sum"),
+    ("bernoulli_sums", "_f_prod_rows"),
     ("bernoulli_sums", "f_prod"),
     ("rationals", "bernoulli"),
 }
@@ -136,7 +137,7 @@ class TestIndependence:
         # and the Bernoulli identity the tables and their product.
         assert ("bernoulli_sums", "_collapsed_sum") in reachable("bernoulli_sums", "WeightedSumIdentity")
         reached = reachable("bernoulli_sums", "bernoulli_identity")
-        assert ("bernoulli_sums", "f_prod") in reached
+        assert ("bernoulli_sums", "_f_prod_rows") in reached
         assert ("derivative_tables", "f_table") in reached
 
     def test_zeta_values_match_the_bernoulli_table(self):

@@ -131,28 +131,32 @@ class TestIndividualSuites:
         assert first.ok and second.ok
 
     def test_k_weighted_relation_catches_a_table_fault(self, monkeypatch):
-        # Perturb the constant (even) coefficient of entry 1 of f_prod, which
-        # bernoulli_identity collapses, for every tuple of length >= 2 and
+        # Perturb the constant (even) coefficient of entry 1 of the product
+        # D^{m_1} f ... D^{m_n} f by 1/7, for every tuple of length >= 2 and
         # weight 2.  With max_k = 1 every per-k check of those tuples is
         # skipped (k < n), so only the k-weighted relation can see the
         # fault: it compares identities of weights 1 and 2 with those of
-        # weights 2 and 3.
-        original = bernoulli_sums.f_prod
+        # weights 2 and 3.  The product's rows are integer numerators over
+        # one denominator, so the rows and the denominator are scaled by 7
+        # and the old denominator is added to that coefficient.
+        original = bernoulli_sums._f_prod_rows
 
         def perturbed(mvec):
-            product = list(original(mvec))
+            rows, den = original(mvec)
             if len(mvec) >= 2 and sum(mvec) == 2:
-                product[1] = product[1] + Fraction(1, 7)
-            return tuple(product)
+                rows = [[7 * x for x in row] for row in rows]
+                rows[1][0] += den
+                den *= 7
+            return rows, den
 
-        # Every cache is emptied, those above f_prod among them: the
+        # Every cache is emptied, those above the product among them: the
         # elimination rows and the monomial identities.
         _clear_package_caches()
         try:
             with monkeypatch.context() as patch:
                 for name, module in list(sys.modules.items()):
-                    if name.startswith("evenzeta") and vars(module).get("f_prod") is original:
-                        patch.setattr(module, "f_prod", perturbed)
+                    if name.startswith("evenzeta") and vars(module).get("_f_prod_rows") is original:
+                        patch.setattr(module, "_f_prod_rows", perturbed)
                 report = zeta_suite(max_n=3, max_k=1)
         finally:
             _clear_package_caches()
